@@ -37,6 +37,15 @@ def _as_int(value, key):
     return value
 
 
+def _int_at_least(lo):
+    def check(value, key):
+        value = _as_int(value, key)
+        if value < lo:
+            raise SchemaError(f"key '{key}' must be >= {lo}, got {value}", key=key)
+        return value
+    return check
+
+
 def _as_float(value, key):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"key '{key}' must be a number", key=key)
@@ -66,25 +75,25 @@ _SCHEMAS = {
     "specdec": {
         "target": (_as_str, _REQUIRED),
         "draft": (_as_str, _REQUIRED),
-        "k": (_as_int, 4),
-        "n": (_as_int, 64),
+        "k": (_int_at_least(1), 4),
+        "n": (_int_at_least(1), 64),
         "prompt": (_as_int_list, [0]),
     },
     "eagle": {
         "model": (_as_str, _REQUIRED),
-        "k": (_as_int, 4),
-        "n": (_as_int, 64),
-        "fit_seqs": (_as_int, 256),
-        "fit_len": (_as_int, 16),
+        "k": (_int_at_least(1), 4),
+        "n": (_int_at_least(1), 64),
+        "fit_seqs": (_int_at_least(1), 256),
+        "fit_len": (_int_at_least(2), 16),
         "ridge": (_as_float, 1e-6),
         "draft_cost_factor": (_as_float, 0.1),
         "prompt": (_as_int_list, [0]),
     },
     "lookahead": {
         "model": (_as_str, _REQUIRED),
-        "n": (_as_int, 64),
-        "ngram": (_as_int, 3),
-        "window": (_as_int, 4),
+        "n": (_int_at_least(1), 64),
+        "ngram": (_int_at_least(2), 3),
+        "window": (_int_at_least(1), 4),
         "prompt": (_as_int_list, [0]),
     },
     "early-exit": {
@@ -194,7 +203,11 @@ def resolve_seed(config: dict, seed_override=None) -> int:
         return int(config["master_seed"])
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise SchemaError(f"environment variable {SEED_ENV_VAR} must be an integer, got {env!r}",
+                              key=SEED_ENV_VAR) from None
     return 0
 
 
@@ -207,6 +220,17 @@ def _load_feature_model(path: str) -> FeatureModel:
     if not isinstance(model, FeatureModel):
         raise SchemaError(f"{path} is not a feature model", key="model")
     return model
+
+
+def _check_prompt(prompt, *models):
+    """Reject a prompt the loaded models cannot read, naming the key."""
+    for model in models:
+        if any(not 0 <= t < model.vocab_size for t in prompt):
+            raise SchemaError(f"key 'prompt' has a token outside the model's vocabulary of size "
+                              f"{model.vocab_size}: {prompt}", key="prompt")
+        if not prompt and isinstance(model, FeatureModel):
+            raise SchemaError("key 'prompt' must be non-empty for a feature model", key="prompt")
+    return prompt
 
 
 def load_mixture_workload(path: str) -> list[tuple[str, MixtureSpec]]:
@@ -244,8 +268,9 @@ def load_route_workload(path: str) -> list[WorkloadItem]:
 def _run_specdec(params, seed, base_dir):
     target = load_model(_resolve(base_dir, params["target"]))
     draft_model = load_model(_resolve(base_dir, params["draft"]))
-    tokens, stats = speculative_decode(target, draft_model, params["prompt"],
-                                       params["n"], params["k"], Rng(seed).child(0))
+    prompt = _check_prompt(params["prompt"], target, draft_model)
+    tokens, stats = speculative_decode(target, draft_model, prompt, params["n"], params["k"],
+                                       Rng(seed).child(0))
     return {
         "tokens": tokens,
         "tokens_generated": stats.tokens_generated,
@@ -261,10 +286,11 @@ def _run_specdec(params, seed, base_dir):
 
 def _run_eagle(params, seed, base_dir):
     model = _load_feature_model(_resolve(base_dir, params["model"]))
+    prompt = _check_prompt(params["prompt"], model)
     rng = Rng(seed)
     corpus = sample_corpus(model, params["fit_seqs"], params["fit_len"], rng.child(1))
     ex = fit_extrapolator(model, corpus, params["ridge"])
-    tokens, stats = eagle_decode(model, ex, params["prompt"], params["n"], params["k"],
+    tokens, stats = eagle_decode(model, ex, prompt, params["n"], params["k"],
                                  rng.child(0), draft_cost_factor=params["draft_cost_factor"])
     return {
         "tokens": tokens,
@@ -282,8 +308,8 @@ def _run_eagle(params, seed, base_dir):
 
 def _run_lookahead(params, seed, base_dir):
     model = load_model(_resolve(base_dir, params["model"]))
-    tokens, stats = lookahead_decode(model, params["prompt"], params["n"],
-                                     n=params["ngram"], L=params["window"])
+    prompt = _check_prompt(params["prompt"], model)
+    tokens, stats = lookahead_decode(model, prompt, params["n"], n=params["ngram"], L=params["window"])
     return {
         "tokens": tokens,
         "tokens_generated": stats.tokens_generated,

@@ -8,7 +8,7 @@ counter-based `Rng` so any experiment is reproducible from a single 64-bit seed.
 
 import json
 import os
-import tempfile
+import secrets
 
 import numpy as np
 
@@ -214,15 +214,36 @@ def _frozen(a) -> np.ndarray:
 class SequenceModel:
     """Deterministic next-token distribution producer with a per-call cost.
 
-    Subclasses implement next_dist(ctx) -> length-V probability vector. Models
-    are immutable after construction and safe to share across sessions.
+    The model reads a context through an immutable state: `start(ctx)` reads
+    a whole context, `advance(state, token)` extends it by one token and
+    `dist(state)` is the length-V next-token distribution. States are plain
+    tuples or arrays and never change, so a verify cycle branches its K+1
+    positions from one state and decoding costs one `advance` per token.
+    `next_dist(ctx)` is `dist(start(ctx))`. Models are immutable after
+    construction and safe to share across sessions.
     """
 
     vocab_size: int
     cost_units: float
 
+    def start(self, ctx: Context):
+        raise NotImplementedError
+
+    def advance(self, state, token: int):
+        raise NotImplementedError
+
+    def dist(self, state) -> np.ndarray:
+        raise NotImplementedError
+
     def next_dist(self, ctx: Context) -> np.ndarray:
         raise NotImplementedError
+
+    def branch(self, state, tokens) -> list:
+        """The states after each prefix of tokens, from the empty one to all of them."""
+        states = [state]
+        for token in tokens:
+            states.append(self.advance(states[-1], token))
+        return states
 
 
 class TableModel(SequenceModel):
@@ -253,14 +274,22 @@ class TableModel(SequenceModel):
             fallback = np.full(self.vocab_size, 1.0 / self.vocab_size)
         self.fallback = _frozen(check_dist(fallback, "fallback"))
 
+    # The state is the window of the last `order` tokens. A shorter one, from
+    # a context shorter than the order, is no table key, so it selects the
+    # fallback row like a window absent from the table.
+    def start(self, ctx: Context) -> Context:
+        return tuple(ctx[-self.order:]) if self.order else ()
+
+    def advance(self, state: Context, token: int) -> Context:
+        return (state + (token,))[-self.order:] if self.order else ()
+
+    def dist(self, state: Context) -> np.ndarray:
+        return self.table.get(state, self.fallback)
+
+    # dist(start(ctx)) in one call: routing reads every prompt prefix through
+    # it. Defined on each subclass: the benchmark's tracer wraps it per class.
     def next_dist(self, ctx: Context) -> np.ndarray:
-        if self.order == 0:
-            window = ()
-        elif len(ctx) >= self.order:
-            window = tuple(ctx[-self.order:])
-        else:
-            return self.fallback
-        return self.table.get(window, self.fallback)
+        return self.table.get(tuple(ctx[-self.order:]) if self.order else (), self.fallback)
 
 
 class FeatureModel(SequenceModel):
@@ -309,9 +338,25 @@ class FeatureModel(SequenceModel):
     def head_dist(self, feature: np.ndarray) -> np.ndarray:
         return softmax(self.head_w @ feature + self.head_b)
 
+    # The state is the current feature, the toy analogue of a KV cache.
+    def start(self, ctx: Context) -> np.ndarray:
+        ctx = check_context(ctx, self.vocab_size)
+        if not ctx:
+            raise EmptyContext("a feature model needs at least one context token")
+        f = np.zeros(self.dim)
+        for token in ctx:
+            f = self.step(f, token)
+        return f
+
+    def advance(self, state: np.ndarray, token: int) -> np.ndarray:
+        return self.step(state, token)
+
+    def dist(self, state: np.ndarray) -> np.ndarray:
+        return self.head_dist(state)
+
+    # defined on each subclass: the benchmark's tracer wraps it per class
     def next_dist(self, ctx: Context) -> np.ndarray:
-        _, dist = feature_forward(self, ctx)
-        return dist
+        return self.dist(self.start(ctx))
 
 
 def feature_forward(model: FeatureModel, ctx) -> tuple[np.ndarray, np.ndarray]:
@@ -389,9 +434,14 @@ def model_from_dict(doc: dict) -> SequenceModel:
 
 
 def atomic_write_text(path: str, text: str):
-    """Write via a temp file + rename so a killed run never leaves a partial file."""
+    """Write via a temp file + rename so a killed run never leaves a partial file.
+
+    The temp file is created with mode 0o666, like any new file, so the
+    umask decides its permissions; tempfile.mkstemp would force 0o600.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -24,7 +24,7 @@ from .core import (
     feature_forward,
     sample,
 )
-from .errors import EmptyContext, InsufficientData, SingularSystem
+from .errors import InsufficientData, SingularSystem
 from .specdec import DraftOutput, _decode_loop
 
 DEFAULT_RIDGE = 1e-6
@@ -138,19 +138,20 @@ def eagle_draft(model: FeatureModel, ex: Extrapolator, ctx, K: int, rng: Rng,
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    ctx = check_context(ctx, model.vocab_size)
-    if not ctx:
-        raise EmptyContext("eagle drafting needs a non-empty context")
-    feats, _ = feature_forward(model, ctx)
-    f = feats[-1]
+    return eagle_draft_from(model, ex, model.start(ctx), K, rng, meter, cost_units)
+
+
+def eagle_draft_from(model: FeatureModel, ex: Extrapolator, feature: np.ndarray, K: int, rng: Rng,
+                     meter: CostMeter = None, cost_units: float = None) -> DraftOutput:
+    """`eagle_draft` seeded by the target's feature after the context."""
     tokens = []
     dists = []
     for k in range(K):
-        dist = model.head_dist(f)
+        dist = model.head_dist(feature)
         tokens.append(sample(dist, rng))
         dists.append(dist)
         if k + 1 < K:
-            f = ex.predict(f, model.embed[tokens[-1]])
+            feature = ex.predict(feature, model.embed[tokens[-1]])
     if meter is not None:
         if cost_units is None:
             cost_units = DEFAULT_DRAFT_COST_FACTOR * model.cost_units
@@ -162,25 +163,19 @@ def eagle_decode(model: FeatureModel, ex: Extrapolator, prompt, N: int, K: int, 
                  draft_cost_factor: float = DEFAULT_DRAFT_COST_FACTOR):
     """speculative_decode with eagle_draft supplying the proposals.
 
+    The target's own state, its current feature, seeds every rollout, so
+    drafting reuses the features the verify cycles already computed.
     Distribution preservation holds verbatim because verification is unchanged.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    prompt = check_context(prompt, model.vocab_size)
-    if not prompt:
-        raise EmptyContext("eagle decoding needs a non-empty prompt")
     meter = CostMeter()
     draft_cost = draft_cost_factor * model.cost_units
 
-    def draft_fn(ctx):
-        return eagle_draft(model, ex, ctx, K, rng, meter=meter, cost_units=draft_cost)
+    def draft_fn(feature, _):
+        return eagle_draft_from(model, ex, feature, K, rng, meter, draft_cost), None
 
-    def target_fn(ctx, tokens):
-        dists = [model.next_dist(ctx + tokens[:i]) for i in range(len(tokens) + 1)]
-        meter.record("target", model.cost_units)
-        return dists
-
-    return _decode_loop(prompt, N, K, rng, meter, draft_fn, target_fn)
+    return _decode_loop(model, prompt, N, rng, meter, draft_fn)
 
 
 def extrapolator_to_dict(ex: Extrapolator) -> dict:

@@ -75,21 +75,28 @@ def lookahead_decode(target: SequenceModel, prompt, N: int, n: int = 3, L: int =
     keeps the longest prefix matching the target's argmax, and always emits at
     least the argmax at the first mismatch (or the position after a fully
     accepted proposal). Surplus tokens past N from the final round are dropped.
+    The target's state branches over the proposal and moves on from the
+    accepted prefix's branch by the last emitted token; the cache receives only
+    the windows that end in tokens emitted since the previous round, which
+    are the latest windows and so still win.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    prompt = check_context(prompt, target.vocab_size)
+    history = list(check_context(prompt, target.vocab_size))
+    n_prompt = len(history)
     cache = NGramCache(n)
-    out: list[int] = []
+    w = n - 1
+    state = target.start(history)
+    seen = 0  # history tokens whose windows are in the cache
     target_calls = 0
     proposed_total = 0
     hits_total = 0
-    while len(out) < N:
-        history = prompt + tuple(out)
-        cache_update(cache, history)
-        proposal = propose(cache, history, L)
-        dists = [target.next_dist(history + tuple(proposal[:i]))
-                 for i in range(len(proposal) + 1)]
+    while len(history) - n_prompt < N:
+        cache_update(cache, history[max(0, seen - w):])
+        seen = len(history)
+        proposal = propose(cache, history[-w:], L)
+        branch = target.branch(state, proposal)
+        dists = [target.dist(s) for s in branch]
         target_calls += 1
         proposed_total += len(proposal)
         emitted = []
@@ -105,8 +112,9 @@ def lookahead_decode(target: SequenceModel, prompt, N: int, n: int = 3, L: int =
         else:
             emitted.append(_argmax(dists[len(proposal)]))
         hits_total += matched
-        out.extend(emitted)
-    out = out[:N]
+        state = target.advance(branch[matched], emitted[-1])
+        history.extend(emitted)
+    out = history[n_prompt:n_prompt + N]
     stats = LookaheadStats(
         tokens_generated=len(out),
         target_calls=target_calls,

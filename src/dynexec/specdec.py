@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CostMeter, Rng, SequenceModel, check_context, model_next, normalize, sample
+from .core import CostMeter, Rng, SequenceModel, check_context, normalize, sample
 from .errors import AllZeroResidual, ContractViolation, LengthMismatch, VocabMismatch
 
 
@@ -58,13 +58,25 @@ def draft(draft_model: SequenceModel, ctx, K: int, rng: Rng, meter: CostMeter) -
     if K < 1:
         raise ValueError("K must be >= 1")
     ctx = check_context(ctx, draft_model.vocab_size)
+    return draft_from(draft_model, draft_model.start(ctx), K, rng, meter)[0]
+
+
+def draft_from(draft_model: SequenceModel, state, K: int, rng: Rng, meter: CostMeter):
+    """`draft` from the draft model's state after the context.
+
+    Returns the proposal and the draft model's K+1 branch states: its state
+    before each drafted token, then after the last one.
+    """
     tokens = []
     dists = []
+    states = [state]
     for _ in range(K):
-        q = model_next(draft_model, ctx + tuple(tokens), meter, role="draft")
+        q = draft_model.dist(states[-1])
+        meter.record("draft", draft_model.cost_units)
         tokens.append(sample(q, rng))
         dists.append(q)
-    return DraftOutput(tuple(tokens), tuple(dists))
+        states.append(draft_model.advance(states[-1], tokens[-1]))
+    return DraftOutput(tuple(tokens), tuple(dists)), states
 
 
 def residual(p, q) -> np.ndarray:
@@ -108,20 +120,33 @@ def verify(target_dists, d: DraftOutput, rng: Rng) -> VerificationResult:
     return VerificationResult(K, d.tokens + (bonus,), False)
 
 
-def _decode_loop(prompt, N, K, rng, meter, draft_fn, target_fn):
-    """Shared draft -> verify loop; draft_fn and target_fn handle their own billing."""
+def _decode_loop(target: SequenceModel, prompt, N, rng, meter, draft_fn, draft_model=None):
+    """Shared draft -> verify loop over incremental model states.
+
+    `draft_fn(state, draft_state)` bills its own draft calls and returns the
+    proposal with draft_model's K+1 branch states (None without a draft
+    model). The target's K+1 positions branch from its one state and are
+    billed as one call. After verification each state moves on from the
+    branch of the accepted prefix by the one corrected or bonus token, so
+    every model reads the prompt once and each emitted token once.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     out: list[int] = []
-    prompt = tuple(prompt)
+    state = target.start(prompt)
+    draft_state = None if draft_model is None else draft_model.start(prompt)
     cycles = 0
     accepted = 0
     drafted = 0
     while len(out) < N:
-        ctx = prompt + tuple(out)
-        d = draft_fn(ctx)
-        target_dists = target_fn(ctx, d.tokens)
-        result = verify(target_dists, d, rng)
+        d, draft_branch = draft_fn(state, draft_state)
+        branch = target.branch(state, d.tokens)
+        meter.record("target", target.cost_units)
+        result = verify([target.dist(s) for s in branch], d, rng)
+        last = result.emitted[-1]
+        state = target.advance(branch[result.n_accepted], last)
+        if draft_model is not None:
+            draft_state = draft_model.advance(draft_branch[result.n_accepted], last)
         out.extend(result.emitted)
         cycles += 1
         accepted += result.n_accepted
@@ -151,18 +176,13 @@ def speculative_decode(target: SequenceModel, draft_model: SequenceModel,
         raise VocabMismatch("target and draft models must share a vocabulary")
     if K < 1:
         raise ValueError("K must be >= 1")
+    prompt = check_context(prompt, target.vocab_size)
     meter = CostMeter()
 
-    def draft_fn(ctx):
-        return draft(draft_model, ctx, K, rng, meter)
+    def draft_fn(_, draft_state):
+        return draft_from(draft_model, draft_state, K, rng, meter)
 
-    def target_fn(ctx, tokens):
-        dists = [target.next_dist(ctx + tokens[:i]) for i in range(len(tokens) + 1)]
-        meter.record("target", target.cost_units)
-        return dists
-
-    check_context(prompt, target.vocab_size)
-    return _decode_loop(prompt, N, K, rng, meter, draft_fn, target_fn)
+    return _decode_loop(target, prompt, N, rng, meter, draft_fn, draft_model)
 
 
 def acceptance_rate_memoryless(p, q) -> float:

@@ -289,14 +289,65 @@ def test_cli_exit_codes(tmp_path, model_files):
     # validation error: missing file
     assert main(["specdec", "--target", "/nonexistent.json", "--draft", "/nonexistent.json",
                  "--report", str(tmp_path / "x.json")]) == 1
-    # runtime error: k must be >= 1
+    # validation error: k must be >= 1
     cfg = _write_config(tmp_path, {
         "technique": "specdec", "report": "y.json",
         "params": {"target": model_files["large"], "draft": model_files["small"], "k": 0},
     }, name="k0.json")
+    assert main(["run", "--config", cfg]) == 1
+    # runtime error: target and draft vocabularies differ
+    cfg = _write_config(tmp_path, {
+        "technique": "specdec", "report": "y.json",
+        "params": {"target": model_files["large"], "draft": model_files["feature"]},
+    }, name="vocab.json")
     assert main(["run", "--config", cfg]) == 2
     # argparse usage error maps to validation
     assert main(["specdec", "--bogus"]) == 1
+
+
+@pytest.mark.parametrize("technique, flags, key", [
+    ("specdec", ["--k", "0"], "k"),
+    ("specdec", ["--n", "0"], "n"),
+    ("specdec", ["--prompt", "0,4"], "prompt"),
+    ("specdec", ["--target", "FEATURE", "--draft", "FEATURE", "--prompt", ""], "prompt"),
+    ("eagle", ["--k", "-1"], "k"),
+    ("eagle", ["--prompt", "3"], "prompt"),
+    ("eagle", ["--prompt", ""], "prompt"),
+    ("eagle", ["--fit-seqs", "0"], "fit_seqs"),
+    ("eagle", ["--fit-len", "1"], "fit_len"),
+    ("lookahead", ["--n", "0"], "n"),
+    ("lookahead", ["--prompt", "-1"], "prompt"),
+    ("lookahead", ["--ngram", "1"], "ngram"),
+    ("lookahead", ["--window", "0"], "window"),
+])
+def test_cli_rejects_bad_decoder_input_by_name(tmp_path, model_files, capsys, technique, flags, key):
+    models = {"specdec": ["--target", model_files["large"], "--draft", model_files["small"]],
+              "eagle": ["--model", model_files["feature"]],
+              "lookahead": ["--model", model_files["large"]]}[technique]
+    flags = [model_files["feature"] if f == "FEATURE" else f for f in flags]
+    out = tmp_path / "out.json"
+    assert main([technique, *models, *flags, "--report", str(out)]) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_non_integer_seed_env(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DYNEXEC_SEED", "abc")
+    out = tmp_path / "ee.csv"
+    assert main(["early-exit", "--count", "200", "--report", str(out)]) == 1
+    assert "DYNEXEC_SEED" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_reports_honour_the_umask(tmp_path, umask, mode):
+    out = tmp_path / "ee.csv"
+    old = os.umask(umask)
+    try:
+        assert main(["early-exit", "--count", "200", "--seed", "1", "--report", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == mode
 
 
 def test_report_written_atomically_no_partial_on_failure(tmp_path, model_files):
