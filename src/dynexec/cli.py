@@ -9,12 +9,13 @@ module specifies.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass
 
-from .core import Rng, atomic_write_text, load_model, FeatureModel
+from .core import Rng, _load_json, atomic_write_text, load_model, FeatureModel
 from .eagle import eagle_decode, fit_extrapolator, sample_corpus
 from .earlyexit import gen_dataset, stage_accuracy, sweep, train_stages
 from .errors import DynexecError, MissingSeries, ParseError, SchemaError
@@ -52,6 +53,18 @@ def _as_float(value, key):
     return float(value)
 
 
+def _float_in(lo, hi=math.inf, above=False):
+    """A finite number in [lo, hi], or in (lo, hi] when `above`."""
+    rule = (">" if above else ">=") + f" {lo}" + (f" and <= {hi}" if hi < math.inf else "")
+
+    def check(value, key):
+        value = _as_float(value, key)
+        if not (math.isfinite(value) and (lo < value if above else lo <= value) and value <= hi):
+            raise SchemaError(f"key '{key}' must be a finite number {rule}, got {value!r}", key=key)
+        return value
+    return check
+
+
 def _as_str(value, key):
     if not isinstance(value, str):
         raise SchemaError(f"key '{key}' must be a string", key=key)
@@ -68,6 +81,8 @@ def _as_float_list(value, key):
     if (not isinstance(value, list) or not value
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
         raise SchemaError(f"key '{key}' must be a non-empty list of numbers", key=key)
+    if any(math.isnan(v) for v in value):
+        raise SchemaError(f"key '{key}' must not contain NaN", key=key)
     return [float(v) for v in value]
 
 
@@ -85,8 +100,8 @@ _SCHEMAS = {
         "n": (_int_at_least(1), 64),
         "fit_seqs": (_int_at_least(1), 256),
         "fit_len": (_int_at_least(2), 16),
-        "ridge": (_as_float, 1e-6),
-        "draft_cost_factor": (_as_float, 0.1),
+        "ridge": (_float_in(0.0), 1e-6),
+        "draft_cost_factor": (_float_in(0.0), 0.1),
         "prompt": (_as_int_list, [0]),
     },
     "lookahead": {
@@ -97,16 +112,16 @@ _SCHEMAS = {
         "prompt": (_as_int_list, [0]),
     },
     "early-exit": {
-        "count": (_as_int, 5000),
-        "hard_fraction": (_as_float, 0.2),
+        "count": (_int_at_least(100), 5000),
+        "hard_fraction": (_float_in(0.0, 1.0), 0.2),
         "taus": (_as_float_list, DEFAULT_TAUS),
     },
     "stepsaver": {
         "workload": (_as_str, _REQUIRED),
-        "epsilon": (_as_float, 0.1),
-        "train_frac": (_as_float, 0.5),
-        "count": (_as_int, 4000),
-        "steps": (_as_int, 100),
+        "epsilon": (_float_in(0.0, above=True), 0.1),
+        "train_frac": (_float_in(0.0, 1.0), 0.5),
+        "count": (_int_at_least(1), 4000),
+        "steps": (_int_at_least(1), 100),
     },
     "route": {
         "small": (_as_str, _REQUIRED),
@@ -180,14 +195,7 @@ def validate_config(doc: dict) -> dict:
 
 def load_config(path: str) -> dict:
     """Parse and schema-validate a config file."""
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}",
-                         line=exc.lineno, column=exc.colno) from exc
-    return validate_config(doc)
+    return validate_config(_load_json(path))
 
 
 def canonical_config_json(config: dict) -> str:
@@ -235,12 +243,7 @@ def _check_prompt(prompt, *models):
 
 def load_mixture_workload(path: str) -> list[tuple[str, MixtureSpec]]:
     """Workload file: {"specs": [{"id": ..., "components": [[w, mean, stddev], ...]}, ...]}."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}",
-                             line=exc.lineno, column=exc.colno) from exc
+    doc = _load_json(path)
     try:
         return [(str(entry["id"]),
                  MixtureSpec(tuple(tuple(float(x) for x in comp) for comp in entry["components"])))
@@ -251,12 +254,7 @@ def load_mixture_workload(path: str) -> list[tuple[str, MixtureSpec]]:
 
 def load_route_workload(path: str) -> list[WorkloadItem]:
     """Workload file: {"items": [{"prompt": [...], "continuation": [...]}, ...]}."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}",
-                             line=exc.lineno, column=exc.colno) from exc
+    doc = _load_json(path)
     try:
         return [WorkloadItem(tuple(int(t) for t in entry["prompt"]),
                              tuple(int(t) for t in entry["continuation"]))
@@ -287,6 +285,11 @@ def _run_specdec(params, seed, base_dir):
 def _run_eagle(params, seed, base_dir):
     model = _load_feature_model(_resolve(base_dir, params["model"]))
     prompt = _check_prompt(params["prompt"], model)
+    needed = 2 * model.dim + 1
+    if params["fit_seqs"] * (params["fit_len"] - 1) < needed:
+        raise SchemaError(f"key 'fit_seqs' gives fit_seqs * (fit_len - 1) = "
+                          f"{params['fit_seqs'] * (params['fit_len'] - 1)} transitions; a model of "
+                          f"dim {model.dim} needs at least {needed}", key="fit_seqs")
     rng = Rng(seed)
     corpus = sample_corpus(model, params["fit_seqs"], params["fit_len"], rng.child(1))
     ex = fit_extrapolator(model, corpus, params["ridge"])
@@ -479,8 +482,7 @@ def emit_plot_data(source, kind: str, out_path: str):
         with open(source) as fh:
             series = _series_from_csv(fh.read(), xcol, ycol)
     elif isinstance(source, str):
-        with open(source) as fh:
-            doc = json.load(fh)
+        doc = _load_json(source)
         series = _series_from_metrics(doc.get("metrics", doc), xcol, ycol)
     else:
         raise TypeError("source must be a RunReport or a report file path")

@@ -14,9 +14,12 @@ import numpy as np
 
 from .errors import (
     AllZero,
+    DynexecError,
     EmptyContext,
     InvalidDistribution,
     NegativeWeight,
+    ParseError,
+    SchemaError,
     VocabMismatch,
 )
 
@@ -171,23 +174,33 @@ def sample(d, rng: Rng) -> int:
 
 
 def sample_many(d, n: int, rng: Rng) -> np.ndarray:
-    """Vectorized `sample`: n tokens from one distribution, n uniforms consumed.
+    """Vectorized `sample`: n tokens, n uniforms consumed, from one distribution
+    or from n of them, one per row.
 
     Produces the same tokens sample() would produce from the same stream.
     """
+    return inverse_cdf(d, rng.uniforms(n))
+
+
+def inverse_cdf(d, u) -> np.ndarray:
+    """`sample` for each uniform in u, from d or from the matching row of d.
+
+    The cumulative sum runs in index order like sample()'s running total, so
+    the first index whose sum exceeds u is the token sample() returns; when u
+    lies past the mass, the last positive entry is.
+    """
     d = np.asarray(d, dtype=np.float64)
-    u = rng.uniforms(n)
-    cdf = np.cumsum(d)
-    idx = np.searchsorted(cdf, u, side="right")
-    last_positive = int(np.nonzero(d)[0][-1])
+    idx = (np.cumsum(d, axis=-1) <= np.asarray(u)[..., None]).sum(axis=-1)
+    last_positive = d.shape[-1] - 1 - np.argmax(d[..., ::-1] > 0, axis=-1)
     return np.minimum(idx, last_positive)
 
 
 def softmax(scores) -> np.ndarray:
+    """Softmax along the last axis."""
     z = np.asarray(scores, dtype=np.float64)
-    z = z - z.max()
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def check_context(ctx, vocab_size: int) -> Context:
@@ -260,8 +273,8 @@ class TableModel(SequenceModel):
         if not 0 <= order <= MAX_TABLE_ORDER:
             raise ValueError(f"table order must be in [0, {MAX_TABLE_ORDER}]")
         self.order = order
-        if cost_units <= 0:
-            raise ValueError("cost_units must be positive")
+        if not 0 < cost_units < np.inf:
+            raise ValueError("cost_units must be positive and finite")
         self.cost_units = float(cost_units)
         rows = {}
         for window, row in table.items():
@@ -322,8 +335,8 @@ class FeatureModel(SequenceModel):
                           ("head_w", head_w), ("head_b", head_b)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} has non-finite entries")
-        if cost_units <= 0:
-            raise ValueError("cost_units must be positive")
+        if not 0 < cost_units < np.inf:
+            raise ValueError("cost_units must be positive and finite")
         self.cost_units = float(cost_units)
         self.embed = _frozen(embed)
         self.recur_w = _frozen(recur_w)
@@ -331,12 +344,16 @@ class FeatureModel(SequenceModel):
         self.head_w = _frozen(head_w)
         self.head_b = _frozen(head_b)
 
-    def step(self, feature: np.ndarray, token: int) -> np.ndarray:
-        x = np.concatenate([feature, self.embed[token]])
-        return np.tanh(self.recur_w @ x + self.recur_b)
+    # step and head_dist take one feature or a batch of them, one per row. The
+    # stacked mat-vec runs the same kernel on each row as on a single feature,
+    # so row i of a batch equals the 1-D call bit for bit; a single gemm over
+    # the batch (features @ W.T) would not.
+    def step(self, feature: np.ndarray, token) -> np.ndarray:
+        x = np.concatenate([feature, self.embed[token]], axis=-1)
+        return np.tanh(np.matmul(self.recur_w, x[..., None])[..., 0] + self.recur_b)
 
     def head_dist(self, feature: np.ndarray) -> np.ndarray:
-        return softmax(self.head_w @ feature + self.head_b)
+        return softmax(np.matmul(self.head_w, feature[..., None])[..., 0] + self.head_b)
 
     # The state is the current feature, the toy analogue of a KV cache.
     def start(self, ctx: Context) -> np.ndarray:
@@ -456,6 +473,24 @@ def save_model(model: SequenceModel, path: str):
     atomic_write_text(path, json.dumps(model_to_dict(model), sort_keys=True, indent=1) + "\n")
 
 
+def _load_json(path: str):
+    """Parse one JSON input file; a syntax error is a ParseError at path:line:col."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}",
+                         line=exc.lineno, column=exc.colno) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
 def load_model(path: str) -> SequenceModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    doc = _load_json(path)
+    try:
+        return model_from_dict(doc)
+    except KeyError as exc:
+        raise SchemaError(f"model file {path} lacks key {exc}", key=path) from exc
+    except (AttributeError, TypeError, ValueError, DynexecError) as exc:
+        raise SchemaError(f"malformed model file {path}: {exc}", key=path) from exc

@@ -9,6 +9,7 @@ the emitted distribution equals the target's no matter how bad the
 extrapolator is; its quality only moves the acceptance rate.
 """
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -20,11 +21,10 @@ from .core import (
     FeatureModel,
     Rng,
     atomic_write_text,
-    check_context,
-    feature_forward,
+    inverse_cdf,
     sample,
 )
-from .errors import InsufficientData, SingularSystem
+from .errors import EmptyContext, InsufficientData, SingularSystem, VocabMismatch
 from .specdec import DraftOutput, _decode_loop
 
 DEFAULT_RIDGE = 1e-6
@@ -62,34 +62,54 @@ class FeatureTrajectory:
             raise ValueError("one feature per consumed token")
 
 
+def _forward(model: FeatureModel, corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every corpus sequence in one batched forward pass.
+
+    Returns the tokens (n, L), each sequence padded at its end with token 0
+    up to the longest length L, the features after each token (n, L, d) and
+    the lengths. The recurrence is causal, so padding changes no feature of a
+    real token, and row i of a batched step equals the 1-D step bit for bit.
+    """
+    lengths = np.array([len(seq) for seq in corpus], dtype=np.intp)
+    if not lengths.all():
+        raise EmptyContext("every corpus sequence needs at least one token")
+    tokens = np.zeros((len(corpus), lengths.max(initial=0)), dtype=np.intp)
+    tokens[np.arange(tokens.shape[1]) < lengths[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(corpus), dtype=np.intp, count=lengths.sum())
+    if tokens.size and not 0 <= tokens.min() <= tokens.max() < model.vocab_size:
+        raise VocabMismatch(f"corpus token outside vocabulary of size {model.vocab_size}")
+    feats = np.empty(tokens.shape + (model.dim,))
+    f = np.zeros((len(corpus), model.dim))
+    for t in range(tokens.shape[1]):
+        f = feats[:, t] = model.step(f, tokens[:, t])
+    return tokens, feats, lengths
+
+
 def collect_trajectories(model: FeatureModel, corpus) -> list[FeatureTrajectory]:
-    out = []
-    for ctx in corpus:
-        ctx = check_context(ctx, model.vocab_size)
-        feats, _ = feature_forward(model, ctx)
-        out.append(FeatureTrajectory(feats, ctx))
-    return out
+    tokens, feats, lengths = _forward(model, corpus)
+    return [FeatureTrajectory(f[:n], tuple(seq[:n].tolist()))
+            for seq, f, n in zip(tokens, feats, lengths)]
 
 
 def sample_corpus(model: FeatureModel, n_sequences: int, length: int, rng: Rng) -> list[Context]:
     """Self-distillation corpus: ancestral samples from the model itself.
 
     The first token of each sequence is uniform over the vocabulary (the model
-    needs a non-empty context before it can produce a distribution).
+    needs a non-empty context before it can produce a distribution). The
+    sequences advance together, one batched step per position; sequence i
+    reads uniforms i*length .. (i+1)*length - 1 of the stream, as if the
+    sequences were sampled one after another.
     """
     if n_sequences < 1 or length < 2:
         raise ValueError("need at least one sequence of length >= 2")
-    corpus = []
-    for _ in range(n_sequences):
-        first = min(int(rng.uniform() * model.vocab_size), model.vocab_size - 1)
-        seq = [first]
-        f = model.step(np.zeros(model.dim), first)
-        for _ in range(length - 1):
-            token = sample(model.head_dist(f), rng)
-            seq.append(token)
-            f = model.step(f, token)
-        corpus.append(tuple(seq))
-    return corpus
+    u = rng.uniforms(n_sequences * length).reshape(n_sequences, length)
+    tokens = np.empty((n_sequences, length), dtype=np.intp)
+    tokens[:, 0] = np.minimum((u[:, 0] * model.vocab_size).astype(np.intp), model.vocab_size - 1)
+    f = np.zeros((n_sequences, model.dim))
+    for t in range(1, length):
+        f = model.step(f, tokens[:, t - 1])
+        tokens[:, t] = inverse_cdf(model.head_dist(f), u[:, t])
+    return [tuple(seq) for seq in tokens.tolist()]
 
 
 def fit_extrapolator(model: FeatureModel, corpus, ridge: float = DEFAULT_RIDGE) -> Extrapolator:
@@ -101,19 +121,15 @@ def fit_extrapolator(model: FeatureModel, corpus, ridge: float = DEFAULT_RIDGE) 
     """
     if ridge < 0:
         raise ValueError("ridge must be non-negative")
-    xs = []
-    ys = []
-    for traj in collect_trajectories(model, corpus):
-        feats, tokens = traj.features, traj.tokens
-        for t in range(len(tokens) - 1):
-            xs.append(np.concatenate([feats[t], model.embed[tokens[t + 1]]]))
-            ys.append(feats[t + 1])
+    tokens, feats, lengths = _forward(model, corpus)
+    # the transitions inside each sequence, in sequence-major order
+    inside = np.arange(tokens.shape[1] - 1) < lengths[:, None] - 1
+    X = np.concatenate([feats[:, :-1], model.embed[tokens[:, 1:]]], axis=-1)[inside]
+    Y = feats[:, 1:][inside]
     d = model.dim
     needed = 2 * d + 1
-    if len(xs) < needed:
-        raise InsufficientData(f"need at least {needed} transitions, got {len(xs)}")
-    X = np.asarray(xs)
-    Y = np.asarray(ys)
+    if len(X) < needed:
+        raise InsufficientData(f"need at least {needed} transitions, got {len(X)}")
     x_mean = X.mean(axis=0)
     y_mean = Y.mean(axis=0)
     Xc = X - x_mean

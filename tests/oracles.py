@@ -11,7 +11,9 @@ from collections import defaultdict
 
 import numpy as np
 
-from dynexec.core import feature_forward
+from dynexec.core import feature_forward, sample
+from dynexec.eagle import Extrapolator
+from dynexec.errors import InsufficientData
 
 
 def autoregressive_distribution(next_fn, prompt, length, vocab):
@@ -128,3 +130,40 @@ def greedy_decode(model, prompt, length):
         out.append(tok)
         ctx += (tok,)
     return out
+
+
+def sample_corpus_reference(model, n_sequences, length, rng):
+    """Self-distillation corpus one sequence and one scalar step at a time:
+    the first token uniform over the vocabulary, then ancestral samples."""
+    corpus = []
+    for _ in range(n_sequences):
+        first = min(int(rng.uniform() * model.vocab_size), model.vocab_size - 1)
+        seq = [first]
+        f = model.step(np.zeros(model.dim), first)
+        for _ in range(length - 1):
+            token = sample(model.head_dist(f), rng)
+            seq.append(token)
+            f = model.step(f, token)
+        corpus.append(tuple(seq))
+    return corpus
+
+
+def fit_extrapolator_reference(model, corpus, ridge):
+    """Ridge least squares built row by row from per-sequence forward passes."""
+    xs = []
+    ys = []
+    for ctx in corpus:
+        feats, _ = feature_forward(model, ctx)
+        for t in range(len(ctx) - 1):
+            xs.append(np.concatenate([feats[t], model.embed[ctx[t + 1]]]))
+            ys.append(feats[t + 1])
+    d = model.dim
+    if len(xs) < 2 * d + 1:
+        raise InsufficientData(f"need at least {2 * d + 1} transitions, got {len(xs)}")
+    X = np.asarray(xs)
+    Y = np.asarray(ys)
+    x_mean = X.mean(axis=0)
+    y_mean = Y.mean(axis=0)
+    Xc = X - x_mean
+    W = np.linalg.solve(Xc.T @ Xc + ridge * np.eye(2 * d), Xc.T @ (Y - y_mean))
+    return Extrapolator(W.T, y_mean - W.T @ x_mean)

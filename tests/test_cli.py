@@ -319,6 +319,11 @@ def test_cli_exit_codes(tmp_path, model_files):
     ("lookahead", ["--prompt", "-1"], "prompt"),
     ("lookahead", ["--ngram", "1"], "ngram"),
     ("lookahead", ["--window", "0"], "window"),
+    ("eagle", ["--fit-seqs", "2", "--fit-len", "2"], "fit_seqs"),
+    ("eagle", ["--ridge", "-1"], "ridge"),
+    ("eagle", ["--ridge", "nan"], "ridge"),
+    ("eagle", ["--draft-cost-factor", "-1"], "draft_cost_factor"),
+    ("eagle", ["--draft-cost-factor", "inf"], "draft_cost_factor"),
 ])
 def test_cli_rejects_bad_decoder_input_by_name(tmp_path, model_files, capsys, technique, flags, key):
     models = {"specdec": ["--target", model_files["large"], "--draft", model_files["small"]],
@@ -328,6 +333,74 @@ def test_cli_rejects_bad_decoder_input_by_name(tmp_path, model_files, capsys, te
     out = tmp_path / "out.json"
     assert main([technique, *models, *flags, "--report", str(out)]) == 1
     assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("technique, flags, key", [
+    ("early-exit", ["--hard-fraction", "2"], "hard_fraction"),
+    ("early-exit", ["--hard-fraction", "-0.1"], "hard_fraction"),
+    ("early-exit", ["--count", "99"], "count"),
+    ("early-exit", ["--taus", "0,nan,0.1"], "taus"),
+    ("stepsaver", ["--epsilon", "0"], "epsilon"),
+    ("stepsaver", ["--epsilon", "-1"], "epsilon"),
+    ("stepsaver", ["--epsilon", "inf"], "epsilon"),
+    ("stepsaver", ["--train-frac", "1.5"], "train_frac"),
+    ("stepsaver", ["--count", "0"], "count"),
+    ("stepsaver", ["--steps", "0"], "steps"),
+    ("route", ["--thetas", "nan"], "thetas"),
+    ("route", ["--thetas=-inf,nan,inf"], "thetas"),
+])
+def test_cli_rejects_bad_sweep_input_by_name(tmp_path, model_files, capsys, technique, flags, key):
+    inputs = {"early-exit": [],
+              "stepsaver": ["--workload", model_files["mix_workload"]],
+              "route": ["--small", model_files["small"], "--large", model_files["large"],
+                        "--workload", model_files["route_workload"]]}[technique]
+    out = tmp_path / "out.csv"
+    assert main([technique, *inputs, *flags, "--report", str(out)]) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_BROKEN = '{"kind": "table", "vocab_size": 2,\n "order": 0 "table": {}}\n'
+
+
+@pytest.mark.parametrize("role, content, position", [
+    pytest.param("model", _BROKEN, ":2:13:", id="model-syntax"),
+    pytest.param("small", _BROKEN, ":2:13:", id="route-model-syntax"),
+    pytest.param("specs", _BROKEN, ":2:13:", id="mixture-workload-syntax"),
+    pytest.param("items", _BROKEN, ":2:13:", id="route-workload-syntax"),
+    pytest.param("report", _BROKEN, ":2:13:", id="plot-report-syntax"),
+    pytest.param("model", "[1, 2]", "", id="model-not-an-object"),
+    pytest.param("model", b'{"kind": "\xe9"}', "", id="model-not-utf8"),
+    # edits to a valid table model; None drops the key
+    pytest.param("model", {"fallback": None}, "", id="model-no-fallback"),
+    pytest.param("model", {"table": None}, "", id="model-no-table"),
+    pytest.param("model", {"table": []}, "", id="model-list-table"),
+    pytest.param("model", {"vocab_size": "four"}, "", id="model-text-vocab"),
+    pytest.param("model", {"fallback": [0.5, 0.5, 0.5, 0.5]}, "", id="model-fallback-sum"),
+    pytest.param("model", {"cost_units": float("nan")}, "", id="model-nan-cost"),
+])
+def test_cli_rejects_malformed_input_files_by_path(tmp_path, model_files, capsys, role, content, position):
+    path = tmp_path / "input.json"
+    if isinstance(content, dict):
+        doc = json.load(open(model_files["small"]))
+        for key, value in content.items():
+            if value is None:
+                del doc[key]
+            else:
+                doc[key] = value
+        content = json.dumps(doc)
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    small, large = model_files["small"], model_files["large"]
+    out = tmp_path / "out.csv"
+    route = ["route", "--large", large, "--thetas", "0.5", "--report", str(out)]
+    argv = {"model": ["lookahead", "--model", str(path), "--n", "4", "--report", str(out)],
+            "small": route + ["--small", str(path), "--workload", model_files["route_workload"]],
+            "specs": ["stepsaver", "--workload", str(path), "--count", "50", "--report", str(out)],
+            "items": route + ["--small", small, "--workload", str(path)],
+            "report": ["plot", "--report", str(path), "--kind", "k-vs-speedup", "--out", str(out)]}[role]
+    assert main(argv) == 1
+    assert f"{path}{position}" in capsys.readouterr().err
     assert not out.exists()
 
 
