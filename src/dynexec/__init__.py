@@ -16,7 +16,6 @@ from .core import (
     entropy,
     feature_forward,
     load_model,
-    model_next,
     normalize,
     sample,
     sample_many,

@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .core import Rng, _load_json, atomic_write_text, load_model, FeatureModel
 from .eagle import eagle_decode, fit_extrapolator, sample_corpus
@@ -22,7 +22,8 @@ from .errors import DynexecError, MissingSeries, ParseError, SchemaError
 from .lookahead import lookahead_decode
 from .router import RoutePolicy, WorkloadItem, evaluate
 from .specdec import simulated_speedup, speculative_decode
-from .stepsaver import MixtureSpec, NoiseSchedule, adaptive_generate, fit_recommender, min_steps_oracle
+from .stepsaver import (MIN_LABELED_SPECS, MixtureSpec, NoiseSchedule, adaptive_generate, fit_recommender,
+                        min_steps_oracle)
 
 VERSION = "dynexec 0.1.0"
 SEED_ENV_VAR = "DYNEXEC_SEED"
@@ -30,6 +31,13 @@ SEED_ENV_VAR = "DYNEXEC_SEED"
 DEFAULT_TAUS = [round(0.05 * i, 2) for i in range(16)]  # 0.0 .. 0.75
 
 _REQUIRED = object()
+
+
+def _comma_list(convert):
+    def parse(text):
+        return [convert(tok) for tok in text.split(",") if tok.strip() != ""]
+    parse.__name__ = f"{convert.__name__} list"
+    return parse
 
 
 def _as_int(value, key):
@@ -44,6 +52,7 @@ def _int_at_least(lo):
         if value < lo:
             raise SchemaError(f"key '{key}' must be >= {lo}, got {value}", key=key)
         return value
+    check.flag_type = int
     return check
 
 
@@ -62,6 +71,7 @@ def _float_in(lo, hi=math.inf, above=False):
         if not (math.isfinite(value) and (lo < value if above else lo <= value) and value <= hi):
             raise SchemaError(f"key '{key}' must be a finite number {rule}, got {value!r}", key=key)
         return value
+    check.flag_type = float
     return check
 
 
@@ -86,6 +96,14 @@ def _as_float_list(value, key):
     return [float(v) for v in value]
 
 
+# The argparse type that reads each checker's value from a CLI flag.
+_as_str.flag_type = str
+_as_int_list.flag_type = _comma_list(int)
+_as_float_list.flag_type = _comma_list(float)
+
+# Each technique's parameters: key -> (checker, default). The config's
+# "params" keys and the technique's CLI flags (--key with '-' for '_') both
+# come from this table; a checker's flag_type parses the flag's text.
 _SCHEMAS = {
     "specdec": {
         "target": (_as_str, _REQUIRED),
@@ -130,8 +148,6 @@ _SCHEMAS = {
         "thetas": (_as_float_list, _REQUIRED),
     },
 }
-
-CSV_TECHNIQUES = {"early-exit", "stepsaver", "route"}
 
 CSV_COLUMNS = {
     "early-exit": ("tau", "accuracy", "mean_cost", "early_exit_fraction", "speedup"),
@@ -245,44 +261,58 @@ def load_mixture_workload(path: str) -> list[tuple[str, MixtureSpec]]:
     """Workload file: {"specs": [{"id": ..., "components": [[w, mean, stddev], ...]}, ...]}."""
     doc = _load_json(path)
     try:
-        return [(str(entry["id"]),
-                 MixtureSpec(tuple(tuple(float(x) for x in comp) for comp in entry["components"])))
-                for entry in doc["specs"]]
+        specs = [(str(entry["id"]),
+                  MixtureSpec(tuple(tuple(float(x) for x in comp) for comp in entry["components"])))
+                 for entry in doc["specs"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed mixture workload {path}: {exc}") from exc
+    if len(specs) < MIN_LABELED_SPECS:
+        raise SchemaError(f"mixture workload {path} has {len(specs)} specs; "
+                          f"the step recommender needs at least {MIN_LABELED_SPECS}")
+    return specs
 
 
-def load_route_workload(path: str) -> list[WorkloadItem]:
-    """Workload file: {"items": [{"prompt": [...], "continuation": [...]}, ...]}."""
+def load_route_workload(path: str, small, large) -> list[WorkloadItem]:
+    """Workload file: {"items": [{"prompt": [...], "continuation": [...]}, ...]}.
+
+    Every prompt must be non-empty and every token inside both models' vocabularies.
+    """
     doc = _load_json(path)
     try:
-        return [WorkloadItem(tuple(int(t) for t in entry["prompt"]),
-                             tuple(int(t) for t in entry["continuation"]))
-                for entry in doc["items"]]
+        items = [WorkloadItem(tuple(int(t) for t in entry["prompt"]),
+                              tuple(int(t) for t in entry["continuation"]))
+                 for entry in doc["items"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed route workload {path}: {exc}") from exc
+    if not items:
+        raise SchemaError(f"route workload {path} has no items")
+    vocab = min(small.vocab_size, large.vocab_size)
+    for i, item in enumerate(items):
+        if not item.prompt:
+            raise SchemaError(f"route workload {path}: item {i} has an empty prompt")
+        if any(not 0 <= t < vocab for t in item.prompt + item.reference_continuation):
+            raise SchemaError(f"route workload {path}: item {i} has a token outside the models' "
+                              f"vocabulary of size {vocab}")
+    return items
+
+
+def _decode_metrics(tokens, stats, k, target_cost, draft_cost):
+    return {"tokens": tokens, **asdict(stats), "k": k,
+            "simulated_speedup": simulated_speedup(stats, target_cost, draft_cost)}
 
 
 def _run_specdec(params, seed, base_dir):
+    """token-level speculative sampling"""
     target = load_model(_resolve(base_dir, params["target"]))
     draft_model = load_model(_resolve(base_dir, params["draft"]))
     prompt = _check_prompt(params["prompt"], target, draft_model)
     tokens, stats = speculative_decode(target, draft_model, prompt, params["n"], params["k"],
                                        Rng(seed).child(0))
-    return {
-        "tokens": tokens,
-        "tokens_generated": stats.tokens_generated,
-        "target_calls": stats.target_calls,
-        "draft_calls": stats.draft_calls,
-        "cycles": stats.cycles,
-        "acceptance_rate": stats.acceptance_rate,
-        "tokens_per_target_call": stats.tokens_per_target_call,
-        "simulated_speedup": simulated_speedup(stats, target.cost_units, draft_model.cost_units),
-        "k": params["k"],
-    }
+    return _decode_metrics(tokens, stats, params["k"], target.cost_units, draft_model.cost_units)
 
 
 def _run_eagle(params, seed, base_dir):
+    """feature-level speculative drafting"""
     model = _load_feature_model(_resolve(base_dir, params["model"]))
     prompt = _check_prompt(params["prompt"], model)
     needed = 2 * model.dim + 1
@@ -295,54 +325,38 @@ def _run_eagle(params, seed, base_dir):
     ex = fit_extrapolator(model, corpus, params["ridge"])
     tokens, stats = eagle_decode(model, ex, prompt, params["n"], params["k"],
                                  rng.child(0), draft_cost_factor=params["draft_cost_factor"])
-    return {
-        "tokens": tokens,
-        "tokens_generated": stats.tokens_generated,
-        "target_calls": stats.target_calls,
-        "draft_calls": stats.draft_calls,
-        "cycles": stats.cycles,
-        "acceptance_rate": stats.acceptance_rate,
-        "tokens_per_target_call": stats.tokens_per_target_call,
-        "simulated_speedup": simulated_speedup(
-            stats, model.cost_units, params["draft_cost_factor"] * model.cost_units),
-        "k": params["k"],
-    }
+    return _decode_metrics(tokens, stats, params["k"], model.cost_units,
+                           params["draft_cost_factor"] * model.cost_units)
 
 
 def _run_lookahead(params, seed, base_dir):
+    """n-gram cache greedy decoding"""
     model = load_model(_resolve(base_dir, params["model"]))
     prompt = _check_prompt(params["prompt"], model)
     tokens, stats = lookahead_decode(model, prompt, params["n"], n=params["ngram"], L=params["window"])
-    return {
-        "tokens": tokens,
-        "tokens_generated": stats.tokens_generated,
-        "target_calls": stats.target_calls,
-        "proposed": stats.proposed,
-        "verified_hits": stats.verified_hits,
-        "speedup_vs_greedy": stats.tokens_generated / stats.target_calls,
-    }
+    return {"tokens": tokens, **asdict(stats),
+            "speedup_vs_greedy": stats.tokens_generated / stats.target_calls}
 
 
 def _run_early_exit(params, seed, base_dir):
+    """entropy-gated two-stage classifier sweep"""
     data = gen_dataset(params["count"], params["hard_fraction"], seed)
     net = train_stages(data)
-    rows = sweep(net, data, sorted(params["taus"]))
     return {
-        "rows": [{"tau": r.tau, "accuracy": r.accuracy, "mean_cost": r.mean_cost,
-                  "early_exit_fraction": r.early_exit_fraction, "speedup": r.speedup}
-                 for r in rows],
+        "rows": [asdict(row) for row in sweep(net, data, sorted(params["taus"]))],
         "stage0_accuracy": stage_accuracy(net.stages[0], data),
         "full_accuracy": stage_accuracy(net.stages[-1], data),
     }
 
 
 def _run_stepsaver(params, seed, base_dir):
+    """adaptive diffusion step recommendation"""
     specs = load_mixture_workload(_resolve(base_dir, params["workload"]))
     schedule = NoiseSchedule(params["steps"])
     count = params["count"]
     rng = Rng(seed)
-    # the recommender needs >= 5 labels, so small workloads train on more than train_frac
-    n_train = min(len(specs), max(5, round(params["train_frac"] * len(specs))))
+    # the recommender needs MIN_LABELED_SPECS labels, so small workloads train on more than train_frac
+    n_train = min(len(specs), max(MIN_LABELED_SPECS, round(params["train_frac"] * len(specs))))
     labeled = []
     for i, (_, spec) in enumerate(specs[:n_train]):
         labeled.append((spec, min_steps_oracle(spec, schedule, params["epsilon"], count, rng.child(i))))
@@ -370,19 +384,12 @@ def _run_stepsaver(params, seed, base_dir):
 
 
 def _run_route(params, seed, base_dir):
+    """difficulty-threshold model routing"""
     small = load_model(_resolve(base_dir, params["small"]))
     large = load_model(_resolve(base_dir, params["large"]))
-    workload = load_route_workload(_resolve(base_dir, params["workload"]))
-    rows = []
-    for theta in params["thetas"]:
-        report = evaluate(RoutePolicy(theta, small), workload, small, large)
-        rows.append({
-            "theta": theta,
-            "fraction_large": report.fraction_large,
-            "total_cost": report.total_cost,
-            "mean_quality": report.mean_quality,
-        })
-    return {"rows": rows}
+    workload = load_route_workload(_resolve(base_dir, params["workload"]), small, large)
+    return {"rows": [{"theta": theta, **asdict(evaluate(RoutePolicy(theta, small), workload, small, large))}
+                     for theta in params["thetas"]]}
 
 
 _RUNNERS = {
@@ -434,7 +441,7 @@ def report_json(report: RunReport) -> str:
 def write_report(report: RunReport, path: str):
     """Write the technique's native report format (CSV for sweeps, JSON otherwise)."""
     technique = report.config["technique"]
-    if technique in CSV_TECHNIQUES:
+    if technique in CSV_COLUMNS:
         atomic_write_text(path, csv_text(technique, report.metrics["rows"]))
     else:
         atomic_write_text(path, report_json(report))
@@ -491,70 +498,17 @@ def emit_plot_data(source, kind: str, out_path: str):
     atomic_write_text(out_path, "\n".join(lines) + "\n")
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dynexec",
                                      description="dynamic-execution experiments on toy models")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_seed_report(p):
+    # one subcommand per technique, its flags from the schema and its help from the runner's docstring
+    for technique, schema in _SCHEMAS.items():
+        p = sub.add_parser(technique, help=_RUNNERS[technique].__doc__)
+        for key, (check, default) in schema.items():
+            p.add_argument("--" + key.replace("_", "-"), type=check.flag_type, required=default is _REQUIRED)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--report", required=True)
-
-    p = sub.add_parser("specdec", help="token-level speculative sampling")
-    p.add_argument("--target", required=True)
-    p.add_argument("--draft", required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--prompt", type=_int_list, default=None)
-    add_seed_report(p)
-
-    p = sub.add_parser("eagle", help="feature-level speculative drafting")
-    p.add_argument("--model", required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--fit-seqs", type=int, default=None)
-    p.add_argument("--fit-len", type=int, default=None)
-    p.add_argument("--ridge", type=float, default=None)
-    p.add_argument("--draft-cost-factor", type=float, default=None)
-    p.add_argument("--prompt", type=_int_list, default=None)
-    add_seed_report(p)
-
-    p = sub.add_parser("lookahead", help="n-gram cache greedy decoding")
-    p.add_argument("--model", required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--ngram", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--prompt", type=_int_list, default=None)
-    add_seed_report(p)
-
-    p = sub.add_parser("early-exit", help="entropy-gated two-stage classifier sweep")
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--hard-fraction", type=float, default=None)
-    p.add_argument("--taus", type=_float_list, default=None)
-    add_seed_report(p)
-
-    p = sub.add_parser("stepsaver", help="adaptive diffusion step recommendation")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--train-frac", type=float, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    add_seed_report(p)
-
-    p = sub.add_parser("route", help="difficulty-threshold model routing")
-    p.add_argument("--small", required=True)
-    p.add_argument("--large", required=True)
-    p.add_argument("--workload", required=True)
-    p.add_argument("--thetas", type=_float_list, required=True)
-    add_seed_report(p)
 
     p = sub.add_parser("run", help="run a JSON experiment config")
     p.add_argument("--config", required=True)
@@ -568,22 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_PARAMS = {
-    "specdec": ("target", "draft", "k", "n", "prompt"),
-    "eagle": ("model", "k", "n", "fit_seqs", "fit_len", "ridge", "draft_cost_factor", "prompt"),
-    "lookahead": ("model", "n", "ngram", "window", "prompt"),
-    "early-exit": ("count", "hard_fraction", "taus"),
-    "stepsaver": ("workload", "epsilon", "train_frac", "count", "steps"),
-    "route": ("small", "large", "workload", "thetas"),
-}
-
-
 def _config_from_args(args) -> dict:
-    params = {}
-    for key in _FLAG_PARAMS[args.command]:
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
+    params = {key: getattr(args, key) for key in _SCHEMAS[args.command] if getattr(args, key) is not None}
     doc = {"technique": args.command, "params": params, "report": args.report}
     if args.seed is not None:
         doc["master_seed"] = args.seed

@@ -87,9 +87,6 @@ class Rng:
         z = z ^ (z >> np.uint64(31))
         return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-    def normal(self) -> float:
-        return float(self.normals(1)[0])
-
     def normals(self, n: int) -> np.ndarray:
         u = self.uniforms(2 * n)
         r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
@@ -388,19 +385,6 @@ def feature_forward(model: FeatureModel, ctx) -> tuple[np.ndarray, np.ndarray]:
         f = model.step(f, token)
         feats[t] = f
     return feats, model.head_dist(f)
-
-
-def model_next(model: SequenceModel, ctx, meter: CostMeter = None, role: str = "target") -> np.ndarray:
-    """Evaluate the model on a context, billing its cost to the meter.
-
-    `role` selects which meter counter the call lands on; decoders bill their
-    draft model as "draft" and everything else as "target".
-    """
-    ctx = check_context(ctx, model.vocab_size)
-    dist = model.next_dist(ctx)
-    if meter is not None:
-        meter.record(role, model.cost_units)
-    return dist
 
 
 # ---------------------------------------------------------------------------

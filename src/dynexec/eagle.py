@@ -29,8 +29,6 @@ from .specdec import DraftOutput, _decode_loop
 
 DEFAULT_RIDGE = 1e-6
 DEFAULT_DRAFT_COST_FACTOR = 0.1
-DEFAULT_FIT_SEQUENCES = 256
-DEFAULT_FIT_LENGTH = 16
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ within (1+eps) of the full-schedule baseline, and an isotonic regressor maps
 a mixture-difficulty scalar to a recommended step count.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ DIFFICULTY_CAP = 10.0
 ORACLE_GRID = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50, 63, 79, 100)
 QUALITY_FLOOR = 1e-12
 RELATIVE_QUALITY_CAP = 100.0
+MIN_LABELED_SPECS = 5
 
 
 class NoiseSchedule:
@@ -52,6 +54,10 @@ class MixtureSpec:
     def __post_init__(self):
         if not self.components:
             raise ValueError("mixture needs at least one component")
+        if any(len(c) != 3 for c in self.components):
+            raise ValueError("each component must be (weight, mean, stddev)")
+        if not all(map(math.isfinite, itertools.chain.from_iterable(self.components))):
+            raise ValueError("component weights, means and stddevs must be finite")
         ws = np.array([c[0] for c in self.components])
         sgs = np.array([c[2] for c in self.components])
         if np.any(ws <= 0):
@@ -224,8 +230,8 @@ def fit_recommender(labeled_specs, max_steps: int = DEFAULT_STEPS) -> StepRecomm
     training difficulties; fully anti-monotone labels collapse to their mean.
     """
     pairs = [(spec.difficulty, float(label)) for spec, label in labeled_specs]
-    if len(pairs) < 5:
-        raise InsufficientData(f"need at least 5 labeled specs, got {len(pairs)}")
+    if len(pairs) < MIN_LABELED_SPECS:
+        raise InsufficientData(f"need at least {MIN_LABELED_SPECS} labeled specs, got {len(pairs)}")
     pairs.sort(key=lambda p: p[0])
     xs: list[float] = []
     ys: list[float] = []

@@ -1,11 +1,13 @@
 import json
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from dynexec import Rng
 from dynexec.cli import (
+    _SCHEMAS,
     DEFAULT_TAUS,
     RunReport,
     canonical_config_json,
@@ -364,6 +366,18 @@ def test_cli_rejects_bad_sweep_input_by_name(tmp_path, model_files, capsys, tech
 _BROKEN = '{"kind": "table", "vocab_size": 2,\n "order": 0 "table": {}}\n'
 
 
+def _specs(*components):
+    """A mixture workload: five valid specs, then one with these components."""
+    specs = [{"id": f"ok-{i}", "components": [[1.0, float(i), 1.0]]} for i in range(5)]
+    return json.dumps({"specs": specs + [{"id": "bad", "components": list(components)}]})
+
+
+def _items(prompt, continuation):
+    """A route workload: one valid item, then this one (the test models have 4 tokens)."""
+    return json.dumps({"items": [{"prompt": [0, 1], "continuation": [2]},
+                                 {"prompt": prompt, "continuation": continuation}]})
+
+
 @pytest.mark.parametrize("role, content, position", [
     pytest.param("model", _BROKEN, ":2:13:", id="model-syntax"),
     pytest.param("small", _BROKEN, ":2:13:", id="route-model-syntax"),
@@ -379,6 +393,17 @@ _BROKEN = '{"kind": "table", "vocab_size": 2,\n "order": 0 "table": {}}\n'
     pytest.param("model", {"vocab_size": "four"}, "", id="model-text-vocab"),
     pytest.param("model", {"fallback": [0.5, 0.5, 0.5, 0.5]}, "", id="model-fallback-sum"),
     pytest.param("model", {"cost_units": float("nan")}, "", id="model-nan-cost"),
+    pytest.param("specs", _specs([1.0, float("nan"), 1.0]), "", id="mixture-nan-mean"),
+    pytest.param("specs", _specs([float("nan"), 0.0, 1.0]), "", id="mixture-nan-weight"),
+    pytest.param("specs", _specs([1.0, 0.0, float("inf")]), "", id="mixture-inf-stddev"),
+    pytest.param("specs", _specs([1.0, 0.0]), "", id="mixture-two-numbers"),
+    pytest.param("specs", _specs([1.0, 0.0, 1.0, 1.0]), "", id="mixture-four-numbers"),
+    pytest.param("specs", '{"specs": []}', "", id="mixture-no-specs"),
+    pytest.param("items", '{"items": []}', "", id="route-no-items"),
+    pytest.param("items", _items([], [1]), "", id="route-empty-prompt"),
+    pytest.param("items", _items([0, 9], [1]), "", id="route-prompt-out-of-vocab"),
+    pytest.param("items", _items([0], [1, 9]), "", id="route-continuation-out-of-vocab"),
+    pytest.param("items", _items([0], [-1]), "", id="route-continuation-negative"),
 ])
 def test_cli_rejects_malformed_input_files_by_path(tmp_path, model_files, capsys, role, content, position):
     path = tmp_path / "input.json"
@@ -493,6 +518,14 @@ def test_emit_plot_data_missing_series(tmp_path, model_files):
 
 def test_cli_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("technique", sorted(_SCHEMAS))
+def test_technique_help_lists_exactly_the_schema_flags(capsys, technique):
+    assert main([technique, "--help"]) == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    schema_flags = {"--" + key.replace("_", "-") for key in _SCHEMAS[technique]}
+    assert listed == schema_flags | {"--seed", "--report", "--help"}
 
 
 def test_env_var_seed_through_cli(tmp_path, model_files, monkeypatch):

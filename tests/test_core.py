@@ -6,11 +6,11 @@ import pytest
 from dynexec import Rng, TableModel, FeatureModel, entropy, normalize, sample, sample_many
 from dynexec.core import (
     CostMeter,
+    check_context,
     check_dist,
     feature_forward,
     load_model,
     model_from_dict,
-    model_next,
     model_to_dict,
     save_model,
 )
@@ -167,31 +167,32 @@ def test_cost_meter_accumulates():
         meter.record("target", 1.0, calls=-1)
 
 
-def test_model_next_unseen_window_falls_back():
+def test_table_model_unseen_window_falls_back():
     model = TableModel(4, 1, {(0,): onehot(4, 3)})
-    assert np.array_equal(model_next(model, (2,)), [0.25, 0.25, 0.25, 0.25])
+    assert np.array_equal(model.next_dist((2,)), [0.25, 0.25, 0.25, 0.25])
 
 
-def test_model_next_deterministic():
+def test_next_dist_deterministic():
     model = random_table_model(4, 2, Rng(8))
-    a = model_next(model, (1, 2))
-    b = model_next(model, (1, 2))
+    a = model.next_dist((1, 2))
+    b = model.next_dist((1, 2))
     assert np.array_equal(a, b)
 
 
-def test_model_next_meter_arithmetic():
+def test_cost_meter_bills_repeated_model_calls():
     model = random_table_model(3, 1, Rng(2), cost_units=2.0)
     meter = CostMeter()
     for _ in range(3):
-        model_next(model, (0,), meter)
+        meter.record("target", model.cost_units)
     assert meter.target_calls == 3
     assert meter.cost_accumulated == pytest.approx(6.0)
 
 
-def test_model_next_vocab_mismatch():
-    model = random_table_model(3, 1, Rng(2))
+def test_check_context_vocab_mismatch():
     with pytest.raises(VocabMismatch):
-        model_next(model, (0, 5))
+        check_context((0, 5), 3)
+    with pytest.raises(VocabMismatch):
+        check_context((-1,), 3)
 
 
 def test_table_model_short_context_uses_fallback():

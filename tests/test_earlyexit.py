@@ -53,7 +53,7 @@ def test_linearly_separable_blobs_stage0():
     for i in range(400):
         label = i % 2
         cx = 3.0 if label else -3.0
-        pts.append(Point2(cx + rng.normal() * 0.3, rng.normal() * 0.3, label))
+        pts.append(Point2(cx + float(rng.normals(1)[0]) * 0.3, float(rng.normals(1)[0]) * 0.3, label))
     net = train_stages(pts)
     assert stage_accuracy(net.stages[0], pts) >= 0.99
 

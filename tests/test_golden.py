@@ -3,14 +3,16 @@
 The goldens in tests/golden/ fix one small config and seed per technique
 (`tests/golden/generate.py` writes them). A refactor that keeps "same
 behaviour" must draw the same uniforms in the same order and compute the same
-floats, so every report byte except the wall clock must match.
+floats, so every report byte except the wall clock must match. Each golden is
+reproduced twice: from its config file, and from the technique's CLI flags.
 """
 
 import os
+import shutil
 
 import pytest
 
-from dynexec.cli import load_config, run, write_report
+from dynexec.cli import load_config, main, run, write_report
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 NAMES = sorted(f[:-len(".config.json")] for f in os.listdir(GOLDEN) if f.endswith(".config.json"))
@@ -26,11 +28,7 @@ def test_every_technique_has_a_golden():
     assert techniques == {"specdec", "eagle", "lookahead", "early-exit", "stepsaver", "route"}
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_golden_report_reproduced(tmp_path, name):
-    config = load_config(os.path.join(GOLDEN, f"{name}.config.json"))
-    out = str(tmp_path / config["report"])
-    write_report(run(config, base_dir=GOLDEN), out)
+def _assert_reproduces_golden(config, out):
     with open(os.path.join(GOLDEN, config["report"])) as fh:
         expected = fh.read()
     with open(out) as fh:
@@ -38,3 +36,32 @@ def test_golden_report_reproduced(tmp_path, name):
     assert _without_wall_clock(actual) == _without_wall_clock(expected)
     if config["report"].endswith(".json"):
         assert len(_without_wall_clock(expected)) == len(expected.splitlines()) - 1
+
+
+def _flags(params):
+    """The CLI flags for a config's params: --key with '-' for '_', lists comma-joined."""
+    flags = []
+    for key, value in params.items():
+        text = ",".join(map(repr, value)) if isinstance(value, list) else str(value)
+        flags.append(f"--{key.replace('_', '-')}={text}")
+    return flags
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_golden_report_reproduced(tmp_path, name):
+    config = load_config(os.path.join(GOLDEN, f"{name}.config.json"))
+    out = str(tmp_path / config["report"])
+    write_report(run(config, base_dir=GOLDEN), out)
+    _assert_reproduces_golden(config, out)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_golden_report_reproduced_from_flags(tmp_path, monkeypatch, name):
+    # every schema key has a flag: the validated config lists each one, defaults included
+    config = load_config(os.path.join(GOLDEN, f"{name}.config.json"))
+    shutil.copytree(os.path.join(GOLDEN, "inputs"), tmp_path / "inputs")
+    monkeypatch.chdir(tmp_path)
+    argv = [config["technique"], *_flags(config["params"]),
+            "--seed", str(config["master_seed"]), "--report", config["report"]]
+    assert main(argv) == 0
+    _assert_reproduces_golden(config, str(tmp_path / config["report"]))

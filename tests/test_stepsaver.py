@@ -36,6 +36,10 @@ def test_mixture_validation():
         MixtureSpec(((1.0, 0.0, 0.0),))  # zero stddev
     with pytest.raises(ValueError):
         MixtureSpec(())
+    for bad in ((1.0, float("nan"), 1.0), (float("nan"), 0.0, 1.0), (1.0, 0.0, float("inf")),
+                (1.0, 0.0), (1.0, 0.0, 1.0, 1.0)):
+        with pytest.raises(ValueError):
+            MixtureSpec((bad,))
 
 
 def test_difficulty_values():
