@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 
-from .core import Rng, _load_json, atomic_write_text, load_model, FeatureModel
+from .core import Rng, _load_json, atomic_write_text, is_int, is_number, load_model, FeatureModel
 from .eagle import eagle_decode, fit_extrapolator, sample_corpus
 from .earlyexit import gen_dataset, stage_accuracy, sweep, train_stages
 from .errors import DynexecError, MissingSeries, ParseError, SchemaError
@@ -41,7 +41,7 @@ def _comma_list(convert):
 
 
 def _as_int(value, key):
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_int(value):
         raise SchemaError(f"key '{key}' must be an integer", key=key)
     return value
 
@@ -57,7 +57,7 @@ def _int_at_least(lo):
 
 
 def _as_float(value, key):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_number(value):
         raise SchemaError(f"key '{key}' must be a number", key=key)
     return float(value)
 
@@ -82,14 +82,13 @@ def _as_str(value, key):
 
 
 def _as_int_list(value, key):
-    if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in value):
+    if not isinstance(value, list) or not all(map(is_int, value)):
         raise SchemaError(f"key '{key}' must be a list of integers", key=key)
     return list(value)
 
 
 def _as_float_list(value, key):
-    if (not isinstance(value, list) or not value
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
+    if not isinstance(value, list) or not value or not all(map(is_number, value)):
         raise SchemaError(f"key '{key}' must be a non-empty list of numbers", key=key)
     if any(math.isnan(v) for v in value):
         raise SchemaError(f"key '{key}' must not contain NaN", key=key)
@@ -261,10 +260,10 @@ def load_mixture_workload(path: str) -> list[tuple[str, MixtureSpec]]:
     """Workload file: {"specs": [{"id": ..., "components": [[w, mean, stddev], ...]}, ...]}."""
     doc = _load_json(path)
     try:
-        specs = [(str(entry["id"]),
-                  MixtureSpec(tuple(tuple(float(x) for x in comp) for comp in entry["components"])))
+        specs = [(str(entry["id"]), MixtureSpec(tuple(tuple(_as_float_list(comp, "components"))
+                                                      for comp in entry["components"])))
                  for entry in doc["specs"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, SchemaError) as exc:
         raise SchemaError(f"malformed mixture workload {path}: {exc}") from exc
     if len(specs) < MIN_LABELED_SPECS:
         raise SchemaError(f"mixture workload {path} has {len(specs)} specs; "
@@ -279,10 +278,10 @@ def load_route_workload(path: str, small, large) -> list[WorkloadItem]:
     """
     doc = _load_json(path)
     try:
-        items = [WorkloadItem(tuple(int(t) for t in entry["prompt"]),
-                              tuple(int(t) for t in entry["continuation"]))
+        items = [WorkloadItem(tuple(_as_int_list(entry["prompt"], "prompt")),
+                              tuple(_as_int_list(entry["continuation"], "continuation")))
                  for entry in doc["items"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, SchemaError) as exc:
         raise SchemaError(f"malformed route workload {path}: {exc}") from exc
     if not items:
         raise SchemaError(f"route workload {path} has no items")

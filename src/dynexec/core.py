@@ -200,6 +200,16 @@ def softmax(scores) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool. Config and file checks share it."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A JSON number: a float, or an int that is not a bool."""
+    return isinstance(value, float) or is_int(value)
+
+
 def check_context(ctx, vocab_size: int) -> Context:
     ctx = tuple(int(t) for t in ctx)
     for t in ctx:
@@ -420,6 +430,11 @@ def model_to_dict(model: SequenceModel) -> dict:
 
 def model_from_dict(doc: dict) -> SequenceModel:
     kind = doc.get("kind")
+    # int() and float() would coerce 8.9, "8" or true into a valid model
+    for key, check, rule in (("vocab_size", is_int, "an integer"), ("order", is_int, "an integer"),
+                             ("cost_units", is_number, "a number")):
+        if key in doc and not check(doc[key]):
+            raise SchemaError(f"key '{key}' must be {rule}, got {doc[key]!r}", key=key)
     if kind == "table":
         table = {}
         for key, row in doc["table"].items():

@@ -10,7 +10,6 @@ extrapolator is; its quality only moves the acceptance rate.
 """
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +19,11 @@ from .core import (
     CostMeter,
     FeatureModel,
     Rng,
-    atomic_write_text,
     inverse_cdf,
     sample,
 )
 from .errors import EmptyContext, InsufficientData, SingularSystem, VocabMismatch
-from .specdec import DraftOutput, _decode_loop
+from .specdec import DraftOutput, _speculate
 
 DEFAULT_RIDGE = 1e-6
 DEFAULT_DRAFT_COST_FACTOR = 0.1
@@ -186,25 +184,8 @@ def eagle_decode(model: FeatureModel, ex: Extrapolator, prompt, N: int, K: int, 
     meter = CostMeter()
     draft_cost = draft_cost_factor * model.cost_units
 
-    def draft_fn(feature, _):
-        return eagle_draft_from(model, ex, feature, K, rng, meter, draft_cost), None
+    def propose(_, feature, __):
+        d = eagle_draft_from(model, ex, feature, K, rng, meter, draft_cost)
+        return d.tokens, d, None
 
-    return _decode_loop(model, prompt, N, rng, meter, draft_fn)
-
-
-def extrapolator_to_dict(ex: Extrapolator) -> dict:
-    return {"weight": ex.weight.tolist(), "bias": ex.bias.tolist()}
-
-
-def extrapolator_from_dict(doc: dict) -> Extrapolator:
-    return Extrapolator(np.asarray(doc["weight"], dtype=np.float64),
-                        np.asarray(doc["bias"], dtype=np.float64))
-
-
-def save_extrapolator(ex: Extrapolator, path: str):
-    atomic_write_text(path, json.dumps(extrapolator_to_dict(ex), sort_keys=True, indent=1) + "\n")
-
-
-def load_extrapolator(path: str) -> Extrapolator:
-    with open(path) as fh:
-        return extrapolator_from_dict(json.load(fh))
+    return _speculate(model, prompt, N, rng, meter, propose)

@@ -10,9 +10,8 @@ exact and seed-free.
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .core import SequenceModel, check_context
+from .core import CostMeter, SequenceModel, check_context
+from .specdec import _decode_loop
 
 
 @dataclass
@@ -63,9 +62,16 @@ def propose(cache: NGramCache, ctx, L: int) -> list[int]:
     return out
 
 
-def _argmax(dist) -> int:
-    # np.argmax returns the first maximum, i.e. the lowest token index on ties
-    return int(np.argmax(dist))
+def _greedy_prefix(dists, proposal):
+    """The verify rule: keep the longest prefix of proposal that matches the
+    target's argmax, then emit the argmax after it (n_accepted, emitted,
+    corrected). A plain tuple, as the loop builds one per round."""
+    # argmax returns the first maximum, i.e. the lowest token index on ties
+    for i, token in enumerate(proposal):
+        best = int(dists[i].argmax())
+        if best != token:
+            return i, proposal[:i] + [best], True
+    return len(proposal), proposal + [int(dists[-1].argmax())], False
 
 
 def lookahead_decode(target: SequenceModel, prompt, N: int, n: int = 3, L: int = 4):
@@ -74,51 +80,31 @@ def lookahead_decode(target: SequenceModel, prompt, N: int, n: int = 3, L: int =
     Each round scores the proposal positions plus one in a single target call,
     keeps the longest prefix matching the target's argmax, and always emits at
     least the argmax at the first mismatch (or the position after a fully
-    accepted proposal). Surplus tokens past N from the final round are dropped.
-    The target's state branches over the proposal and moves on from the
-    accepted prefix's branch by the last emitted token; the cache receives only
-    the windows that end in tokens emitted since the previous round, which
-    are the latest windows and so still win.
+    accepted proposal). A round with no cached continuation proposes nothing
+    and emits the plain greedy token. Surplus tokens past N from the final
+    round are dropped. The cache receives only the windows that end in tokens
+    emitted since the previous round, which are the latest windows and so
+    still win.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    history = list(check_context(prompt, target.vocab_size))
-    n_prompt = len(history)
+    prompt = check_context(prompt, target.vocab_size)
     cache = NGramCache(n)
     w = n - 1
-    state = target.start(history)
+    meter = CostMeter()
     seen = 0  # history tokens whose windows are in the cache
-    target_calls = 0
-    proposed_total = 0
-    hits_total = 0
-    while len(history) - n_prompt < N:
+
+    # cache_update and propose are read from the module on every round, where
+    # the benchmark's tracer and the tests may have replaced them
+    def propose_from_cache(history, _, __):
+        nonlocal seen
         cache_update(cache, history[max(0, seen - w):])
         seen = len(history)
-        proposal = propose(cache, history[-w:], L)
-        branch = target.branch(state, proposal)
-        dists = [target.dist(s) for s in branch]
-        target_calls += 1
-        proposed_total += len(proposal)
-        emitted = []
-        matched = 0
-        for i, token in enumerate(proposal):
-            best = _argmax(dists[i])
-            if best == token:
-                emitted.append(token)
-                matched += 1
-            else:
-                emitted.append(best)
-                break
-        else:
-            emitted.append(_argmax(dists[len(proposal)]))
-        hits_total += matched
-        state = target.advance(branch[matched], emitted[-1])
-        history.extend(emitted)
-    out = history[n_prompt:n_prompt + N]
-    stats = LookaheadStats(
+        tokens = propose(cache, history[-w:], L)
+        return tokens, tokens, None
+
+    out, _, proposed, hits = _decode_loop(target, prompt, N, meter, propose_from_cache, _greedy_prefix)
+    return out, LookaheadStats(
         tokens_generated=len(out),
-        target_calls=target_calls,
-        proposed=proposed_total,
-        verified_hits=hits_total,
+        target_calls=meter.target_calls,
+        proposed=proposed,
+        verified_hits=hits,
     )
-    return out, stats

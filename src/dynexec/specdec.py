@@ -11,6 +11,7 @@ acceptance rate, and with it the simulated speedup.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,12 +31,13 @@ class DraftOutput:
             raise LengthMismatch("draft needs K >= 1 tokens with one distribution each")
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     """Outcome of one verify cycle.
 
     emitted always has n_accepted + 1 tokens: the accepted draft prefix plus
     either a residual-resampled token (resampled=True) or the bonus token.
+    A named tuple: every cycle builds one, and a frozen dataclass costs more
+    to build.
     """
 
     n_accepted: int
@@ -120,39 +122,52 @@ def verify(target_dists, d: DraftOutput, rng: Rng) -> VerificationResult:
     return VerificationResult(K, d.tokens + (bonus,), False)
 
 
-def _decode_loop(target: SequenceModel, prompt, N, rng, meter, draft_fn, draft_model=None):
-    """Shared draft -> verify loop over incremental model states.
+def _decode_loop(target: SequenceModel, prompt, N, meter, propose, check, draft_model=None):
+    """The one draft -> verify loop over incremental model states.
 
-    `draft_fn(state, draft_state)` bills its own draft calls and returns the
-    proposal with draft_model's K+1 branch states (None without a draft
-    model). The target's K+1 positions branch from its one state and are
-    billed as one call. After verification each state moves on from the
-    branch of the accepted prefix by the one corrected or bonus token, so
-    every model reads the prompt once and each emitted token once.
+    Each cycle `propose(history, state, draft_state)` bills its own draft
+    calls and returns the proposed tokens (possibly none), the object `check`
+    verifies and draft_model's branch states (None without a draft model).
+    The target's positions after each proposal prefix branch from its one
+    state and are billed as one call; `check(dists, proposal)` returns
+    (n_accepted, emitted, resampled). Each state then moves on from the
+    branch of the accepted prefix by the last emitted token, so every model
+    reads the prompt once and each emitted token once. `history` is the
+    prompt plus the tokens emitted so far.
+
+    Returns the first N emitted tokens, the cycles run and the tokens drafted
+    and accepted over all of them.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    out: list[int] = []
+    history = list(prompt)
+    n_prompt = len(history)
     state = target.start(prompt)
     draft_state = None if draft_model is None else draft_model.start(prompt)
     cycles = 0
     accepted = 0
     drafted = 0
-    while len(out) < N:
-        d, draft_branch = draft_fn(state, draft_state)
-        branch = target.branch(state, d.tokens)
+    while len(history) - n_prompt < N:
+        tokens, proposal, draft_branch = propose(history, state, draft_state)
+        branch = target.branch(state, tokens)
         meter.record("target", target.cost_units)
-        result = verify([target.dist(s) for s in branch], d, rng)
-        last = result.emitted[-1]
-        state = target.advance(branch[result.n_accepted], last)
+        n_accepted, emitted, _ = check([target.dist(s) for s in branch], proposal)
+        last = emitted[-1]
+        state = target.advance(branch[n_accepted], last)
         if draft_model is not None:
-            draft_state = draft_model.advance(draft_branch[result.n_accepted], last)
-        out.extend(result.emitted)
+            draft_state = draft_model.advance(draft_branch[n_accepted], last)
+        history.extend(emitted)
         cycles += 1
-        accepted += result.n_accepted
-        drafted += len(d.tokens)
-    out = out[:N]
-    stats = DecodeStats(
+        accepted += n_accepted
+        drafted += len(tokens)
+    return history[n_prompt:n_prompt + N], cycles, drafted, accepted
+
+
+def _speculate(target: SequenceModel, prompt, N, rng, meter, propose, draft_model=None):
+    """_decode_loop with the rejection scan `verify` as its rule, and its DecodeStats."""
+    out, cycles, drafted, accepted = _decode_loop(
+        target, prompt, N, meter, propose, lambda dists, d: verify(dists, d, rng), draft_model)
+    return out, DecodeStats(
         tokens_generated=len(out),
         target_calls=meter.target_calls,
         draft_calls=meter.draft_calls,
@@ -160,7 +175,6 @@ def _decode_loop(target: SequenceModel, prompt, N, rng, meter, draft_fn, draft_m
         acceptance_rate=accepted / drafted,
         tokens_per_target_call=len(out) / meter.target_calls,
     )
-    return out, stats
 
 
 def speculative_decode(target: SequenceModel, draft_model: SequenceModel,
@@ -179,10 +193,11 @@ def speculative_decode(target: SequenceModel, draft_model: SequenceModel,
     prompt = check_context(prompt, target.vocab_size)
     meter = CostMeter()
 
-    def draft_fn(_, draft_state):
-        return draft_from(draft_model, draft_state, K, rng, meter)
+    def propose(_, __, draft_state):
+        d, states = draft_from(draft_model, draft_state, K, rng, meter)
+        return d.tokens, d, states
 
-    return _decode_loop(target, prompt, N, rng, meter, draft_fn, draft_model)
+    return _speculate(target, prompt, N, rng, meter, propose, draft_model)
 
 
 def acceptance_rate_memoryless(p, q) -> float:

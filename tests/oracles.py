@@ -14,6 +14,7 @@ import numpy as np
 from dynexec.core import feature_forward, sample
 from dynexec.eagle import Extrapolator
 from dynexec.errors import InsufficientData
+from dynexec.specdec import DraftOutput, verify
 
 
 def autoregressive_distribution(next_fn, prompt, length, vocab):
@@ -130,6 +131,68 @@ def greedy_decode(model, prompt, length):
         out.append(tok)
         ctx += (tok,)
     return out
+
+
+def lookahead_reference(model, prompt, length, n, L):
+    """Lookahead decoding from scratch. Every round rebuilds the n-gram map
+    from the whole history (later windows win), chains up to L cached
+    continuations of the last n-1 tokens, and checks each against the
+    argmax of next_dist on the full context.
+
+    Returns the tokens and (tokens_generated, target_calls, proposed,
+    verified_hits).
+    """
+    prompt = list(prompt)
+    history = list(prompt)
+    w = n - 1
+    calls = proposed = hits = 0
+    while len(history) - len(prompt) < length:
+        cache = {tuple(history[i:i + w]): history[i + w] for i in range(len(history) - w)}
+        proposal = []
+        window = tuple(history[-w:])
+        while len(proposal) < L and window in cache:
+            proposal.append(cache[window])
+            window = (window + (proposal[-1],))[-w:]
+        calls += 1
+        proposed += len(proposal)
+        for token in proposal:
+            best = int(np.argmax(model.next_dist(tuple(history))))
+            history.append(best)
+            if best != token:
+                break
+            hits += 1
+        else:
+            history.append(int(np.argmax(model.next_dist(tuple(history)))))
+    out = history[len(prompt):len(prompt) + length]
+    return out, (len(out), calls, proposed, hits)
+
+
+def speculative_reference(target, draft_model, prompt, length, K, rng):
+    """Speculative decoding from scratch: each cycle samples K drafts from
+    draft_model.next_dist(ctx + prefix), takes the K+1 target distributions
+    from next_dist on full contexts and runs one `verify`.
+
+    Returns the tokens and the DecodeStats fields as a dict.
+    """
+    out = []
+    cycles = accepted = 0
+    while len(out) < length:
+        ctx = tuple(prompt) + tuple(out)
+        tokens = []
+        dists = []
+        for _ in range(K):
+            q = draft_model.next_dist(ctx + tuple(tokens))
+            tokens.append(sample(q, rng))
+            dists.append(q)
+        p = [target.next_dist(ctx + tuple(tokens[:i])) for i in range(K + 1)]
+        result = verify(p, DraftOutput(tuple(tokens), tuple(dists)), rng)
+        out.extend(result.emitted)
+        cycles += 1
+        accepted += result.n_accepted
+    out = out[:length]
+    return out, {"tokens_generated": len(out), "target_calls": cycles, "draft_calls": K * cycles,
+                 "cycles": cycles, "acceptance_rate": accepted / (K * cycles),
+                 "tokens_per_target_call": len(out) / cycles}
 
 
 def sample_corpus_reference(model, n_sequences, length, rng):

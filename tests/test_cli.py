@@ -393,17 +393,25 @@ def _items(prompt, continuation):
     pytest.param("model", {"vocab_size": "four"}, "", id="model-text-vocab"),
     pytest.param("model", {"fallback": [0.5, 0.5, 0.5, 0.5]}, "", id="model-fallback-sum"),
     pytest.param("model", {"cost_units": float("nan")}, "", id="model-nan-cost"),
+    # ill-typed entries that int() or float() would coerce into a valid model
+    pytest.param("model", {"vocab_size": 4.9}, "", id="model-float-vocab"),
+    pytest.param("model", {"vocab_size": "4"}, "", id="model-numeric-text-vocab"),
+    pytest.param("model", {"order": 1.5}, "", id="model-float-order"),
+    pytest.param("model", {"cost_units": True}, "", id="model-bool-cost"),
     pytest.param("specs", _specs([1.0, float("nan"), 1.0]), "", id="mixture-nan-mean"),
     pytest.param("specs", _specs([float("nan"), 0.0, 1.0]), "", id="mixture-nan-weight"),
     pytest.param("specs", _specs([1.0, 0.0, float("inf")]), "", id="mixture-inf-stddev"),
     pytest.param("specs", _specs([1.0, 0.0]), "", id="mixture-two-numbers"),
     pytest.param("specs", _specs([1.0, 0.0, 1.0, 1.0]), "", id="mixture-four-numbers"),
     pytest.param("specs", '{"specs": []}', "", id="mixture-no-specs"),
+    pytest.param("specs", _specs(["1.0", "0", True]), "", id="mixture-text-and-bool"),
     pytest.param("items", '{"items": []}', "", id="route-no-items"),
     pytest.param("items", _items([], [1]), "", id="route-empty-prompt"),
     pytest.param("items", _items([0, 9], [1]), "", id="route-prompt-out-of-vocab"),
     pytest.param("items", _items([0], [1, 9]), "", id="route-continuation-out-of-vocab"),
     pytest.param("items", _items([0], [-1]), "", id="route-continuation-negative"),
+    pytest.param("items", _items([0.9, True], [1]), "", id="route-float-and-bool-prompt"),
+    pytest.param("items", _items([0], [1.0]), "", id="route-float-continuation"),
 ])
 def test_cli_rejects_malformed_input_files_by_path(tmp_path, model_files, capsys, role, content, position):
     path = tmp_path / "input.json"

@@ -3,14 +3,7 @@ import pytest
 
 from dynexec import Rng, eagle_decode, eagle_draft, fit_extrapolator, sample_corpus
 from dynexec.core import CostMeter, feature_forward
-from dynexec.eagle import (
-    Extrapolator,
-    collect_trajectories,
-    extrapolator_from_dict,
-    extrapolator_to_dict,
-    load_extrapolator,
-    save_extrapolator,
-)
+from dynexec.eagle import Extrapolator, collect_trajectories
 from dynexec.errors import EmptyContext, InsufficientData, SingularSystem
 
 from helpers import affine_dynamics_model, constant_feature_model, random_feature_model
@@ -164,15 +157,3 @@ def test_eagle_decode_stats_and_costs():
     assert stats.draft_calls == 2 * stats.cycles
     assert 0.0 <= stats.acceptance_rate <= 1.0
 
-
-def test_extrapolator_serialization_roundtrip(tmp_path):
-    ex = Extrapolator(Rng(70).normals(4 * 8).reshape(4, 8), Rng(71).normals(4))
-    doc = extrapolator_to_dict(ex)
-    back = extrapolator_from_dict(doc)
-    assert np.array_equal(back.weight, ex.weight)
-    assert np.array_equal(back.bias, ex.bias)
-    path = str(tmp_path / "ex.json")
-    save_extrapolator(ex, path)
-    from_file = load_extrapolator(path)
-    assert np.array_equal(from_file.weight, ex.weight)
-    assert np.array_equal(from_file.bias, ex.bias)
