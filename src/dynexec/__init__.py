@@ -33,12 +33,11 @@ from .earlyexit import (
     MultiExitNet,
     Point2,
     gen_dataset,
-    infer_with_exit,
     sweep,
     train_stages,
 )
 from .lookahead import NGramCache, cache_update, lookahead_decode, propose
-from .router import RoutePolicy, RouteReport, WorkloadItem, difficulty, evaluate, route
+from .router import RoutePolicy, RouteReport, WorkloadItem, difficulty, evaluate, frontier
 from .specdec import (
     DecodeStats,
     DraftOutput,

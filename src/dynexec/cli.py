@@ -20,7 +20,7 @@ from .eagle import eagle_decode, fit_extrapolator, sample_corpus
 from .earlyexit import gen_dataset, stage_accuracy, sweep, train_stages
 from .errors import DynexecError, MissingSeries, ParseError, SchemaError
 from .lookahead import lookahead_decode
-from .router import RoutePolicy, WorkloadItem, evaluate
+from .router import WorkloadItem, frontier
 from .specdec import simulated_speedup, speculative_decode
 from .stepsaver import (MIN_LABELED_SPECS, MixtureSpec, NoiseSchedule, adaptive_generate, fit_recommender,
                         min_steps_oracle)
@@ -387,8 +387,8 @@ def _run_route(params, seed, base_dir):
     small = load_model(_resolve(base_dir, params["small"]))
     large = load_model(_resolve(base_dir, params["large"]))
     workload = load_route_workload(_resolve(base_dir, params["workload"]), small, large)
-    return {"rows": [{"theta": theta, **asdict(evaluate(RoutePolicy(theta, small), workload, small, large))}
-                     for theta in params["thetas"]]}
+    reports = frontier(small, params["thetas"], workload, small, large)
+    return {"rows": [{"theta": theta, **asdict(report)} for theta, report in zip(params["thetas"], reports)]}
 
 
 _RUNNERS = {

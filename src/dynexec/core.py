@@ -6,6 +6,7 @@ length V, contexts are tuples of token ids, and all randomness flows through the
 counter-based `Rng` so any experiment is reproducible from a single 64-bit seed.
 """
 
+import itertools
 import json
 import os
 import secrets
@@ -133,7 +134,8 @@ def check_dist(d, name: str = "distribution") -> np.ndarray:
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 1 or d.size < MIN_VOCAB:
         raise InvalidDistribution(f"{name} must be a 1-D vector of length >= {MIN_VOCAB}")
-    if np.any(d < 0) or not np.all(np.isfinite(d)):
+    # ndarray methods, not np.any/np.all: a model load checks every table row
+    if (d < 0).any() or not np.isfinite(d).all():
         raise InvalidDistribution(f"{name} has negative or non-finite entries")
     if abs(float(d.sum()) - 1.0) > DIST_ATOL:
         raise InvalidDistribution(f"{name} sums to {d.sum()!r}, not 1")
@@ -428,6 +430,18 @@ def model_to_dict(model: SequenceModel) -> dict:
     raise TypeError(f"cannot serialize model of type {type(model).__name__}")
 
 
+_NUMBER_TYPES = {int, float}
+
+
+def _check_numbers(name: str, rows):
+    """Every row a JSON array and every entry a JSON number: np.asarray would
+    coerce "0.5" or true into a float. Two passes over the types, not a check
+    per entry, keep large tables cheap to load."""
+    if not (isinstance(rows, list) and set(map(type, rows)) <= {list}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= _NUMBER_TYPES):
+        raise SchemaError(f"'{name}' must hold only JSON numbers", key=name)
+
+
 def model_from_dict(doc: dict) -> SequenceModel:
     kind = doc.get("kind")
     # int() and float() would coerce 8.9, "8" or true into a valid model
@@ -438,11 +452,18 @@ def model_from_dict(doc: dict) -> SequenceModel:
     if kind == "table":
         table = {}
         for key, row in doc["table"].items():
-            window = tuple(int(t) for t in key.split(",")) if key else ()
+            window = tuple(map(int, key.split(","))) if key else ()
+            if ",".join(map(str, window)) != key:
+                raise SchemaError(f"table key {key!r} is not comma-joined decimal integers", key="table")
             table[window] = row
+        _check_numbers("table", list(table.values()))
+        _check_numbers("fallback", [doc["fallback"]])
         return TableModel(doc["vocab_size"], doc["order"], table,
                           fallback=doc["fallback"], cost_units=doc["cost_units"])
     if kind == "feature":
+        for name, rows in (("embed", doc["embed"]), ("recur_w", doc["recur_w"]), ("recur_b", [doc["recur_b"]]),
+                           ("head_w", doc["head_w"]), ("head_b", [doc["head_b"]])):
+            _check_numbers(name, rows)
         return FeatureModel(doc["vocab_size"], doc["embed"], doc["recur_w"],
                             doc["recur_b"], doc["head_w"], doc["head_b"],
                             cost_units=doc["cost_units"])

@@ -53,11 +53,6 @@ def difficulty(prompt, probe: SequenceModel) -> float:
     return total / len(prompt)
 
 
-def route(policy: RoutePolicy, item: WorkloadItem) -> str:
-    """Returns "large" iff the item's difficulty strictly exceeds the threshold."""
-    return "large" if difficulty(item.prompt, policy.probe) > policy.threshold else "small"
-
-
 def _mean_log_likelihood(model: SequenceModel, item: WorkloadItem) -> float:
     # floor keeps zero-probability table rows from yielding -inf
     ctx = item.prompt
@@ -68,27 +63,43 @@ def _mean_log_likelihood(model: SequenceModel, item: WorkloadItem) -> float:
     return total / len(item.reference_continuation)
 
 
-def evaluate(policy: RoutePolicy, workload, small: SequenceModel, large: SequenceModel) -> RouteReport:
-    """Route every item, score the reference continuation under the chosen
-    model, and account costs: one probe call per prompt token plus one chosen-
-    model call per continuation token."""
+def frontier(probe: SequenceModel, thetas, workload, small: SequenceModel,
+             large: SequenceModel) -> list[RouteReport]:
+    """One RouteReport per threshold, in the order given.
+
+    Each item's difficulty and its mean log-likelihood under both models are
+    computed once; a threshold only picks between them. Items whose difficulty
+    strictly exceeds it go to the large model. Costs are one probe call per
+    prompt token plus one chosen-model call per continuation token, summed in
+    item order, so every report is the one a per-threshold pass gives.
+    """
     workload = list(workload)
     if not workload:
         raise ValueError("workload must be non-empty")
-    total_cost = 0.0
-    n_large = 0
-    qualities = []
+    scored = []
     for item in workload:
-        total_cost += len(item.prompt) * policy.probe.cost_units
-        if difficulty(item.prompt, policy.probe) > policy.threshold:
-            chosen = large
-            n_large += 1
-        else:
-            chosen = small
-        qualities.append(_mean_log_likelihood(chosen, item))
-        total_cost += len(item.reference_continuation) * chosen.cost_units
-    return RouteReport(
-        total_cost=total_cost,
-        mean_quality=float(np.mean(qualities)),
-        fraction_large=n_large / len(workload),
-    )
+        n = len(item.reference_continuation)
+        scored.append((difficulty(item.prompt, probe), len(item.prompt) * probe.cost_units,
+                       (_mean_log_likelihood(small, item), n * small.cost_units),
+                       (_mean_log_likelihood(large, item), n * large.cost_units)))
+    reports = []
+    for theta in thetas:
+        total_cost = 0.0
+        n_large = 0
+        qualities = []
+        for score, probe_cost, to_small, to_large in scored:
+            goes_large = score > theta
+            quality, cost = to_large if goes_large else to_small
+            n_large += goes_large
+            # two additions, not one of a sum: the float rounding of a per-item pass
+            total_cost += probe_cost
+            total_cost += cost
+            qualities.append(quality)
+        reports.append(RouteReport(total_cost=total_cost, mean_quality=float(np.mean(qualities)),
+                                   fraction_large=n_large / len(workload)))
+    return reports
+
+
+def evaluate(policy: RoutePolicy, workload, small: SequenceModel, large: SequenceModel) -> RouteReport:
+    """The frontier at one threshold."""
+    return frontier(policy.probe, [policy.threshold], workload, small, large)[0]

@@ -124,10 +124,12 @@ class QualityReport:
 
 def _mixture_score(spec: MixtureSpec, x: np.ndarray, alpha_bar: float) -> np.ndarray:
     """Analytic score d/dx log p_t(x) of the mixture convolved with forward noise."""
-    noised = spec.noised(alpha_bar)
-    ms = np.array([c[1] for c in noised.components])
-    vs = np.array([c[2] ** 2 for c in noised.components])
-    ws = np.array([c[0] for c in noised.components])
+    # noised()'s parameters with its float operations, without building and
+    # re-validating a MixtureSpec on every step
+    root = math.sqrt(alpha_bar)
+    ms = np.array([root * mu for _, mu, _ in spec.components])
+    vs = np.array([math.sqrt(alpha_bar * sg * sg + 1.0 - alpha_bar) ** 2 for _, _, sg in spec.components])
+    ws = np.array([w for w, _, _ in spec.components])
     # responsibilities via a stable log-sum-exp
     diffs = x[None, :] - ms[:, None]
     logs = np.log(ws)[:, None] - 0.5 * np.log(2.0 * np.pi * vs)[:, None] - 0.5 * diffs**2 / vs[:, None]

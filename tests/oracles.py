@@ -11,9 +11,11 @@ from collections import defaultdict
 
 import numpy as np
 
-from dynexec.core import feature_forward, sample
+from dynexec.core import Rng, entropy, feature_forward, sample
 from dynexec.eagle import Extrapolator
+from dynexec.earlyexit import BOUNDARY_X_RANGE, EASY_BAND, HARD_BAND, Point2
 from dynexec.errors import InsufficientData
+from dynexec.router import RouteReport, _mean_log_likelihood, difficulty
 from dynexec.specdec import DraftOutput, verify
 
 
@@ -230,3 +232,74 @@ def fit_extrapolator_reference(model, corpus, ridge):
     Xc = X - x_mean
     W = np.linalg.solve(Xc.T @ Xc + ridge * np.eye(2 * d), Xc.T @ (Y - y_mean))
     return Extrapolator(W.T, y_mean - W.T @ x_mean)
+
+
+def gen_dataset_reference(count, hard_fraction, seed):
+    """Early-exit points one at a time, three scalar uniforms each (x, band
+    coin, offset), with the boundary as Python's x**3 - x."""
+    rng = Rng(seed)
+    lo_x, hi_x = BOUNDARY_X_RANGE
+    points = []
+    for i in range(count):
+        label = i % 2
+        x = lo_x + (hi_x - lo_x) * rng.uniform()
+        band = HARD_BAND if rng.uniform() < hard_fraction else EASY_BAND
+        offset = band[0] + (band[1] - band[0]) * rng.uniform()
+        y = x**3 - x + (offset if label == 1 else -offset)
+        points.append(Point2(x, y, label))
+    return points
+
+
+def infer_with_exit(net, point):
+    """Classify one point, exiting at the first stage whose entropy is strictly
+    below tau; the final stage always answers.
+
+    Returns (label, exit_index, cost_spent). The strict inequality makes tau=0
+    a clean never-exit endpoint (entropy >= 0 always).
+    """
+    cost = 0.0
+    for idx, stage in enumerate(net.stages):
+        dist = stage.dist(point)
+        cost += stage.cost_units
+        final = idx == len(net.stages) - 1
+        if final or entropy(dist) < net.tau:
+            return int(np.argmax(dist)), idx, cost
+    raise AssertionError("unreachable: final stage always answers")
+
+
+def route(policy, item):
+    """Returns "large" iff the item's difficulty strictly exceeds the threshold."""
+    return "large" if difficulty(item.prompt, policy.probe) > policy.threshold else "small"
+
+
+def route_evaluate_reference(policy, workload, small, large):
+    """One threshold's report, recomputing every item's difficulty and scoring
+    only the chosen model's likelihood."""
+    total_cost = 0.0
+    n_large = 0
+    qualities = []
+    for item in workload:
+        total_cost += len(item.prompt) * policy.probe.cost_units
+        if route(policy, item) == "large":
+            chosen = large
+            n_large += 1
+        else:
+            chosen = small
+        qualities.append(_mean_log_likelihood(chosen, item))
+        total_cost += len(item.reference_continuation) * chosen.cost_units
+    return RouteReport(total_cost=total_cost, mean_quality=float(np.mean(qualities)),
+                       fraction_large=n_large / len(workload))
+
+
+def mixture_score_reference(spec, x, alpha_bar):
+    """The analytic score read from the validated noised spec, as `noised` builds it."""
+    noised = spec.noised(alpha_bar)
+    ms = np.array([c[1] for c in noised.components])
+    vs = np.array([c[2] ** 2 for c in noised.components])
+    ws = np.array([c[0] for c in noised.components])
+    diffs = x[None, :] - ms[:, None]
+    logs = np.log(ws)[:, None] - 0.5 * np.log(2.0 * np.pi * vs)[:, None] - 0.5 * diffs**2 / vs[:, None]
+    logs -= logs.max(axis=0, keepdims=True)
+    gamma = np.exp(logs)
+    gamma /= gamma.sum(axis=0, keepdims=True)
+    return (gamma * (-diffs / vs[:, None])).sum(axis=0)

@@ -398,6 +398,19 @@ def _items(prompt, continuation):
     pytest.param("model", {"vocab_size": "4"}, "", id="model-numeric-text-vocab"),
     pytest.param("model", {"order": 1.5}, "", id="model-float-order"),
     pytest.param("model", {"cost_units": True}, "", id="model-bool-cost"),
+    # array entries and table keys that np.asarray or int() would coerce
+    pytest.param("model", {"fallback": ["0.25"] * 4}, "", id="model-text-fallback"),
+    pytest.param("model", {"fallback": [True, False, False, False]}, "", id="model-bool-fallback"),
+    pytest.param("model", {"table": {"0": ["0.25"] * 4}}, "", id="model-text-table-row"),
+    pytest.param("model", {"table": {"0": [False, True, False, False]}}, "", id="model-bool-table-row"),
+    pytest.param("model", {"table": {"+0": [0.25] * 4, "+1": [0.25] * 4}}, "", id="model-signed-table-key"),
+    pytest.param("model", {"table": {"00": [0.25] * 4}}, "", id="model-padded-table-key"),
+    pytest.param("model", {"table": {" 1": [0.25] * 4}}, "", id="model-spaced-table-key"),
+    pytest.param("feature", {"embed": [[True, False, False, False]] * 3}, "", id="feature-bool-embed"),
+    pytest.param("feature", {"recur_w": [[0.0] * 8] * 3 + [[0.0] * 7 + ["0"]]}, "", id="feature-text-recur-w"),
+    pytest.param("feature", {"recur_b": ["0.5", "0", "0", "0"]}, "", id="feature-text-recur-b"),
+    pytest.param("feature", {"head_w": [["1", "0", "0", "0"]] * 3}, "", id="feature-text-head-w"),
+    pytest.param("feature", {"head_b": [True, False, True]}, "", id="feature-bool-head-b"),
     pytest.param("specs", _specs([1.0, float("nan"), 1.0]), "", id="mixture-nan-mean"),
     pytest.param("specs", _specs([float("nan"), 0.0, 1.0]), "", id="mixture-nan-weight"),
     pytest.param("specs", _specs([1.0, 0.0, float("inf")]), "", id="mixture-inf-stddev"),
@@ -416,7 +429,7 @@ def _items(prompt, continuation):
 def test_cli_rejects_malformed_input_files_by_path(tmp_path, model_files, capsys, role, content, position):
     path = tmp_path / "input.json"
     if isinstance(content, dict):
-        doc = json.load(open(model_files["small"]))
+        doc = json.load(open(model_files["feature" if role == "feature" else "small"]))
         for key, value in content.items():
             if value is None:
                 del doc[key]
@@ -427,7 +440,8 @@ def test_cli_rejects_malformed_input_files_by_path(tmp_path, model_files, capsys
     small, large = model_files["small"], model_files["large"]
     out = tmp_path / "out.csv"
     route = ["route", "--large", large, "--thetas", "0.5", "--report", str(out)]
-    argv = {"model": ["lookahead", "--model", str(path), "--n", "4", "--report", str(out)],
+    lookahead = ["lookahead", "--model", str(path), "--n", "4", "--report", str(out)]
+    argv = {"model": lookahead, "feature": lookahead,
             "small": route + ["--small", str(path), "--workload", model_files["route_workload"]],
             "specs": ["stepsaver", "--workload", str(path), "--count", "50", "--report", str(out)],
             "items": route + ["--small", small, "--workload", str(path)],

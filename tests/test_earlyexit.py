@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dynexec import Rng, gen_dataset, infer_with_exit, sweep, train_stages
+from dynexec import Rng, gen_dataset, sweep, train_stages
 from dynexec.earlyexit import (
     ExitStage,
     MultiExitNet,
@@ -12,6 +12,8 @@ from dynexec.earlyexit import (
     stage_accuracy,
 )
 from dynexec.errors import DegenerateData
+
+from oracles import infer_with_exit
 
 LN2 = math.log(2)
 DEFAULT_TAUS = [round(0.05 * i, 2) for i in range(16)]

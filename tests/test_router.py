@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from dynexec import RoutePolicy, Rng, TableModel, WorkloadItem, difficulty, evaluate, route
+from dynexec import RoutePolicy, Rng, TableModel, WorkloadItem, difficulty, evaluate
 from dynexec.core import entropy
 from dynexec.router import LOGPROB_FLOOR, _mean_log_likelihood
 from dynexec.errors import EmptyPrompt
 
 from helpers import onehot, random_table_model, route_workload, varied_entropy_table_model
+from oracles import route
 
 
 def test_difficulty_one_hot_probe_zero():

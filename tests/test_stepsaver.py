@@ -13,10 +13,11 @@ from dynexec import (
     quality,
     wasserstein1,
 )
-from dynexec.stepsaver import respaced_timesteps
+from dynexec.stepsaver import _mixture_score, respaced_timesteps
 from dynexec.errors import InsufficientData, StepsOutOfRange
 
-from helpers import separated_mixture, single_gaussian
+from helpers import separated_mixture, single_gaussian, skewed_workload
+from oracles import mixture_score_reference
 
 SCHEDULE = NoiseSchedule()
 
@@ -222,3 +223,12 @@ def test_adaptive_generate_reuses_supplied_baseline():
     rec = fit_recommender(labeled, 100)
     _, report = adaptive_generate(single_gaussian(), rec, SCHEDULE, 1000, Rng(1), baseline_w1=0.5)
     assert report.baseline_w1 == 0.5
+
+
+def test_mixture_score_matches_noised_spec_reference():
+    schedule = NoiseSchedule()
+    x = Rng(5).normals(257) * 3.0
+    for _, spec in skewed_workload():
+        for alpha_bar in schedule.alpha_bar:
+            assert np.array_equal(_mixture_score(spec, x, float(alpha_bar)),
+                                  mixture_score_reference(spec, x, float(alpha_bar)))

@@ -1,0 +1,145 @@
+"""The array paths of the early-exit and route sweeps against scalar references.
+
+`gen_dataset` draws its uniforms in one block, `sweep` takes every entropy in
+one row-wise pass and `frontier` scores each route item once for all
+thresholds. Each must equal the one-at-a-time reference in `oracles.py` bit
+for bit, so early-exit and route reports stay byte-identical.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dynexec import RoutePolicy, Rng, difficulty, frontier, gen_dataset, sweep
+from dynexec.core import entropy
+from dynexec.earlyexit import ExitStage, MultiExitNet, SweepRow
+
+from helpers import random_table_model, route_workload, varied_entropy_table_model
+from oracles import gen_dataset_reference, infer_with_exit, route_evaluate_reference
+
+
+def _bits(values):
+    """Exact identity of a sequence of float tuples: types and hex digits."""
+    return [tuple((type(v).__name__, v.hex() if isinstance(v, float) else v) for v in row)
+            for row in values]
+
+
+def _row_fields(rows):
+    return [(r.tau, r.accuracy, r.mean_cost, r.early_exit_fraction, r.speedup) for r in rows]
+
+
+def _report_fields(reports):
+    return [(r.total_cost, r.mean_quality, r.fraction_large) for r in reports]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(10, 3000),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       st.integers(0, 2**64 - 1))
+@example(3000, 0.0, 0)
+@example(3000, 1.0, 2**64 - 1)
+def test_gen_dataset_matches_scalar_reference(count, hard_fraction, seed):
+    got = [(p.x, p.y, p.label) for p in gen_dataset(count, hard_fraction, seed)]
+    ref = [(p.x, p.y, p.label) for p in gen_dataset_reference(count, hard_fraction, seed)]
+    assert _bits(got) == _bits(ref)
+
+
+class _BatchRow:
+    """A stage that answers each point with its row of the stage's one batched
+    pass over the data, the distributions `sweep` reads. BLAS sums a batched
+    product in an order that depends on the batch, so `ExitStage.dist` on one
+    point can differ from its batched row in the last bit; pinning the rows
+    leaves the gate, the costs and the counting to be checked."""
+
+    def __init__(self, stage, data):
+        xs = np.array([p.x for p in data])
+        ys = np.array([p.y for p in data])
+        self.cost_units = stage.cost_units
+        with np.errstate(over="ignore"):  # saturated stages: exp overflows to an exact 0 or 1
+            self.rows = {id(p): row for p, row in zip(data, stage.dists(xs, ys))}
+
+    def dist(self, point):
+        return self.rows[id(point)]
+
+
+def _tally(net, data, tau):
+    """A sweep row counted point by point through the scalar gate."""
+    pinned = MultiExitNet(tuple(_BatchRow(stage, data) for stage in net.stages), tau)
+    results = [infer_with_exit(pinned, p) for p in data]
+    n = len(data)
+    mean_cost = sum(cost for _, _, cost in results) / n
+    return SweepRow(tau=tau,
+                    accuracy=sum(label == p.label for (label, _, _), p in zip(results, data)) / n,
+                    mean_cost=mean_cost,
+                    early_exit_fraction=sum(idx < len(net.stages) - 1 for _, idx, _ in results) / n,
+                    speedup=net.full_cost / mean_cost)
+
+
+@st.composite
+def exit_cases(draw):
+    """Random stage weights over a generated dataset. Scales up to 1e3 push
+    many points into sigmoid saturation, where a stage answers exactly 0 or 1
+    and its entropy is exactly 0."""
+    data = gen_dataset(draw(st.integers(10, 300)), draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**32)))
+    scale = draw(st.sampled_from([0.5, 5.0, 1e3]))
+    weights = [np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))) * scale
+               for n in (3, 10)]
+    net = MultiExitNet((ExitStage(weights[0], "linear", 1.0), ExitStage(weights[1], "cubic", 4.0)))
+    # taus exactly at some points' stage-0 entropies, where the gate's `<` is strict
+    rows = _BatchRow(net.stages[0], data)
+    at_points = [entropy(rows.dist(p)) for p in draw(st.lists(st.sampled_from(data), max_size=4))]
+    taus = draw(st.lists(st.floats(0.0, 0.8), max_size=6)) + at_points + [0.0, math.log(2) + 0.01]
+    return net, data, sorted(taus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exit_cases())
+def test_sweep_rows_match_pointwise_tally(case):
+    net, data, taus = case
+    with np.errstate(over="ignore"):
+        rows = sweep(net, data, taus)
+        tallies = [_tally(net, data, tau) for tau in taus]
+    assert _bits(_row_fields(rows)) == _bits(_row_fields(tallies))
+
+
+def test_sweep_saturated_stage_matches_tally():
+    data = gen_dataset(200, 0.3, 5)
+    stage0 = ExitStage(np.array([0.0, 900.0, 0.0]), "linear", 1.0)
+    stage1 = ExitStage(np.array([0.0, 1.0] + [0.0] * 8), "cubic", 4.0)
+    net = MultiExitNet((stage0, stage1))
+    xs = np.array([p.x for p in data])
+    ys = np.array([p.y for p in data])
+    taus = [0.0, 1e-300, 0.1, math.log(2) + 0.01]
+    with np.errstate(over="ignore"):
+        dists = stage0.dists(xs, ys)
+        rows = sweep(net, data, taus)
+        tallies = [_tally(net, data, tau) for tau in taus]
+    assert (dists == 0.0).any() and (dists == 1.0).any()
+    assert _bits(_row_fields(rows)) == _bits(_row_fields(tallies))
+
+
+@st.composite
+def route_cases(draw):
+    vocab = draw(st.integers(2, 6))
+    rng = Rng(draw(st.integers(0, 2**32)))
+    small = varied_entropy_table_model(vocab, draw(st.integers(0, 2)), rng.child(0),
+                                       cost_units=draw(st.sampled_from([0.5, 1.0, 1.5])))
+    large = random_table_model(vocab, draw(st.integers(0, 2)), rng.child(1),
+                               cost_units=draw(st.floats(1.0, 16.0)))
+    items = route_workload(draw(st.integers(1, 40)), small, large, rng.child(2))
+    scores = [difficulty(item.prompt, small) for item in items]
+    # a theta exactly at an item's difficulty, where routing's `>` is strict
+    thetas = [draw(st.sampled_from(scores)), -math.inf, math.inf] + draw(st.lists(
+        st.one_of(st.sampled_from(scores), st.floats(-1.0, 3.0)), max_size=8))
+    return small, large, items, draw(st.permutations(thetas))
+
+
+@settings(max_examples=100, deadline=None)
+@given(route_cases())
+def test_frontier_matches_per_threshold_reference(case):
+    small, large, items, thetas = case
+    got = frontier(small, thetas, items, small, large)
+    ref = [route_evaluate_reference(RoutePolicy(theta, small), items, small, large) for theta in thetas]
+    assert _bits(_report_fields(got)) == _bits(_report_fields(ref))
