@@ -58,8 +58,10 @@ from .stepsaver import (
     adaptive_generate,
     fit_recommender,
     generate,
+    generate_many,
     min_steps_oracle,
     quality,
+    train_and_evaluate,
     wasserstein1,
 )
 

@@ -22,8 +22,7 @@ from .errors import DynexecError, MissingSeries, ParseError, SchemaError
 from .lookahead import lookahead_decode
 from .router import WorkloadItem, frontier
 from .specdec import simulated_speedup, speculative_decode
-from .stepsaver import (MIN_LABELED_SPECS, MixtureSpec, NoiseSchedule, adaptive_generate, fit_recommender,
-                        min_steps_oracle)
+from .stepsaver import MIN_LABELED_SPECS, MixtureSpec, NoiseSchedule, train_and_evaluate
 
 VERSION = "dynexec 0.1.0"
 SEED_ENV_VAR = "DYNEXEC_SEED"
@@ -90,9 +89,13 @@ def _as_int_list(value, key):
 def _as_float_list(value, key):
     if not isinstance(value, list) or not value or not all(map(is_number, value)):
         raise SchemaError(f"key '{key}' must be a non-empty list of numbers", key=key)
-    if any(math.isnan(v) for v in value):
+    try:
+        floats = [float(v) for v in value]
+    except OverflowError:
+        raise SchemaError(f"key '{key}' has an integer too large for a float", key=key) from None
+    if any(math.isnan(v) for v in floats):
         raise SchemaError(f"key '{key}' must not contain NaN", key=key)
-    return [float(v) for v in value]
+    return floats
 
 
 # The argparse type that reads each checker's value from a CLI flag.
@@ -356,23 +359,16 @@ def _run_stepsaver(params, seed, base_dir):
     rng = Rng(seed)
     # the recommender needs MIN_LABELED_SPECS labels, so small workloads train on more than train_frac
     n_train = min(len(specs), max(MIN_LABELED_SPECS, round(params["train_frac"] * len(specs))))
-    labeled = []
-    for i, (_, spec) in enumerate(specs[:n_train]):
-        labeled.append((spec, min_steps_oracle(spec, schedule, params["epsilon"], count, rng.child(i))))
-    recommender = fit_recommender(labeled, schedule.T)
-    rows = []
-    total_steps = 0
-    for j, (spec_id, spec) in enumerate(specs):
-        _, report = adaptive_generate(spec, recommender, schedule, count, rng.child(100000 + j))
-        total_steps += report.steps_used
-        rows.append({
-            "spec_id": spec_id,
-            "difficulty": spec.difficulty,
-            "steps_used": report.steps_used,
-            "w1": report.w1,
-            "baseline_w1": report.baseline_w1,
-            "throughput_ratio": schedule.T / report.steps_used,
-        })
+    reports = train_and_evaluate([spec for _, spec in specs], schedule, params["epsilon"], n_train, count, rng)
+    rows = [{
+        "spec_id": spec_id,
+        "difficulty": spec.difficulty,
+        "steps_used": report.steps_used,
+        "w1": report.w1,
+        "baseline_w1": report.baseline_w1,
+        "throughput_ratio": schedule.T / report.steps_used,
+    } for (spec_id, spec), report in zip(specs, reports)]
+    total_steps = sum(report.steps_used for report in reports)
     return {
         "rows": rows,
         "workload_throughput_ratio": schedule.T * len(specs) / total_steps,

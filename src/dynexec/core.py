@@ -38,6 +38,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_GOLDEN_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
 
 
 def _mix64(z: int) -> int:
@@ -80,18 +81,79 @@ class Rng:
         return (self.u64() >> 11) * 2.0**-53
 
     def uniforms(self, n: int) -> np.ndarray:
-        ks = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        z = np.uint64(self._seed) + ks * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        z *= _GOLDEN_U64
+        z += np.uint64(self._seed)
+        return _mixed_uniforms(z)
 
     def normals(self, n: int) -> np.ndarray:
-        u = self.uniforms(2 * n)
-        r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
-        return r * np.cos(2.0 * np.pi * u[1::2])
+        return _box_muller(self.uniforms(2 * n))
+
+
+def _mixed_uniforms(z: np.ndarray) -> np.ndarray:
+    """The uniforms of uint64 stream positions z = seed + k*GOLDEN: each is
+    SplitMix64-finalized in place (z is overwritten) and mapped to [0, 1) by
+    its top 53 bits, the value `Rng.uniform` gives for the same draw."""
+    shifted = np.right_shift(z, 30)
+    z ^= shifted
+    z *= _MIX1_U64
+    np.right_shift(z, 27, out=shifted)
+    z ^= shifted
+    z *= _MIX2_U64
+    np.right_shift(z, 31, out=shifted)
+    z ^= shifted
+    del shifted
+    z >>= 11
+    # 53-bit integers convert to float64 exactly; the uniforms overwrite z
+    return np.multiply(z, 2.0**-53, out=z.view(np.float64))
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard normals from uniform pairs along the last axis: (u[0], u[1]),
+    (u[2], u[3]), ... give one normal each."""
+    r = 1.0 - u[..., 0::2]
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    angle = u[..., 1::2] * (2.0 * np.pi)
+    r *= np.cos(angle, out=angle)
+    return r
+
+
+class RngStreams:
+    """Several Rng streams drawn side by side, each from where its Rng stands.
+
+    Row c of a block continues stream c bit for bit. A draw for `active` streams
+    draws for the first `active` only and advances only their counters. `close`
+    hands the counters back, so every Rng ends where drawing the same blocks
+    one stream at a time would have left it. Each stream must be its own Rng.
+    """
+
+    def __init__(self, rngs):
+        if len({id(r) for r in rngs}) != len(rngs):
+            raise ValueError("each stream needs its own Rng")
+        self._rngs = list(rngs)
+        self._seeds = np.array([r.seed for r in self._rngs], dtype=np.uint64)
+        self._counters = np.array([r._count for r in self._rngs], dtype=np.uint64)
+
+    def uniforms(self, n: int, active: int = None) -> np.ndarray:
+        """The next n uniforms of each of the first `active` streams (all by
+        default), one row per stream: row c, element j is the uniform of
+        mix64(seed_c + (counter_c + j + 1) * GOLDEN)."""
+        m = len(self._rngs) if active is None else active
+        z = self._counters[:m, None] + np.arange(1, n + 1, dtype=np.uint64)
+        z *= _GOLDEN_U64
+        z += self._seeds[:m, None]
+        self._counters[:m] += np.uint64(n)
+        return _mixed_uniforms(z)
+
+    def normals(self, n: int, active: int = None) -> np.ndarray:
+        return _box_muller(self.uniforms(2 * n, active))
+
+    def close(self):
+        for rng, count in zip(self._rngs, self._counters.tolist()):
+            rng._count = count
 
 
 class CostMeter:

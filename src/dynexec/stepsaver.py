@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rng
+from .core import Rng, RngStreams
 from .errors import InsufficientData, StepsOutOfRange
 
 DEFAULT_STEPS = 100
@@ -25,6 +25,9 @@ ORACLE_GRID = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50, 63, 79, 100)
 QUALITY_FLOOR = 1e-12
 RELATIVE_QUALITY_CAP = 100.0
 MIN_LABELED_SPECS = 5
+# bound on |mean| and stddev of a mixture component: far below where the
+# sampler's squared distances could overflow
+MAX_COMPONENT_SCALE = 1e6
 
 
 class NoiseSchedule:
@@ -66,6 +69,8 @@ class MixtureSpec:
             raise ValueError("component weights must sum to 1")
         if np.any(sgs <= 0):
             raise ValueError("component stddevs must be positive")
+        if any(abs(mu) > MAX_COMPONENT_SCALE or sg > MAX_COMPONENT_SCALE for _, mu, sg in self.components):
+            raise ValueError(f"component means and stddevs must lie within {MAX_COMPONENT_SCALE:g} of 0")
 
     @property
     def difficulty(self) -> float:
@@ -92,15 +97,6 @@ class MixtureSpec:
         idx = np.minimum(np.searchsorted(np.cumsum(ws), rng.uniforms(count)), len(ws) - 1)
         return mus[idx] + sgs[idx] * rng.normals(count)
 
-    def noised(self, alpha_bar: float) -> "MixtureSpec":
-        """The forward-process marginal: component means scale by sqrt(alpha_bar),
-        variances become alpha_bar * sigma^2 + (1 - alpha_bar)."""
-        root = math.sqrt(alpha_bar)
-        comps = tuple((w, root * mu, math.sqrt(alpha_bar * sg * sg + 1.0 - alpha_bar))
-                      for w, mu, sg in self.components)
-        return MixtureSpec(comps)
-
-
 @dataclass(frozen=True)
 class StepRecommender:
     """Monotone piecewise-linear map from difficulty to a recommended step count."""
@@ -122,21 +118,42 @@ class QualityReport:
     relative_quality: float
 
 
-def _mixture_score(spec: MixtureSpec, x: np.ndarray, alpha_bar: float) -> np.ndarray:
-    """Analytic score d/dx log p_t(x) of the mixture convolved with forward noise."""
-    # noised()'s parameters with its float operations, without building and
-    # re-validating a MixtureSpec on every step
+def _noised_components(spec: MixtureSpec, alpha_bar: float):
+    """The forward-process marginal's component means and stddevs: means scale
+    by sqrt(alpha_bar), variances become alpha_bar * sigma^2 + (1 - alpha_bar)."""
     root = math.sqrt(alpha_bar)
-    ms = np.array([root * mu for _, mu, _ in spec.components])
-    vs = np.array([math.sqrt(alpha_bar * sg * sg + 1.0 - alpha_bar) ** 2 for _, _, sg in spec.components])
-    ws = np.array([w for w, _, _ in spec.components])
+    return ([root * mu for _, mu, _ in spec.components],
+            [math.sqrt(alpha_bar * sg * sg + 1.0 - alpha_bar) for _, _, sg in spec.components])
+
+
+def _log_norms(ws: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Each component's log(weight) - log(sqrt(2 pi variance)), the score's
+    per-component constant."""
+    return np.log(ws) - 0.5 * np.log(2.0 * np.pi * vs)
+
+
+def _mixture_score(x: np.ndarray, log_norms: np.ndarray, ms: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Analytic score d/dx log p_t(x) of mixtures convolved with forward noise.
+
+    Row c of x (chains, n) is scored under the mixture with noised means ms[c]
+    and variances vs[c] (chains, components), and `_log_norms` of its weights
+    and vs[c]. Each row has the bits of the row-by-row computation: every
+    operation is elementwise, and the component axis is reduced in order.
+    """
+    diffs = x[:, None, :] - ms[:, :, None]
+    if ms.shape[1] == 1:
+        # one component: every responsibility is exactly 1, and the sum over
+        # the component axis adds its terms to 0.0, which turns -0.0 into 0.0
+        score = -diffs[:, 0] / vs
+        score += 0.0
+        return score
+    vs = vs[:, :, None]
     # responsibilities via a stable log-sum-exp
-    diffs = x[None, :] - ms[:, None]
-    logs = np.log(ws)[:, None] - 0.5 * np.log(2.0 * np.pi * vs)[:, None] - 0.5 * diffs**2 / vs[:, None]
-    logs -= logs.max(axis=0, keepdims=True)
-    gamma = np.exp(logs)
-    gamma /= gamma.sum(axis=0, keepdims=True)
-    return (gamma * (-diffs / vs[:, None])).sum(axis=0)
+    logs = log_norms[:, :, None] - 0.5 * diffs**2 / vs
+    logs -= logs.max(axis=1, keepdims=True)
+    gamma = np.exp(logs, out=logs)
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    return (gamma * (-diffs / vs)).sum(axis=1)
 
 
 def respaced_timesteps(T: int, steps: int) -> np.ndarray:
@@ -159,19 +176,90 @@ def generate(spec: MixtureSpec, schedule: NoiseSchedule, steps: int, count: int,
     this toy schedule only reaches alpha_bar ~ 0.37, so a literal N(0,1)
     start would swamp the steps-vs-quality signal with a fixed prior error.
     """
-    if not 1 <= steps <= schedule.T:
-        raise StepsOutOfRange(f"steps must lie in [1, {schedule.T}], got {steps}")
+    return generate_many([(spec, steps, rng)], schedule, count)[0]
+
+
+# elements (chains x count x components) of one lockstep batch; larger groups
+# run in several batches, so a big workload does not hold it all at once
+_BATCH_ELEMENTS = 1 << 18
+# normals drawn ahead in one block, several steps' noise for the running
+# chains; small enough that a block's uint64 and float buffers stay below
+# the rest of a run's memory
+_NOISE_ELEMENTS = 1 << 14
+
+
+def generate_many(chains, schedule: NoiseSchedule, count: int) -> list[np.ndarray]:
+    """`generate` for every (spec, steps, rng) chain, run side by side.
+
+    Chains with the same component count step in lockstep, longest first, so
+    the chains still running are always a leading block: one diffusion step
+    is one batched score, one batched noise draw and one update for all of
+    them. Each chain draws from its own rng as `generate` would, and every
+    per-chain scalar comes from the same float operations, so each returned
+    sample array, and each rng's final counter, equals the one-chain run.
+    """
+    for _, steps, _ in chains:
+        if not 1 <= steps <= schedule.T:
+            raise StepsOutOfRange(f"steps must lie in [1, {schedule.T}], got {steps}")
     if count < 1:
         raise ValueError("count must be >= 1")
-    kept = respaced_timesteps(schedule.T, steps)
-    x = spec.noised(float(schedule.alpha_bar[kept[0]])).sample(count, rng)
-    for i, t in enumerate(kept):
-        ab_t = float(schedule.alpha_bar[t])
-        ab_prev = float(schedule.alpha_bar[kept[i + 1]]) if i + 1 < steps else 1.0
-        a_eff = ab_t / ab_prev
-        b_eff = 1.0 - a_eff
-        score = _mixture_score(spec, x, ab_t)
-        x = (x + b_eff * score) / math.sqrt(a_eff) + math.sqrt(b_eff) * rng.normals(count)
+    groups = {}
+    for i, (spec, _, _) in enumerate(chains):
+        groups.setdefault(len(spec.components), []).append(i)
+    out = [None] * len(chains)
+    for k, members in groups.items():
+        members.sort(key=lambda i: -chains[i][1])
+        per_batch = max(1, _BATCH_ELEMENTS // (count * k))
+        for start in range(0, len(members), per_batch):
+            batch = members[start:start + per_batch]
+            for i, x in zip(batch, _lockstep([chains[i] for i in batch], schedule, count)):
+                out[i] = x
+    return out
+
+
+def _lockstep(chains, schedule: NoiseSchedule, count: int) -> np.ndarray:
+    """One `generate` per row for chains of one component count, sorted by
+    steps, longest first."""
+    n_chains, max_steps = len(chains), chains[0][1]
+    n_comps = len(chains[0][0].components)
+    # per step and chain: the score's noised means and variances, and the
+    # update's b, sqrt(a) and sqrt(b); a finished chain's entries stay unread
+    ms = np.zeros((max_steps, n_chains, n_comps))
+    vs = np.ones((max_steps, n_chains, n_comps))
+    coefs = np.zeros((max_steps, n_chains, 3, 1))
+    sds0 = np.zeros((n_chains, n_comps))
+    for c, (spec, steps, _) in enumerate(chains):
+        kept = respaced_timesteps(schedule.T, steps)
+        abs_ = [float(schedule.alpha_bar[t]) for t in kept] + [1.0]
+        noised = [_noised_components(spec, ab_t) for ab_t in abs_[:-1]]
+        ms[:steps, c] = [means for means, _ in noised]
+        vs[:steps, c] = [[sd ** 2 for sd in sds] for _, sds in noised]
+        sds0[c] = noised[0][1]
+        a_effs = [ab_t / ab_prev for ab_t, ab_prev in zip(abs_, abs_[1:])]
+        coefs[:steps, c, :, 0] = [(1.0 - a, math.sqrt(a), math.sqrt(1.0 - a)) for a in a_effs]
+    ws = np.array([[w for w, _, _ in spec.components] for spec, _, _ in chains])
+    log_norms = _log_norms(ws, vs)
+    # the start: a draw from the noised mixture at kept[0] = T-1, as `MixtureSpec.sample` makes it
+    streams = RngStreams([rng for _, _, rng in chains])
+    u = streams.uniforms(count)
+    idx = (np.cumsum(ws, axis=1)[:, :, None] < u[:, None, :]).sum(axis=1)  # searchsorted, row by row
+    np.minimum(idx, n_comps - 1, out=idx)
+    x = np.take_along_axis(ms[0], idx, 1) + np.take_along_axis(sds0, idx, 1) * streams.normals(count)
+    active, block_end = n_chains, 0
+    for i in range(max_steps):
+        if i == block_end:
+            while chains[active - 1][1] <= i:
+                active -= 1
+            # the noise of the next steps while no chain finishes, in one
+            # block: step b's draws follow step b-1's in every stream
+            block = min(chains[active - 1][1] - i, max(1, _NOISE_ELEMENTS // (active * count)))
+            noise = streams.normals(block * count, active).reshape(active, block, count)
+            block_start, block_end = i, i + block
+        xa = x[:active]
+        b, root_a, root_b = coefs[i, :active].transpose(1, 0, 2)
+        score = _mixture_score(xa, log_norms[i, :active], ms[i, :active], vs[i, :active])
+        x[:active] = (xa + b * score) / root_a + root_b * noise[:, i - block_start]
+    streams.close()
     return x
 
 
@@ -206,22 +294,38 @@ def min_steps_oracle(spec: MixtureSpec, schedule: NoiseSchedule, epsilon: float,
     Scans the fixed grid ascending; returns T when nothing qualifies. Each
     candidate gets its own derived rng streams so the scan order is irrelevant.
     """
+    return oracle_labels([(spec, rng)], schedule, epsilon, count)[0]
+
+
+def oracle_labels(items, schedule: NoiseSchedule, epsilon: float, count: int) -> list[int]:
+    """`min_steps_oracle` of every (spec, rng) item, one lockstep batch per phase.
+
+    The T-step baselines of all items run together; then each grid value,
+    ascending, runs for the items still without a label. Candidate s of an
+    item generates on rng.child(s).child(0) and draws its reference from
+    rng.child(s).child(1), so every label equals the one-spec scan's.
+    """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    grid = [s for s in ORACLE_GRID if s <= schedule.T]
-    if schedule.T not in grid:
-        grid.append(schedule.T)
 
-    def w1_at(steps):
-        branch = rng.child(steps)
-        samples = generate(spec, schedule, steps, count, branch.child(0))
-        return quality(samples, spec, count, branch.child(1))
+    def w1s(members, steps):
+        branches = [rng.child(steps) for _, rng in members]
+        samples = generate_many([(spec, steps, branch.child(0)) for (spec, _), branch in zip(members, branches)],
+                                schedule, count)
+        return [quality(x, spec, count, branch.child(1))
+                for x, (spec, _), branch in zip(samples, members, branches)]
 
-    baseline = w1_at(schedule.T)
-    for steps in grid:
-        if steps == schedule.T or w1_at(steps) <= (1.0 + epsilon) * baseline:
-            return steps
-    return schedule.T
+    bounds = [(1.0 + epsilon) * w1 for w1 in w1s(items, schedule.T)]
+    labels = [schedule.T] * len(items)
+    pending = list(range(len(items)))
+    for steps in (s for s in ORACLE_GRID if s < schedule.T):
+        if not pending:
+            break
+        passed = [w1 <= bounds[i] for i, w1 in zip(pending, w1s([items[i] for i in pending], steps))]
+        for i in (i for i, ok in zip(pending, passed) if ok):
+            labels[i] = steps
+        pending = [i for i, ok in zip(pending, passed) if not ok]
+    return labels
 
 
 def fit_recommender(labeled_specs, max_steps: int = DEFAULT_STEPS) -> StepRecommender:
@@ -274,13 +378,42 @@ def adaptive_generate(spec: MixtureSpec, recommender: StepRecommender,
                       baseline_w1: float = None):
     """Generate with the recommended step count and report quality against the
     T-step baseline (computed here unless supplied)."""
-    steps = recommender.recommend(spec.difficulty)
-    samples = generate(spec, schedule, steps, count, rng.child(0))
-    w1 = quality(samples, spec, count, rng.child(1))
-    if baseline_w1 is None:
-        base = generate(spec, schedule, schedule.T, count, rng.child(2))
-        baseline_w1 = quality(base, spec, count, rng.child(3))
-    relative = min(RELATIVE_QUALITY_CAP, baseline_w1 / max(w1, QUALITY_FLOOR))
-    report = QualityReport(steps_used=steps, w1=w1, baseline_w1=baseline_w1,
-                           relative_quality=relative)
-    return samples, report
+    return adaptive_generate_many([(spec, rng, baseline_w1)], recommender, schedule, count)[0]
+
+
+def adaptive_generate_many(items, recommender: StepRecommender, schedule: NoiseSchedule,
+                           count: int) -> list[tuple[np.ndarray, QualityReport]]:
+    """`adaptive_generate` of every (spec, rng, baseline_w1) item, with every
+    recommended-step chain and every baseline still to compute in one lockstep
+    batch. The chains draw from rng.child(0), the baseline from rng.child(2),
+    and their references from rng.child(1) and rng.child(3)."""
+    steps = [recommender.recommend(spec.difficulty) for spec, _, _ in items]
+    need_base = [j for j, (_, _, base) in enumerate(items) if base is None]
+    chains = [(spec, s, rng.child(0)) for (spec, rng, _), s in zip(items, steps)]
+    chains += [(items[j][0], schedule.T, items[j][1].child(2)) for j in need_base]
+    samples = generate_many(chains, schedule, count)
+    baselines = [base for _, _, base in items]
+    for j, base in zip(need_base, samples[len(items):]):
+        baselines[j] = quality(base, items[j][0], count, items[j][1].child(3))
+    out = []
+    for (spec, rng, _), s, x, base_w1 in zip(items, steps, samples, baselines):
+        w1 = quality(x, spec, count, rng.child(1))
+        relative = min(RELATIVE_QUALITY_CAP, base_w1 / max(w1, QUALITY_FLOOR))
+        out.append((x, QualityReport(steps_used=s, w1=w1, baseline_w1=base_w1, relative_quality=relative)))
+    return out
+
+
+def train_and_evaluate(specs, schedule: NoiseSchedule, epsilon: float, n_train: int,
+                       count: int, rng: Rng) -> list[QualityReport]:
+    """The step recommender's whole flow on one workload of specs.
+
+    The first n_train specs get oracle labels (spec i on rng.child(i)), the
+    recommender is fit to them, and every spec is then generated at its
+    recommended step count and scored against its T-step baseline (spec j on
+    rng.child(100000 + j)). Returns one report per spec, in order.
+    """
+    train = specs[:n_train]
+    labels = oracle_labels([(spec, rng.child(i)) for i, spec in enumerate(train)], schedule, epsilon, count)
+    recommender = fit_recommender(list(zip(train, labels)), schedule.T)
+    items = [(spec, rng.child(100000 + j), None) for j, spec in enumerate(specs)]
+    return [report for _, report in adaptive_generate_many(items, recommender, schedule, count)]

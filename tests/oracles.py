@@ -7,6 +7,7 @@ greedy decoding is re-derived from plain argmax steps.
 """
 
 import itertools
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -17,6 +18,7 @@ from dynexec.earlyexit import BOUNDARY_X_RANGE, EASY_BAND, HARD_BAND, Point2
 from dynexec.errors import InsufficientData
 from dynexec.router import RouteReport, _mean_log_likelihood, difficulty
 from dynexec.specdec import DraftOutput, verify
+from dynexec.stepsaver import ORACLE_GRID, MixtureSpec, quality, respaced_timesteps
 
 
 def autoregressive_distribution(next_fn, prompt, length, vocab):
@@ -291,9 +293,17 @@ def route_evaluate_reference(policy, workload, small, large):
                        fraction_large=n_large / len(workload))
 
 
+def noised_reference(spec, alpha_bar):
+    """The forward-process marginal as a validated spec: component means scale
+    by sqrt(alpha_bar), variances become alpha_bar * sigma^2 + (1 - alpha_bar)."""
+    root = math.sqrt(alpha_bar)
+    return MixtureSpec(tuple((w, root * mu, math.sqrt(alpha_bar * sg * sg + 1.0 - alpha_bar))
+                             for w, mu, sg in spec.components))
+
+
 def mixture_score_reference(spec, x, alpha_bar):
-    """The analytic score read from the validated noised spec, as `noised` builds it."""
-    noised = spec.noised(alpha_bar)
+    """The analytic score read from the validated noised spec."""
+    noised = noised_reference(spec, alpha_bar)
     ms = np.array([c[1] for c in noised.components])
     vs = np.array([c[2] ** 2 for c in noised.components])
     ws = np.array([c[0] for c in noised.components])
@@ -303,3 +313,39 @@ def mixture_score_reference(spec, x, alpha_bar):
     gamma = np.exp(logs)
     gamma /= gamma.sum(axis=0, keepdims=True)
     return (gamma * (-diffs / vs[:, None])).sum(axis=0)
+
+
+def generate_reference(spec, schedule, steps, count, rng):
+    """One diffusion chain one step at a time: the start drawn from the
+    validated noised spec, then per step the 1-D score and one `normals` draw."""
+    kept = respaced_timesteps(schedule.T, steps)
+    x = noised_reference(spec, float(schedule.alpha_bar[kept[0]])).sample(count, rng)
+    for i, t in enumerate(kept):
+        ab_t = float(schedule.alpha_bar[t])
+        ab_prev = float(schedule.alpha_bar[kept[i + 1]]) if i + 1 < steps else 1.0
+        a_eff = ab_t / ab_prev
+        b_eff = 1.0 - a_eff
+        score = mixture_score_reference(spec, x, ab_t)
+        x = (x + b_eff * score) / math.sqrt(a_eff) + math.sqrt(b_eff) * rng.normals(count)
+    return x
+
+
+def min_steps_oracle_reference(spec, schedule, epsilon, count, rng):
+    """The oracle's grid scan one candidate at a time, ascending, stopping at
+    the first step count within (1+epsilon) of the T-step baseline; candidate
+    s generates on rng.child(s).child(0) and draws its reference from
+    rng.child(s).child(1)."""
+    grid = [s for s in ORACLE_GRID if s <= schedule.T]
+    if schedule.T not in grid:
+        grid.append(schedule.T)
+
+    def w1_at(steps):
+        branch = rng.child(steps)
+        samples = generate_reference(spec, schedule, steps, count, branch.child(0))
+        return quality(samples, spec, count, branch.child(1))
+
+    baseline = w1_at(schedule.T)
+    for steps in grid:
+        if steps == schedule.T or w1_at(steps) <= (1.0 + epsilon) * baseline:
+            return steps
+    return schedule.T

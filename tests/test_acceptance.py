@@ -14,13 +14,11 @@ from dynexec import (
     NoiseSchedule,
     Rng,
     acceptance_rate_memoryless,
-    adaptive_generate,
     eagle_decode,
     expected_tokens_per_cycle,
-    fit_recommender,
     gen_dataset,
-    min_steps_oracle,
     sweep,
+    train_and_evaluate,
     train_stages,
     verify,
 )
@@ -170,19 +168,11 @@ def test_criterion_6_stepsaver_throughput_analog():
     schedule = NoiseSchedule()
     specs = skewed_workload()
     count = 4000
-    rng = Rng(777777)
-    labeled = []
-    for i, (_, spec) in enumerate(specs[:10]):
-        labeled.append((spec, min_steps_oracle(spec, schedule, 0.1, count, rng.child(i))))
-    recommender = fit_recommender(labeled, schedule.T)
-    total_steps = 0
-    w1s = []
-    baselines = []
-    for j, (_, spec) in enumerate(specs):
-        _, report = adaptive_generate(spec, recommender, schedule, count, rng.child(100000 + j))
-        total_steps += report.steps_used
-        w1s.append(report.w1)
-        baselines.append(report.baseline_w1)
+    # the CLI's train -> fit -> evaluate flow: train on the first half, evaluate every spec
+    reports = train_and_evaluate([spec for _, spec in specs], schedule, 0.1, 10, count, Rng(777777))
+    total_steps = sum(r.steps_used for r in reports)
+    w1s = [r.w1 for r in reports]
+    baselines = [r.baseline_w1 for r in reports]
     ratio = schedule.T * len(specs) / total_steps
     mean_w1 = float(np.mean(w1s))
     mean_base = float(np.mean(baselines))

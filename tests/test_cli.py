@@ -124,12 +124,13 @@ def test_type_checks(tmp_path, model_files):
     })
     with pytest.raises(SchemaError):
         load_config(path)
-    path = _write_config(tmp_path, {
-        "technique": "early-exit",
-        "params": {"taus": []},
-    })
-    with pytest.raises(SchemaError):
-        load_config(path)
+    for taus in ([], [0.1, 10**400]):
+        path = _write_config(tmp_path, {
+            "technique": "early-exit",
+            "params": {"taus": taus},
+        })
+        with pytest.raises(SchemaError):
+            load_config(path)
 
 
 def test_seed_precedence(monkeypatch):
@@ -418,6 +419,9 @@ def _items(prompt, continuation):
     pytest.param("specs", _specs([1.0, 0.0, 1.0, 1.0]), "", id="mixture-four-numbers"),
     pytest.param("specs", '{"specs": []}', "", id="mixture-no-specs"),
     pytest.param("specs", _specs(["1.0", "0", True]), "", id="mixture-text-and-bool"),
+    pytest.param("specs", _specs([10**400, 0.0, 1.0]), "", id="mixture-int-beyond-float"),
+    pytest.param("specs", _specs([1.0, 2e6, 1.0]), "", id="mixture-mean-beyond-scale"),
+    pytest.param("specs", _specs([1.0, 0.0, 1.4e154]), "", id="mixture-stddev-beyond-scale"),
     pytest.param("items", '{"items": []}', "", id="route-no-items"),
     pytest.param("items", _items([], [1]), "", id="route-empty-prompt"),
     pytest.param("items", _items([0, 9], [1]), "", id="route-prompt-out-of-vocab"),

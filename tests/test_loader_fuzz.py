@@ -1,0 +1,90 @@
+"""Fuzzing the stepsaver workload loader end to end.
+
+Every generated mixture workload file either runs to a report whose W1
+values are all finite, or is rejected with a ParseError or SchemaError, the
+errors `main` maps to exit code 1. Nothing else may escape.
+"""
+
+import json
+import math
+import os
+import tempfile
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from dynexec.cli import run, validate_config
+from dynexec.errors import ParseError, SchemaError
+
+# JSON values that are not a well-formed component entry
+JUNK = st.one_of(
+    st.just(float("nan")), st.just(float("inf")), st.just(-float("inf")), st.booleans(), st.none(),
+    st.text(max_size=4), st.integers(-10, 10), st.just(10**400), st.floats(), st.lists(st.integers(), max_size=2),
+)
+
+
+@st.composite
+def components(draw):
+    """1-5 well-formed components whose weights sum to 1."""
+    k = draw(st.integers(1, 5))
+    raw = draw(st.lists(st.floats(1e-6, 1.0), min_size=k, max_size=k))
+    total = sum(raw)
+    return [[w / total, draw(st.floats(-5.0, 5.0)), draw(st.floats(0.01, 5.0))] for w in raw]
+
+
+@st.composite
+def workload_docs(draw):
+    """A well-formed workload of 5-7 specs, then at most one corruption."""
+    specs = [{"id": draw(st.one_of(st.text(max_size=3), st.integers())), "components": draw(components())}
+             for _ in range(draw(st.integers(5, 7)))]
+    comp = draw(st.sampled_from([c for spec in specs for c in spec["components"]]))
+    corruption = draw(st.sampled_from(["none", "value", "scale", "arity", "weights", "no components",
+                                       "few specs", "entry", "document"]))
+    if corruption == "value":
+        comp[draw(st.integers(0, 2))] = draw(JUNK)
+    elif corruption == "scale":  # any finite magnitude, up to the largest float
+        comp[draw(st.integers(1, 2))] = draw(st.one_of(st.floats(-1e300, 1e300), st.sampled_from([1e6, -1e6, 5e-324])))
+    elif corruption == "arity":
+        if draw(st.booleans()):
+            comp.pop()
+        else:
+            comp.append(draw(JUNK))
+    elif corruption == "weights":
+        comp[0] *= draw(st.floats(0.0, 3.0))
+    elif corruption == "no components":
+        specs[0]["components"] = []
+    elif corruption == "few specs":
+        del specs[draw(st.integers(0, 4)):]
+    elif corruption == "entry":
+        specs[draw(st.integers(0, len(specs) - 1))] = draw(st.one_of(JUNK, st.just({"id": "x"}),
+                                                                    st.just({"components": []})))
+    elif corruption == "document":
+        return draw(st.one_of(JUNK, st.just({}), st.just({"specs": {}}), st.just({"specs": "abcde"})))
+    return {"specs": specs}
+
+
+def _unit_specs(last_component):
+    return {"specs": [{"id": str(i), "components": [[1.0, 0.0, 1.0]]} for i in range(4)]
+            + [{"id": "4", "components": [last_component]}]}
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(workload_docs(), st.integers(1, 50), st.integers(1, 10), st.integers(0, 2**32))
+@example(_unit_specs([1.0, 0.0, 1.3408478370622565e154]), 1, 1, 0)  # squared distances overflow to NaN
+@example(_unit_specs([1.0, 0.0, 10**400]), 1, 1, 0)  # an int no float can hold
+@example(_unit_specs([1.0, -1e6, 1e6]), 50, 10, 0)  # the largest scale allowed
+def test_mixture_workload_runs_or_exits_1(doc, count, steps, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "specs.json"), "w") as fh:
+            json.dump(doc, fh)
+        config = validate_config({"technique": "stepsaver", "master_seed": seed,
+                                  "params": {"workload": "specs.json", "count": count, "steps": steps}})
+        try:
+            report = run(config, base_dir=tmp)
+        except (ParseError, SchemaError):
+            return
+    rows = report.metrics["rows"]
+    assert len(rows) >= 5
+    values = [r[key] for r in rows for key in ("w1", "baseline_w1", "difficulty")]
+    values += [report.metrics["mean_w1"], report.metrics["mean_baseline_w1"]]
+    assert all(math.isfinite(v) for v in values)

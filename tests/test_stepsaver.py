@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance
 
 from dynexec import (
@@ -13,11 +15,14 @@ from dynexec import (
     quality,
     wasserstein1,
 )
-from dynexec.stepsaver import _mixture_score, respaced_timesteps
+from dynexec import stepsaver
+from dynexec.core import RngStreams
+from dynexec.stepsaver import (_log_norms, _mixture_score, _noised_components, generate_many, oracle_labels,
+                               respaced_timesteps)
 from dynexec.errors import InsufficientData, StepsOutOfRange
 
 from helpers import separated_mixture, single_gaussian, skewed_workload
-from oracles import mixture_score_reference
+from oracles import generate_reference, min_steps_oracle_reference, mixture_score_reference
 
 SCHEDULE = NoiseSchedule()
 
@@ -226,9 +231,110 @@ def test_adaptive_generate_reuses_supplied_baseline():
 
 
 def test_mixture_score_matches_noised_spec_reference():
+    # one batched call per spec, one row per alpha_bar: each row equals the 1-D reference
     schedule = NoiseSchedule()
     x = Rng(5).normals(257) * 3.0
     for _, spec in skewed_workload():
-        for alpha_bar in schedule.alpha_bar:
-            assert np.array_equal(_mixture_score(spec, x, float(alpha_bar)),
-                                  mixture_score_reference(spec, x, float(alpha_bar)))
+        noised = [_noised_components(spec, float(alpha_bar)) for alpha_bar in schedule.alpha_bar]
+        ws = np.array([[w for w, _, _ in spec.components]] * schedule.T)
+        vs = np.array([[sd ** 2 for sd in sds] for _, sds in noised])
+        scores = _mixture_score(np.tile(x, (schedule.T, 1)), _log_norms(ws, vs), np.array([m for m, _ in noised]), vs)
+        for row, alpha_bar in zip(scores, schedule.alpha_bar):
+            assert np.array_equal(row, mixture_score_reference(spec, x, float(alpha_bar)))
+
+
+def _used_rng(seed, drawn):
+    """An Rng with `drawn` uniforms already taken from its stream."""
+    rng = Rng(seed)
+    rng.uniforms(drawn)
+    return rng
+
+
+@st.composite
+def mixtures(draw, max_components=4):
+    k = draw(st.integers(1, max_components))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    total = sum(raw)
+    return MixtureSpec(tuple((w / total, draw(st.floats(-3.0, 3.0)), draw(st.floats(0.05, 2.0))) for w in raw))
+
+
+@st.composite
+def chain_batches(draw):
+    """Ragged batches: 1-4 components, steps from 1 to T, fresh and partly used rngs."""
+    T = draw(st.sampled_from([1, 2, 7, 30, 100]))
+    chains = [(draw(mixtures()), draw(st.integers(1, T)), (draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 500))))
+              for _ in range(draw(st.integers(1, 6)))]
+    return T, chains, draw(st.integers(1, 300))
+
+
+_TWO_MODES = MixtureSpec(((0.3, -1.0, 0.4), (0.7, 1.5, 0.6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain_batches())
+@example((30, [(_TWO_MODES, 30, (7, 0)), (_TWO_MODES, 12, (7, 0)), (_TWO_MODES, 12, (8, 40))], 5))
+@example((100, [(single_gaussian(), 100, (3, 9)), (separated_mixture(4), 1, (3, 0)),
+                (single_gaussian(0.5), 37, (4, 1))], 1))
+@example((100, [(separated_mixture(9), 100, (5, 0)), (separated_mixture(9), 20, (6, 3))], 1))
+def test_generate_many_matches_per_chain_reference(case):
+    T, chains, count = case
+    schedule = NoiseSchedule(T)
+    batch_rngs = [_used_rng(*stream) for _, _, stream in chains]
+    ref_rngs = [_used_rng(*stream) for _, _, stream in chains]
+    # no step may divide by zero, overflow or make a NaN, as a zero-weight mode's log(0) would
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        rows = generate_many([(spec, steps, rng) for (spec, steps, _), rng in zip(chains, batch_rngs)],
+                             schedule, count)
+    for (spec, steps, _), row, rng in zip(chains, rows, ref_rngs):
+        assert np.array_equal(row, generate_reference(spec, schedule, steps, count, rng))
+    assert [r.u64() for r in batch_rngs] == [r.u64() for r in ref_rngs]  # every counter ends where it did
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(mixtures(), st.integers(0, 2**64 - 1)), min_size=1, max_size=4),
+       st.sampled_from([2, 9, 25]), st.floats(0.01, 2.0), st.integers(10, 80))
+def test_oracle_labels_match_scan_reference(items, T, epsilon, count):
+    schedule = NoiseSchedule(T)
+    labels = oracle_labels([(spec, Rng(seed)) for spec, seed in items], schedule, epsilon, count)
+    assert labels == [min_steps_oracle_reference(spec, schedule, epsilon, count, Rng(seed)) for spec, seed in items]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 1000)), min_size=1, max_size=6),
+       st.integers(0, 300), st.data())
+def test_stream_normals_match_per_stream_rng(streams, n, data):
+    active = data.draw(st.integers(1, len(streams)))
+    rngs = [_used_rng(*s) for s in streams]
+    alone = [_used_rng(*s) for s in streams]
+    block = RngStreams(rngs)
+    rows = block.normals(n, active)
+    block.close()
+    assert rows.shape == (active, n)
+    for row, rng in zip(rows, alone):
+        assert np.array_equal(row, rng.normals(n))
+    assert [r.u64() for r in rngs] == [r.u64() for r in alone]
+
+
+def test_generate_many_needs_one_rng_per_chain():
+    rng = Rng(1)
+    with pytest.raises(ValueError):
+        generate_many([(single_gaussian(), 5, rng), (single_gaussian(), 3, rng)], SCHEDULE, 10)
+
+
+def test_mixture_rejects_components_beyond_scale():
+    assert MixtureSpec(((1.0, -1e6, 1e6),)).components == ((1.0, -1e6, 1e6),)
+    for bad in ((1.0, 1e6 * (1 + 1e-15), 1.0), (1.0, -2e6, 1.0), (1.0, 0.0, 1.5e6)):
+        with pytest.raises(ValueError):
+            MixtureSpec((bad,))
+
+
+@pytest.mark.parametrize("batch_elements, noise_elements", [(1, 1), (300, 50), (10**9, 10**9)])
+def test_generate_many_batch_and_noise_block_sizes(monkeypatch, batch_elements, noise_elements):
+    # a group split into several batches, and noise drawn one step or many steps at a time
+    monkeypatch.setattr(stepsaver, "_BATCH_ELEMENTS", batch_elements)
+    monkeypatch.setattr(stepsaver, "_NOISE_ELEMENTS", noise_elements)
+    specs = [single_gaussian(0.3), _TWO_MODES, separated_mixture(3), single_gaussian(-1.0), _TWO_MODES]
+    chains = [(spec, steps, _used_rng(40 + i, i)) for i, (spec, steps) in enumerate(zip(specs, (100, 9, 31, 2, 64)))]
+    rows = generate_many(chains, SCHEDULE, 60)
+    for i, ((spec, steps, _), row) in enumerate(zip(chains, rows)):
+        assert np.array_equal(row, generate_reference(spec, SCHEDULE, steps, 60, _used_rng(40 + i, i)))

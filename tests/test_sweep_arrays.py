@@ -7,6 +7,7 @@ for bit, so early-exit and route reports stay byte-identical.
 """
 
 import math
+import warnings
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from dynexec import RoutePolicy, Rng, difficulty, frontier, gen_dataset, sweep
 from dynexec.core import entropy
-from dynexec.earlyexit import ExitStage, MultiExitNet, SweepRow
+from dynexec.earlyexit import ExitStage, MultiExitNet, Point2, SweepRow
 
 from helpers import random_table_model, route_workload, varied_entropy_table_model
 from oracles import gen_dataset_reference, infer_with_exit, route_evaluate_reference
@@ -57,8 +58,7 @@ class _BatchRow:
         xs = np.array([p.x for p in data])
         ys = np.array([p.y for p in data])
         self.cost_units = stage.cost_units
-        with np.errstate(over="ignore"):  # saturated stages: exp overflows to an exact 0 or 1
-            self.rows = {id(p): row for p, row in zip(data, stage.dists(xs, ys))}
+        self.rows = {id(p): row for p, row in zip(data, stage.dists(xs, ys))}
 
     def dist(self, point):
         return self.rows[id(point)]
@@ -98,9 +98,8 @@ def exit_cases(draw):
 @given(exit_cases())
 def test_sweep_rows_match_pointwise_tally(case):
     net, data, taus = case
-    with np.errstate(over="ignore"):
-        rows = sweep(net, data, taus)
-        tallies = [_tally(net, data, tau) for tau in taus]
+    rows = sweep(net, data, taus)
+    tallies = [_tally(net, data, tau) for tau in taus]
     assert _bits(_row_fields(rows)) == _bits(_row_fields(tallies))
 
 
@@ -112,12 +111,23 @@ def test_sweep_saturated_stage_matches_tally():
     xs = np.array([p.x for p in data])
     ys = np.array([p.y for p in data])
     taus = [0.0, 1e-300, 0.1, math.log(2) + 0.01]
-    with np.errstate(over="ignore"):
-        dists = stage0.dists(xs, ys)
-        rows = sweep(net, data, taus)
-        tallies = [_tally(net, data, tau) for tau in taus]
+    dists = stage0.dists(xs, ys)
+    rows = sweep(net, data, taus)
+    tallies = [_tally(net, data, tau) for tau in taus]
     assert (dists == 0.0).any() and (dists == 1.0).any()
     assert _bits(_row_fields(rows)) == _bits(_row_fields(tallies))
+
+
+def test_saturated_stage_answers_without_overflow_warning():
+    # logits far below -709 overflow exp(-z); the answer is still the exact 0
+    stage = ExitStage(np.array([0.0, 1e4, 0.0]), "linear", 1.0)
+    far = [Point2(0.0, -1.0, 0), Point2(0.0, 1.0, 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dists = stage.dists(np.array([p.x for p in far]), np.array([p.y for p in far]))
+        singles = [stage.dist(p) for p in far]
+    assert dists.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert [d.tolist() for d in singles] == dists.tolist()
 
 
 @st.composite
