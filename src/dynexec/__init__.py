@@ -8,7 +8,6 @@ reports an exact cost/quality frontier.
 """
 
 from .core import (
-    CostMeter,
     FeatureModel,
     Rng,
     SequenceModel,
@@ -18,7 +17,6 @@ from .core import (
     load_model,
     normalize,
     sample,
-    sample_many,
     save_model,
     softmax,
 )
@@ -42,9 +40,7 @@ from .specdec import (
     DecodeStats,
     DraftOutput,
     VerificationResult,
-    acceptance_rate_memoryless,
     draft,
-    expected_tokens_per_cycle,
     residual,
     simulated_speedup,
     speculative_decode,

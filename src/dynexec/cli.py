@@ -103,7 +103,7 @@ _as_str.flag_type = str
 _as_int_list.flag_type = _comma_list(int)
 _as_float_list.flag_type = _comma_list(float)
 
-# Each technique's parameters: key -> (checker, default). The config's
+# Each technique's keys: key -> (checker, default). The config's
 # "params" keys and the technique's CLI flags (--key with '-' for '_') both
 # come from this table; a checker's flag_type parses the flag's text.
 _SCHEMAS = {
@@ -216,10 +216,6 @@ def load_config(path: str) -> dict:
     return validate_config(_load_json(path))
 
 
-def canonical_config_json(config: dict) -> str:
-    return json.dumps(config, sort_keys=True)
-
-
 def resolve_seed(config: dict, seed_override=None) -> int:
     """Seed precedence: explicit override, then config, then the DYNEXEC_SEED
     environment variable, then 0."""
@@ -260,10 +256,10 @@ def _check_prompt(prompt, *models):
 
 
 def load_mixture_workload(path: str) -> list[tuple[str, MixtureSpec]]:
-    """Workload file: {"specs": [{"id": ..., "components": [[w, mean, stddev], ...]}, ...]}."""
+    """Workload file: {"specs": [{"id": "...", "components": [[w, mean, stddev], ...]}, ...]}."""
     doc = _load_json(path)
     try:
-        specs = [(str(entry["id"]), MixtureSpec(tuple(tuple(_as_float_list(comp, "components"))
+        specs = [(_as_str(entry["id"], "id"), MixtureSpec(tuple(tuple(_as_float_list(comp, "components"))
                                                       for comp in entry["components"])))
                  for entry in doc["specs"]]
     except (KeyError, TypeError, ValueError, SchemaError) as exc:
@@ -325,8 +321,7 @@ def _run_eagle(params, seed, base_dir):
     rng = Rng(seed)
     corpus = sample_corpus(model, params["fit_seqs"], params["fit_len"], rng.child(1))
     ex = fit_extrapolator(model, corpus, params["ridge"])
-    tokens, stats = eagle_decode(model, ex, prompt, params["n"], params["k"],
-                                 rng.child(0), draft_cost_factor=params["draft_cost_factor"])
+    tokens, stats = eagle_decode(model, ex, prompt, params["n"], params["k"], rng.child(0))
     return _decode_metrics(tokens, stats, params["k"], model.cost_units,
                            params["draft_cost_factor"] * model.cost_units)
 

@@ -156,28 +156,6 @@ class RngStreams:
             rng._count = count
 
 
-class CostMeter:
-    """Accumulates abstract cost units and per-role call counts for one session."""
-
-    ROLES = ("target", "draft")
-
-    def __init__(self):
-        self.target_calls = 0
-        self.draft_calls = 0
-        self.cost_accumulated = 0.0
-
-    def record(self, role: str, cost_units: float, calls: int = 1):
-        if role not in self.ROLES:
-            raise ValueError(f"unknown meter role {role!r}")
-        if calls < 0 or cost_units < 0:
-            raise ValueError("meter counters never decrease")
-        if role == "target":
-            self.target_calls += calls
-        else:
-            self.draft_calls += calls
-        self.cost_accumulated += calls * cost_units
-
-
 def normalize(weights) -> np.ndarray:
     """Scale non-negative weights into a probability vector."""
     w = np.asarray(weights, dtype=np.float64)
@@ -232,15 +210,6 @@ def sample(d, rng: Rng) -> int:
                 return i
     # u landed beyond the accumulated mass (sum can be < 1 by ~1e-9)
     return last_positive
-
-
-def sample_many(d, n: int, rng: Rng) -> np.ndarray:
-    """Vectorized `sample`: n tokens, n uniforms consumed, from one distribution
-    or from n of them, one per row.
-
-    Produces the same tokens sample() would produce from the same stream.
-    """
-    return inverse_cdf(d, rng.uniforms(n))
 
 
 def inverse_cdf(d, u) -> np.ndarray:
@@ -462,7 +431,7 @@ def feature_forward(model: FeatureModel, ctx) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Model serialization: JSON with full parameter listing. Floats go through
+# Model serialization: JSON listing every model field. Floats go through
 # Python repr, which round-trips float64 exactly, so load(save(m)) is bit-exact.
 # ---------------------------------------------------------------------------
 

@@ -14,19 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Context,
-    CostMeter,
-    FeatureModel,
-    Rng,
-    inverse_cdf,
-    sample,
-)
+from .core import Context, FeatureModel, Rng, inverse_cdf, sample
 from .errors import EmptyContext, InsufficientData, SingularSystem, VocabMismatch
 from .specdec import DraftOutput, _speculate
 
 DEFAULT_RIDGE = 1e-6
-DEFAULT_DRAFT_COST_FACTOR = 0.1
 
 
 @dataclass(frozen=True)
@@ -42,20 +34,10 @@ class Extrapolator:
         if self.bias.shape != (self.weight.shape[0],):
             raise ValueError("bias must have shape (d,)")
         if not (np.all(np.isfinite(self.weight)) and np.all(np.isfinite(self.bias))):
-            raise ValueError("extrapolator parameters must be finite")
+            raise ValueError("extrapolator weight and bias must be finite")
 
     def predict(self, feature: np.ndarray, embedding: np.ndarray) -> np.ndarray:
         return self.weight @ np.concatenate([feature, embedding]) + self.bias
-
-
-@dataclass(frozen=True)
-class FeatureTrajectory:
-    features: np.ndarray
-    tokens: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.features) != len(self.tokens):
-            raise ValueError("one feature per consumed token")
 
 
 def _forward(model: FeatureModel, corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -79,12 +61,6 @@ def _forward(model: FeatureModel, corpus) -> tuple[np.ndarray, np.ndarray, np.nd
     for t in range(tokens.shape[1]):
         f = feats[:, t] = model.step(f, tokens[:, t])
     return tokens, feats, lengths
-
-
-def collect_trajectories(model: FeatureModel, corpus) -> list[FeatureTrajectory]:
-    tokens, feats, lengths = _forward(model, corpus)
-    return [FeatureTrajectory(f[:n], tuple(seq[:n].tolist()))
-            for seq, f, n in zip(tokens, feats, lengths)]
 
 
 def sample_corpus(model: FeatureModel, n_sequences: int, length: int, rng: Rng) -> list[Context]:
@@ -139,22 +115,21 @@ def fit_extrapolator(model: FeatureModel, corpus, ridge: float = DEFAULT_RIDGE) 
     return Extrapolator(weight, bias)
 
 
-def eagle_draft(model: FeatureModel, ex: Extrapolator, ctx, K: int, rng: Rng,
-                meter: CostMeter = None, cost_units: float = None) -> DraftOutput:
+def eagle_draft(model: FeatureModel, ex: Extrapolator, ctx, K: int, rng: Rng) -> DraftOutput:
     """Draft K tokens by rolling the extrapolator at the feature level.
 
     One true forward pass over ctx seeds the rollout (its cost belongs to the
-    target's own batched call, so the draft side bills only K cheap calls).
+    target's own batched call, so the draft side counts only K cheap calls).
     The first draft distribution therefore equals the target's, and drift
     enters through extrapolated features from the second position on.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    return eagle_draft_from(model, ex, model.start(ctx), K, rng, meter, cost_units)
+    return eagle_draft_from(model, ex, model.start(ctx), K, rng)
 
 
-def eagle_draft_from(model: FeatureModel, ex: Extrapolator, feature: np.ndarray, K: int, rng: Rng,
-                     meter: CostMeter = None, cost_units: float = None) -> DraftOutput:
+def eagle_draft_from(model: FeatureModel, ex: Extrapolator, feature: np.ndarray, K: int,
+                     rng: Rng) -> DraftOutput:
     """`eagle_draft` seeded by the target's feature after the context."""
     tokens = []
     dists = []
@@ -164,15 +139,10 @@ def eagle_draft_from(model: FeatureModel, ex: Extrapolator, feature: np.ndarray,
         dists.append(dist)
         if k + 1 < K:
             feature = ex.predict(feature, model.embed[tokens[-1]])
-    if meter is not None:
-        if cost_units is None:
-            cost_units = DEFAULT_DRAFT_COST_FACTOR * model.cost_units
-        meter.record("draft", cost_units, calls=K)
     return DraftOutput(tuple(tokens), tuple(dists))
 
 
-def eagle_decode(model: FeatureModel, ex: Extrapolator, prompt, N: int, K: int, rng: Rng,
-                 draft_cost_factor: float = DEFAULT_DRAFT_COST_FACTOR):
+def eagle_decode(model: FeatureModel, ex: Extrapolator, prompt, N: int, K: int, rng: Rng):
     """speculative_decode with eagle_draft supplying the proposals.
 
     The target's own state, its current feature, seeds every rollout, so
@@ -181,11 +151,9 @@ def eagle_decode(model: FeatureModel, ex: Extrapolator, prompt, N: int, K: int, 
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    meter = CostMeter()
-    draft_cost = draft_cost_factor * model.cost_units
 
     def propose(_, feature, __):
-        d = eagle_draft_from(model, ex, feature, K, rng, meter, draft_cost)
+        d = eagle_draft_from(model, ex, feature, K, rng)
         return d.tokens, d, None
 
-    return _speculate(model, prompt, N, rng, meter, propose)
+    return _speculate(model, prompt, N, rng, propose)

@@ -10,7 +10,7 @@ exact and seed-free.
 
 from dataclasses import dataclass, field
 
-from .core import CostMeter, SequenceModel, check_context
+from .core import SequenceModel, check_context
 from .specdec import _decode_loop
 
 
@@ -89,7 +89,6 @@ def lookahead_decode(target: SequenceModel, prompt, N: int, n: int = 3, L: int =
     prompt = check_context(prompt, target.vocab_size)
     cache = NGramCache(n)
     w = n - 1
-    meter = CostMeter()
     seen = 0  # history tokens whose windows are in the cache
 
     # cache_update and propose are read from the module on every round, where
@@ -101,10 +100,10 @@ def lookahead_decode(target: SequenceModel, prompt, N: int, n: int = 3, L: int =
         tokens = propose(cache, history[-w:], L)
         return tokens, tokens, None
 
-    out, _, proposed, hits = _decode_loop(target, prompt, N, meter, propose_from_cache, _greedy_prefix)
+    out, cycles, proposed, hits = _decode_loop(target, prompt, N, propose_from_cache, _greedy_prefix)
     return out, LookaheadStats(
         tokens_generated=len(out),
-        target_calls=meter.target_calls,
+        target_calls=cycles,
         proposed=proposed,
         verified_hits=hits,
     )

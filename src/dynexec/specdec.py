@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CostMeter, Rng, SequenceModel, check_context, normalize, sample
+from .core import Rng, SequenceModel, check_context, normalize, sample
 from .errors import AllZeroResidual, ContractViolation, LengthMismatch, VocabMismatch
 
 
@@ -55,15 +55,15 @@ class DecodeStats:
     tokens_per_target_call: float
 
 
-def draft(draft_model: SequenceModel, ctx, K: int, rng: Rng, meter: CostMeter) -> DraftOutput:
+def draft(draft_model: SequenceModel, ctx, K: int, rng: Rng) -> DraftOutput:
     """Sample K tokens autoregressively from the draft model, recording each distribution."""
     if K < 1:
         raise ValueError("K must be >= 1")
     ctx = check_context(ctx, draft_model.vocab_size)
-    return draft_from(draft_model, draft_model.start(ctx), K, rng, meter)[0]
+    return draft_from(draft_model, draft_model.start(ctx), K, rng)[0]
 
 
-def draft_from(draft_model: SequenceModel, state, K: int, rng: Rng, meter: CostMeter):
+def draft_from(draft_model: SequenceModel, state, K: int, rng: Rng):
     """`draft` from the draft model's state after the context.
 
     Returns the proposal and the draft model's K+1 branch states: its state
@@ -74,7 +74,6 @@ def draft_from(draft_model: SequenceModel, state, K: int, rng: Rng, meter: CostM
     states = [state]
     for _ in range(K):
         q = draft_model.dist(states[-1])
-        meter.record("draft", draft_model.cost_units)
         tokens.append(sample(q, rng))
         dists.append(q)
         states.append(draft_model.advance(states[-1], tokens[-1]))
@@ -122,21 +121,22 @@ def verify(target_dists, d: DraftOutput, rng: Rng) -> VerificationResult:
     return VerificationResult(K, d.tokens + (bonus,), False)
 
 
-def _decode_loop(target: SequenceModel, prompt, N, meter, propose, check, draft_model=None):
+def _decode_loop(target: SequenceModel, prompt, N, propose, check, draft_model=None):
     """The one draft -> verify loop over incremental model states.
 
-    Each cycle `propose(history, state, draft_state)` bills its own draft
-    calls and returns the proposed tokens (possibly none), the object `check`
-    verifies and draft_model's branch states (None without a draft model).
-    The target's positions after each proposal prefix branch from its one
-    state and are billed as one call; `check(dists, proposal)` returns
+    Each cycle `propose(history, state, draft_state)` returns the proposed
+    tokens (possibly none), the object `check` verifies and draft_model's
+    branch states (None without a draft model). The target's positions after
+    each proposal prefix branch from its one state and count as one batched
+    target call; `check(dists, proposal)` returns
     (n_accepted, emitted, resampled). Each state then moves on from the
     branch of the accepted prefix by the last emitted token, so every model
     reads the prompt once and each emitted token once. `history` is the
     prompt plus the tokens emitted so far.
 
-    Returns the first N emitted tokens, the cycles run and the tokens drafted
-    and accepted over all of them.
+    Returns the first N emitted tokens, the cycles run (one target call
+    each) and the tokens drafted (one draft call each) and accepted over all
+    of them.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -150,7 +150,6 @@ def _decode_loop(target: SequenceModel, prompt, N, meter, propose, check, draft_
     while len(history) - n_prompt < N:
         tokens, proposal, draft_branch = propose(history, state, draft_state)
         branch = target.branch(state, tokens)
-        meter.record("target", target.cost_units)
         n_accepted, emitted, _ = check([target.dist(s) for s in branch], proposal)
         last = emitted[-1]
         state = target.advance(branch[n_accepted], last)
@@ -163,17 +162,17 @@ def _decode_loop(target: SequenceModel, prompt, N, meter, propose, check, draft_
     return history[n_prompt:n_prompt + N], cycles, drafted, accepted
 
 
-def _speculate(target: SequenceModel, prompt, N, rng, meter, propose, draft_model=None):
+def _speculate(target: SequenceModel, prompt, N, rng, propose, draft_model=None):
     """_decode_loop with the rejection scan `verify` as its rule, and its DecodeStats."""
     out, cycles, drafted, accepted = _decode_loop(
-        target, prompt, N, meter, propose, lambda dists, d: verify(dists, d, rng), draft_model)
+        target, prompt, N, propose, lambda dists, d: verify(dists, d, rng), draft_model)
     return out, DecodeStats(
         tokens_generated=len(out),
-        target_calls=meter.target_calls,
-        draft_calls=meter.draft_calls,
+        target_calls=cycles,
+        draft_calls=drafted,
         cycles=cycles,
         acceptance_rate=accepted / drafted,
-        tokens_per_target_call=len(out) / meter.target_calls,
+        tokens_per_target_call=len(out) / cycles,
     )
 
 
@@ -181,7 +180,7 @@ def speculative_decode(target: SequenceModel, draft_model: SequenceModel,
                        prompt, N: int, K: int, rng: Rng):
     """Generate N tokens whose joint distribution is exactly the target's.
 
-    Each cycle drafts K tokens and is billed K draft calls plus ONE target
+    Each cycle drafts K tokens and counts K draft calls plus ONE target
     call: the K+1 target evaluations of a cycle model the paper-style batched
     forward pass. Surplus tokens from the final cycle are discarded, but its
     drafted/accepted counts still feed acceptance_rate.
@@ -191,38 +190,12 @@ def speculative_decode(target: SequenceModel, draft_model: SequenceModel,
     if K < 1:
         raise ValueError("K must be >= 1")
     prompt = check_context(prompt, target.vocab_size)
-    meter = CostMeter()
 
     def propose(_, __, draft_state):
-        d, states = draft_from(draft_model, draft_state, K, rng, meter)
+        d, states = draft_from(draft_model, draft_state, K, rng)
         return d.tokens, d, states
 
-    return _speculate(target, prompt, N, rng, meter, propose, draft_model)
-
-
-def acceptance_rate_memoryless(p, q) -> float:
-    """Closed-form per-position accept probability for context-free models:
-    beta = sum_i min(p_i, q_i)."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise LengthMismatch("need distributions of equal length")
-    return float(np.minimum(p, q).sum())
-
-
-def expected_tokens_per_cycle(beta: float, K: int) -> float:
-    """Expected emitted tokens per cycle: (1 - beta^(K+1)) / (1 - beta).
-
-    The accepted run length plus the terminal token; beta = 1 is handled as
-    the analytic limit K + 1 to avoid 0/0.
-    """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if beta == 1.0:
-        return float(K + 1)
-    return (1.0 - beta ** (K + 1)) / (1.0 - beta)
+    return _speculate(target, prompt, N, rng, propose, draft_model)
 
 
 def simulated_speedup(stats: DecodeStats, target_cost: float, draft_cost: float) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 from dynexec.core import Rng, entropy, feature_forward, sample
 from dynexec.eagle import Extrapolator
 from dynexec.earlyexit import BOUNDARY_X_RANGE, EASY_BAND, HARD_BAND, Point2
-from dynexec.errors import InsufficientData
+from dynexec.errors import InsufficientData, LengthMismatch
 from dynexec.router import RouteReport, _mean_log_likelihood, difficulty
 from dynexec.specdec import DraftOutput, verify
 from dynexec.stepsaver import ORACLE_GRID, MixtureSpec, quality, respaced_timesteps
@@ -108,6 +108,31 @@ def max_preservation_deviation(target_model, draft_dist_fn, prompt, length, K):
     return max(abs(decoded.get(seq, 0.0) - p) for seq, p in truth.items())
 
 
+def acceptance_rate_memoryless(p, q) -> float:
+    """Closed-form per-position accept probability for context-free models:
+    beta = sum_i min(p_i, q_i)."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    if p.shape != q.shape:
+        raise LengthMismatch("need distributions of equal length")
+    return float(np.minimum(p, q).sum())
+
+
+def expected_tokens_per_cycle(beta: float, K: int) -> float:
+    """Expected emitted tokens per cycle: (1 - beta^(K+1)) / (1 - beta).
+
+    The accepted run length plus the terminal token; beta = 1 is handled as
+    the analytic limit K + 1 to avoid 0/0.
+    """
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError("beta must lie in [0, 1]")
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    if beta == 1.0:
+        return float(K + 1)
+    return (1.0 - beta ** (K + 1)) / (1.0 - beta)
+
+
 def table_draft_dist_fn(draft_model):
     def fn(ctx, prefix):
         return draft_model.next_dist(ctx + prefix)
@@ -178,16 +203,51 @@ def speculative_reference(target, draft_model, prompt, length, K, rng):
 
     Returns the tokens and the DecodeStats fields as a dict.
     """
-    out = []
-    cycles = accepted = 0
-    while len(out) < length:
-        ctx = tuple(prompt) + tuple(out)
+    def draft_from_scratch(ctx):
         tokens = []
         dists = []
         for _ in range(K):
             q = draft_model.next_dist(ctx + tuple(tokens))
             tokens.append(sample(q, rng))
             dists.append(q)
+        return tokens, dists
+
+    return _verify_cycles_reference(target, draft_from_scratch, prompt, length, K, rng)
+
+
+def eagle_reference(model, extrapolator, prompt, length, K, rng):
+    """Feature-level drafting from scratch: each cycle runs the feature
+    recurrence from zero over the whole context, rolls the extrapolator out
+    K steps from its last feature, takes the K+1 target distributions from
+    next_dist on full contexts and runs one `verify`.
+
+    Returns the tokens and the DecodeStats fields as a dict.
+    """
+    def rollout_from_scratch(ctx):
+        f = np.zeros(model.dim)
+        for token in ctx:
+            f = model.step(f, token)
+        tokens = []
+        dists = []
+        for _ in range(K):
+            q = model.head_dist(f)
+            tokens.append(sample(q, rng))
+            dists.append(q)
+            f = extrapolator.predict(f, model.embed[tokens[-1]])
+        return tokens, dists
+
+    return _verify_cycles_reference(model, rollout_from_scratch, prompt, length, K, rng)
+
+
+def _verify_cycles_reference(target, draft_fn, prompt, length, K, rng):
+    """Cycles of draft_fn(ctx) -> (K tokens, K draft distributions), each
+    verified against next_dist on full contexts, until `length` tokens; one
+    target call per cycle and one draft call per drafted token."""
+    out = []
+    cycles = accepted = 0
+    while len(out) < length:
+        ctx = tuple(prompt) + tuple(out)
+        tokens, dists = draft_fn(ctx)
         p = [target.next_dist(ctx + tuple(tokens[:i])) for i in range(K + 1)]
         result = verify(p, DraftOutput(tuple(tokens), tuple(dists)), rng)
         out.extend(result.emitted)
@@ -197,6 +257,12 @@ def speculative_reference(target, draft_model, prompt, length, K, rng):
     return out, {"tokens_generated": len(out), "target_calls": cycles, "draft_calls": K * cycles,
                  "cycles": cycles, "acceptance_rate": accepted / (K * cycles),
                  "tokens_per_target_call": len(out) / cycles}
+
+
+def collect_trajectories(model, corpus):
+    """(features, tokens) per corpus sequence, the features from one
+    `feature_forward` over that sequence alone."""
+    return [(feature_forward(model, seq)[0], tuple(seq)) for seq in corpus]
 
 
 def sample_corpus_reference(model, n_sequences, length, rng):

@@ -13,9 +13,7 @@ import numpy as np
 from dynexec import (
     NoiseSchedule,
     Rng,
-    acceptance_rate_memoryless,
     eagle_decode,
-    expected_tokens_per_cycle,
     gen_dataset,
     sweep,
     train_and_evaluate,
@@ -23,7 +21,7 @@ from dynexec import (
     verify,
 )
 from dynexec.cli import main, validate_config, run
-from dynexec.core import CostMeter, save_model
+from dynexec.core import save_model
 from dynexec.earlyexit import stage_accuracy
 from dynexec.eagle import Extrapolator
 from dynexec.lookahead import lookahead_decode
@@ -42,7 +40,9 @@ from helpers import (
     varied_entropy_table_model,
 )
 from oracles import (
+    acceptance_rate_memoryless,
     eagle_draft_dist_fn,
+    expected_tokens_per_cycle,
     greedy_decode,
     max_preservation_deviation,
     table_draft_dist_fn,
@@ -99,11 +99,10 @@ def test_criterion_3_speedup_mechanics():
     q = np.array([0.5, 0.5])
     drafter = memoryless_model(q)
     rng = Rng(314159)
-    meter = CostMeter()
     cycles = 100_000
     accepted = scanned = emitted = 0
     for _ in range(cycles):
-        d = draft(drafter, (), 2, rng, meter)
+        d = draft(drafter, (), 2, rng)
         result = verify([p, p, p], d, rng)
         accepted += result.n_accepted
         scanned += result.n_accepted + (1 if result.resampled else 0)

@@ -10,7 +10,6 @@ from dynexec.cli import (
     _SCHEMAS,
     DEFAULT_TAUS,
     RunReport,
-    canonical_config_json,
     emit_plot_data,
     load_config,
     main,
@@ -114,7 +113,7 @@ def test_config_roundtrip_canonical(tmp_path, model_files):
     })
     config = load_config(path)
     replay = _write_config(tmp_path, config, name="replay.json")
-    assert canonical_config_json(load_config(replay)) == canonical_config_json(config)
+    assert json.dumps(load_config(replay), sort_keys=True) == json.dumps(config, sort_keys=True)
 
 
 def test_type_checks(tmp_path, model_files):
@@ -367,10 +366,10 @@ def test_cli_rejects_bad_sweep_input_by_name(tmp_path, model_files, capsys, tech
 _BROKEN = '{"kind": "table", "vocab_size": 2,\n "order": 0 "table": {}}\n'
 
 
-def _specs(*components):
-    """A mixture workload: five valid specs, then one with these components."""
+def _specs(*components, spec_id="bad"):
+    """A mixture workload: five valid specs, then one with this id and these components."""
     specs = [{"id": f"ok-{i}", "components": [[1.0, float(i), 1.0]]} for i in range(5)]
-    return json.dumps({"specs": specs + [{"id": "bad", "components": list(components)}]})
+    return json.dumps({"specs": specs + [{"id": spec_id, "components": list(components)}]})
 
 
 def _items(prompt, continuation):
@@ -422,6 +421,8 @@ def _items(prompt, continuation):
     pytest.param("specs", _specs([10**400, 0.0, 1.0]), "", id="mixture-int-beyond-float"),
     pytest.param("specs", _specs([1.0, 2e6, 1.0]), "", id="mixture-mean-beyond-scale"),
     pytest.param("specs", _specs([1.0, 0.0, 1.4e154]), "", id="mixture-stddev-beyond-scale"),
+    pytest.param("specs", _specs([1.0, 0.0, 1.0], spec_id=3), "", id="mixture-int-id"),
+    pytest.param("specs", _specs([1.0, 0.0, 1.0], spec_id=None), "", id="mixture-null-id"),
     pytest.param("items", '{"items": []}', "", id="route-no-items"),
     pytest.param("items", _items([], [1]), "", id="route-empty-prompt"),
     pytest.param("items", _items([0, 9], [1]), "", id="route-prompt-out-of-vocab"),

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dynexec import Rng, TableModel, FeatureModel, entropy, normalize, sample, sample_many
+from dynexec import Rng, TableModel, FeatureModel, entropy, normalize, sample
 from dynexec.core import (
-    CostMeter,
     check_context,
     check_dist,
     feature_forward,
+    inverse_cdf,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -81,13 +81,13 @@ def test_sample_deterministic():
 def test_sample_never_emits_zero_probability_token():
     d = np.array([0.5, 0.0, 0.5])
     rng = Rng(9)
-    draws = sample_many(d, 5000, rng)
+    draws = inverse_cdf(d, rng.uniforms(5000))
     assert not np.any(draws == 1)
 
 
 def test_sample_empirical_frequency():
     # spec's Monte Carlo oracle: 100k draws, frequency of token 1 in [0.695, 0.705]
-    draws = sample_many(np.array([0.3, 0.7]), 100_000, Rng(11))
+    draws = inverse_cdf(np.array([0.3, 0.7]), Rng(11).uniforms(100_000))
     freq = float(np.mean(draws == 1))
     assert 0.695 <= freq <= 0.705
 
@@ -96,7 +96,7 @@ def test_sample_many_matches_scalar_sample():
     for d in (np.array([0.2, 0.15, 0.4, 0.25]), np.array([0.5, 0.0, 0.3, 0.2])):
         ra, rb = Rng(5), Rng(5)
         seq = [sample(d, ra) for _ in range(500)]
-        vec = sample_many(d, 500, rb)
+        vec = inverse_cdf(d, rb.uniforms(500))
         assert seq == vec.tolist()
 
 
@@ -106,7 +106,7 @@ def test_sample_frequencies_within_binomial_bound():
     for _ in range(5):
         v = 2 + int(rng.uniform() * 3)
         d = random_dist(v, rng)
-        draws = sample_many(d, n, rng)
+        draws = inverse_cdf(d, rng.uniforms(n))
         for tok in range(v):
             p = d[tok]
             bound = 4.0 * math.sqrt(p * (1 - p) / n)
@@ -154,19 +154,6 @@ def test_rng_normal_moments():
     assert abs(z.std() - 1.0) < 0.01
 
 
-def test_cost_meter_accumulates():
-    meter = CostMeter()
-    meter.record("target", 2.0)
-    meter.record("draft", 0.5, calls=4)
-    assert meter.target_calls == 1
-    assert meter.draft_calls == 4
-    assert meter.cost_accumulated == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        meter.record("oracle", 1.0)
-    with pytest.raises(ValueError):
-        meter.record("target", 1.0, calls=-1)
-
-
 def test_table_model_unseen_window_falls_back():
     model = TableModel(4, 1, {(0,): onehot(4, 3)})
     assert np.array_equal(model.next_dist((2,)), [0.25, 0.25, 0.25, 0.25])
@@ -177,15 +164,6 @@ def test_next_dist_deterministic():
     a = model.next_dist((1, 2))
     b = model.next_dist((1, 2))
     assert np.array_equal(a, b)
-
-
-def test_cost_meter_bills_repeated_model_calls():
-    model = random_table_model(3, 1, Rng(2), cost_units=2.0)
-    meter = CostMeter()
-    for _ in range(3):
-        meter.record("target", model.cost_units)
-    assert meter.target_calls == 3
-    assert meter.cost_accumulated == pytest.approx(6.0)
 
 
 def test_check_context_vocab_mismatch():
@@ -299,7 +277,7 @@ def test_seeded_rerun_bit_identical():
     def run(seed):
         rng = Rng(seed)
         model = random_table_model(4, 1, rng.child(0))
-        draws = sample_many(model.next_dist((0,)), 64, rng.child(1))
+        draws = inverse_cdf(model.next_dist((0,)), rng.child(1).uniforms(64))
         return draws.tolist(), rng.child(2).normals(8).tolist()
 
     assert run(321) == run(321)

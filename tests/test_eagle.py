@@ -2,20 +2,20 @@ import numpy as np
 import pytest
 
 from dynexec import Rng, eagle_decode, eagle_draft, fit_extrapolator, sample_corpus
-from dynexec.core import CostMeter, feature_forward
-from dynexec.eagle import Extrapolator, collect_trajectories
+from dynexec.core import feature_forward
+from dynexec.eagle import Extrapolator
 from dynexec.errors import EmptyContext, InsufficientData, SingularSystem
 
 from helpers import affine_dynamics_model, constant_feature_model, random_feature_model
-from oracles import eagle_draft_dist_fn, max_preservation_deviation
+from oracles import collect_trajectories, eagle_draft_dist_fn, max_preservation_deviation
 
 
 def _fit_residual(model, extrapolator, corpus):
     worst = 0.0
-    for traj in collect_trajectories(model, corpus):
-        for t in range(len(traj.tokens) - 1):
-            pred = extrapolator.predict(traj.features[t], model.embed[traj.tokens[t + 1]])
-            worst = max(worst, float(np.abs(pred - traj.features[t + 1]).max()))
+    for features, tokens in collect_trajectories(model, corpus):
+        for t in range(len(tokens) - 1):
+            pred = extrapolator.predict(features[t], model.embed[tokens[t + 1]])
+            worst = max(worst, float(np.abs(pred - features[t + 1]).max()))
     return worst
 
 
@@ -40,10 +40,11 @@ def test_fit_large_ridge_approaches_sample_mean():
     corpus = sample_corpus(model, 30, 8, Rng(41))
     ex = fit_extrapolator(model, corpus, ridge=1e6)
     trajs = collect_trajectories(model, corpus)
-    targets = np.vstack([t.features[1:] for t in trajs])
+    targets = np.vstack([features[1:] for features, _ in trajs])
     mean = targets.mean(axis=0)
     assert np.abs(ex.weight).max() < 1e-3
-    pred = ex.predict(trajs[0].features[0], model.embed[trajs[0].tokens[1]])
+    features, tokens = trajs[0]
+    pred = ex.predict(features[0], model.embed[tokens[1]])
     assert np.allclose(pred, mean, atol=1e-3)
 
 
@@ -84,15 +85,6 @@ def test_eagle_draft_empty_context():
     ex = Extrapolator(np.zeros((4, 8)), np.zeros(4))
     with pytest.raises(EmptyContext):
         eagle_draft(model, ex, (), 2, Rng(0))
-
-
-def test_eagle_draft_bills_meter():
-    model = random_feature_model(3, 4, Rng(54), cost_units=2.0)
-    ex = Extrapolator(np.zeros((4, 8)), np.zeros(4))
-    meter = CostMeter()
-    eagle_draft(model, ex, (0,), 3, Rng(1), meter=meter)
-    assert meter.draft_calls == 3
-    assert meter.cost_accumulated == pytest.approx(3 * 0.1 * 2.0)
 
 
 def test_zero_error_extrapolator_matches_target_dists():

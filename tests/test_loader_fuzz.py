@@ -1,7 +1,7 @@
 """Fuzzing the stepsaver workload loader end to end.
 
 Every generated mixture workload file either runs to a report whose W1
-values are all finite, or is rejected with a ParseError or SchemaError, the
+values are all finite and whose spec ids are the file's, or is rejected with a ParseError or SchemaError, the
 errors `main` maps to exit code 1. Nothing else may escape.
 """
 
@@ -21,6 +21,8 @@ JUNK = st.one_of(
     st.just(float("nan")), st.just(float("inf")), st.just(-float("inf")), st.booleans(), st.none(),
     st.text(max_size=4), st.integers(-10, 10), st.just(10**400), st.floats(), st.lists(st.integers(), max_size=2),
 )
+# JSON values that are not a spec id
+NON_TEXT = st.one_of(st.integers(), st.booleans(), st.none(), st.floats(), st.lists(st.text(max_size=2), max_size=2))
 
 
 @st.composite
@@ -35,11 +37,11 @@ def components(draw):
 @st.composite
 def workload_docs(draw):
     """A well-formed workload of 5-7 specs, then at most one corruption."""
-    specs = [{"id": draw(st.one_of(st.text(max_size=3), st.integers())), "components": draw(components())}
+    specs = [{"id": draw(st.text(max_size=3)), "components": draw(components())}
              for _ in range(draw(st.integers(5, 7)))]
     comp = draw(st.sampled_from([c for spec in specs for c in spec["components"]]))
     corruption = draw(st.sampled_from(["none", "value", "scale", "arity", "weights", "no components",
-                                       "few specs", "entry", "document"]))
+                                       "few specs", "id", "entry", "document"]))
     if corruption == "value":
         comp[draw(st.integers(0, 2))] = draw(JUNK)
     elif corruption == "scale":  # any finite magnitude, up to the largest float
@@ -55,6 +57,8 @@ def workload_docs(draw):
         specs[0]["components"] = []
     elif corruption == "few specs":
         del specs[draw(st.integers(0, 4)):]
+    elif corruption == "id":
+        specs[draw(st.integers(0, len(specs) - 1))]["id"] = draw(NON_TEXT)
     elif corruption == "entry":
         specs[draw(st.integers(0, len(specs) - 1))] = draw(st.one_of(JUNK, st.just({"id": "x"}),
                                                                     st.just({"components": []})))
@@ -85,6 +89,7 @@ def test_mixture_workload_runs_or_exits_1(doc, count, steps, seed):
             return
     rows = report.metrics["rows"]
     assert len(rows) >= 5
+    assert [r["spec_id"] for r in rows] == [spec["id"] for spec in doc["specs"]]
     values = [r[key] for r in rows for key in ("w1", "baseline_w1", "difficulty")]
     values += [report.metrics["mean_w1"], report.metrics["mean_baseline_w1"]]
     assert all(math.isfinite(v) for v in values)

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynexec import Rng, fit_extrapolator, sample, sample_corpus, sample_many
+from dynexec import Rng, fit_extrapolator, sample, sample_corpus
 from dynexec.core import feature_forward, inverse_cdf
-from dynexec.eagle import collect_trajectories
+from dynexec.eagle import _forward
 from dynexec.errors import InsufficientData
 
 from helpers import FixedRng, random_feature_model
@@ -63,7 +63,7 @@ def test_inverse_cdf_matches_scalar_sample_row_by_row(case):
 def test_sample_many_rows_consume_the_stream_like_sample(case, seed):
     d, _ = case
     ra, rb = Rng(seed), Rng(seed)
-    assert sample_many(d, len(d), rb).tolist() == [sample(row, ra) for row in d]
+    assert inverse_cdf(d, rb.uniforms(len(d))).tolist() == [sample(row, ra) for row in d]
     assert ra.uniform() == rb.uniform()
 
 
@@ -80,6 +80,13 @@ def test_batched_step_and_head_dist_rows_equal_single_calls(model, n, seed):
         assert np.array_equal(dists[i], model.head_dist(features[i]))
 
 
+def _assert_forward_equals_reference(model, corpus):
+    tokens, feats, lengths = _forward(model, corpus)
+    for seq, row, f, n in zip(corpus, tokens, feats, lengths):
+        assert tuple(row[:n].tolist()) == seq
+        assert np.array_equal(f[:n], feature_forward(model, seq)[0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(feature_models(), st.integers(1, 24), st.integers(2, 12), st.integers(0, 2**32),
        st.sampled_from([1e-6, 1e-3, 1.0]))
@@ -88,9 +95,7 @@ def test_lockstep_corpus_and_fit_equal_scalar_reference(model, n, length, seed, 
     corpus = sample_corpus(model, n, length, batched_rng)
     assert corpus == sample_corpus_reference(model, n, length, scalar_rng)
     assert batched_rng.uniform() == scalar_rng.uniform()
-    for traj, seq in zip(collect_trajectories(model, corpus), corpus):
-        assert traj.tokens == seq
-        assert np.array_equal(traj.features, feature_forward(model, seq)[0])
+    _assert_forward_equals_reference(model, corpus)
     if n * (length - 1) < 2 * model.dim + 1:
         with pytest.raises(InsufficientData):
             fit_extrapolator(model, corpus, ridge)
@@ -106,9 +111,7 @@ def test_lockstep_corpus_and_fit_equal_scalar_reference(model, n, length, seed, 
 def test_ragged_corpus_features_and_fit_equal_scalar_reference(model, lengths, seed):
     rng = Rng(seed)
     corpus = [tuple((rng.uniforms(n) * model.vocab_size).astype(int).tolist()) for n in lengths]
-    for traj, seq in zip(collect_trajectories(model, corpus), corpus):
-        assert traj.tokens == seq
-        assert np.array_equal(traj.features, feature_forward(model, seq)[0])
+    _assert_forward_equals_reference(model, corpus)
     if sum(lengths) - len(lengths) < 2 * model.dim + 1:
         with pytest.raises(InsufficientData):
             fit_extrapolator(model, corpus)

@@ -4,14 +4,11 @@ import pytest
 from dynexec import (
     Rng,
     TableModel,
-    acceptance_rate_memoryless,
-    expected_tokens_per_cycle,
     residual,
     simulated_speedup,
     speculative_decode,
     verify,
 )
-from dynexec.core import CostMeter
 from dynexec.specdec import DraftOutput, draft
 from dynexec.errors import (
     AllZeroResidual,
@@ -21,33 +18,34 @@ from dynexec.errors import (
 )
 
 from helpers import CountingRng, FixedRng, memoryless_model, onehot, random_table_model
-from oracles import max_preservation_deviation, table_draft_dist_fn
+from oracles import (
+    acceptance_rate_memoryless,
+    expected_tokens_per_cycle,
+    max_preservation_deviation,
+    table_draft_dist_fn,
+)
 
 
 def test_draft_degenerate_model():
     model = TableModel(4, 0, {(): onehot(4, 3)})
-    out = draft(model, (), 2, Rng(0), CostMeter())
+    out = draft(model, (), 2, Rng(0))
     assert out.tokens == (3, 3)
 
 
 def test_draft_k1_equals_plain_sample():
     model = random_table_model(4, 1, Rng(3))
-    meter = CostMeter()
-    out = draft(model, (1,), 1, Rng(9), CostMeter())
+    out = draft(model, (1,), 1, Rng(9))
     from dynexec.core import sample
     expected = sample(model.next_dist((1,)), Rng(9))
     assert out.tokens == (expected,)
     assert np.array_equal(out.dists[0], model.next_dist((1,)))
 
 
-def test_draft_deterministic_and_bills_meter():
-    model = random_table_model(5, 2, Rng(4), cost_units=0.25)
-    meter = CostMeter()
-    a = draft(model, (0, 1), 3, Rng(7), meter)
-    b = draft(model, (0, 1), 3, Rng(7), CostMeter())
+def test_draft_deterministic():
+    model = random_table_model(5, 2, Rng(4))
+    a = draft(model, (0, 1), 3, Rng(7))
+    b = draft(model, (0, 1), 3, Rng(7))
     assert a.tokens == b.tokens
-    assert meter.draft_calls == 3
-    assert meter.cost_accumulated == pytest.approx(0.75)
 
 
 def test_residual_hand_checked():
@@ -113,7 +111,7 @@ def test_verify_consumes_countable_uniforms():
     q = np.array([0.5, 0.5])
     for seed in range(200):
         rng = CountingRng(seed)
-        d = draft(memoryless_model(q), (), 2, rng, CostMeter())
+        d = draft(memoryless_model(q), (), 2, rng)
         before = rng.draws
         res = verify([p, p, p], d, rng)
         scanned = res.n_accepted + (1 if res.resampled else 0)
@@ -126,7 +124,7 @@ def test_verify_resampled_token_in_residual_support():
         r = master.child(i)
         p = np.asarray(memoryless_model([0.7, 0.2, 0.1]).next_dist(()))
         q = np.asarray(memoryless_model([0.2, 0.5, 0.3]).next_dist(()))
-        d = draft(memoryless_model(q), (), 2, r, CostMeter())
+        d = draft(memoryless_model(q), (), 2, r)
         res = verify([p, p, p], d, r)
         assert len(res.emitted) == res.n_accepted + 1
         if res.resampled:
@@ -234,11 +232,10 @@ def test_memoryless_monte_carlo_statistics():
     q = np.array([0.5, 0.5])
     drafter = memoryless_model(q)
     rng = Rng(123)
-    meter = CostMeter()
     cycles = 20_000
     accepted = scanned = emitted = 0
     for _ in range(cycles):
-        d = draft(drafter, (), 2, rng, meter)
+        d = draft(drafter, (), 2, rng)
         res = verify([p, p, p], d, rng)
         accepted += res.n_accepted
         scanned += res.n_accepted + (1 if res.resampled else 0)
