@@ -28,8 +28,8 @@ from .eagle import (
     sample_corpus,
 )
 from .earlyexit import (
+    Dataset,
     MultiExitNet,
-    Point2,
     gen_dataset,
     sweep,
     train_stages,

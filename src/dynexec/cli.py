@@ -264,6 +264,10 @@ def load_mixture_workload(path: str) -> list[tuple[str, MixtureSpec]]:
                  for entry in doc["specs"]]
     except (KeyError, TypeError, ValueError, SchemaError) as exc:
         raise SchemaError(f"malformed mixture workload {path}: {exc}") from exc
+    for spec_id, _ in specs:
+        if any(c in spec_id for c in ',"\r\n'):
+            raise SchemaError(f"mixture workload {path}: spec id {spec_id!r} has a comma, quote or "
+                              "line break, which the CSV report cannot hold")
     if len(specs) < MIN_LABELED_SPECS:
         raise SchemaError(f"mixture workload {path} has {len(specs)} specs; "
                           f"the step recommender needs at least {MIN_LABELED_SPECS}")
@@ -449,7 +453,8 @@ def _series_from_metrics(metrics: dict, xcol: str, ycol: str):
 
 
 def _series_from_csv(text: str, xcol: str, ycol: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # rows end in "\n" only: splitlines would also break a spec id at U+2028 and the like
+    lines = [ln for ln in text.split("\n") if ln.strip()]
     header = lines[0].split(",")
     if xcol not in header or ycol not in header:
         raise MissingSeries(f"CSV lacks columns {xcol!r}/{ycol!r}")

@@ -9,13 +9,12 @@ the emitted distribution equals the target's no matter how bad the
 extrapolator is; its quality only moves the acceptance rate.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Context, FeatureModel, Rng, inverse_cdf, sample
-from .errors import EmptyContext, InsufficientData, SingularSystem, VocabMismatch
+from .core import FeatureModel, Rng, inverse_cdf, sample
+from .errors import InsufficientData, SingularSystem
 from .specdec import DraftOutput, _speculate
 
 DEFAULT_RIDGE = 1e-6
@@ -40,52 +39,36 @@ class Extrapolator:
         return self.weight @ np.concatenate([feature, embedding]) + self.bias
 
 
-def _forward(model: FeatureModel, corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every corpus sequence in one batched forward pass.
-
-    Returns the tokens (n, L), each sequence padded at its end with token 0
-    up to the longest length L, the features after each token (n, L, d) and
-    the lengths. The recurrence is causal, so padding changes no feature of a
-    real token, and row i of a batched step equals the 1-D step bit for bit.
-    """
-    lengths = np.array([len(seq) for seq in corpus], dtype=np.intp)
-    if not lengths.all():
-        raise EmptyContext("every corpus sequence needs at least one token")
-    tokens = np.zeros((len(corpus), lengths.max(initial=0)), dtype=np.intp)
-    tokens[np.arange(tokens.shape[1]) < lengths[:, None]] = np.fromiter(
-        itertools.chain.from_iterable(corpus), dtype=np.intp, count=lengths.sum())
-    if tokens.size and not 0 <= tokens.min() <= tokens.max() < model.vocab_size:
-        raise VocabMismatch(f"corpus token outside vocabulary of size {model.vocab_size}")
-    feats = np.empty(tokens.shape + (model.dim,))
-    f = np.zeros((len(corpus), model.dim))
-    for t in range(tokens.shape[1]):
-        f = feats[:, t] = model.step(f, tokens[:, t])
-    return tokens, feats, lengths
-
-
-def sample_corpus(model: FeatureModel, n_sequences: int, length: int, rng: Rng) -> list[Context]:
+def sample_corpus(model: FeatureModel, n_sequences: int, length: int,
+                  rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """Self-distillation corpus: ancestral samples from the model itself.
 
-    The first token of each sequence is uniform over the vocabulary (the model
-    needs a non-empty context before it can produce a distribution). The
-    sequences advance together, one batched step per position; sequence i
-    reads uniforms i*length .. (i+1)*length - 1 of the stream, as if the
-    sequences were sampled one after another.
+    Returns the tokens (n_sequences, length) and the feature after each token
+    (n_sequences, length, d). The first token of each sequence is uniform over
+    the vocabulary (the model needs a non-empty context before it can produce
+    a distribution). The sequences advance together, one batched step per
+    position; row i of a batched step equals the 1-D step bit for bit, and
+    sequence i reads uniforms i*length .. (i+1)*length - 1 of the stream, as
+    if the sequences were sampled one after another.
     """
     if n_sequences < 1 or length < 2:
         raise ValueError("need at least one sequence of length >= 2")
     u = rng.uniforms(n_sequences * length).reshape(n_sequences, length)
     tokens = np.empty((n_sequences, length), dtype=np.intp)
     tokens[:, 0] = np.minimum((u[:, 0] * model.vocab_size).astype(np.intp), model.vocab_size - 1)
+    feats = np.empty((n_sequences, length, model.dim))
     f = np.zeros((n_sequences, model.dim))
     for t in range(1, length):
-        f = model.step(f, tokens[:, t - 1])
+        f = feats[:, t - 1] = model.step(f, tokens[:, t - 1])
         tokens[:, t] = inverse_cdf(model.head_dist(f), u[:, t])
-    return [tuple(seq) for seq in tokens.tolist()]
+    feats[:, -1] = model.step(f, tokens[:, -1])
+    return tokens, feats
 
 
-def fit_extrapolator(model: FeatureModel, corpus, ridge: float = DEFAULT_RIDGE) -> Extrapolator:
-    """Least-squares fit of f_{t+1} against [f_t ; embed(token_{t+1})].
+def fit_extrapolator(model: FeatureModel, corpus: tuple[np.ndarray, np.ndarray],
+                     ridge: float = DEFAULT_RIDGE) -> Extrapolator:
+    """Least-squares fit of f_{t+1} against [f_t ; embed(token_{t+1})] over
+    the (tokens, features) corpus `sample_corpus` returns.
 
     Ridge penalizes the weights but not the bias, so the large-ridge limit
     predicts the sample mean. With ridge=0 a rank-deficient design raises
@@ -93,12 +76,11 @@ def fit_extrapolator(model: FeatureModel, corpus, ridge: float = DEFAULT_RIDGE) 
     """
     if ridge < 0:
         raise ValueError("ridge must be non-negative")
-    tokens, feats, lengths = _forward(model, corpus)
-    # the transitions inside each sequence, in sequence-major order
-    inside = np.arange(tokens.shape[1] - 1) < lengths[:, None] - 1
-    X = np.concatenate([feats[:, :-1], model.embed[tokens[:, 1:]]], axis=-1)[inside]
-    Y = feats[:, 1:][inside]
+    tokens, feats = corpus
     d = model.dim
+    # the transitions inside each sequence, in sequence-major order
+    X = np.concatenate([feats[:, :-1], model.embed[tokens[:, 1:]]], axis=-1).reshape(-1, 2 * d)
+    Y = feats[:, 1:].reshape(-1, d)
     needed = 2 * d + 1
     if len(X) < needed:
         raise InsufficientData(f"need at least {needed} transitions, got {len(X)}")

@@ -8,7 +8,8 @@ logistic regression (cost 4), and a per-input entropy gate decides whether
 stage 0's answer is confident enough to stop there.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,11 +30,12 @@ def boundary(x):
     return np.float_power(x, 3.0) - x
 
 
-@dataclass(frozen=True)
-class Point2:
-    x: float
-    y: float
-    label: int
+class Dataset(NamedTuple):
+    """Labeled points as three parallel arrays, point i at index i of each."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    labels: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -44,11 +46,6 @@ class ExitStage:
     feature_kind: str    # "linear" or "cubic"
     cost_units: float
 
-    def dist(self, point: Point2) -> np.ndarray:
-        feats = featurize(self.feature_kind, np.array([point.x]), np.array([point.y]))
-        p1 = _sigmoid(feats @ self.weights[:-1] + self.weights[-1])[0]
-        return np.array([1.0 - p1, p1])
-
     def dists(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         p1 = _sigmoid(featurize(self.feature_kind, xs, ys) @ self.weights[:-1] + self.weights[-1])
         return np.stack([1.0 - p1, p1], axis=1)
@@ -56,21 +53,13 @@ class ExitStage:
 
 @dataclass(frozen=True)
 class MultiExitNet:
-    """Ordered stages plus the entropy gate threshold tau (nats).
-
-    The final stage has no gate and always answers; tau applies to every
-    earlier stage. tau in nats means ln(2) is the two-class uniform bound.
-    """
+    """Ordered stages; the final stage has no entropy gate and always answers."""
 
     stages: tuple[ExitStage, ...]
-    tau: float = 0.0
 
     def __post_init__(self):
         if len(self.stages) < 2:
             raise ValueError("need at least two stages")
-
-    def with_tau(self, tau: float) -> "MultiExitNet":
-        return replace(self, tau=tau)
 
     @property
     def full_cost(self) -> float:
@@ -105,7 +94,7 @@ def _sigmoid(z):
         return _logistic(z)
 
 
-def gen_dataset(count: int, hard_fraction: float, seed: int) -> list[Point2]:
+def gen_dataset(count: int, hard_fraction: float, seed: int) -> Dataset:
     """Labeled points around the cubic boundary, balanced classes by alternation.
 
     A hard_fraction coin places each point inside the narrow band around the
@@ -126,7 +115,7 @@ def gen_dataset(count: int, hard_fraction: float, seed: int) -> list[Point2]:
     offset = lo + width * u[:, 2]
     labels = np.arange(count) % 2
     y = boundary(x) + np.where(labels == 1, offset, -offset)
-    return list(map(Point2, x.tolist(), y.tolist(), labels.tolist()))
+    return Dataset(x, y, labels)
 
 
 def _fit_logistic(feats: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -142,44 +131,40 @@ def _fit_logistic(feats: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return w
 
 
-def train_stages(data) -> MultiExitNet:
+def train_stages(data: Dataset) -> MultiExitNet:
     """Train the linear stage and the cubic stage on the same data."""
-    if len(data) < 100:
+    if len(data.labels) < 100:
         raise ValueError("need at least 100 training points")
-    xs = np.array([p.x for p in data])
-    ys = np.array([p.y for p in data])
-    labels = np.array([p.label for p in data], dtype=np.float64)
+    labels = data.labels.astype(np.float64)
     if len(np.unique(labels)) < 2:
         raise DegenerateData("training data contains a single class")
-    stage0 = ExitStage(_fit_logistic(featurize("linear", xs, ys), labels), "linear", STAGE0_COST)
-    stage1 = ExitStage(_fit_logistic(featurize("cubic", xs, ys), labels), "cubic", STAGE1_COST)
+    stage0 = ExitStage(_fit_logistic(featurize("linear", data.xs, data.ys), labels), "linear", STAGE0_COST)
+    stage1 = ExitStage(_fit_logistic(featurize("cubic", data.xs, data.ys), labels), "cubic", STAGE1_COST)
     return MultiExitNet((stage0, stage1))
 
 
-def sweep(net: MultiExitNet, data, taus) -> list[SweepRow]:
-    """Evaluate the gate across an ascending threshold grid.
+def sweep(net: MultiExitNet, data: Dataset, taus) -> list[SweepRow]:
+    """Evaluate the gate across an ascending grid of thresholds tau (nats).
 
     Stage outputs and their entropies are computed once per point and reused
     for every tau. A point exits at the first stage whose entropy is strictly
-    below tau, so tau=0 never exits early; the final stage always answers.
+    below tau, so tau=0 never exits early and tau above ln(2), the two-class
+    maximum, always exits at stage 0; the final stage always answers.
     """
     taus = list(taus)
     if not taus:
         raise ValueError("tau grid must be non-empty")
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau grid must be sorted ascending")
-    xs = np.array([p.x for p in data])
-    ys = np.array([p.y for p in data])
-    labels = np.array([p.label for p in data])
-    stage_dists = [stage.dists(xs, ys) for stage in net.stages]
+    stage_dists = [stage.dists(data.xs, data.ys) for stage in net.stages]
     stage_preds = [np.argmax(d, axis=1) for d in stage_dists]
     stage_ents = [_row_entropies(d) for d in stage_dists]
     full_cost = net.full_cost
     rows = []
     for tau in taus:
         preds = stage_preds[-1].copy()
-        cost = np.full(len(data), full_cost)
-        decided = np.zeros(len(data), dtype=bool)
+        cost = np.full(len(data.labels), full_cost)
+        decided = np.zeros(len(data.labels), dtype=bool)
         cum_cost = 0.0
         for idx in range(len(net.stages) - 1):
             cum_cost += net.stages[idx].cost_units
@@ -191,7 +176,7 @@ def sweep(net: MultiExitNet, data, taus) -> list[SweepRow]:
         mean_cost = float(np.mean(cost))
         rows.append(SweepRow(
             tau=float(tau),
-            accuracy=float(np.mean(preds == labels)),
+            accuracy=float(np.mean(preds == data.labels)),
             mean_cost=mean_cost,
             early_exit_fraction=early_fraction,
             speedup=full_cost / mean_cost,
@@ -206,9 +191,6 @@ def _row_entropies(dists: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, -s)
 
 
-def stage_accuracy(stage: ExitStage, data) -> float:
-    xs = np.array([p.x for p in data])
-    ys = np.array([p.y for p in data])
-    labels = np.array([p.label for p in data])
-    preds = np.argmax(stage.dists(xs, ys), axis=1)
-    return float(np.mean(preds == labels))
+def stage_accuracy(stage: ExitStage, data: Dataset) -> float:
+    preds = np.argmax(stage.dists(data.xs, data.ys), axis=1)
+    return float(np.mean(preds == data.labels))

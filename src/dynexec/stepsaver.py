@@ -22,8 +22,6 @@ DEFAULT_BETA_START = 1e-4
 DEFAULT_BETA_END = 0.02
 DIFFICULTY_CAP = 10.0
 ORACLE_GRID = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50, 63, 79, 100)
-QUALITY_FLOOR = 1e-12
-RELATIVE_QUALITY_CAP = 100.0
 MIN_LABELED_SPECS = 5
 # bound on |mean| and stddev of a mixture component: far below where the
 # sampler's squared distances could overflow
@@ -115,7 +113,6 @@ class QualityReport:
     steps_used: int
     w1: float
     baseline_w1: float
-    relative_quality: float
 
 
 def _noised_components(spec: MixtureSpec, alpha_bar: float):
@@ -374,32 +371,27 @@ def _pool_adjacent_violators(ys: np.ndarray, ws: np.ndarray) -> np.ndarray:
 
 
 def adaptive_generate(spec: MixtureSpec, recommender: StepRecommender,
-                      schedule: NoiseSchedule, count: int, rng: Rng,
-                      baseline_w1: float = None):
+                      schedule: NoiseSchedule, count: int, rng: Rng):
     """Generate with the recommended step count and report quality against the
-    T-step baseline (computed here unless supplied)."""
-    return adaptive_generate_many([(spec, rng, baseline_w1)], recommender, schedule, count)[0]
+    T-step baseline."""
+    return adaptive_generate_many([(spec, rng)], recommender, schedule, count)[0]
 
 
 def adaptive_generate_many(items, recommender: StepRecommender, schedule: NoiseSchedule,
                            count: int) -> list[tuple[np.ndarray, QualityReport]]:
-    """`adaptive_generate` of every (spec, rng, baseline_w1) item, with every
-    recommended-step chain and every baseline still to compute in one lockstep
-    batch. The chains draw from rng.child(0), the baseline from rng.child(2),
-    and their references from rng.child(1) and rng.child(3)."""
-    steps = [recommender.recommend(spec.difficulty) for spec, _, _ in items]
-    need_base = [j for j, (_, _, base) in enumerate(items) if base is None]
-    chains = [(spec, s, rng.child(0)) for (spec, rng, _), s in zip(items, steps)]
-    chains += [(items[j][0], schedule.T, items[j][1].child(2)) for j in need_base]
+    """`adaptive_generate` of every (spec, rng) item, with every
+    recommended-step chain and every baseline in one lockstep batch. The
+    chains draw from rng.child(0), the baselines from rng.child(2), and their
+    references from rng.child(1) and rng.child(3)."""
+    steps = [recommender.recommend(spec.difficulty) for spec, _ in items]
+    chains = [(spec, s, rng.child(0)) for (spec, rng), s in zip(items, steps)]
+    chains += [(spec, schedule.T, rng.child(2)) for spec, rng in items]
     samples = generate_many(chains, schedule, count)
-    baselines = [base for _, _, base in items]
-    for j, base in zip(need_base, samples[len(items):]):
-        baselines[j] = quality(base, items[j][0], count, items[j][1].child(3))
     out = []
-    for (spec, rng, _), s, x, base_w1 in zip(items, steps, samples, baselines):
+    for (spec, rng), s, x, base in zip(items, steps, samples, samples[len(items):]):
         w1 = quality(x, spec, count, rng.child(1))
-        relative = min(RELATIVE_QUALITY_CAP, base_w1 / max(w1, QUALITY_FLOOR))
-        out.append((x, QualityReport(steps_used=s, w1=w1, baseline_w1=base_w1, relative_quality=relative)))
+        base_w1 = quality(base, spec, count, rng.child(3))
+        out.append((x, QualityReport(steps_used=s, w1=w1, baseline_w1=base_w1)))
     return out
 
 
@@ -415,5 +407,5 @@ def train_and_evaluate(specs, schedule: NoiseSchedule, epsilon: float, n_train: 
     train = specs[:n_train]
     labels = oracle_labels([(spec, rng.child(i)) for i, spec in enumerate(train)], schedule, epsilon, count)
     recommender = fit_recommender(list(zip(train, labels)), schedule.T)
-    items = [(spec, rng.child(100000 + j), None) for j, spec in enumerate(specs)]
+    items = [(spec, rng.child(100000 + j)) for j, spec in enumerate(specs)]
     return [report for _, report in adaptive_generate_many(items, recommender, schedule, count)]

@@ -14,7 +14,7 @@ import numpy as np
 
 from dynexec.core import Rng, entropy, feature_forward, sample
 from dynexec.eagle import Extrapolator
-from dynexec.earlyexit import BOUNDARY_X_RANGE, EASY_BAND, HARD_BAND, Point2
+from dynexec.earlyexit import BOUNDARY_X_RANGE, EASY_BAND, HARD_BAND, Dataset
 from dynexec.errors import InsufficientData, LengthMismatch
 from dynexec.router import RouteReport, _mean_log_likelihood, difficulty
 from dynexec.specdec import DraftOutput, verify
@@ -259,10 +259,10 @@ def _verify_cycles_reference(target, draft_fn, prompt, length, K, rng):
                  "tokens_per_target_call": len(out) / cycles}
 
 
-def collect_trajectories(model, corpus):
-    """(features, tokens) per corpus sequence, the features from one
-    `feature_forward` over that sequence alone."""
-    return [(feature_forward(model, seq)[0], tuple(seq)) for seq in corpus]
+def collect_trajectories(model, tokens):
+    """(features, tokens) per row of a corpus's token array, the features from
+    one `feature_forward` over that sequence alone."""
+    return [(feature_forward(model, seq)[0], tuple(seq)) for seq in tokens.tolist()]
 
 
 def sample_corpus_reference(model, n_sequences, length, rng):
@@ -307,30 +307,38 @@ def gen_dataset_reference(count, hard_fraction, seed):
     coin, offset), with the boundary as Python's x**3 - x."""
     rng = Rng(seed)
     lo_x, hi_x = BOUNDARY_X_RANGE
-    points = []
+    xs, ys, labels = [], [], []
     for i in range(count):
         label = i % 2
         x = lo_x + (hi_x - lo_x) * rng.uniform()
         band = HARD_BAND if rng.uniform() < hard_fraction else EASY_BAND
         offset = band[0] + (band[1] - band[0]) * rng.uniform()
-        y = x**3 - x + (offset if label == 1 else -offset)
-        points.append(Point2(x, y, label))
-    return points
+        xs.append(x)
+        ys.append(x**3 - x + (offset if label == 1 else -offset))
+        labels.append(label)
+    return Dataset(np.array(xs), np.array(ys), np.array(labels))
 
 
-def infer_with_exit(net, point):
-    """Classify one point, exiting at the first stage whose entropy is strictly
-    below tau; the final stage always answers.
+def point_rows(net, data):
+    """Per point, its row of each stage's one batched pass over the data: the
+    distributions `sweep` reads. BLAS sums a batched product in an order that
+    depends on the batch, so a one-point pass can differ in the last bit."""
+    return list(zip(*(stage.dists(data.xs, data.ys) for stage in net.stages)))
+
+
+def infer_with_exit(net, rows, tau):
+    """Classify one point from its distribution at each stage (`rows`),
+    exiting at the first stage whose entropy is strictly below tau; the final
+    stage always answers.
 
     Returns (label, exit_index, cost_spent). The strict inequality makes tau=0
     a clean never-exit endpoint (entropy >= 0 always).
     """
     cost = 0.0
-    for idx, stage in enumerate(net.stages):
-        dist = stage.dist(point)
+    for idx, (stage, dist) in enumerate(zip(net.stages, rows)):
         cost += stage.cost_units
         final = idx == len(net.stages) - 1
-        if final or entropy(dist) < net.tau:
+        if final or entropy(dist) < tau:
             return int(np.argmax(dist)), idx, cost
     raise AssertionError("unreachable: final stage always answers")
 

@@ -423,6 +423,8 @@ def _items(prompt, continuation):
     pytest.param("specs", _specs([1.0, 0.0, 1.4e154]), "", id="mixture-stddev-beyond-scale"),
     pytest.param("specs", _specs([1.0, 0.0, 1.0], spec_id=3), "", id="mixture-int-id"),
     pytest.param("specs", _specs([1.0, 0.0, 1.0], spec_id=None), "", id="mixture-null-id"),
+    pytest.param("specs", _specs([1.0, 0.0, 1.0], spec_id="1,2"), "", id="mixture-comma-id"),
+    pytest.param("specs", _specs([1.0, 0.0, 1.0], spec_id="h\n1"), "", id="mixture-newline-id"),
     pytest.param("items", '{"items": []}', "", id="route-no-items"),
     pytest.param("items", _items([], [1]), "", id="route-empty-prompt"),
     pytest.param("items", _items([0, 9], [1]), "", id="route-prompt-out-of-vocab"),
@@ -531,6 +533,17 @@ def test_emit_plot_data_difficulty_vs_steps(tmp_path, model_files):
     assert len(lines) == 6
     xs = [float(line.split()[0]) for line in lines]
     assert xs == sorted(xs)
+
+
+def test_emit_plot_data_reads_ids_holding_unicode_line_breaks(tmp_path):
+    specs = [{"id": f"s\u2028{i}\x85", "components": [list(c) for c in spec.components]}
+             for i, (_, spec) in enumerate(skewed_workload()[:6])]
+    workload = _write_config(tmp_path, {"specs": specs}, "specs.json")
+    out = str(tmp_path / "ss.csv")
+    assert main(["stepsaver", "--workload", workload, "--count", "50", "--report", out]) == 0
+    xy = str(tmp_path / "ds.txt")
+    assert main(["plot", "--report", out, "--kind", "difficulty-vs-steps", "--out", xy]) == 0
+    assert len(open(xy).read().splitlines()) == 6
 
 
 def test_emit_plot_data_missing_series(tmp_path, model_files):

@@ -12,7 +12,7 @@ from oracles import collect_trajectories, eagle_draft_dist_fn, max_preservation_
 
 def _fit_residual(model, extrapolator, corpus):
     worst = 0.0
-    for features, tokens in collect_trajectories(model, corpus):
+    for features, tokens in collect_trajectories(model, corpus[0]):
         for t in range(len(tokens) - 1):
             pred = extrapolator.predict(features[t], model.embed[tokens[t + 1]])
             worst = max(worst, float(np.abs(pred - features[t + 1]).max()))
@@ -39,7 +39,7 @@ def test_fit_large_ridge_approaches_sample_mean():
     model = random_feature_model(3, 4, Rng(40))
     corpus = sample_corpus(model, 30, 8, Rng(41))
     ex = fit_extrapolator(model, corpus, ridge=1e6)
-    trajs = collect_trajectories(model, corpus)
+    trajs = collect_trajectories(model, corpus[0])
     targets = np.vstack([features[1:] for features, _ in trajs])
     mean = targets.mean(axis=0)
     assert np.abs(ex.weight).max() < 1e-3
@@ -51,7 +51,7 @@ def test_fit_large_ridge_approaches_sample_mean():
 def test_fit_insufficient_data():
     model = random_feature_model(3, 4, Rng(42))
     with pytest.raises(InsufficientData):
-        fit_extrapolator(model, [(0, 1)])  # one transition << 2d+1
+        fit_extrapolator(model, sample_corpus(model, 1, 2, Rng(43)))  # one transition << 2d+1
 
 
 def test_fit_singular_without_ridge():

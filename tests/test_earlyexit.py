@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from dynexec import Rng, gen_dataset, sweep, train_stages
+from dynexec import Dataset, Rng, gen_dataset, sweep, train_stages
 from dynexec.earlyexit import (
     ExitStage,
     MultiExitNet,
-    Point2,
     boundary,
     stage_accuracy,
 )
 from dynexec.errors import DegenerateData
 
-from oracles import infer_with_exit
+from oracles import infer_with_exit, point_rows
 
 LN2 = math.log(2)
 DEFAULT_TAUS = [round(0.05 * i, 2) for i in range(16)]
@@ -22,19 +21,18 @@ DEFAULT_TAUS = [round(0.05 * i, 2) for i in range(16)]
 def test_gen_dataset_deterministic():
     a = gen_dataset(10, 0.5, 123)
     b = gen_dataset(10, 0.5, 123)
-    assert a == b
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_gen_dataset_count_and_balance():
     data = gen_dataset(501, 0.3, 7)
-    assert len(data) == 501
-    ones = sum(p.label for p in data)
-    assert abs(ones / len(data) - 0.5) <= 0.05
+    assert [len(field) for field in data] == [501, 501, 501]
+    assert abs(data.labels.mean() - 0.5) <= 0.05
 
 
 def test_gen_dataset_labels_sit_on_their_side():
-    for p in gen_dataset(400, 0.4, 11):
-        assert (p.y > boundary(p.x)) == (p.label == 1)
+    data = gen_dataset(400, 0.4, 11)
+    assert np.array_equal(data.ys > boundary(data.xs), data.labels == 1)
 
 
 def test_hard_fraction_zero_is_linearly_easy():
@@ -51,11 +49,9 @@ def test_hard_fraction_one_favors_expressive_stage():
 
 def test_linearly_separable_blobs_stage0():
     rng = Rng(3)
-    pts = []
-    for i in range(400):
-        label = i % 2
-        cx = 3.0 if label else -3.0
-        pts.append(Point2(cx + float(rng.normals(1)[0]) * 0.3, float(rng.normals(1)[0]) * 0.3, label))
+    labels = np.arange(400) % 2
+    noise = rng.normals(800).reshape(400, 2) * 0.3
+    pts = Dataset(np.where(labels == 1, 3.0, -3.0) + noise[:, 0], noise[:, 1], labels)
     net = train_stages(pts)
     assert stage_accuracy(net.stages[0], pts) >= 0.99
 
@@ -75,24 +71,24 @@ def test_training_deterministic():
 
 
 def test_train_rejects_single_class():
-    pts = [Point2(float(i), float(i), 1) for i in range(200)]
+    pts = Dataset(np.arange(200.0), np.arange(200.0), np.ones(200, dtype=int))
     with pytest.raises(DegenerateData):
         train_stages(pts)
 
 
 def test_infer_tau_zero_never_exits_early():
     data = gen_dataset(300, 0.2, 4)
-    net = train_stages(data).with_tau(0.0)
-    label, exit_index, cost = infer_with_exit(net, data[0])
+    net = train_stages(data)
+    label, exit_index, cost = infer_with_exit(net, point_rows(net, data)[0], 0.0)
     assert exit_index == 1
     assert cost == 5.0
 
 
 def test_infer_open_gate_always_exits_at_stage0():
     data = gen_dataset(300, 0.2, 4)
-    net = train_stages(data).with_tau(LN2 + 0.01)
-    for p in data[:50]:
-        label, exit_index, cost = infer_with_exit(net, p)
+    net = train_stages(data)
+    for rows in point_rows(net, data)[:50]:
+        label, exit_index, cost = infer_with_exit(net, rows, LN2 + 0.01)
         assert exit_index == 0
         assert cost == 1.0
 
@@ -102,11 +98,11 @@ def test_infer_entropy_gate_threshold():
     logit = math.log(0.05 / 0.95)
     confident = ExitStage(np.array([0.0, 0.0, logit]), "linear", 1.0)
     final = ExitStage(np.array([0.0, 0.0, 0.0], dtype=float), "linear", 4.0)
-    net = MultiExitNet((confident, final), tau=0.3)
-    point = Point2(0.0, 0.0, 0)
-    dist = confident.dist(point)
-    assert np.allclose(dist, [0.95, 0.05], atol=1e-12)
-    label, exit_index, cost = infer_with_exit(net, point)
+    net = MultiExitNet((confident, final))
+    point = Dataset(np.array([0.0]), np.array([0.0]), np.array([0]))
+    rows = point_rows(net, point)[0]
+    assert np.allclose(rows[0], [0.95, 0.05], atol=1e-12)
+    label, exit_index, cost = infer_with_exit(net, rows, 0.3)
     assert exit_index == 0
     assert label == 0
     assert cost == 1.0
@@ -137,15 +133,15 @@ def test_sweep_monotonicity():
 
 def test_sweep_matches_pointwise_inference():
     data = gen_dataset(400, 0.3, 41)
-    net = train_stages(data).with_tau(0.35)
+    net = train_stages(data)
     rows = sweep(net, data, [0.35])
-    labels, costs = [], []
+    costs = []
     correct = 0
-    for p in data:
-        label, _, cost = infer_with_exit(net, p)
-        correct += (label == p.label)
+    for point, true_label in zip(point_rows(net, data), data.labels):
+        label, _, cost = infer_with_exit(net, point, 0.35)
+        correct += (label == true_label)
         costs.append(cost)
-    assert rows[0].accuracy == pytest.approx(correct / len(data), abs=1e-12)
+    assert rows[0].accuracy == pytest.approx(correct / len(data.labels), abs=1e-12)
     assert rows[0].mean_cost == pytest.approx(float(np.mean(costs)), abs=1e-12)
 
 

@@ -1,10 +1,13 @@
 """Fuzzing the stepsaver workload loader end to end.
 
 Every generated mixture workload file either runs to a report whose W1
-values are all finite and whose spec ids are the file's, or is rejected with a ParseError or SchemaError, the
-errors `main` maps to exit code 1. Nothing else may escape.
+values are all finite and whose spec ids are the file's, also when its CSV is
+read back, or is rejected with a ParseError or SchemaError, the errors `main`
+maps to exit code 1. Nothing else may escape.
 """
 
+import csv
+import io
 import json
 import math
 import os
@@ -13,7 +16,7 @@ import tempfile
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dynexec.cli import run, validate_config
+from dynexec.cli import csv_text, run, validate_config
 from dynexec.errors import ParseError, SchemaError
 
 # JSON values that are not a well-formed component entry
@@ -41,7 +44,7 @@ def workload_docs(draw):
              for _ in range(draw(st.integers(5, 7)))]
     comp = draw(st.sampled_from([c for spec in specs for c in spec["components"]]))
     corruption = draw(st.sampled_from(["none", "value", "scale", "arity", "weights", "no components",
-                                       "few specs", "id", "entry", "document"]))
+                                       "few specs", "id", "csv id", "entry", "document"]))
     if corruption == "value":
         comp[draw(st.integers(0, 2))] = draw(JUNK)
     elif corruption == "scale":  # any finite magnitude, up to the largest float
@@ -59,6 +62,9 @@ def workload_docs(draw):
         del specs[draw(st.integers(0, 4)):]
     elif corruption == "id":
         specs[draw(st.integers(0, len(specs) - 1))]["id"] = draw(NON_TEXT)
+    elif corruption == "csv id":  # text a raw CSV cell cannot hold
+        specs[draw(st.integers(0, len(specs) - 1))]["id"] = draw(st.text(max_size=2)) + draw(
+            st.sampled_from([",", '"', "\n", "\r"])) + draw(st.text(max_size=2))
     elif corruption == "entry":
         specs[draw(st.integers(0, len(specs) - 1))] = draw(st.one_of(JUNK, st.just({"id": "x"}),
                                                                     st.just({"components": []})))
@@ -67,9 +73,9 @@ def workload_docs(draw):
     return {"specs": specs}
 
 
-def _unit_specs(last_component):
+def _unit_specs(last_component, last_id="4"):
     return {"specs": [{"id": str(i), "components": [[1.0, 0.0, 1.0]]} for i in range(4)]
-            + [{"id": "4", "components": [last_component]}]}
+            + [{"id": last_id, "components": [last_component]}]}
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -77,6 +83,7 @@ def _unit_specs(last_component):
 @example(_unit_specs([1.0, 0.0, 1.3408478370622565e154]), 1, 1, 0)  # squared distances overflow to NaN
 @example(_unit_specs([1.0, 0.0, 10**400]), 1, 1, 0)  # an int no float can hold
 @example(_unit_specs([1.0, -1e6, 1e6]), 50, 10, 0)  # the largest scale allowed
+@example(_unit_specs([1.0, 0.0, 1.0], last_id="1,2"), 1, 1, 0)  # a comma would split the id's cell
 def test_mixture_workload_runs_or_exits_1(doc, count, steps, seed):
     with tempfile.TemporaryDirectory() as tmp:
         with open(os.path.join(tmp, "specs.json"), "w") as fh:
@@ -90,6 +97,9 @@ def test_mixture_workload_runs_or_exits_1(doc, count, steps, seed):
     rows = report.metrics["rows"]
     assert len(rows) >= 5
     assert [r["spec_id"] for r in rows] == [spec["id"] for spec in doc["specs"]]
+    cells = list(csv.reader(io.StringIO(csv_text("stepsaver", rows), newline="")))
+    assert [row[0] for row in cells[1:]] == [spec["id"] for spec in doc["specs"]]
+    assert {len(row) for row in cells} == {len(cells[0])}
     values = [r[key] for r in rows for key in ("w1", "baseline_w1", "difficulty")]
     values += [report.metrics["mean_w1"], report.metrics["mean_baseline_w1"]]
     assert all(math.isfinite(v) for v in values)

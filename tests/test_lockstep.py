@@ -1,10 +1,10 @@
 """Lockstep self-distillation against the one-sequence-at-a-time path.
 
-The corpus sampler and the extrapolator fit run every sequence together, one
-batched step per position. They must reproduce the scalar references in
-`oracles.py` bit for bit: the same tokens from the same uniforms, the same
-features as `feature_forward`, and the same fitted weight and bias, so eagle
-reports stay byte-identical.
+The corpus sampler runs every sequence together, one batched step per
+position, and the extrapolator fit reads the sampler's tokens and features.
+They must reproduce the scalar references in `oracles.py` bit for bit: the
+same tokens from the same uniforms, the same features as `feature_forward`,
+and the same fitted weight and bias, so eagle reports stay byte-identical.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from dynexec import Rng, fit_extrapolator, sample, sample_corpus
 from dynexec.core import feature_forward, inverse_cdf
-from dynexec.eagle import _forward
 from dynexec.errors import InsufficientData
 
 from helpers import FixedRng, random_feature_model
@@ -80,43 +79,23 @@ def test_batched_step_and_head_dist_rows_equal_single_calls(model, n, seed):
         assert np.array_equal(dists[i], model.head_dist(features[i]))
 
 
-def _assert_forward_equals_reference(model, corpus):
-    tokens, feats, lengths = _forward(model, corpus)
-    for seq, row, f, n in zip(corpus, tokens, feats, lengths):
-        assert tuple(row[:n].tolist()) == seq
-        assert np.array_equal(f[:n], feature_forward(model, seq)[0])
-
-
 @settings(max_examples=60, deadline=None)
 @given(feature_models(), st.integers(1, 24), st.integers(2, 12), st.integers(0, 2**32),
        st.sampled_from([1e-6, 1e-3, 1.0]))
 def test_lockstep_corpus_and_fit_equal_scalar_reference(model, n, length, seed, ridge):
     batched_rng, scalar_rng = Rng(seed), Rng(seed)
-    corpus = sample_corpus(model, n, length, batched_rng)
-    assert corpus == sample_corpus_reference(model, n, length, scalar_rng)
+    tokens, feats = sample_corpus(model, n, length, batched_rng)
+    corpus = sample_corpus_reference(model, n, length, scalar_rng)
+    assert [tuple(row) for row in tokens.tolist()] == corpus
     assert batched_rng.uniform() == scalar_rng.uniform()
-    _assert_forward_equals_reference(model, corpus)
+    assert feats.shape == (n, length, model.dim)
+    for seq, f in zip(corpus, feats):
+        assert np.array_equal(f, feature_forward(model, seq)[0])
     if n * (length - 1) < 2 * model.dim + 1:
         with pytest.raises(InsufficientData):
-            fit_extrapolator(model, corpus, ridge)
+            fit_extrapolator(model, (tokens, feats), ridge)
         return
-    fitted = fit_extrapolator(model, corpus, ridge)
+    fitted = fit_extrapolator(model, (tokens, feats), ridge)
     reference = fit_extrapolator_reference(model, corpus, ridge)
-    assert np.array_equal(fitted.weight, reference.weight)
-    assert np.array_equal(fitted.bias, reference.bias)
-
-
-@settings(max_examples=60, deadline=None)
-@given(feature_models(), st.lists(st.integers(1, 10), min_size=1, max_size=16), st.integers(0, 2**32))
-def test_ragged_corpus_features_and_fit_equal_scalar_reference(model, lengths, seed):
-    rng = Rng(seed)
-    corpus = [tuple((rng.uniforms(n) * model.vocab_size).astype(int).tolist()) for n in lengths]
-    _assert_forward_equals_reference(model, corpus)
-    if sum(lengths) - len(lengths) < 2 * model.dim + 1:
-        with pytest.raises(InsufficientData):
-            fit_extrapolator(model, corpus)
-        return
-    fitted = fit_extrapolator(model, corpus)
-    reference = fit_extrapolator_reference(model, corpus, 1e-6)
     assert np.array_equal(fitted.weight, reference.weight)
     assert np.array_equal(fitted.bias, reference.bias)

@@ -220,14 +220,6 @@ def test_adaptive_generate_easy_spec_uses_few_steps():
         assert report.steps_used <= SCHEDULE.T
         assert len(samples) == 2000
         assert report.w1 >= 0.0
-        assert report.relative_quality > 0.0
-
-
-def test_adaptive_generate_reuses_supplied_baseline():
-    labeled = [(single_gaussian(mu), 3) for mu in (-1.0, -0.5, 0.0, 0.5, 1.0)]
-    rec = fit_recommender(labeled, 100)
-    _, report = adaptive_generate(single_gaussian(), rec, SCHEDULE, 1000, Rng(1), baseline_w1=0.5)
-    assert report.baseline_w1 == 0.5
 
 
 def test_mixture_score_matches_noised_spec_reference():

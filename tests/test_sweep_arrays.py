@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from dynexec import RoutePolicy, Rng, difficulty, frontier, gen_dataset, sweep
 from dynexec.core import entropy
-from dynexec.earlyexit import ExitStage, MultiExitNet, Point2, SweepRow
+from dynexec.earlyexit import ExitStage, MultiExitNet, SweepRow
 
 from helpers import random_table_model, route_workload, varied_entropy_table_model
-from oracles import gen_dataset_reference, infer_with_exit, route_evaluate_reference
+from oracles import gen_dataset_reference, infer_with_exit, point_rows, route_evaluate_reference
 
 
 def _bits(values):
@@ -42,36 +42,21 @@ def _report_fields(reports):
 @example(3000, 0.0, 0)
 @example(3000, 1.0, 2**64 - 1)
 def test_gen_dataset_matches_scalar_reference(count, hard_fraction, seed):
-    got = [(p.x, p.y, p.label) for p in gen_dataset(count, hard_fraction, seed)]
-    ref = [(p.x, p.y, p.label) for p in gen_dataset_reference(count, hard_fraction, seed)]
-    assert _bits(got) == _bits(ref)
-
-
-class _BatchRow:
-    """A stage that answers each point with its row of the stage's one batched
-    pass over the data, the distributions `sweep` reads. BLAS sums a batched
-    product in an order that depends on the batch, so `ExitStage.dist` on one
-    point can differ from its batched row in the last bit; pinning the rows
-    leaves the gate, the costs and the counting to be checked."""
-
-    def __init__(self, stage, data):
-        xs = np.array([p.x for p in data])
-        ys = np.array([p.y for p in data])
-        self.cost_units = stage.cost_units
-        self.rows = {id(p): row for p, row in zip(data, stage.dists(xs, ys))}
-
-    def dist(self, point):
-        return self.rows[id(point)]
+    got = gen_dataset(count, hard_fraction, seed)
+    ref = gen_dataset_reference(count, hard_fraction, seed)
+    assert [a.dtype for a in got] == [a.dtype for a in ref]
+    assert _bits(zip(*(a.tolist() for a in got))) == _bits(zip(*(a.tolist() for a in ref)))
 
 
 def _tally(net, data, tau):
-    """A sweep row counted point by point through the scalar gate."""
-    pinned = MultiExitNet(tuple(_BatchRow(stage, data) for stage in net.stages), tau)
-    results = [infer_with_exit(pinned, p) for p in data]
-    n = len(data)
+    """A sweep row counted point by point through the scalar gate, each point
+    read from its batched rows."""
+    results = [infer_with_exit(net, rows, tau) for rows in point_rows(net, data)]
+    labels = data.labels.tolist()
+    n = len(labels)
     mean_cost = sum(cost for _, _, cost in results) / n
     return SweepRow(tau=tau,
-                    accuracy=sum(label == p.label for (label, _, _), p in zip(results, data)) / n,
+                    accuracy=sum(label == true for (label, _, _), true in zip(results, labels)) / n,
                     mean_cost=mean_cost,
                     early_exit_fraction=sum(idx < len(net.stages) - 1 for _, idx, _ in results) / n,
                     speedup=net.full_cost / mean_cost)
@@ -88,8 +73,8 @@ def exit_cases(draw):
                for n in (3, 10)]
     net = MultiExitNet((ExitStage(weights[0], "linear", 1.0), ExitStage(weights[1], "cubic", 4.0)))
     # taus exactly at some points' stage-0 entropies, where the gate's `<` is strict
-    rows = _BatchRow(net.stages[0], data)
-    at_points = [entropy(rows.dist(p)) for p in draw(st.lists(st.sampled_from(data), max_size=4))]
+    rows = net.stages[0].dists(data.xs, data.ys)
+    at_points = [entropy(rows[i]) for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))]
     taus = draw(st.lists(st.floats(0.0, 0.8), max_size=6)) + at_points + [0.0, math.log(2) + 0.01]
     return net, data, sorted(taus)
 
@@ -108,10 +93,8 @@ def test_sweep_saturated_stage_matches_tally():
     stage0 = ExitStage(np.array([0.0, 900.0, 0.0]), "linear", 1.0)
     stage1 = ExitStage(np.array([0.0, 1.0] + [0.0] * 8), "cubic", 4.0)
     net = MultiExitNet((stage0, stage1))
-    xs = np.array([p.x for p in data])
-    ys = np.array([p.y for p in data])
     taus = [0.0, 1e-300, 0.1, math.log(2) + 0.01]
-    dists = stage0.dists(xs, ys)
+    dists = stage0.dists(data.xs, data.ys)
     rows = sweep(net, data, taus)
     tallies = [_tally(net, data, tau) for tau in taus]
     assert (dists == 0.0).any() and (dists == 1.0).any()
@@ -121,11 +104,11 @@ def test_sweep_saturated_stage_matches_tally():
 def test_saturated_stage_answers_without_overflow_warning():
     # logits far below -709 overflow exp(-z); the answer is still the exact 0
     stage = ExitStage(np.array([0.0, 1e4, 0.0]), "linear", 1.0)
-    far = [Point2(0.0, -1.0, 0), Point2(0.0, 1.0, 1)]
+    xs, ys = np.array([0.0, 0.0]), np.array([-1.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dists = stage.dists(np.array([p.x for p in far]), np.array([p.y for p in far]))
-        singles = [stage.dist(p) for p in far]
+        dists = stage.dists(xs, ys)
+        singles = [stage.dists(xs[i:i + 1], ys[i:i + 1])[0] for i in range(2)]
     assert dists.tolist() == [[1.0, 0.0], [0.0, 1.0]]
     assert [d.tolist() for d in singles] == dists.tolist()
 
