@@ -8,6 +8,7 @@ module specifies.
 """
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -307,6 +308,9 @@ def _run_specdec(params, seed, base_dir):
     """token-level speculative sampling"""
     target = load_model(_resolve(base_dir, params["target"]))
     draft_model = load_model(_resolve(base_dir, params["draft"]))
+    if draft_model.vocab_size != target.vocab_size:
+        raise SchemaError(f"key 'draft' names a model of vocabulary size {draft_model.vocab_size}; "
+                          f"the target's is {target.vocab_size}", key="draft")
     prompt = _check_prompt(params["prompt"], target, draft_model)
     tokens, stats = speculative_decode(target, draft_model, prompt, params["n"], params["k"],
                                        Rng(seed).child(0))
@@ -353,7 +357,10 @@ def _run_early_exit(params, seed, base_dir):
 def _run_stepsaver(params, seed, base_dir):
     """adaptive diffusion step recommendation"""
     specs = load_mixture_workload(_resolve(base_dir, params["workload"]))
-    schedule = NoiseSchedule(params["steps"])
+    try:
+        schedule = NoiseSchedule(params["steps"])
+    except ValueError as exc:
+        raise SchemaError(f"key 'steps' is too large for the noise schedule: {exc}", key="steps") from exc
     count = params["count"]
     rng = Rng(seed)
     # the recommender needs MIN_LABELED_SPECS labels, so small workloads train on more than train_frac
@@ -441,53 +448,43 @@ def write_report(report: RunReport, path: str):
         atomic_write_text(path, report_json(report))
 
 
-def _series_from_metrics(metrics: dict, xcol: str, ycol: str):
-    rows = metrics.get("rows")
-    if rows is not None:
-        if not all(xcol in r and ycol in r for r in rows):
-            raise MissingSeries(f"report rows lack columns {xcol!r}/{ycol!r}")
-        return [(r[xcol], r[ycol]) for r in rows]
-    if xcol in metrics and ycol in metrics:
-        return [(metrics[xcol], metrics[ycol])]
-    raise MissingSeries(f"report has no series {xcol!r} vs {ycol!r}")
-
-
-def _series_from_csv(text: str, xcol: str, ycol: str):
-    # rows end in "\n" only: splitlines would also break a spec id at U+2028 and the like
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    header = lines[0].split(",")
-    if xcol not in header or ycol not in header:
-        raise MissingSeries(f"CSV lacks columns {xcol!r}/{ycol!r}")
-    xi, yi = header.index(xcol), header.index(ycol)
-    out = []
-    for line in lines[1:]:
-        cells = line.split(",")
+def _report_rows(path: str):
+    """A report's rows: a CSV report's records, or a JSON report's metrics rows
+    (its metrics as the one row when it has no `rows`)."""
+    if path.endswith(".csv"):
         try:
-            out.append((float(cells[xi]), float(cells[yi])))
-        except ValueError as exc:
-            raise MissingSeries(f"non-numeric value in column {xcol!r}/{ycol!r}") from exc
-    return out
+            with open(path, newline="", encoding="utf-8") as fh:
+                return list(csv.DictReader(fh))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+        except csv.Error as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+    doc = _load_json(path)
+    metrics = doc.get("metrics", doc) if isinstance(doc, dict) else doc
+    return metrics["rows"] if isinstance(metrics, dict) and "rows" in metrics else [metrics]
 
 
-def emit_plot_data(source, kind: str, out_path: str):
-    """Write a two-column 'x y' text file, sorted by x, full decimal precision.
+def _json_number(value):
+    if not is_number(value):
+        raise TypeError(f"{value!r} is not a number")
+    return value
 
-    `source` may be a RunReport, a metrics-bearing report JSON path, or a
-    sweep CSV path.
-    """
+
+def emit_plot_data(path: str, kind: str, out_path: str):
+    """Write a two-column 'x y' text file from a report path (a sweep CSV or a
+    JSON run report), stably sorted by x, at full decimal precision."""
     if kind not in PLOT_KINDS:
         raise SchemaError(f"unknown plot kind '{kind}'", key="kind")
     xcol, ycol = PLOT_KINDS[kind]
-    if isinstance(source, RunReport):
-        series = _series_from_metrics(source.metrics, xcol, ycol)
-    elif isinstance(source, str) and source.endswith(".csv"):
-        with open(source) as fh:
-            series = _series_from_csv(fh.read(), xcol, ycol)
-    elif isinstance(source, str):
-        doc = _load_json(source)
-        series = _series_from_metrics(doc.get("metrics", doc), xcol, ycol)
-    else:
-        raise TypeError("source must be a RunReport or a report file path")
+    rows = _report_rows(path)
+    # a CSV cell is text; a JSON value must already be a number, and stays as written (k prints 3)
+    number = float if path.endswith(".csv") else _json_number
+    try:
+        series = [(number(row[xcol]), number(row[ycol])) for row in rows]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MissingSeries(f"report {path} has no numeric series {xcol!r} vs {ycol!r}: {exc}") from exc
+    if not series:
+        raise MissingSeries(f"report {path} has no rows")
     series.sort(key=lambda pair: pair[0])
     lines = [f"{_format_cell(x)} {_format_cell(y)}" for x, y in series]
     atomic_write_text(out_path, "\n".join(lines) + "\n")
@@ -549,7 +546,7 @@ def main(argv=None) -> int:
         write_report(report, path)
         print(f"wrote {path}")
         return 0
-    except (ParseError, SchemaError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ParseError, SchemaError, MissingSeries, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DynexecError, ValueError, OSError) as exc:

@@ -535,6 +535,8 @@ def _load_json(path: str):
                          line=exc.lineno, column=exc.colno) from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    except RecursionError:
+        raise ParseError(f"{path}: nested too deeply to parse") from None
 
 
 def load_model(path: str) -> SequenceModel:

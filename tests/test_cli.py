@@ -297,12 +297,12 @@ def test_cli_exit_codes(tmp_path, model_files):
         "params": {"target": model_files["large"], "draft": model_files["small"], "k": 0},
     }, name="k0.json")
     assert main(["run", "--config", cfg]) == 1
-    # runtime error: target and draft vocabularies differ
+    # validation error: target and draft vocabularies differ
     cfg = _write_config(tmp_path, {
         "technique": "specdec", "report": "y.json",
         "params": {"target": model_files["large"], "draft": model_files["feature"]},
     }, name="vocab.json")
-    assert main(["run", "--config", cfg]) == 2
+    assert main(["run", "--config", cfg]) == 1
     # argparse usage error maps to validation
     assert main(["specdec", "--bogus"]) == 1
 
@@ -326,6 +326,7 @@ def test_cli_exit_codes(tmp_path, model_files):
     ("eagle", ["--ridge", "nan"], "ridge"),
     ("eagle", ["--draft-cost-factor", "-1"], "draft_cost_factor"),
     ("eagle", ["--draft-cost-factor", "inf"], "draft_cost_factor"),
+    ("specdec", ["--draft", "FEATURE"], "draft"),  # a vocabulary of 3 against the target's 4
 ])
 def test_cli_rejects_bad_decoder_input_by_name(tmp_path, model_files, capsys, technique, flags, key):
     models = {"specdec": ["--target", model_files["large"], "--draft", model_files["small"]],
@@ -351,6 +352,7 @@ def test_cli_rejects_bad_decoder_input_by_name(tmp_path, model_files, capsys, te
     ("stepsaver", ["--steps", "0"], "steps"),
     ("route", ["--thetas", "nan"], "thetas"),
     ("route", ["--thetas=-inf,nan,inf"], "thetas"),
+    ("stepsaver", ["--steps", "100000"], "steps"),  # the schedule's cumulative product underflows
 ])
 def test_cli_rejects_bad_sweep_input_by_name(tmp_path, model_files, capsys, technique, flags, key):
     inputs = {"early-exit": [],
@@ -384,6 +386,13 @@ def _items(prompt, continuation):
     pytest.param("specs", _BROKEN, ":2:13:", id="mixture-workload-syntax"),
     pytest.param("items", _BROKEN, ":2:13:", id="route-workload-syntax"),
     pytest.param("report", _BROKEN, ":2:13:", id="plot-report-syntax"),
+    pytest.param("report", "[1, 2]", "", id="plot-report-list"),
+    pytest.param("report", '{"metrics": {"rows": [3, "k"]}}', "", id="plot-report-non-object-rows"),
+    pytest.param("report", "[" * 100000, "", id="plot-report-nested-too-deep"),
+    pytest.param("report", '{"metrics": {"k": "3", "simulated_speedup": 1.0}}', "", id="plot-report-text-k"),
+    pytest.param("csv report", "", "", id="plot-csv-empty"),
+    pytest.param("csv report", "k,simulated_speedup\n3\n", "", id="plot-csv-short-row"),
+    pytest.param("csv report", b"k,simulated_speedup\n3,\xe9\n", "", id="plot-csv-not-utf8"),
     pytest.param("model", "[1, 2]", "", id="model-not-an-object"),
     pytest.param("model", b'{"kind": "\xe9"}', "", id="model-not-utf8"),
     # edits to a valid table model; None drops the key
@@ -434,7 +443,7 @@ def _items(prompt, continuation):
     pytest.param("items", _items([0], [1.0]), "", id="route-float-continuation"),
 ])
 def test_cli_rejects_malformed_input_files_by_path(tmp_path, model_files, capsys, role, content, position):
-    path = tmp_path / "input.json"
+    path = tmp_path / ("input.csv" if role == "csv report" else "input.json")
     if isinstance(content, dict):
         doc = json.load(open(model_files["feature" if role == "feature" else "small"]))
         for key, value in content.items():
@@ -448,11 +457,12 @@ def test_cli_rejects_malformed_input_files_by_path(tmp_path, model_files, capsys
     out = tmp_path / "out.csv"
     route = ["route", "--large", large, "--thetas", "0.5", "--report", str(out)]
     lookahead = ["lookahead", "--model", str(path), "--n", "4", "--report", str(out)]
+    plot = ["plot", "--report", str(path), "--kind", "k-vs-speedup", "--out", str(out)]
     argv = {"model": lookahead, "feature": lookahead,
             "small": route + ["--small", str(path), "--workload", model_files["route_workload"]],
             "specs": ["stepsaver", "--workload", str(path), "--count", "50", "--report", str(out)],
             "items": route + ["--small", small, "--workload", str(path)],
-            "report": ["plot", "--report", str(path), "--kind", "k-vs-speedup", "--out", str(out)]}[role]
+            "report": plot, "csv report": plot}[role]
     assert main(argv) == 1
     assert f"{path}{position}" in capsys.readouterr().err
     assert not out.exists()
@@ -544,6 +554,14 @@ def test_emit_plot_data_reads_ids_holding_unicode_line_breaks(tmp_path):
     xy = str(tmp_path / "ds.txt")
     assert main(["plot", "--report", out, "--kind", "difficulty-vs-steps", "--out", xy]) == 0
     assert len(open(xy).read().splitlines()) == 6
+
+
+def test_emit_plot_data_sorts_on_x_only_so_ties_keep_report_order(tmp_path):
+    rows = [{"tau": 1, "accuracy": 0.5}, {"tau": 0, "accuracy": 0.9}, {"tau": 1, "accuracy": 0.2}]
+    report = _write_config(tmp_path, {"metrics": {"rows": rows}}, "report.json")
+    xy = tmp_path / "xy.txt"
+    emit_plot_data(report, "tau-vs-accuracy", str(xy))
+    assert xy.read_text() == "0 0.9\n1 0.5\n1 0.2\n"
 
 
 def test_emit_plot_data_missing_series(tmp_path, model_files):

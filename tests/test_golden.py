@@ -7,6 +7,7 @@ floats, so every report byte except the wall clock must match. Each golden is
 reproduced twice: from its config file, and from the technique's CLI flags.
 """
 
+import json
 import os
 import shutil
 
@@ -65,3 +66,28 @@ def test_golden_report_reproduced_from_flags(tmp_path, monkeypatch, name):
             "--seed", str(config["master_seed"]), "--report", config["report"]]
     assert main(argv) == 0
     _assert_reproduces_golden(config, str(tmp_path / config["report"]))
+
+
+@pytest.mark.parametrize("report, kind, xcol, ycol", [
+    ("early-exit.csv", "tau-vs-accuracy", "tau", "accuracy"),
+    ("stepsaver.csv", "difficulty-vs-steps", "difficulty", "steps_used"),
+    ("specdec.json", "k-vs-speedup", "k", "simulated_speedup"),
+    ("specdec-feature.json", "k-vs-speedup", "k", "simulated_speedup"),
+    ("eagle.json", "k-vs-speedup", "k", "simulated_speedup"),
+])
+def test_plot_of_every_golden_report(tmp_path, report, kind, xcol, ycol):
+    path = os.path.join(GOLDEN, report)
+    with open(path) as fh:
+        text = fh.read()
+    if report.endswith(".csv"):  # no golden cell holds a comma or a quote
+        header, *lines = text.split("\n")[:-1]
+        columns = header.split(",")
+        cells = [line.split(",") for line in lines]
+        series = [(float(c[columns.index(xcol)]), float(c[columns.index(ycol)])) for c in cells]
+    else:
+        metrics = json.loads(text)["metrics"]
+        series = [(metrics[xcol], metrics[ycol])]
+    expected = "".join(f"{x!r} {y!r}\n" for x, y in sorted(series, key=lambda p: p[0]))
+    out = tmp_path / "xy.txt"
+    assert main(["plot", "--report", path, "--kind", kind, "--out", str(out)]) == 0
+    assert out.read_text() == expected

@@ -1,9 +1,11 @@
-"""Fuzzing the stepsaver workload loader end to end.
+"""Fuzzing the input loaders end to end.
 
 Every generated mixture workload file either runs to a report whose W1
 values are all finite and whose spec ids are the file's, also when its CSV is
 read back, or is rejected with a ParseError or SchemaError, the errors `main`
-maps to exit code 1. Nothing else may escape.
+maps to exit code 1. Every generated report file given to `plot` either gives
+a series (exit 0) or is rejected with exit 1 and no output file. Nothing else
+may escape.
 """
 
 import csv
@@ -16,7 +18,7 @@ import tempfile
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dynexec.cli import csv_text, run, validate_config
+from dynexec.cli import PLOT_KINDS, csv_text, main, run, validate_config
 from dynexec.errors import ParseError, SchemaError
 
 # JSON values that are not a well-formed component entry
@@ -103,3 +105,50 @@ def test_mixture_workload_runs_or_exits_1(doc, count, steps, seed):
     values = [r[key] for r in rows for key in ("w1", "baseline_w1", "difficulty")]
     values += [report.metrics["mean_w1"], report.metrics["mean_baseline_w1"]]
     assert all(math.isfinite(v) for v in values)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=2), children, max_size=3),
+    max_leaves=12)
+CELLS = st.one_of(st.floats().map(repr), st.integers().map(str), st.text(max_size=3))
+
+
+@st.composite
+def reports(draw):
+    """(content, suffix, kind): arbitrary bytes, JSON rows, or a CSV with ragged rows; the
+    rows' column names are the kind's two and "x"."""
+    kind = draw(st.sampled_from(sorted(PLOT_KINDS)))
+    names = st.sampled_from(PLOT_KINDS[kind] + ("x",))
+    form = draw(st.sampled_from([".bin", ".json", ".csv"]))
+    if form == ".bin":
+        return draw(st.binary(max_size=40)), draw(st.sampled_from([".csv", ".json"])), kind
+    if form == ".json":  # rows of mostly numbers, under "metrics" or not; a single row; or any value
+        rows = draw(st.lists(st.dictionaries(names, st.integers() | st.floats() | JSON_VALUES, max_size=3),
+                             max_size=4))
+        doc = draw(st.sampled_from([{"metrics": {"rows": rows}}, {"rows": rows}, *rows[:1]]) | JSON_VALUES)
+        return json.dumps(doc).encode(), form, kind
+    lines = [draw(st.lists(names, max_size=3))] + draw(st.lists(st.lists(CELLS, max_size=4), max_size=4))
+    end = draw(st.sampled_from(["", "\n", "\r\n"]))
+    return ("\n".join(",".join(line) for line in lines) + end).encode(), form, kind
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(reports())
+@example((b"", ".csv", "k-vs-speedup"))  # no header line
+@example((b"k,simulated_speedup\n3\n", ".csv", "k-vs-speedup"))  # a row short of cells
+@example((b"k,simulated_speedup\n3,\xe9\n", ".csv", "k-vs-speedup"))  # not UTF-8
+@example((b"k,simulated_speedup\n" + b"1" * 131073 + b",1\n", ".csv", "k-vs-speedup"))  # beyond csv's field limit
+@example((b"[1, 2]", ".json", "k-vs-speedup"))  # a list, not an object
+@example((b'{"metrics": {"rows": [3, "k"]}}', ".json", "k-vs-speedup"))  # rows that are not objects
+@example((b'{"metrics": {"k": true, "simulated_speedup": 1.0}}', ".json", "k-vs-speedup"))  # a bool, not a number
+@example((b'{"rows": [{"k": 2, "simulated_speedup": 1.5}]}', ".json", "k-vs-speedup"))  # a series
+def test_plot_reads_any_report_or_exits_1(report):
+    content, suffix, kind = report
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "report" + suffix), os.path.join(tmp, "xy.txt")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        rc = main(["plot", "--report", path, "--kind", kind, "--out", out])
+        assert rc in (0, 1)
+        assert os.path.exists(out) == (rc == 0)

@@ -29,10 +29,13 @@ SCHEDULE = NoiseSchedule()
 
 def test_schedule_invariants():
     assert SCHEDULE.T == 100
-    assert np.all(SCHEDULE.betas > 0) and np.all(SCHEDULE.betas < 1)
-    assert np.all(np.diff(SCHEDULE.alpha_bar) < 0)
-    assert SCHEDULE.betas[0] == pytest.approx(1e-4)
-    assert SCHEDULE.betas[-1] == pytest.approx(0.02)
+    for T in (1, 2, 10, 100, 1000):
+        schedule = NoiseSchedule(T)
+        assert schedule.T == len(schedule.betas) == len(schedule.alpha_bar) == T
+        assert np.all(schedule.betas > 0) and np.all(schedule.betas < 1)
+        assert np.all(np.diff(schedule.alpha_bar) < 0)
+        assert schedule.betas[0] == pytest.approx(1e-4)
+        assert schedule.betas[-1] == pytest.approx(0.02 if T > 1 else 1e-4)
 
 
 def test_mixture_validation():
