@@ -339,8 +339,10 @@ class TableModel(SequenceModel):
     def dist(self, state: Context) -> np.ndarray:
         return self.table.get(state, self.fallback)
 
-    # dist(start(ctx)) in one call: routing reads every prompt prefix through
-    # it. Defined on each subclass: the benchmark's tracer wraps it per class.
+    # dist(start(ctx)) in one call, apart from the state code: no caller in
+    # src/, which reads contexts through states, but the tests' from-scratch
+    # references read every prefix through it. Defined on each subclass: the
+    # benchmark's tracer wraps it per class.
     def next_dist(self, ctx: Context) -> np.ndarray:
         return self.table.get(tuple(ctx[-self.order:]) if self.order else (), self.fallback)
 
@@ -411,7 +413,7 @@ class FeatureModel(SequenceModel):
     def dist(self, state: np.ndarray) -> np.ndarray:
         return self.head_dist(state)
 
-    # defined on each subclass: the benchmark's tracer wraps it per class
+    # no caller in src/; defined on each subclass: the benchmark's tracer wraps it per class
     def next_dist(self, ctx: Context) -> np.ndarray:
         return self.dist(self.start(ctx))
 

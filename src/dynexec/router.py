@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SequenceModel, check_context, entropy
-from .errors import EmptyPrompt
+from .errors import EmptyPrompt, VocabMismatch
 
 LOGPROB_FLOOR = 1e-12
 
@@ -41,26 +41,55 @@ class RouteReport:
     fraction_large: float
 
 
-def difficulty(prompt, probe: SequenceModel) -> float:
+def difficulty(prompt, probe: SequenceModel, memo: dict = None) -> float:
     """Mean entropy of the probe's next-token distribution after each prompt
-    prefix (lengths 1..len(prompt)); ranges over [0, ln V]."""
+    prefix (lengths 1..len(prompt)); ranges over [0, ln V].
+
+    The probe reads the prompt in one state walk. `memo` keeps the entropy of
+    each table state (a tuple); a feature state is an array, no dict key, and
+    its walk is already linear. `frontier` shares one memo across its items.
+    """
     prompt = check_context(prompt, probe.vocab_size)
     if not prompt:
         raise EmptyPrompt("difficulty needs a non-empty prompt")
+    memo = {} if memo is None else memo
     total = 0.0
-    for i in range(1, len(prompt) + 1):
-        total += entropy(probe.next_dist(prompt[:i]))
+    # from prompt[:1]: a feature model has no state for the empty context
+    for state in probe.branch(probe.start(prompt[:1]), prompt[1:]):
+        if not isinstance(state, tuple):
+            total += entropy(probe.dist(state))
+            continue
+        h = memo.get(state)
+        if h is None:
+            h = memo[state] = entropy(probe.dist(state))
+        total += h
     return total / len(prompt)
 
 
-def _mean_log_likelihood(model: SequenceModel, item: WorkloadItem) -> float:
+def _log_prob(model: SequenceModel, state, token: int) -> float:
     # floor keeps zero-probability table rows from yielding -inf
-    ctx = item.prompt
+    return math.log(max(float(model.dist(state)[token]), LOGPROB_FLOOR))
+
+
+def _mean_log_likelihood(model: SequenceModel, item: WorkloadItem, memo: dict = None) -> float:
+    """Mean log-probability of the continuation after the prompt, read in one
+    state walk; `memo` keeps it per (table state, token), as in `difficulty`."""
+    memo = {} if memo is None else memo
+    tokens = item.reference_continuation
+    # advance does not check its token, and dist would read a negative one from the end
+    if min(tokens) < 0 or max(tokens) >= model.vocab_size:
+        raise VocabMismatch(f"continuation token outside vocabulary of size {model.vocab_size}")
     total = 0.0
-    for token in item.reference_continuation:
-        total += math.log(max(float(model.next_dist(ctx)[token]), LOGPROB_FLOOR))
-        ctx = ctx + (token,)
-    return total / len(item.reference_continuation)
+    for state, token in zip(model.branch(model.start(item.prompt), tokens[:-1]), tokens):
+        if not isinstance(state, tuple):
+            total += _log_prob(model, state, token)
+            continue
+        key = (state, token)
+        lp = memo.get(key)
+        if lp is None:
+            lp = memo[key] = _log_prob(model, state, token)
+        total += lp
+    return total / len(tokens)
 
 
 def frontier(probe: SequenceModel, thetas, workload, small: SequenceModel,
@@ -71,17 +100,19 @@ def frontier(probe: SequenceModel, thetas, workload, small: SequenceModel,
     computed once; a threshold only picks between them. Items whose difficulty
     strictly exceeds it go to the large model. Costs are one probe call per
     prompt token plus one chosen-model call per continuation token, summed in
-    item order, so every report is the one a per-threshold pass gives.
+    item order, so every report is the one a per-threshold pass gives. The
+    per-state memos live for this call only, so the models stay immutable.
     """
     workload = list(workload)
     if not workload:
         raise ValueError("workload must be non-empty")
+    entropies, small_logps, large_logps = {}, {}, {}
     scored = []
     for item in workload:
         n = len(item.reference_continuation)
-        scored.append((difficulty(item.prompt, probe), len(item.prompt) * probe.cost_units,
-                       (_mean_log_likelihood(small, item), n * small.cost_units),
-                       (_mean_log_likelihood(large, item), n * large.cost_units)))
+        scored.append((difficulty(item.prompt, probe, entropies), len(item.prompt) * probe.cost_units,
+                       (_mean_log_likelihood(small, item, small_logps), n * small.cost_units),
+                       (_mean_log_likelihood(large, item, large_logps), n * large.cost_units)))
     reports = []
     for theta in thetas:
         total_cost = 0.0

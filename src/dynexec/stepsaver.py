@@ -20,6 +20,9 @@ from .errors import InsufficientData, StepsOutOfRange
 DEFAULT_STEPS = 100
 BETA_START = 1e-4
 BETA_END = 0.02
+# the most timesteps whose float64 cumulative product still decreases
+# strictly; from 73 253 it underflows (found by bisection over T)
+MAX_STEPS = 73_252
 DIFFICULTY_CAP = 10.0
 ORACLE_GRID = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50, 63, 79, 100)
 MIN_LABELED_SPECS = 5
@@ -34,11 +37,13 @@ class NoiseSchedule:
     def __init__(self, T: int = DEFAULT_STEPS):
         if T < 1:
             raise ValueError("schedule needs at least one timestep")
+        # before any T-length array is allocated
+        if T > MAX_STEPS:
+            raise ValueError(f"more than {MAX_STEPS} timesteps, where the cumulative product underflows")
         self.T = int(T)
         self.betas = np.linspace(BETA_START, BETA_END, self.T)
         self.alphas = 1.0 - self.betas
         self.alpha_bar = np.cumprod(self.alphas)
-        # from about 73 000 steps the float64 product underflows and stops decreasing
         if np.any(np.diff(self.alpha_bar) >= 0):
             raise ValueError("cumulative product must be strictly decreasing")
 

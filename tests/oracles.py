@@ -12,11 +12,11 @@ from collections import defaultdict
 
 import numpy as np
 
-from dynexec.core import Rng, entropy, feature_forward, sample
+from dynexec.core import Rng, check_context, entropy, feature_forward, sample
 from dynexec.eagle import Extrapolator
 from dynexec.earlyexit import BOUNDARY_X_RANGE, EASY_BAND, HARD_BAND, Dataset
-from dynexec.errors import InsufficientData, LengthMismatch
-from dynexec.router import RouteReport, _mean_log_likelihood, difficulty
+from dynexec.errors import EmptyPrompt, InsufficientData, LengthMismatch
+from dynexec.router import LOGPROB_FLOOR, RouteReport
 from dynexec.specdec import DraftOutput, verify
 from dynexec.stepsaver import ORACLE_GRID, MixtureSpec, quality, respaced_timesteps
 
@@ -343,9 +343,31 @@ def infer_with_exit(net, rows, tau):
     raise AssertionError("unreachable: final stage always answers")
 
 
+def difficulty_reference(prompt, probe):
+    """`router.difficulty` from scratch: the probe reads every prompt prefix anew."""
+    prompt = check_context(prompt, probe.vocab_size)
+    if not prompt:
+        raise EmptyPrompt("difficulty needs a non-empty prompt")
+    total = 0.0
+    for i in range(1, len(prompt) + 1):
+        total += entropy(probe.next_dist(prompt[:i]))
+    return total / len(prompt)
+
+
+def mean_log_likelihood_reference(model, item):
+    """`router._mean_log_likelihood` from scratch: the model reads the prompt
+    and each continuation prefix anew."""
+    ctx = item.prompt
+    total = 0.0
+    for token in item.reference_continuation:
+        total += math.log(max(float(model.next_dist(ctx)[token]), LOGPROB_FLOOR))
+        ctx = ctx + (token,)
+    return total / len(item.reference_continuation)
+
+
 def route(policy, item):
     """Returns "large" iff the item's difficulty strictly exceeds the threshold."""
-    return "large" if difficulty(item.prompt, policy.probe) > policy.threshold else "small"
+    return "large" if difficulty_reference(item.prompt, policy.probe) > policy.threshold else "small"
 
 
 def route_evaluate_reference(policy, workload, small, large):
@@ -361,7 +383,7 @@ def route_evaluate_reference(policy, workload, small, large):
             n_large += 1
         else:
             chosen = small
-        qualities.append(_mean_log_likelihood(chosen, item))
+        qualities.append(mean_log_likelihood_reference(chosen, item))
         total_cost += len(item.reference_continuation) * chosen.cost_units
     return RouteReport(total_cost=total_cost, mean_quality=float(np.mean(qualities)),
                        fraction_large=n_large / len(workload))

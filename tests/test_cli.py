@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -363,6 +364,21 @@ def test_cli_rejects_bad_sweep_input_by_name(tmp_path, model_files, capsys, tech
     assert main([technique, *inputs, *flags, "--report", str(out)]) == 1
     assert f"'{key}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_rejects_huge_steps_by_name_before_allocating(tmp_path, model_files, capsys):
+    out = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        rc = main(["stepsaver", "--workload", model_files["mix_workload"], "--steps", "10000000000000",
+                   "--report", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert "'steps'" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 2**20  # no T-length array, not even one refused by the allocator
 
 
 _BROKEN = '{"kind": "table", "vocab_size": 2,\n "order": 0 "table": {}}\n'

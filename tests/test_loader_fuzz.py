@@ -3,9 +3,11 @@
 Every generated mixture workload file either runs to a report whose W1
 values are all finite and whose spec ids are the file's, also when its CSV is
 read back, or is rejected with a ParseError or SchemaError, the errors `main`
-maps to exit code 1. Every generated report file given to `plot` either gives
-a series (exit 0) or is rejected with exit 1 and no output file. Nothing else
-may escape.
+maps to exit code 1. Every generated route workload file either runs to a
+report (exit 0) whose rows are finite and equal the from-scratch reference
+frontier, or is rejected with exit 1 and no report. Every generated report
+file given to `plot` either gives a series (exit 0) or is rejected with exit 1
+and no output file. Nothing else may escape.
 """
 
 import csv
@@ -18,8 +20,13 @@ import tempfile
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from dynexec import RoutePolicy, Rng, WorkloadItem
 from dynexec.cli import PLOT_KINDS, csv_text, main, run, validate_config
+from dynexec.core import save_model
 from dynexec.errors import ParseError, SchemaError
+
+from helpers import random_table_model, varied_entropy_table_model
+from oracles import route_evaluate_reference
 
 # JSON values that are not a well-formed component entry
 JUNK = st.one_of(
@@ -111,6 +118,76 @@ JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
     lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=2), children, max_size=3),
     max_leaves=12)
+# the probe is the small model; the workload's tokens must lie inside both vocabularies (3 and 4)
+ROUTE_SMALL = varied_entropy_table_model(3, 1, Rng(5))
+ROUTE_LARGE = random_table_model(4, 2, Rng(6), cost_units=4.0)
+ROUTE_THETAS = (-math.inf, 0.0, 0.5, 1.0, math.inf)
+TOKENS = st.integers(0, 2)
+# JSON values that are not a token both models can read
+BAD_TOKENS = st.one_of(st.booleans(), st.floats(), st.integers(3, 9), st.integers(-9, -1), st.just(10**400),
+                       st.none(), st.text(max_size=2), st.lists(TOKENS, max_size=2))
+
+
+@st.composite
+def route_docs(draw):
+    """A well-formed route workload of 1-6 items, then at most one corruption."""
+    items = [{"prompt": draw(st.lists(TOKENS, min_size=1, max_size=5)),
+              "continuation": draw(st.lists(TOKENS, min_size=1, max_size=5))}
+             for _ in range(draw(st.integers(1, 6)))]
+    index = draw(st.integers(0, len(items) - 1))
+    field = draw(st.sampled_from(["prompt", "continuation"]))
+    corruption = draw(st.sampled_from(["none", "token", "empty", "value", "missing", "entry", "no items",
+                                       "document"]))
+    if corruption == "token":
+        tokens = items[index][field]
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(BAD_TOKENS))
+    elif corruption == "empty":
+        items[index][field] = []
+    elif corruption == "value":
+        items[index][field] = draw(JSON_VALUES)
+    elif corruption == "missing":
+        del items[index][field]
+    elif corruption == "entry":
+        items[index] = draw(JSON_VALUES)
+    elif corruption == "no items":
+        items.clear()
+    elif corruption == "document":
+        return draw(JSON_VALUES | st.sampled_from([{}, {"items": {}}, {"items": "ab"}, {"items": None}]))
+    return {"items": items}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(route_docs())
+@example({"items": [{"prompt": [], "continuation": [0]}]})  # an empty prompt
+@example({"items": [{"prompt": [0], "continuation": []}]})  # an empty continuation
+@example({"items": [{"prompt": [0, True], "continuation": [1]}]})  # a bool token
+@example({"items": [{"prompt": [0], "continuation": [1.0]}]})  # a float token
+@example({"items": [{"prompt": [3], "continuation": [1]}]})  # inside the large model's vocabulary only
+@example({"items": [{"prompt": [2, 0, 1, 1, 2], "continuation": [0, 2, 2, 1]}]})  # a report
+def test_route_workload_runs_or_exits_1(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, f"{name}.json") for name in ("small", "large", "items")}
+        save_model(ROUTE_SMALL, paths["small"])
+        save_model(ROUTE_LARGE, paths["large"])
+        with open(paths["items"], "w") as fh:
+            json.dump(doc, fh)
+        out = os.path.join(tmp, "route.csv")
+        rc = main(["route", "--small", paths["small"], "--large", paths["large"], "--workload", paths["items"],
+                   "--thetas=" + ",".join(map(repr, ROUTE_THETAS)), "--report", out])
+        assert rc in (0, 1)
+        assert os.path.exists(out) == (rc == 0)
+        if rc == 1:
+            return
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    got = [tuple(float(row[key]) for key in ("total_cost", "mean_quality", "fraction_large")) for row in rows]
+    assert all(math.isfinite(v) for values in got for v in values)
+    items = [WorkloadItem(tuple(entry["prompt"]), tuple(entry["continuation"])) for entry in doc["items"]]
+    ref = [route_evaluate_reference(RoutePolicy(theta, ROUTE_SMALL), items, ROUTE_SMALL, ROUTE_LARGE)
+           for theta in ROUTE_THETAS]
+    assert got == [(r.total_cost, r.mean_quality, r.fraction_large) for r in ref]
+
+
 CELLS = st.one_of(st.floats().map(repr), st.integers().map(str), st.text(max_size=3))
 
 

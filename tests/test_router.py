@@ -6,10 +6,10 @@ import pytest
 from dynexec import RoutePolicy, Rng, TableModel, WorkloadItem, difficulty, evaluate
 from dynexec.core import entropy
 from dynexec.router import LOGPROB_FLOOR, _mean_log_likelihood
-from dynexec.errors import EmptyPrompt
+from dynexec.errors import EmptyPrompt, VocabMismatch
 
-from helpers import onehot, random_table_model, route_workload, varied_entropy_table_model
-from oracles import route
+from helpers import onehot, random_feature_model, random_table_model, route_workload, varied_entropy_table_model
+from oracles import mean_log_likelihood_reference, route
 
 
 def test_difficulty_one_hot_probe_zero():
@@ -34,6 +34,13 @@ def test_difficulty_empty_prompt():
     probe = random_table_model(3, 1, Rng(15))
     with pytest.raises(EmptyPrompt):
         difficulty((), probe)
+
+
+@pytest.mark.parametrize("token", [-1, 3])
+def test_out_of_vocab_continuation_raises(token):
+    for model in (random_table_model(3, 1, Rng(16)), random_feature_model(3, 4, Rng(17))):
+        with pytest.raises(VocabMismatch):
+            _mean_log_likelihood(model, WorkloadItem((0,), (token, 0)))
 
 
 def test_route_threshold_endpoints():
@@ -102,7 +109,7 @@ def test_evaluate_endpoints_bit_equal_to_forced_runs():
         qualities = []
         for item in items:
             total_cost += len(item.prompt) * probe.cost_units
-            qualities.append(_mean_log_likelihood(model, item))
+            qualities.append(mean_log_likelihood_reference(model, item))
             total_cost += len(item.reference_continuation) * model.cost_units
         return total_cost, float(np.mean(qualities))
 

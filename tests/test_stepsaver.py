@@ -38,6 +38,14 @@ def test_schedule_invariants():
         assert schedule.betas[-1] == pytest.approx(0.02 if T > 1 else 1e-4)
 
 
+def test_schedule_step_limit_is_where_the_product_underflows():
+    assert np.all(np.diff(NoiseSchedule(stepsaver.MAX_STEPS).alpha_bar) < 0)
+    past = np.cumprod(1.0 - np.linspace(stepsaver.BETA_START, stepsaver.BETA_END, stepsaver.MAX_STEPS + 1))
+    assert np.any(np.diff(past) >= 0)
+    with pytest.raises(ValueError, match="timesteps"):
+        NoiseSchedule(stepsaver.MAX_STEPS + 1)
+
+
 def test_mixture_validation():
     with pytest.raises(ValueError):
         MixtureSpec(((0.5, 0.0, 1.0), (0.6, 1.0, 1.0)))  # weights != 1

@@ -13,11 +13,11 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynexec import RoutePolicy, Rng, difficulty, frontier, gen_dataset, sweep
-from dynexec.core import entropy
+from dynexec import RoutePolicy, Rng, TableModel, difficulty, frontier, gen_dataset, sweep
+from dynexec.core import MAX_TABLE_ORDER, MIN_FEATURE_DIM, entropy
 from dynexec.earlyexit import ExitStage, MultiExitNet, SweepRow
 
-from helpers import random_table_model, route_workload, varied_entropy_table_model
+from helpers import random_dist, random_feature_model, route_workload, varied_entropy_table_model
 from oracles import gen_dataset_reference, infer_with_exit, point_rows, route_evaluate_reference
 
 
@@ -114,25 +114,44 @@ def test_saturated_stage_answers_without_overflow_warning():
 
 
 @st.composite
+def route_models(draw, vocab, rng):
+    """A table model of any order, dense or with windows missing (they fall
+    back to a drawn row), or a feature model."""
+    kind = draw(st.sampled_from(["table", "sparse", "feature"]))
+    cost_units = draw(st.sampled_from([0.5, 1.0, 1.5]) | st.floats(1.0, 16.0))
+    if kind == "feature":
+        return random_feature_model(vocab, draw(st.integers(MIN_FEATURE_DIM, 6)), rng, cost_units=cost_units)
+    # the highest orders only for small vocabularies: at most 256 windows keeps the test fast
+    order = draw(st.integers(0, max(o for o in range(MAX_TABLE_ORDER + 1) if vocab ** o <= 256)))
+    model = varied_entropy_table_model(vocab, order, rng, cost_units=cost_units)
+    if kind == "table":
+        return model
+    keep = draw(st.floats(0.0, 1.0))
+    rows = {w: row for w, row in model.table.items() if rng.uniform() < keep}
+    return TableModel(vocab, model.order, rows, fallback=random_dist(vocab, rng), cost_units=cost_units)
+
+
+@st.composite
 def route_cases(draw):
     vocab = draw(st.integers(2, 6))
     rng = Rng(draw(st.integers(0, 2**32)))
-    small = varied_entropy_table_model(vocab, draw(st.integers(0, 2)), rng.child(0),
-                                       cost_units=draw(st.sampled_from([0.5, 1.0, 1.5])))
-    large = random_table_model(vocab, draw(st.integers(0, 2)), rng.child(1),
-                               cost_units=draw(st.floats(1.0, 16.0)))
-    items = route_workload(draw(st.integers(1, 40)), small, large, rng.child(2))
-    scores = [difficulty(item.prompt, small) for item in items]
+    small = draw(route_models(vocab, rng.child(0)))
+    large = draw(route_models(vocab, rng.child(1)))
+    probe = small if draw(st.booleans()) else draw(route_models(vocab, rng.child(3)))
+    items = route_workload(draw(st.integers(1, 30)), small, large, rng.child(2))
+    scores = [difficulty(item.prompt, probe) for item in items]
     # a theta exactly at an item's difficulty, where routing's `>` is strict
     thetas = [draw(st.sampled_from(scores)), -math.inf, math.inf] + draw(st.lists(
         st.one_of(st.sampled_from(scores), st.floats(-1.0, 3.0)), max_size=8))
-    return small, large, items, draw(st.permutations(thetas))
+    return probe, small, large, items, draw(st.permutations(thetas))
 
 
 @settings(max_examples=100, deadline=None)
 @given(route_cases())
 def test_frontier_matches_per_threshold_reference(case):
-    small, large, items, thetas = case
-    got = frontier(small, thetas, items, small, large)
-    ref = [route_evaluate_reference(RoutePolicy(theta, small), items, small, large) for theta in thetas]
+    """The frontier's state walks and per-state memos give the reports of
+    from-scratch scoring, per threshold, bit for bit."""
+    probe, small, large, items, thetas = case
+    got = frontier(probe, thetas, items, small, large)
+    ref = [route_evaluate_reference(RoutePolicy(theta, probe), items, small, large) for theta in thetas]
     assert _bits(_report_fields(got)) == _bits(_report_fields(ref))
