@@ -17,13 +17,13 @@ import time
 from dataclasses import asdict, dataclass
 
 from .core import Rng, _load_json, atomic_write_text, is_int, is_number, load_model, FeatureModel
-from .eagle import eagle_decode, fit_extrapolator, sample_corpus
-from .earlyexit import gen_dataset, stage_accuracy, sweep, train_stages
+from .eagle import DEFAULT_RIDGE, eagle_decode, fit_extrapolator, sample_corpus
+from .earlyexit import gen_dataset, sweep, train_stages
 from .errors import DynexecError, MissingSeries, ParseError, SchemaError
 from .lookahead import lookahead_decode
 from .router import WorkloadItem, frontier
 from .specdec import simulated_speedup, speculative_decode
-from .stepsaver import MIN_LABELED_SPECS, MixtureSpec, NoiseSchedule, train_and_evaluate
+from .stepsaver import DEFAULT_STEPS, MIN_LABELED_SPECS, MixtureSpec, NoiseSchedule, train_and_evaluate
 
 VERSION = "dynexec 0.1.0"
 SEED_ENV_VAR = "DYNEXEC_SEED"
@@ -82,7 +82,8 @@ def _as_str(value, key):
 
 
 def _as_int_list(value, key):
-    if not isinstance(value, list) or not all(map(is_int, value)):
+    # type(True) is bool, so bools are rejected too, in one pass over the entries
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
         raise SchemaError(f"key '{key}' must be a list of integers", key=key)
     return list(value)
 
@@ -121,7 +122,7 @@ _SCHEMAS = {
         "n": (_int_at_least(1), 64),
         "fit_seqs": (_int_at_least(1), 256),
         "fit_len": (_int_at_least(2), 16),
-        "ridge": (_float_in(0.0), 1e-6),
+        "ridge": (_float_in(0.0), DEFAULT_RIDGE),
         "draft_cost_factor": (_float_in(0.0), 0.1),
         "prompt": (_as_int_list, [0]),
     },
@@ -142,7 +143,7 @@ _SCHEMAS = {
         "epsilon": (_float_in(0.0, above=True), 0.1),
         "train_frac": (_float_in(0.0, 1.0), 0.5),
         "count": (_int_at_least(1), 4000),
-        "steps": (_int_at_least(1), 100),
+        "steps": (_int_at_least(1), DEFAULT_STEPS),
     },
     "route": {
         "small": (_as_str, _REQUIRED),
@@ -293,7 +294,8 @@ def load_route_workload(path: str, small, large) -> list[WorkloadItem]:
     for i, item in enumerate(items):
         if not item.prompt:
             raise SchemaError(f"route workload {path}: item {i} has an empty prompt")
-        if any(not 0 <= t < vocab for t in item.prompt + item.reference_continuation):
+        tokens = item.prompt + item.reference_continuation
+        if min(tokens) < 0 or max(tokens) >= vocab:
             raise SchemaError(f"route workload {path}: item {i} has a token outside the models' "
                               f"vocabulary of size {vocab}")
     return items
@@ -346,12 +348,7 @@ def _run_lookahead(params, seed, base_dir):
 def _run_early_exit(params, seed, base_dir):
     """entropy-gated two-stage classifier sweep"""
     data = gen_dataset(params["count"], params["hard_fraction"], seed)
-    net = train_stages(data)
-    return {
-        "rows": [asdict(row) for row in sweep(net, data, sorted(params["taus"]))],
-        "stage0_accuracy": stage_accuracy(net.stages[0], data),
-        "full_accuracy": stage_accuracy(net.stages[-1], data),
-    }
+    return {"rows": [asdict(row) for row in sweep(train_stages(data), data, sorted(params["taus"]))]}
 
 
 def _run_stepsaver(params, seed, base_dir):
@@ -361,27 +358,18 @@ def _run_stepsaver(params, seed, base_dir):
         schedule = NoiseSchedule(params["steps"])
     except ValueError as exc:
         raise SchemaError(f"key 'steps' is too large for the noise schedule: {exc}", key="steps") from exc
-    count = params["count"]
-    rng = Rng(seed)
     # the recommender needs MIN_LABELED_SPECS labels, so small workloads train on more than train_frac
     n_train = min(len(specs), max(MIN_LABELED_SPECS, round(params["train_frac"] * len(specs))))
-    reports = train_and_evaluate([spec for _, spec in specs], schedule, params["epsilon"], n_train, count, rng)
-    rows = [{
+    reports = train_and_evaluate([spec for _, spec in specs], schedule, params["epsilon"], n_train,
+                                 params["count"], Rng(seed))
+    return {"rows": [{
         "spec_id": spec_id,
         "difficulty": spec.difficulty,
         "steps_used": report.steps_used,
         "w1": report.w1,
         "baseline_w1": report.baseline_w1,
         "throughput_ratio": schedule.T / report.steps_used,
-    } for (spec_id, spec), report in zip(specs, reports)]
-    total_steps = sum(report.steps_used for report in reports)
-    return {
-        "rows": rows,
-        "workload_throughput_ratio": schedule.T * len(specs) / total_steps,
-        "mean_w1": sum(r["w1"] for r in rows) / len(rows),
-        "mean_baseline_w1": sum(r["baseline_w1"] for r in rows) / len(rows),
-        "trained_on": n_train,
-    }
+    } for (spec_id, spec), report in zip(specs, reports)]}
 
 
 def _run_route(params, seed, base_dir):

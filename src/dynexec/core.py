@@ -272,6 +272,8 @@ class SequenceModel:
     `dist(state)` is the length-V next-token distribution. States are plain
     tuples or arrays and never change, so a verify cycle branches its K+1
     positions from one state and decoding costs one `advance` per token.
+    A feature model's `advance` and `dist` also take a batch, one state (and
+    one token) per row, and row i equals the 1-D call bit for bit.
     `next_dist(ctx)` is `dist(start(ctx))`. Models are immutable after
     construction and safe to share across sessions.
     """
@@ -386,32 +388,23 @@ class FeatureModel(SequenceModel):
         self.head_w = _frozen(head_w)
         self.head_b = _frozen(head_b)
 
-    # step and head_dist take one feature or a batch of them, one per row. The
-    # stacked mat-vec runs the same kernel on each row as on a single feature,
-    # so row i of a batch equals the 1-D call bit for bit; a single gemm over
-    # the batch (features @ W.T) would not.
-    def step(self, feature: np.ndarray, token) -> np.ndarray:
-        x = np.concatenate([feature, self.embed[token]], axis=-1)
-        return np.tanh(np.matmul(self.recur_w, x[..., None])[..., 0] + self.recur_b)
-
-    def head_dist(self, feature: np.ndarray) -> np.ndarray:
-        return softmax(np.matmul(self.head_w, feature[..., None])[..., 0] + self.head_b)
-
     # The state is the current feature, the toy analogue of a KV cache.
     def start(self, ctx: Context) -> np.ndarray:
         ctx = check_context(ctx, self.vocab_size)
         if not ctx:
             raise EmptyContext("a feature model needs at least one context token")
-        f = np.zeros(self.dim)
-        for token in ctx:
-            f = self.step(f, token)
-        return f
+        return self.branch(np.zeros(self.dim), ctx)[-1]
 
-    def advance(self, state: np.ndarray, token: int) -> np.ndarray:
-        return self.step(state, token)
+    # advance and dist take one feature or a batch of them, one per row. The
+    # stacked mat-vec runs the same kernel on each row as on a single feature,
+    # so row i of a batch equals the 1-D call bit for bit; a single gemm over
+    # the batch (features @ W.T) would not.
+    def advance(self, state: np.ndarray, token) -> np.ndarray:
+        x = np.concatenate([state, self.embed[token]], axis=-1)
+        return np.tanh(np.matmul(self.recur_w, x[..., None])[..., 0] + self.recur_b)
 
     def dist(self, state: np.ndarray) -> np.ndarray:
-        return self.head_dist(state)
+        return softmax(np.matmul(self.head_w, state[..., None])[..., 0] + self.head_b)
 
     # no caller in src/; defined on each subclass: the benchmark's tracer wraps it per class
     def next_dist(self, ctx: Context) -> np.ndarray:
@@ -424,12 +417,8 @@ def feature_forward(model: FeatureModel, ctx) -> tuple[np.ndarray, np.ndarray]:
     ctx = check_context(ctx, model.vocab_size)
     if not ctx:
         raise EmptyContext("feature_forward needs at least one context token")
-    feats = np.empty((len(ctx), model.dim))
-    f = np.zeros(model.dim)
-    for t, token in enumerate(ctx):
-        f = model.step(f, token)
-        feats[t] = f
-    return feats, model.head_dist(f)
+    feats = np.array(model.branch(model.start(ctx[:1]), ctx[1:]))
+    return feats, model.dist(feats[-1])
 
 
 # ---------------------------------------------------------------------------

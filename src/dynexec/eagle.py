@@ -46,8 +46,8 @@ def sample_corpus(model: FeatureModel, n_sequences: int, length: int,
     Returns the tokens (n_sequences, length) and the feature after each token
     (n_sequences, length, d). The first token of each sequence is uniform over
     the vocabulary (the model needs a non-empty context before it can produce
-    a distribution). The sequences advance together, one batched step per
-    position; row i of a batched step equals the 1-D step bit for bit, and
+    a distribution). The sequences advance together, one batched `advance`
+    per position; row i of a batched call equals the 1-D call bit for bit, and
     sequence i reads uniforms i*length .. (i+1)*length - 1 of the stream, as
     if the sequences were sampled one after another.
     """
@@ -59,9 +59,9 @@ def sample_corpus(model: FeatureModel, n_sequences: int, length: int,
     feats = np.empty((n_sequences, length, model.dim))
     f = np.zeros((n_sequences, model.dim))
     for t in range(1, length):
-        f = feats[:, t - 1] = model.step(f, tokens[:, t - 1])
-        tokens[:, t] = inverse_cdf(model.head_dist(f), u[:, t])
-    feats[:, -1] = model.step(f, tokens[:, -1])
+        f = feats[:, t - 1] = model.advance(f, tokens[:, t - 1])
+        tokens[:, t] = inverse_cdf(model.dist(f), u[:, t])
+    feats[:, -1] = model.advance(f, tokens[:, -1])
     return tokens, feats
 
 
@@ -116,7 +116,7 @@ def eagle_draft_from(model: FeatureModel, ex: Extrapolator, feature: np.ndarray,
     tokens = []
     dists = []
     for k in range(K):
-        dist = model.head_dist(feature)
+        dist = model.dist(feature)
         tokens.append(sample(dist, rng))
         dists.append(dist)
         if k + 1 < K:

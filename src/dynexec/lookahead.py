@@ -74,7 +74,7 @@ def _greedy_prefix(dists, proposal):
     return len(proposal), proposal + [int(dists[-1].argmax())], False
 
 
-def lookahead_decode(target: SequenceModel, prompt, N: int, n: int = 3, L: int = 4):
+def lookahead_decode(target: SequenceModel, prompt, N: int, n: int, L: int):
     """Greedy-decode N tokens, verifying cached n-gram proposals in batched calls.
 
     Each round scores the proposal positions plus one in a single target call,

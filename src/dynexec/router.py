@@ -97,37 +97,33 @@ def frontier(probe: SequenceModel, thetas, workload, small: SequenceModel,
     """One RouteReport per threshold, in the order given.
 
     Each item's difficulty and its mean log-likelihood under both models are
-    computed once; a threshold only picks between them. Items whose difficulty
-    strictly exceeds it go to the large model. Costs are one probe call per
-    prompt token plus one chosen-model call per continuation token, summed in
-    item order, so every report is the one a per-threshold pass gives. The
-    per-state memos live for this call only, so the models stay immutable.
+    computed once; a threshold only picks between them in one array pass.
+    Items whose difficulty strictly exceeds it go to the large model. Costs
+    are one probe call per prompt token plus one chosen-model call per
+    continuation token, summed in item order, so every report is the one a
+    per-threshold pass gives. The per-state memos live for this call only, so
+    the models stay immutable.
     """
     workload = list(workload)
     if not workload:
         raise ValueError("workload must be non-empty")
     entropies, small_logps, large_logps = {}, {}, {}
-    scored = []
-    for item in workload:
-        n = len(item.reference_continuation)
-        scored.append((difficulty(item.prompt, probe, entropies), len(item.prompt) * probe.cost_units,
-                       (_mean_log_likelihood(small, item, small_logps), n * small.cost_units),
-                       (_mean_log_likelihood(large, item, large_logps), n * large.cost_units)))
+    scores, small_q, large_q, prompt_len, cont_len = np.array([
+        (difficulty(item.prompt, probe, entropies), _mean_log_likelihood(small, item, small_logps),
+         _mean_log_likelihood(large, item, large_logps), len(item.prompt), len(item.reference_continuation))
+        for item in workload]).T
+    # (probe cost, chosen cost) per item, interleaved: np.cumsum adds in order where np.sum
+    # adds pairwise, so its last element is the running total of a per-item pass
+    costs = np.empty((len(workload), 2))
+    costs[:, 0] = prompt_len * probe.cost_units
     reports = []
     for theta in thetas:
-        total_cost = 0.0
-        n_large = 0
-        qualities = []
-        for score, probe_cost, to_small, to_large in scored:
-            goes_large = score > theta
-            quality, cost = to_large if goes_large else to_small
-            n_large += goes_large
-            # two additions, not one of a sum: the float rounding of a per-item pass
-            total_cost += probe_cost
-            total_cost += cost
-            qualities.append(quality)
-        reports.append(RouteReport(total_cost=total_cost, mean_quality=float(np.mean(qualities)),
-                                   fraction_large=n_large / len(workload)))
+        goes_large = scores > theta
+        costs[:, 1] = cont_len * np.where(goes_large, large.cost_units, small.cost_units)
+        # np.mean of the chosen qualities in item order: the sum np.mean of a per-item list takes
+        reports.append(RouteReport(total_cost=float(np.cumsum(costs)[-1]),
+                                   mean_quality=float(np.mean(np.where(goes_large, large_q, small_q))),
+                                   fraction_large=int(goes_large.sum()) / len(workload)))
     return reports
 
 

@@ -327,7 +327,7 @@ def oracle_labels(items, schedule: NoiseSchedule, epsilon: float, count: int) ->
     return labels
 
 
-def fit_recommender(labeled_specs, max_steps: int = DEFAULT_STEPS) -> StepRecommender:
+def fit_recommender(labeled_specs, max_steps: int) -> StepRecommender:
     """Isotonic (non-decreasing) fit of oracle step labels against difficulty.
 
     Pool-adjacent-violators on difficulty-sorted labels, with exact difficulty

@@ -147,7 +147,7 @@ def eagle_draft_dist_fn(model, extrapolator):
         f = feats[-1]
         for tok in prefix:
             f = extrapolator.predict(f, model.embed[tok])
-        return model.head_dist(f)
+        return model.dist(f)
     return fn
 
 
@@ -226,11 +226,11 @@ def eagle_reference(model, extrapolator, prompt, length, K, rng):
     def rollout_from_scratch(ctx):
         f = np.zeros(model.dim)
         for token in ctx:
-            f = model.step(f, token)
+            f = model.advance(f, token)
         tokens = []
         dists = []
         for _ in range(K):
-            q = model.head_dist(f)
+            q = model.dist(f)
             tokens.append(sample(q, rng))
             dists.append(q)
             f = extrapolator.predict(f, model.embed[tokens[-1]])
@@ -272,11 +272,11 @@ def sample_corpus_reference(model, n_sequences, length, rng):
     for _ in range(n_sequences):
         first = min(int(rng.uniform() * model.vocab_size), model.vocab_size - 1)
         seq = [first]
-        f = model.step(np.zeros(model.dim), first)
+        f = model.advance(np.zeros(model.dim), first)
         for _ in range(length - 1):
-            token = sample(model.head_dist(f), rng)
+            token = sample(model.dist(f), rng)
             seq.append(token)
-            f = model.step(f, token)
+            f = model.advance(f, token)
         corpus.append(tuple(seq))
     return corpus
 

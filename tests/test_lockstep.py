@@ -68,15 +68,15 @@ def test_sample_many_rows_consume_the_stream_like_sample(case, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(feature_models(), st.integers(1, 40), st.integers(0, 2**32))
-def test_batched_step_and_head_dist_rows_equal_single_calls(model, n, seed):
+def test_batched_advance_and_dist_rows_equal_single_calls(model, n, seed):
     rng = Rng(seed)
     features = rng.uniforms(n * model.dim).reshape(n, model.dim) * 2.0 - 1.0
     tokens = (rng.uniforms(n) * model.vocab_size).astype(np.intp)
-    stepped = model.step(features, tokens)
-    dists = model.head_dist(features)
+    stepped = model.advance(features, tokens)
+    dists = model.dist(features)
     for i in range(n):
-        assert np.array_equal(stepped[i], model.step(features[i], int(tokens[i])))
-        assert np.array_equal(dists[i], model.head_dist(features[i]))
+        assert np.array_equal(stepped[i], model.advance(features[i], int(tokens[i])))
+        assert np.array_equal(dists[i], model.dist(features[i]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -90,7 +90,7 @@ def test_stats_fields_consistent():
 def test_input_validation():
     cyc = TableModel(2, 1, {(0,): onehot(2, 1), (1,): onehot(2, 0)})
     with pytest.raises(ValueError):
-        lookahead_decode(cyc, (0,), 0)
+        lookahead_decode(cyc, (0,), 0, n=2, L=4)
     with pytest.raises(ValueError):
         NGramCache(1)
     with pytest.raises(ValueError):

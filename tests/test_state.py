@@ -83,14 +83,14 @@ def test_eagle_steps_once_per_prompt_token_and_verified_position(monkeypatch):
     model = random_feature_model(5, 6, Rng(71), scale=1.5)
     ex = fit_extrapolator(model, sample_corpus(model, 40, 10, Rng(72)))
     calls = 0
-    step = FeatureModel.step
+    advance = FeatureModel.advance
 
-    def counting_step(self, feature, token):
+    def counting_advance(self, state, token):
         nonlocal calls
         calls += 1
-        return step(self, feature, token)
+        return advance(self, state, token)
 
-    monkeypatch.setattr(FeatureModel, "step", counting_step)
+    monkeypatch.setattr(FeatureModel, "advance", counting_advance)
     prompt, K = (1, 4, 2), 3
     _, stats = eagle_decode(model, ex, prompt, 120, K, Rng(73))
     # K branch steps and one step for the last emitted token per cycle
