@@ -59,7 +59,10 @@ def _int_at_least(lo):
 def _as_float(value, key):
     if not is_number(value):
         raise SchemaError(f"key '{key}' must be a number", key=key)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"key '{key}' has an integer too large for a float", key=key) from None
 
 
 def _float_in(lo, hi=math.inf, above=False):
@@ -91,10 +94,7 @@ def _as_int_list(value, key):
 def _as_float_list(value, key):
     if not isinstance(value, list) or not value or not all(map(is_number, value)):
         raise SchemaError(f"key '{key}' must be a non-empty list of numbers", key=key)
-    try:
-        floats = [float(v) for v in value]
-    except OverflowError:
-        raise SchemaError(f"key '{key}' has an integer too large for a float", key=key) from None
+    floats = [_as_float(v, key) for v in value]
     if any(math.isnan(v) for v in floats):
         raise SchemaError(f"key '{key}' must not contain NaN", key=key)
     return floats
@@ -184,7 +184,7 @@ def validate_config(doc: dict) -> dict:
         if key not in allowed_top:
             raise SchemaError(f"unknown key '{key}'", key=key)
     technique = doc.get("technique")
-    if technique not in _SCHEMAS:
+    if not isinstance(technique, str) or technique not in _SCHEMAS:
         raise SchemaError(f"unknown or missing technique {technique!r}", key="technique")
     seed = doc.get("master_seed")
     if seed is not None:
@@ -537,7 +537,7 @@ def main(argv=None) -> int:
     except (ParseError, SchemaError, MissingSeries, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DynexecError, ValueError, OSError) as exc:
+    except (DynexecError, ValueError, OSError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

@@ -81,14 +81,20 @@ class Rng:
         return (self.u64() >> 11) * 2.0**-53
 
     def uniforms(self, n: int) -> np.ndarray:
-        z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        z = _positions(np.uint64(self._seed), np.uint64(self._count), n)
         self._count += n
-        z *= _GOLDEN_U64
-        z += np.uint64(self._seed)
         return _mixed_uniforms(z)
 
     def normals(self, n: int) -> np.ndarray:
         return _box_muller(self.uniforms(2 * n))
+
+
+def _positions(seeds, counters, n: int) -> np.ndarray:
+    """Stream positions seed + (counter + k) * GOLDEN, k = 1..n on a new last axis."""
+    z = counters + np.arange(1, n + 1, dtype=np.uint64)
+    z *= _GOLDEN_U64
+    z += seeds
+    return z
 
 
 def _mixed_uniforms(z: np.ndarray) -> np.ndarray:
@@ -142,9 +148,7 @@ class RngStreams:
         default), one row per stream: row c, element j is the uniform of
         mix64(seed_c + (counter_c + j + 1) * GOLDEN)."""
         m = len(self._rngs) if active is None else active
-        z = self._counters[:m, None] + np.arange(1, n + 1, dtype=np.uint64)
-        z *= _GOLDEN_U64
-        z += self._seeds[:m, None]
+        z = _positions(self._seeds[:m, None], self._counters[:m, None], n)
         self._counters[:m] += np.uint64(n)
         return _mixed_uniforms(z)
 
@@ -290,8 +294,11 @@ class SequenceModel:
     def dist(self, state) -> np.ndarray:
         raise NotImplementedError
 
+    # no caller in src/, which reads contexts through states, but the tests'
+    # from-scratch references read every prefix through it. Each subclass
+    # names it again: the benchmark's tracer wraps it per class.
     def next_dist(self, ctx: Context) -> np.ndarray:
-        raise NotImplementedError
+        return self.dist(self.start(ctx))
 
     def branch(self, state, tokens) -> list:
         """The states after each prefix of tokens, from the empty one to all of them."""
@@ -341,12 +348,7 @@ class TableModel(SequenceModel):
     def dist(self, state: Context) -> np.ndarray:
         return self.table.get(state, self.fallback)
 
-    # dist(start(ctx)) in one call, apart from the state code: no caller in
-    # src/, which reads contexts through states, but the tests' from-scratch
-    # references read every prefix through it. Defined on each subclass: the
-    # benchmark's tracer wraps it per class.
-    def next_dist(self, ctx: Context) -> np.ndarray:
-        return self.table.get(tuple(ctx[-self.order:]) if self.order else (), self.fallback)
+    next_dist = SequenceModel.next_dist
 
 
 class FeatureModel(SequenceModel):
@@ -406,9 +408,7 @@ class FeatureModel(SequenceModel):
     def dist(self, state: np.ndarray) -> np.ndarray:
         return softmax(np.matmul(self.head_w, state[..., None])[..., 0] + self.head_b)
 
-    # no caller in src/; defined on each subclass: the benchmark's tracer wraps it per class
-    def next_dist(self, ctx: Context) -> np.ndarray:
-        return self.dist(self.start(ctx))
+    next_dist = SequenceModel.next_dist
 
 
 def feature_forward(model: FeatureModel, ctx) -> tuple[np.ndarray, np.ndarray]:
@@ -536,5 +536,5 @@ def load_model(path: str) -> SequenceModel:
         return model_from_dict(doc)
     except KeyError as exc:
         raise SchemaError(f"model file {path} lacks key {exc}", key=path) from exc
-    except (AttributeError, TypeError, ValueError, DynexecError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError, DynexecError) as exc:
         raise SchemaError(f"malformed model file {path}: {exc}", key=path) from exc

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureModel, Rng, inverse_cdf, sample
+from .core import FeatureModel, Rng, inverse_cdf
 from .errors import InsufficientData, SingularSystem
-from .specdec import DraftOutput, _speculate
+from .specdec import DraftOutput, _speculate, draft_from
 
 DEFAULT_RIDGE = 1e-6
 
@@ -107,21 +107,7 @@ def eagle_draft(model: FeatureModel, ex: Extrapolator, ctx, K: int, rng: Rng) ->
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    return eagle_draft_from(model, ex, model.start(ctx), K, rng)
-
-
-def eagle_draft_from(model: FeatureModel, ex: Extrapolator, feature: np.ndarray, K: int,
-                     rng: Rng) -> DraftOutput:
-    """`eagle_draft` seeded by the target's feature after the context."""
-    tokens = []
-    dists = []
-    for k in range(K):
-        dist = model.dist(feature)
-        tokens.append(sample(dist, rng))
-        dists.append(dist)
-        if k + 1 < K:
-            feature = ex.predict(feature, model.embed[tokens[-1]])
-    return DraftOutput(tuple(tokens), tuple(dists))
+    return draft_from(model.dist, lambda f, t: ex.predict(f, model.embed[t]), model.start(ctx), K, rng)[0]
 
 
 def eagle_decode(model: FeatureModel, ex: Extrapolator, prompt, N: int, K: int, rng: Rng):
@@ -135,7 +121,7 @@ def eagle_decode(model: FeatureModel, ex: Extrapolator, prompt, N: int, K: int, 
         raise ValueError("K must be >= 1")
 
     def propose(_, feature, __):
-        d = eagle_draft_from(model, ex, feature, K, rng)
+        d, _ = draft_from(model.dist, lambda f, t: ex.predict(f, model.embed[t]), feature, K, rng)
         return d.tokens, d, None
 
     return _speculate(model, prompt, N, rng, propose)

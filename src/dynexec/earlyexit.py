@@ -53,13 +53,13 @@ class ExitStage:
 
 @dataclass(frozen=True)
 class MultiExitNet:
-    """Ordered stages; the final stage has no entropy gate and always answers."""
+    """Two stages; the final stage has no entropy gate and answers what the first does not."""
 
-    stages: tuple[ExitStage, ...]
+    stages: tuple[ExitStage, ExitStage]
 
     def __post_init__(self):
-        if len(self.stages) < 2:
-            raise ValueError("need at least two stages")
+        if len(self.stages) != 2:
+            raise ValueError(f"need exactly two stages, got {len(self.stages)}")
 
     @property
     def full_cost(self) -> float:
@@ -146,39 +146,31 @@ def train_stages(data: Dataset) -> MultiExitNet:
 def sweep(net: MultiExitNet, data: Dataset, taus) -> list[SweepRow]:
     """Evaluate the gate across an ascending grid of thresholds tau (nats).
 
-    Stage outputs and their entropies are computed once per point and reused
-    for every tau. A point exits at the first stage whose entropy is strictly
-    below tau, so tau=0 never exits early and tau above ln(2), the two-class
-    maximum, always exits at stage 0; the final stage always answers.
+    Stage outputs and stage 0's entropies are computed once per point and
+    reused for every tau. A point exits at stage 0 when its entropy is
+    strictly below tau, so tau=0 never exits early and tau above ln(2), the
+    two-class maximum, always does; the final stage answers the rest.
     """
     taus = list(taus)
     if not taus:
         raise ValueError("tau grid must be non-empty")
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau grid must be sorted ascending")
-    stage_dists = [stage.dists(data.xs, data.ys) for stage in net.stages]
-    stage_preds = [np.argmax(d, axis=1) for d in stage_dists]
-    stage_ents = [_row_entropies(d) for d in stage_dists]
+    first, final = net.stages
+    first_dists = first.dists(data.xs, data.ys)
+    first_preds = np.argmax(first_dists, axis=1)
+    final_preds = np.argmax(final.dists(data.xs, data.ys), axis=1)
+    first_ents = _row_entropies(first_dists)
     full_cost = net.full_cost
     rows = []
     for tau in taus:
-        preds = stage_preds[-1].copy()
-        cost = np.full(len(data.labels), full_cost)
-        decided = np.zeros(len(data.labels), dtype=bool)
-        cum_cost = 0.0
-        for idx in range(len(net.stages) - 1):
-            cum_cost += net.stages[idx].cost_units
-            exits = ~decided & (stage_ents[idx] < tau)
-            preds[exits] = stage_preds[idx][exits]
-            cost[exits] = cum_cost
-            decided |= exits
-        early_fraction = float(np.mean(cost < full_cost))
-        mean_cost = float(np.mean(cost))
+        exits = first_ents < tau
+        mean_cost = float(np.mean(np.where(exits, first.cost_units, full_cost)))
         rows.append(SweepRow(
             tau=float(tau),
-            accuracy=float(np.mean(preds == data.labels)),
+            accuracy=float(np.mean(np.where(exits, first_preds, final_preds) == data.labels)),
             mean_cost=mean_cost,
-            early_exit_fraction=early_fraction,
+            early_exit_fraction=float(np.mean(exits)),
             speedup=full_cost / mean_cost,
         ))
     return rows

@@ -60,23 +60,26 @@ def draft(draft_model: SequenceModel, ctx, K: int, rng: Rng) -> DraftOutput:
     if K < 1:
         raise ValueError("K must be >= 1")
     ctx = check_context(ctx, draft_model.vocab_size)
-    return draft_from(draft_model, draft_model.start(ctx), K, rng)[0]
+    return draft_from(draft_model.dist, draft_model.advance, draft_model.start(ctx), K, rng)[0]
 
 
-def draft_from(draft_model: SequenceModel, state, K: int, rng: Rng):
-    """`draft` from the draft model's state after the context.
+def draft_from(dist, advance, state, K: int, rng: Rng):
+    """The one drafting loop: `draft` from a drafter's state after the context.
 
-    Returns the proposal and the draft model's K+1 branch states: its state
-    before each drafted token, then after the last one.
+    `dist(state)` is the drafter's next-token distribution and
+    `advance(state, token)` its next state; the drafter steps only between
+    drafted tokens. Returns the proposal and the K states the tokens were
+    drafted from.
     """
     tokens = []
     dists = []
     states = [state]
-    for _ in range(K):
-        q = draft_model.dist(states[-1])
+    for k in range(K):
+        q = dist(states[-1])
         tokens.append(sample(q, rng))
         dists.append(q)
-        states.append(draft_model.advance(states[-1], tokens[-1]))
+        if k + 1 < K:
+            states.append(advance(states[-1], tokens[-1]))
     return DraftOutput(tuple(tokens), tuple(dists)), states
 
 
@@ -125,14 +128,14 @@ def _decode_loop(target: SequenceModel, prompt, N, propose, check, draft_model=N
     """The one draft -> verify loop over incremental model states.
 
     Each cycle `propose(history, state, draft_state)` returns the proposed
-    tokens (possibly none), the object `check` verifies and draft_model's
-    branch states (None without a draft model). The target's positions after
-    each proposal prefix branch from its one state and count as one batched
-    target call; `check(dists, proposal)` returns
-    (n_accepted, emitted, resampled). Each state then moves on from the
-    branch of the accepted prefix by the last emitted token, so every model
-    reads the prompt once and each emitted token once. `history` is the
-    prompt plus the tokens emitted so far.
+    tokens (possibly none), the object `check` verifies and the states
+    draft_model drafted them from (None without a draft model). The target's
+    positions after each proposal prefix branch from its one state and count
+    as one batched target call; `check(dists, proposal)` returns
+    (n_accepted, emitted, resampled). Each state then moves on from the last
+    one inside the accepted prefix by the emitted tokens after it, so every
+    model reads the prompt once and each emitted token once. `history` is
+    the prompt plus the tokens emitted so far.
 
     Returns the first N emitted tokens, the cycles run (one target call
     each) and the tokens drafted (one draft call each) and accepted over all
@@ -154,7 +157,8 @@ def _decode_loop(target: SequenceModel, prompt, N, propose, check, draft_model=N
         last = emitted[-1]
         state = target.advance(branch[n_accepted], last)
         if draft_model is not None:
-            draft_state = draft_model.advance(draft_branch[n_accepted], last)
+            i = min(n_accepted, len(tokens) - 1)
+            draft_state = draft_model.branch(draft_branch[i], emitted[i:])[-1]
         history.extend(emitted)
         cycles += 1
         accepted += n_accepted
@@ -192,7 +196,7 @@ def speculative_decode(target: SequenceModel, draft_model: SequenceModel,
     prompt = check_context(prompt, target.vocab_size)
 
     def propose(_, __, draft_state):
-        d, states = draft_from(draft_model, draft_state, K, rng)
+        d, states = draft_from(draft_model.dist, draft_model.advance, draft_state, K, rng)
         return d.tokens, d, states
 
     return _speculate(target, prompt, N, rng, propose, draft_model)

@@ -286,6 +286,14 @@ def quality(samples, spec: MixtureSpec, reference_count: int, rng: Rng) -> float
     return wasserstein1(samples, spec.sample(reference_count, rng))
 
 
+def _scored(chains, schedule: NoiseSchedule, count: int):
+    """Every (spec, steps, rng, reference rng) chain generated in one lockstep
+    batch, and its W1 against `count` reference draws from its reference rng.
+    Returns the samples and the W1s, one per chain, in order."""
+    samples = generate_many([chain[:3] for chain in chains], schedule, count)
+    return samples, [quality(x, spec, count, ref) for x, (spec, _, _, ref) in zip(samples, chains)]
+
+
 def min_steps_oracle(spec: MixtureSpec, schedule: NoiseSchedule, epsilon: float,
                      count: int, rng: Rng) -> int:
     """Smallest grid step count whose W1 stays within (1+epsilon) of the T-step baseline.
@@ -309,10 +317,8 @@ def oracle_labels(items, schedule: NoiseSchedule, epsilon: float, count: int) ->
 
     def w1s(members, steps):
         branches = [rng.child(steps) for _, rng in members]
-        samples = generate_many([(spec, steps, branch.child(0)) for (spec, _), branch in zip(members, branches)],
-                                schedule, count)
-        return [quality(x, spec, count, branch.child(1))
-                for x, (spec, _), branch in zip(samples, members, branches)]
+        return _scored([(spec, steps, branch.child(0), branch.child(1))
+                        for (spec, _), branch in zip(members, branches)], schedule, count)[1]
 
     bounds = [(1.0 + epsilon) * w1 for w1 in w1s(items, schedule.T)]
     labels = [schedule.T] * len(items)
@@ -386,15 +392,11 @@ def adaptive_generate_many(items, recommender: StepRecommender, schedule: NoiseS
     chains draw from rng.child(0), the baselines from rng.child(2), and their
     references from rng.child(1) and rng.child(3)."""
     steps = [recommender.recommend(spec.difficulty) for spec, _ in items]
-    chains = [(spec, s, rng.child(0)) for (spec, rng), s in zip(items, steps)]
-    chains += [(spec, schedule.T, rng.child(2)) for spec, rng in items]
-    samples = generate_many(chains, schedule, count)
-    out = []
-    for (spec, rng), s, x, base in zip(items, steps, samples, samples[len(items):]):
-        w1 = quality(x, spec, count, rng.child(1))
-        base_w1 = quality(base, spec, count, rng.child(3))
-        out.append((x, QualityReport(steps_used=s, w1=w1, baseline_w1=base_w1)))
-    return out
+    chains = [(spec, s, rng.child(0), rng.child(1)) for (spec, rng), s in zip(items, steps)]
+    chains += [(spec, schedule.T, rng.child(2), rng.child(3)) for spec, rng in items]
+    samples, w1s = _scored(chains, schedule, count)
+    return [(x, QualityReport(steps_used=s, w1=w1, baseline_w1=base_w1))
+            for x, s, w1, base_w1 in zip(samples, steps, w1s, w1s[len(items):])]
 
 
 def train_and_evaluate(specs, schedule: NoiseSchedule, epsilon: float, n_train: int,

@@ -445,3 +445,14 @@ def min_steps_oracle_reference(spec, schedule, epsilon, count, rng):
         if steps == schedule.T or w1_at(steps) <= (1.0 + epsilon) * baseline:
             return steps
     return schedule.T
+
+
+def adaptive_generate_reference(spec, recommender, schedule, count, rng):
+    """`adaptive_generate` one chain at a time: the recommended-step chain on
+    rng.child(0) and the T-step baseline on rng.child(2), scored against
+    reference draws from rng.child(1) and rng.child(3). Returns the samples,
+    the steps used, the W1 and the baseline W1."""
+    steps = recommender.recommend(spec.difficulty)
+    x = generate_reference(spec, schedule, steps, count, rng.child(0))
+    baseline = generate_reference(spec, schedule, schedule.T, count, rng.child(2))
+    return x, steps, quality(x, spec, count, rng.child(1)), quality(baseline, spec, count, rng.child(3))

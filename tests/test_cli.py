@@ -381,6 +381,22 @@ def test_cli_rejects_huge_steps_by_name_before_allocating(tmp_path, model_files,
     assert peak < 2**20  # no T-length array, not even one refused by the allocator
 
 
+@pytest.mark.parametrize("technique, flags", [
+    pytest.param("early-exit", ["--count", str(10**17)], id="early-exit-count"),
+    pytest.param("stepsaver", ["--workload", "MIX", "--count", str(10**17)], id="stepsaver-count"),
+    pytest.param("eagle", ["--model", "FEATURE", "--fit-seqs", str(10**16)], id="eagle-fit-seqs"),
+])
+def test_cli_run_too_large_to_allocate_exits_2_in_one_line(tmp_path, model_files, capsys, technique, flags):
+    # each run asks numpy for an array of over 700 PiB, more than any machine's
+    # virtual address space, so it is refused at once and nothing is allocated
+    flags = [{"MIX": model_files["mix_workload"], "FEATURE": model_files["feature"]}.get(f, f) for f in flags]
+    out = tmp_path / "out.report"
+    assert main([technique, *flags, "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
 _BROKEN = '{"kind": "table", "vocab_size": 2,\n "order": 0 "table": {}}\n'
 
 

@@ -108,6 +108,13 @@ def test_infer_entropy_gate_threshold():
     assert cost == 1.0
 
 
+def test_multi_exit_net_needs_exactly_two_stages():
+    stage = ExitStage(np.zeros(3), "linear", 1.0)
+    for stages in ((stage,), (stage, stage, stage)):
+        with pytest.raises(ValueError, match="exactly two stages"):
+            MultiExitNet(stages)
+
+
 def test_sweep_endpoints():
     data = gen_dataset(1500, 0.2, 21)
     net = train_stages(data)

@@ -1,5 +1,10 @@
 """Fuzzing the input loaders end to end.
 
+Every generated config document either validates to a canonical config, with
+every schema key and no NaN, or is rejected with a SchemaError, which `main`
+maps to exit code 1. Every generated model file either loads to a model whose
+distributions are valid, or is rejected with a ParseError or SchemaError, and
+a run on it exits 0 with a report or 1 without one.
 Every generated mixture workload file either runs to a report whose W1
 values are all finite and whose spec ids are the file's, also when its CSV is
 read back, or is rejected with a ParseError or SchemaError, the errors `main`
@@ -21,11 +26,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dynexec import RoutePolicy, Rng, WorkloadItem
-from dynexec.cli import PLOT_KINDS, csv_text, main, run, validate_config
-from dynexec.core import save_model
+from dynexec.cli import _REQUIRED, _SCHEMAS, PLOT_KINDS, csv_text, main, run, validate_config
+from dynexec.core import check_dist, load_model, model_to_dict, save_model
 from dynexec.errors import ParseError, SchemaError
 
-from helpers import random_table_model, varied_entropy_table_model
+from helpers import random_feature_model, random_table_model, varied_entropy_table_model
 from oracles import route_evaluate_reference
 
 # JSON values that are not a well-formed component entry
@@ -228,3 +233,106 @@ def test_plot_reads_any_report_or_exits_1(report):
         rc = main(["plot", "--report", path, "--kind", kind, "--out", out])
         assert rc in (0, 1)
         assert os.path.exists(out) == (rc == 0)
+
+
+# numbers no config key or model entry should take as they are
+ODD_NUMBERS = st.one_of(st.integers(), st.floats(), st.sampled_from([10**400, -10**400, 2**64, 5e-324, 1e308]))
+ODD_VALUES = JSON_VALUES | ODD_NUMBERS | st.lists(ODD_NUMBERS, max_size=3)
+
+
+@st.composite
+def config_docs(draw):
+    """A valid config of any technique, some keys left to their defaults, then at most one corruption."""
+    technique = draw(st.sampled_from(sorted(_SCHEMAS)))
+    params = {}
+    for key, (_, default) in _SCHEMAS[technique].items():
+        if default is _REQUIRED:
+            params[key] = [0.5] if key == "thetas" else "in.json"
+        elif draw(st.booleans()):
+            params[key] = default
+    doc = {"technique": technique, "params": params, "report": "out.report"}
+    if draw(st.booleans()):
+        doc["master_seed"] = draw(st.integers())
+    corruption = draw(st.sampled_from(["none", "value", "unknown key", "missing", "top", "document"]))
+    if corruption == "value":
+        params[draw(st.sampled_from(sorted(_SCHEMAS[technique])))] = draw(ODD_VALUES)
+    elif corruption == "unknown key":
+        params[draw(st.text(max_size=3))] = draw(ODD_VALUES)
+    elif corruption == "missing" and params:
+        del params[draw(st.sampled_from(sorted(params)))]
+    elif corruption == "top":
+        doc[draw(st.sampled_from(["technique", "params", "report", "master_seed", "seed"]))] = draw(ODD_VALUES)
+    elif corruption == "document":
+        return draw(ODD_VALUES)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_docs())
+@example({"technique": [], "params": {}})  # an unhashable technique
+@example({"technique": "eagle", "params": {"model": "in.json", "ridge": 10**400}})  # no float holds it
+def test_config_validates_or_raises_schema_error(doc):
+    try:
+        config = validate_config(doc)
+    except SchemaError:
+        return
+    params = config["params"]
+    assert set(params) == set(_SCHEMAS[config["technique"]])
+    values = [v for value in params.values() for v in (value if isinstance(value, list) else [value])]
+    assert not any(isinstance(v, float) and math.isnan(v) for v in values)
+    assert validate_config(config) == config
+
+
+FUZZ_TABLE = random_table_model(3, 1, Rng(31), cost_units=2.0)
+FUZZ_FEATURE = random_feature_model(3, 4, Rng(32))
+
+
+def _entries(doc, path=()):
+    """The path of every value inside doc, the document itself first."""
+    yield path
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from _entries(value, path + (key,))
+
+
+@st.composite
+def model_docs(draw):
+    """A saved table or feature model, then at most one corruption: any value
+    replaced, a key dropped or added, or a table key rewritten."""
+    doc = model_to_dict(draw(st.sampled_from([FUZZ_TABLE, FUZZ_FEATURE])))
+    corruption = draw(st.sampled_from(["none", "value", "drop", "add", "table key"]))
+    path = draw(st.sampled_from(list(_entries(doc))[1:]))
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    if corruption == "value":
+        holder[path[-1]] = draw(ODD_VALUES)
+    elif corruption == "drop":
+        del holder[path[-1]]
+    elif corruption == "add":
+        doc[draw(st.text(max_size=3))] = draw(ODD_VALUES)
+    elif corruption == "table key" and "table" in doc:
+        table = doc["table"]
+        table[draw(st.text(alphabet="0123456789,- ", max_size=4))] = table.pop(sorted(table)[0])
+    return doc
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(model_docs())
+@example({**model_to_dict(FUZZ_TABLE), "cost_units": 10**400})  # no float holds it
+@example({**model_to_dict(FUZZ_FEATURE), "head_b": [10**400, 0.0, 0.0]})
+def test_model_file_loads_or_exits_1(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "model.json"), os.path.join(tmp, "out.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        try:
+            model = load_model(path)
+        except (ParseError, SchemaError):
+            model = None
+        rc = main(["lookahead", "--model", path, "--n", "4", "--report", out])
+        assert rc == (1 if model is None else 0)
+        assert os.path.exists(out) == (rc == 0)
+    if model is not None:
+        for ctx in ((0,), (2, 1), (1, 0, 2)):
+            check_dist(model.next_dist(ctx))

@@ -13,8 +13,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynexec import FeatureModel, Rng, TableModel, eagle_decode, fit_extrapolator, sample_corpus
+from dynexec import (Extrapolator, FeatureModel, Rng, TableModel, eagle_decode, fit_extrapolator, sample_corpus,
+                     speculative_decode)
 from dynexec import lookahead as lookahead_module
+from dynexec import specdec as specdec_module
 from dynexec.core import normalize
 from dynexec.lookahead import lookahead_decode
 
@@ -95,6 +97,49 @@ def test_eagle_steps_once_per_prompt_token_and_verified_position(monkeypatch):
     _, stats = eagle_decode(model, ex, prompt, 120, K, Rng(73))
     # K branch steps and one step for the last emitted token per cycle
     assert calls == (K + 1) * stats.cycles + len(prompt)
+
+
+def test_eagle_extrapolates_only_between_drafted_tokens(monkeypatch):
+    model = random_feature_model(5, 6, Rng(71), scale=1.5)
+    ex = fit_extrapolator(model, sample_corpus(model, 40, 10, Rng(72)))
+    calls = 0
+    predict = Extrapolator.predict
+
+    def counting_predict(self, feature, embedding):
+        nonlocal calls
+        calls += 1
+        return predict(self, feature, embedding)
+
+    monkeypatch.setattr(Extrapolator, "predict", counting_predict)
+    K = 3
+    _, stats = eagle_decode(model, ex, (1, 4, 2), 120, K, Rng(73))
+    assert calls == (K - 1) * stats.cycles
+
+
+def test_specdec_draft_steps_k_or_k_plus_one_per_cycle(monkeypatch):
+    target, draft = _sparse_table_model(4, 2, 11), _sparse_table_model(4, 1, 12)
+    calls = full_accepts = 0
+    advance, verify = draft.advance, specdec_module.verify
+
+    def counting_advance(state, token):
+        nonlocal calls
+        calls += 1
+        return advance(state, token)
+
+    def recording_verify(dists, d, rng):
+        nonlocal full_accepts
+        result = verify(dists, d, rng)
+        full_accepts += result.n_accepted == len(d.tokens)
+        return result
+
+    draft.advance = counting_advance
+    monkeypatch.setattr(specdec_module, "verify", recording_verify)
+    K = 4
+    _, stats = speculative_decode(target, draft, (0, 1), 200, K, Rng(13))
+    # K - 1 steps between the drafts, then one per emitted token after the last
+    # drafted-from state inside the accepted prefix: two after a full accept
+    assert calls == K * stats.cycles + full_accepts
+    assert 0 < full_accepts < stats.cycles
 
 
 def test_lookahead_inserts_each_window_once(monkeypatch):

@@ -17,12 +17,13 @@ from dynexec import (
 )
 from dynexec import stepsaver
 from dynexec.core import RngStreams
-from dynexec.stepsaver import (_log_norms, _mixture_score, _noised_components, generate_many, oracle_labels,
-                               respaced_timesteps)
+from dynexec.stepsaver import (_log_norms, _mixture_score, _noised_components, adaptive_generate_many, generate_many,
+                               oracle_labels, respaced_timesteps)
 from dynexec.errors import InsufficientData, StepsOutOfRange
 
 from helpers import separated_mixture, single_gaussian, skewed_workload
-from oracles import generate_reference, min_steps_oracle_reference, mixture_score_reference
+from oracles import (adaptive_generate_reference, generate_reference, min_steps_oracle_reference,
+                     mixture_score_reference)
 
 SCHEDULE = NoiseSchedule()
 
@@ -300,6 +301,19 @@ def test_oracle_labels_match_scan_reference(items, T, epsilon, count):
     schedule = NoiseSchedule(T)
     labels = oracle_labels([(spec, Rng(seed)) for spec, seed in items], schedule, epsilon, count)
     assert labels == [min_steps_oracle_reference(spec, schedule, epsilon, count, Rng(seed)) for spec, seed in items]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(mixtures(), st.integers(0, 2**64 - 1)), min_size=1, max_size=4), st.integers(10, 80))
+def test_adaptive_generate_many_matches_per_item_reference(items, count):
+    schedule = NoiseSchedule(25)
+    rec = fit_recommender([(single_gaussian(mu), 2) for mu in (-1.0, 0.0, 1.0)]
+                          + [(separated_mixture(3), 9), (separated_mixture(5), 25)], schedule.T)
+    out = adaptive_generate_many([(spec, Rng(seed)) for spec, seed in items], rec, schedule, count)
+    for (spec, seed), (x, report) in zip(items, out):
+        ref_x, steps, w1, baseline_w1 = adaptive_generate_reference(spec, rec, schedule, count, Rng(seed))
+        assert np.array_equal(x, ref_x)
+        assert (report.steps_used, report.w1, report.baseline_w1) == (steps, w1, baseline_w1)
 
 
 @settings(max_examples=60, deadline=None)
