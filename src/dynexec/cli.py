@@ -23,7 +23,7 @@ from .errors import DynexecError, MissingSeries, ParseError, SchemaError
 from .lookahead import lookahead_decode
 from .router import WorkloadItem, frontier
 from .specdec import simulated_speedup, speculative_decode
-from .stepsaver import DEFAULT_STEPS, MIN_LABELED_SPECS, MixtureSpec, NoiseSchedule, train_and_evaluate
+from .stepsaver import DEFAULT_STEPS, MAX_STEPS, MIN_LABELED_SPECS, MixtureSpec, NoiseSchedule, train_and_evaluate
 
 VERSION = "dynexec 0.1.0"
 SEED_ENV_VAR = "DYNEXEC_SEED"
@@ -46,16 +46,6 @@ def _as_int(value, key):
     return value
 
 
-def _int_at_least(lo):
-    def check(value, key):
-        value = _as_int(value, key)
-        if value < lo:
-            raise SchemaError(f"key '{key}' must be >= {lo}, got {value}", key=key)
-        return value
-    check.flag_type = int
-    return check
-
-
 def _as_float(value, key):
     if not is_number(value):
         raise SchemaError(f"key '{key}' must be a number", key=key)
@@ -65,16 +55,20 @@ def _as_float(value, key):
         raise SchemaError(f"key '{key}' has an integer too large for a float", key=key) from None
 
 
-def _float_in(lo, hi=math.inf, above=False):
-    """A finite number in [lo, hi], or in (lo, hi] when `above`."""
-    rule = (">" if above else ">=") + f" {lo}" + (f" and <= {hi}" if hi < math.inf else "")
+def _in_range(kind, lo, hi=math.inf, above=False):
+    """An int or a finite float (`kind`) in [lo, hi], or in (lo, hi] when
+    `above`. Its rule text is read by the error and by the flag's --help."""
+    as_kind, noun = (_as_int, "") if kind is int else (_as_float, "a finite number ")
+    rule = noun + (">" if above else ">=") + f" {lo}" + (f" and <= {hi}" if hi < math.inf else "")
 
     def check(value, key):
-        value = _as_float(value, key)
-        if not (math.isfinite(value) and (lo < value if above else lo <= value) and value <= hi):
-            raise SchemaError(f"key '{key}' must be a finite number {rule}, got {value!r}", key=key)
+        value = as_kind(value, key)
+        # ints compare exactly and are all < inf; math.isfinite(10**400) would overflow
+        if not ((lo < value if above else lo <= value) and value <= hi and value < math.inf):
+            raise SchemaError(f"key '{key}' must be {rule}, got {value!r}", key=key)
         return value
-    check.flag_type = float
+    check.flag_type = kind
+    check.rule = rule
     return check
 
 
@@ -112,38 +106,38 @@ _SCHEMAS = {
     "specdec": {
         "target": (_as_str, _REQUIRED),
         "draft": (_as_str, _REQUIRED),
-        "k": (_int_at_least(1), 4),
-        "n": (_int_at_least(1), 64),
+        "k": (_in_range(int, 1), 4),
+        "n": (_in_range(int, 1), 64),
         "prompt": (_as_int_list, [0]),
     },
     "eagle": {
         "model": (_as_str, _REQUIRED),
-        "k": (_int_at_least(1), 4),
-        "n": (_int_at_least(1), 64),
-        "fit_seqs": (_int_at_least(1), 256),
-        "fit_len": (_int_at_least(2), 16),
-        "ridge": (_float_in(0.0), DEFAULT_RIDGE),
-        "draft_cost_factor": (_float_in(0.0), 0.1),
+        "k": (_in_range(int, 1), 4),
+        "n": (_in_range(int, 1), 64),
+        "fit_seqs": (_in_range(int, 1), 256),
+        "fit_len": (_in_range(int, 2), 16),
+        "ridge": (_in_range(float, 0.0), DEFAULT_RIDGE),
+        "draft_cost_factor": (_in_range(float, 0.0), 0.1),
         "prompt": (_as_int_list, [0]),
     },
     "lookahead": {
         "model": (_as_str, _REQUIRED),
-        "n": (_int_at_least(1), 64),
-        "ngram": (_int_at_least(2), 3),
-        "window": (_int_at_least(1), 4),
+        "n": (_in_range(int, 1), 64),
+        "ngram": (_in_range(int, 2), 3),
+        "window": (_in_range(int, 1), 4),
         "prompt": (_as_int_list, [0]),
     },
     "early-exit": {
-        "count": (_int_at_least(100), 5000),
-        "hard_fraction": (_float_in(0.0, 1.0), 0.2),
+        "count": (_in_range(int, 100), 5000),
+        "hard_fraction": (_in_range(float, 0.0, 1.0), 0.2),
         "taus": (_as_float_list, DEFAULT_TAUS),
     },
     "stepsaver": {
         "workload": (_as_str, _REQUIRED),
-        "epsilon": (_float_in(0.0, above=True), 0.1),
-        "train_frac": (_float_in(0.0, 1.0), 0.5),
-        "count": (_int_at_least(1), 4000),
-        "steps": (_int_at_least(1), DEFAULT_STEPS),
+        "epsilon": (_in_range(float, 0.0, above=True), 0.1),
+        "train_frac": (_in_range(float, 0.0, 1.0), 0.5),
+        "count": (_in_range(int, 1), 4000),
+        "steps": (_in_range(int, 1, MAX_STEPS), DEFAULT_STEPS),
     },
     "route": {
         "small": (_as_str, _REQUIRED),
@@ -354,10 +348,7 @@ def _run_early_exit(params, seed, base_dir):
 def _run_stepsaver(params, seed, base_dir):
     """adaptive diffusion step recommendation"""
     specs = load_mixture_workload(_resolve(base_dir, params["workload"]))
-    try:
-        schedule = NoiseSchedule(params["steps"])
-    except ValueError as exc:
-        raise SchemaError(f"key 'steps' is too large for the noise schedule: {exc}", key="steps") from exc
+    schedule = NoiseSchedule(params["steps"])
     # the recommender needs MIN_LABELED_SPECS labels, so small workloads train on more than train_frac
     n_train = min(len(specs), max(MIN_LABELED_SPECS, round(params["train_frac"] * len(specs))))
     reports = train_and_evaluate([spec for _, spec in specs], schedule, params["epsilon"], n_train,
@@ -486,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     for technique, schema in _SCHEMAS.items():
         p = sub.add_parser(technique, help=_RUNNERS[technique].__doc__)
         for key, (check, default) in schema.items():
-            p.add_argument("--" + key.replace("_", "-"), type=check.flag_type, required=default is _REQUIRED)
+            p.add_argument("--" + key.replace("_", "-"), type=check.flag_type, required=default is _REQUIRED,
+                           help=getattr(check, "rule", None))
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--report", required=True)
 

@@ -262,6 +262,12 @@ def _check_vocab_size(v: int) -> int:
     return v
 
 
+def _check_cost(cost_units) -> float:
+    if not 0 < cost_units < np.inf:
+        raise ValueError("cost_units must be positive and finite")
+    return float(cost_units)
+
+
 def _frozen(a) -> np.ndarray:
     out = np.array(a, dtype=np.float64)
     out.flags.writeable = False
@@ -322,9 +328,7 @@ class TableModel(SequenceModel):
         if not 0 <= order <= MAX_TABLE_ORDER:
             raise ValueError(f"table order must be in [0, {MAX_TABLE_ORDER}]")
         self.order = order
-        if not 0 < cost_units < np.inf:
-            raise ValueError("cost_units must be positive and finite")
-        self.cost_units = float(cost_units)
+        self.cost_units = _check_cost(cost_units)
         rows = {}
         for window, row in table.items():
             window = check_context(window, self.vocab_size)
@@ -360,35 +364,36 @@ class FeatureModel(SequenceModel):
     what feature-level drafting extrapolates.
     """
 
+    # each weight's name and number of axes, in the constructor's order
+    WEIGHTS = {"embed": 2, "recur_w": 2, "recur_b": 1, "head_w": 2, "head_b": 1}
+
     def __init__(self, vocab_size, embed, recur_w, recur_b, head_w, head_b, cost_units=1.0):
         self.vocab_size = _check_vocab_size(vocab_size)
-        embed = np.asarray(embed, dtype=np.float64)
-        if embed.shape[0] != self.vocab_size:
+        for name, arr in zip(self.WEIGHTS, (embed, recur_w, recur_b, head_w, head_b)):
+            setattr(self, name, _frozen(arr))
+        if self.embed.shape[0] != self.vocab_size:
             raise ValueError("embed must have one row per token")
-        dim = embed.shape[1]
+        dim = self.embed.shape[1]
         if not MIN_FEATURE_DIM <= dim <= MAX_FEATURE_DIM:
             raise ValueError(f"feature dim must be in [{MIN_FEATURE_DIM}, {MAX_FEATURE_DIM}]")
         self.dim = dim
-        recur_w = np.asarray(recur_w, dtype=np.float64)
-        recur_b = np.asarray(recur_b, dtype=np.float64)
-        head_w = np.asarray(head_w, dtype=np.float64)
-        head_b = np.asarray(head_b, dtype=np.float64)
-        if recur_w.shape != (dim, 2 * dim) or recur_b.shape != (dim,):
+        if self.recur_w.shape != (dim, 2 * dim) or self.recur_b.shape != (dim,):
             raise ValueError("recurrence must map 2*dim -> dim")
-        if head_w.shape != (self.vocab_size, dim) or head_b.shape != (self.vocab_size,):
+        if self.head_w.shape != (self.vocab_size, dim) or self.head_b.shape != (self.vocab_size,):
             raise ValueError("head must map dim -> vocab scores")
-        for name, arr in (("embed", embed), ("recur_w", recur_w), ("recur_b", recur_b),
-                          ("head_w", head_w), ("head_b", head_b)):
-            if not np.all(np.isfinite(arr)):
+        for name in self.WEIGHTS:
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} has non-finite entries")
-        if not 0 < cost_units < np.inf:
-            raise ValueError("cost_units must be positive and finite")
-        self.cost_units = float(cost_units)
-        self.embed = _frozen(embed)
-        self.recur_w = _frozen(recur_w)
-        self.recur_b = _frozen(recur_b)
-        self.head_w = _frozen(head_w)
-        self.head_b = _frozen(head_b)
+        # Features lie in [-1, 1], so |w| @ (largest |input|) + |b| bounds each score
+        # and pre-activation; where that is not finite, products can overflow to NaN.
+        largest_in = np.concatenate([np.ones(dim), np.abs(self.embed).max(axis=0)])
+        with np.errstate(over="ignore"):
+            bounds = {"head": np.abs(self.head_w).sum(axis=1) + np.abs(self.head_b),
+                      "recurrence": np.abs(self.recur_w) @ largest_in + np.abs(self.recur_b)}
+        for layer, bound in bounds.items():
+            if not np.isfinite(bound).all():
+                raise ValueError(f"the {layer} can overflow: |w| @ (largest |input|) + |b| is not finite")
+        self.cost_units = _check_cost(cost_units)
 
     # The state is the current feature, the toy analogue of a KV cache.
     def start(self, ctx: Context) -> np.ndarray:
@@ -443,11 +448,7 @@ def model_to_dict(model: SequenceModel) -> dict:
             "kind": "feature",
             "cost_units": model.cost_units,
             "dim": model.dim,
-            "embed": model.embed.tolist(),
-            "recur_w": model.recur_w.tolist(),
-            "recur_b": model.recur_b.tolist(),
-            "head_w": model.head_w.tolist(),
-            "head_b": model.head_b.tolist(),
+            **{name: getattr(model, name).tolist() for name in FeatureModel.WEIGHTS},
         }
     raise TypeError(f"cannot serialize model of type {type(model).__name__}")
 
@@ -483,12 +484,10 @@ def model_from_dict(doc: dict) -> SequenceModel:
         return TableModel(doc["vocab_size"], doc["order"], table,
                           fallback=doc["fallback"], cost_units=doc["cost_units"])
     if kind == "feature":
-        for name, rows in (("embed", doc["embed"]), ("recur_w", doc["recur_w"]), ("recur_b", [doc["recur_b"]]),
-                           ("head_w", doc["head_w"]), ("head_b", [doc["head_b"]])):
-            _check_numbers(name, rows)
-        return FeatureModel(doc["vocab_size"], doc["embed"], doc["recur_w"],
-                            doc["recur_b"], doc["head_w"], doc["head_b"],
-                            cost_units=doc["cost_units"])
+        weights = [doc[name] for name in FeatureModel.WEIGHTS]
+        for (name, ndim), value in zip(FeatureModel.WEIGHTS.items(), weights):
+            _check_numbers(name, value if ndim == 2 else [value])
+        return FeatureModel(doc["vocab_size"], *weights, cost_units=doc["cost_units"])
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -528,6 +527,9 @@ def _load_json(path: str):
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     except RecursionError:
         raise ParseError(f"{path}: nested too deeply to parse") from None
+    except ValueError as exc:
+        # an integer beyond Python's int-from-text limit of 4300 digits
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def load_model(path: str) -> SequenceModel:

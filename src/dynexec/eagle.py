@@ -105,8 +105,6 @@ def eagle_draft(model: FeatureModel, ex: Extrapolator, ctx, K: int, rng: Rng) ->
     The first draft distribution therefore equals the target's, and drift
     enters through extrapolated features from the second position on.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
     return draft_from(model.dist, lambda f, t: ex.predict(f, model.embed[t]), model.start(ctx), K, rng)[0]
 
 
@@ -117,8 +115,6 @@ def eagle_decode(model: FeatureModel, ex: Extrapolator, prompt, N: int, K: int, 
     drafting reuses the features the verify cycles already computed.
     Distribution preservation holds verbatim because verification is unchanged.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
 
     def propose(_, feature, __):
         d, _ = draft_from(model.dist, lambda f, t: ex.predict(f, model.embed[t]), feature, K, rng)

@@ -57,8 +57,6 @@ class DecodeStats:
 
 def draft(draft_model: SequenceModel, ctx, K: int, rng: Rng) -> DraftOutput:
     """Sample K tokens autoregressively from the draft model, recording each distribution."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
     ctx = check_context(ctx, draft_model.vocab_size)
     return draft_from(draft_model.dist, draft_model.advance, draft_model.start(ctx), K, rng)[0]
 
@@ -71,6 +69,8 @@ def draft_from(dist, advance, state, K: int, rng: Rng):
     drafted tokens. Returns the proposal and the K states the tokens were
     drafted from.
     """
+    if K < 1:
+        raise ValueError("K must be >= 1")
     tokens = []
     dists = []
     states = [state]
@@ -191,8 +191,6 @@ def speculative_decode(target: SequenceModel, draft_model: SequenceModel,
     """
     if target.vocab_size != draft_model.vocab_size:
         raise VocabMismatch("target and draft models must share a vocabulary")
-    if K < 1:
-        raise ValueError("K must be >= 1")
     prompt = check_context(prompt, target.vocab_size)
 
     def propose(_, __, draft_state):

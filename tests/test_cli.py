@@ -452,6 +452,15 @@ def _items(prompt, continuation):
     pytest.param("feature", {"recur_b": ["0.5", "0", "0", "0"]}, "", id="feature-text-recur-b"),
     pytest.param("feature", {"head_w": [["1", "0", "0", "0"]] * 3}, "", id="feature-text-head-w"),
     pytest.param("feature", {"head_b": [True, False, True]}, "", id="feature-bool-head-b"),
+    # finite weights whose products overflow: a score, and a pre-activation through a large embedding
+    pytest.param("feature", {"head_w": [[1e308] * 4] * 2 + [[0.0] * 4]}, "", id="feature-head-overflow"),
+    pytest.param("feature", {"embed": [[4.0, 4.0, 0.0, 0.0]] * 3,
+                             "recur_w": [[0.0] * 4 + [5e307, -5e307, 0.0, 0.0]] + [[0.0] * 8] * 3},
+                 "", id="feature-recurrence-overflow"),
+    # an integer longer than Python reads from text (4300 digits)
+    pytest.param("model", '{"kind": "table", "vocab_size": ' + "1" * 5000 + "}", "", id="model-int-beyond-str-limit"),
+    pytest.param("config", '{"technique": "early-exit", "report": "out.csv", "params": {"count": ' + "1" * 5000 + "}}",
+                 "", id="config-int-beyond-str-limit"),
     pytest.param("specs", _specs([1.0, float("nan"), 1.0]), "", id="mixture-nan-mean"),
     pytest.param("specs", _specs([float("nan"), 0.0, 1.0]), "", id="mixture-nan-weight"),
     pytest.param("specs", _specs([1.0, 0.0, float("inf")]), "", id="mixture-inf-stddev"),
@@ -494,7 +503,7 @@ def test_cli_rejects_malformed_input_files_by_path(tmp_path, model_files, capsys
             "small": route + ["--small", str(path), "--workload", model_files["route_workload"]],
             "specs": ["stepsaver", "--workload", str(path), "--count", "50", "--report", str(out)],
             "items": route + ["--small", small, "--workload", str(path)],
-            "report": plot, "csv report": plot}[role]
+            "report": plot, "csv report": plot, "config": ["run", "--config", str(path)]}[role]
     assert main(argv) == 1
     assert f"{path}{position}" in capsys.readouterr().err
     assert not out.exists()
@@ -616,6 +625,22 @@ def test_technique_help_lists_exactly_the_schema_flags(capsys, technique):
     listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
     schema_flags = {"--" + key.replace("_", "-") for key in _SCHEMAS[technique]}
     assert listed == schema_flags | {"--seed", "--report", "--help"}
+
+
+def test_range_flag_help_shows_its_checkers_rule(capsys):
+    assert main(["stepsaver", "--help"]) == 0
+    assert "--steps STEPS >= 1 and <= 73252" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("steps", [73_253, pytest.param(10**400, id="10**400")])
+def test_validate_config_rejects_steps_past_the_schedule_by_name(steps):
+    # a config check only: the workload file is never read
+    doc = {"technique": "stepsaver", "params": {"workload": "absent.json", "steps": 73_252}}
+    assert validate_config(doc)["params"]["steps"] == 73_252
+    doc["params"]["steps"] = steps
+    with pytest.raises(SchemaError, match="'steps' must be >= 1 and <= 73252") as exc:
+        validate_config(doc)
+    assert exc.value.key == "steps"
 
 
 def test_env_var_seed_through_cli(tmp_path, model_files, monkeypatch):

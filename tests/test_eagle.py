@@ -87,6 +87,15 @@ def test_eagle_draft_empty_context():
         eagle_draft(model, ex, (), 2, Rng(0))
 
 
+def test_eagle_draft_and_decode_reject_k_0():
+    model = random_feature_model(3, 4, Rng(53))
+    ex = Extrapolator(np.zeros((4, 8)), np.zeros(4))
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        eagle_draft(model, ex, (1,), 0, Rng(0))
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        eagle_decode(model, ex, (1,), 4, 0, Rng(0))
+
+
 def test_zero_error_extrapolator_matches_target_dists():
     model = affine_dynamics_model()
     corpus = sample_corpus(model, 40, 10, Rng(6))

@@ -321,6 +321,8 @@ def model_docs(draw):
 @given(model_docs())
 @example({**model_to_dict(FUZZ_TABLE), "cost_units": 10**400})  # no float holds it
 @example({**model_to_dict(FUZZ_FEATURE), "head_b": [10**400, 0.0, 0.0]})
+@example({**model_to_dict(FUZZ_FEATURE), "embed": [[1.0] * 4] * 3, "recur_w": [[1.0] * 8] * 4,
+          "head_w": [[1e308] * 4] * 2 + [[0.0] * 4]})  # finite weights whose scores overflow to NaN
 def test_model_file_loads_or_exits_1(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "model.json"), os.path.join(tmp, "out.json")

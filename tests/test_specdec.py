@@ -32,6 +32,14 @@ def test_draft_degenerate_model():
     assert out.tokens == (3, 3)
 
 
+def test_draft_and_decode_reject_k_0():
+    model = random_table_model(4, 1, Rng(3))
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        draft(model, (1,), 0, Rng(0))
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        speculative_decode(model, model, (1,), 8, 0, Rng(0))
+
+
 def test_draft_k1_equals_plain_sample():
     model = random_table_model(4, 1, Rng(3))
     out = draft(model, (1,), 1, Rng(9))
