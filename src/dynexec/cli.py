@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 from .core import Rng, _load_json, atomic_write_text, is_int, is_number, load_model, FeatureModel
 from .eagle import DEFAULT_RIDGE, eagle_decode, fit_extrapolator, sample_corpus
-from .earlyexit import gen_dataset, sweep, train_stages
+from .earlyexit import MAX_POINTS, gen_dataset, sweep, train_stages
 from .errors import DynexecError, MissingSeries, ParseError, SchemaError
 from .lookahead import lookahead_decode
 from .router import WorkloadItem, frontier
@@ -128,7 +128,7 @@ _SCHEMAS = {
         "prompt": (_as_int_list, [0]),
     },
     "early-exit": {
-        "count": (_in_range(int, 100), 5000),
+        "count": (_in_range(int, 100, MAX_POINTS), 5000),
         "hard_fraction": (_in_range(float, 0.0, 1.0), 0.2),
         "taus": (_as_float_list, DEFAULT_TAUS),
     },

@@ -45,6 +45,10 @@ class SingularSystem(DynexecError):
     """Unregularized least squares on a rank-deficient design matrix."""
 
 
+class NotConverged(DynexecError):
+    """An iterative fit reached its iteration cap before its stopping rule held."""
+
+
 class DegenerateData(DynexecError):
     """Training data is degenerate (e.g. one class entirely absent)."""
 

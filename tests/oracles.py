@@ -14,7 +14,7 @@ import numpy as np
 
 from dynexec.core import Rng, check_context, entropy, feature_forward, sample
 from dynexec.eagle import Extrapolator
-from dynexec.earlyexit import BOUNDARY_X_RANGE, EASY_BAND, HARD_BAND, Dataset
+from dynexec.earlyexit import BOUNDARY_X_RANGE, EASY_BAND, HARD_BAND, Dataset, SweepRow, _row_entropies
 from dynexec.errors import EmptyPrompt, InsufficientData, LengthMismatch
 from dynexec.router import LOGPROB_FLOOR, RouteReport
 from dynexec.specdec import DraftOutput, verify
@@ -324,6 +324,30 @@ def point_rows(net, data):
     distributions `sweep` reads. BLAS sums a batched product in an order that
     depends on the batch, so a one-point pass can differ in the last bit."""
     return list(zip(*(stage.dists(data.xs, data.ys) for stage in net.stages)))
+
+
+def sweep_reference(net, data, taus):
+    """`earlyexit.sweep` as one pass over every point per tau: a mask of the
+    points whose stage-0 entropy is strictly below tau, and the means of the
+    chosen answers' hits and of the chosen costs."""
+    first, final = net.stages
+    first_dists = first.dists(data.xs, data.ys)
+    first_preds = np.argmax(first_dists, axis=1)
+    final_preds = np.argmax(final.dists(data.xs, data.ys), axis=1)
+    first_ents = _row_entropies(first_dists)
+    full_cost = net.full_cost
+    rows = []
+    for tau in taus:
+        exits = first_ents < tau
+        mean_cost = float(np.mean(np.where(exits, first.cost_units, full_cost)))
+        rows.append(SweepRow(
+            tau=float(tau),
+            accuracy=float(np.mean(np.where(exits, first_preds, final_preds) == data.labels)),
+            mean_cost=mean_cost,
+            early_exit_fraction=float(np.mean(exits)),
+            speedup=full_cost / mean_cost,
+        ))
+    return rows
 
 
 def infer_with_exit(net, rows, tau):

@@ -20,6 +20,7 @@ from dynexec.cli import (
     write_report,
 )
 from dynexec.core import save_model
+from dynexec.earlyexit import MAX_POINTS
 from dynexec.errors import MissingSeries, ParseError, SchemaError
 
 from helpers import random_table_model, random_feature_model, skewed_workload, route_workload
@@ -381,8 +382,22 @@ def test_cli_rejects_huge_steps_by_name_before_allocating(tmp_path, model_files,
     assert peak < 2**20  # no T-length array, not even one refused by the allocator
 
 
+def test_cli_rejects_count_past_max_points_before_allocating(tmp_path, capsys):
+    assert validate_config({"technique": "early-exit", "params": {"count": MAX_POINTS}})["params"]["count"] == MAX_POINTS
+    out = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        rc = main(["early-exit", "--count", str(MAX_POINTS + 1), "--report", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert f"'count' must be >= 100 and <= {MAX_POINTS}" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 2**20  # no point array, not even one refused by the allocator
+
+
 @pytest.mark.parametrize("technique, flags", [
-    pytest.param("early-exit", ["--count", str(10**17)], id="early-exit-count"),
     pytest.param("stepsaver", ["--workload", "MIX", "--count", str(10**17)], id="stepsaver-count"),
     pytest.param("eagle", ["--model", "FEATURE", "--fit-seqs", str(10**16)], id="eagle-fit-seqs"),
 ])

@@ -1,8 +1,8 @@
 """The array paths of the early-exit and route sweeps against scalar references.
 
 `gen_dataset` draws its uniforms in one block, `sweep` takes every entropy in
-one row-wise pass and `frontier` scores each route item once for all
-thresholds. Each must equal the one-at-a-time reference in `oracles.py` bit
+one row-wise pass and reads each row from prefix counts, and `frontier`
+scores each route item once for all thresholds. Each must equal the one-at-a-time reference in `oracles.py` bit
 for bit, so early-exit and route reports stay byte-identical.
 """
 
@@ -13,12 +13,12 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynexec import RoutePolicy, Rng, TableModel, difficulty, frontier, gen_dataset, sweep
+from dynexec import RoutePolicy, Rng, TableModel, difficulty, frontier, gen_dataset, sweep, train_stages
 from dynexec.core import MAX_TABLE_ORDER, MIN_FEATURE_DIM, entropy
 from dynexec.earlyexit import ExitStage, MultiExitNet, SweepRow
 
 from helpers import random_dist, random_feature_model, route_workload, varied_entropy_table_model
-from oracles import gen_dataset_reference, infer_with_exit, point_rows, route_evaluate_reference
+from oracles import gen_dataset_reference, infer_with_exit, point_rows, route_evaluate_reference, sweep_reference
 
 
 def _bits(values):
@@ -99,6 +99,34 @@ def test_sweep_saturated_stage_matches_tally():
     tallies = [_tally(net, data, tau) for tau in taus]
     assert (dists == 0.0).any() and (dists == 1.0).any()
     assert _bits(_row_fields(rows)) == _bits(_row_fields(tallies))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(100, 2000), st.floats(0.0, 1.0), st.integers(0, 2**32),
+       st.sampled_from([None, 0.5, 5.0, 1e3]),
+       st.lists(st.one_of(st.floats(-0.1, 0.8), st.sampled_from([-math.inf, 0.0, math.log(2), math.inf])),
+                max_size=8),
+       st.lists(st.integers(0, 99), max_size=4))
+@example(300, 0.3, 1, None, [-math.inf, math.inf], [])
+@example(300, 0.3, 1, 5.0, [0.1, 0.1, 0.1, math.inf, math.inf], [7, 7])
+@example(300, 0.3, 1, None, [], [0, 1, 2])
+@example(300, 0.3, 1, 1e3, [0.0, 0.0], [3])
+def test_sweep_matches_per_tau_reference(count, hard_fraction, seed, scale, taus, at_points):
+    """The prefix-count sweep gives the rows of a full pass per tau, bit for
+    bit, for trained nets (scale None) and for random weights up to sigmoid
+    saturation; taus include ±inf, repeats and points' own entropies."""
+    data = gen_dataset(count, hard_fraction, seed)
+    if scale is None:
+        net = train_stages(data)
+    else:
+        weights = (Rng(seed).uniforms(13) * 2.0 - 1.0) * scale
+        net = MultiExitNet((ExitStage(weights[:3], "linear", 1.0), ExitStage(weights[3:], "cubic", 4.0)))
+    rows = net.stages[0].dists(data.xs, data.ys)
+    taus = sorted(taus + [entropy(rows[i]) for i in at_points])
+    if not taus:
+        taus = [0.0]
+    got = sweep(net, data, taus)
+    assert _bits(_row_fields(got)) == _bits(_row_fields(sweep_reference(net, data, taus)))
 
 
 def test_saturated_stage_answers_without_overflow_warning():
