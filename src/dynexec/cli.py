@@ -9,6 +9,7 @@ module specifies.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from .earlyexit import MAX_POINTS, gen_dataset, sweep, train_stages
 from .errors import DynexecError, MissingSeries, ParseError, SchemaError
 from .lookahead import lookahead_decode
 from .router import WorkloadItem, frontier
-from .specdec import simulated_speedup, speculative_decode
+from .specdec import MAX_DRAFT, MAX_TOKENS, simulated_speedup, speculative_decode
 from .stepsaver import DEFAULT_STEPS, MAX_STEPS, MIN_LABELED_SPECS, MixtureSpec, NoiseSchedule, train_and_evaluate
 
 VERSION = "dynexec 0.1.0"
@@ -106,14 +107,14 @@ _SCHEMAS = {
     "specdec": {
         "target": (_as_str, _REQUIRED),
         "draft": (_as_str, _REQUIRED),
-        "k": (_in_range(int, 1), 4),
-        "n": (_in_range(int, 1), 64),
+        "k": (_in_range(int, 1, MAX_DRAFT), 4),
+        "n": (_in_range(int, 1, MAX_TOKENS), 64),
         "prompt": (_as_int_list, [0]),
     },
     "eagle": {
         "model": (_as_str, _REQUIRED),
-        "k": (_in_range(int, 1), 4),
-        "n": (_in_range(int, 1), 64),
+        "k": (_in_range(int, 1, MAX_DRAFT), 4),
+        "n": (_in_range(int, 1, MAX_TOKENS), 64),
         "fit_seqs": (_in_range(int, 1), 256),
         "fit_len": (_in_range(int, 2), 16),
         "ridge": (_in_range(float, 0.0), DEFAULT_RIDGE),
@@ -122,7 +123,7 @@ _SCHEMAS = {
     },
     "lookahead": {
         "model": (_as_str, _REQUIRED),
-        "n": (_in_range(int, 1), 64),
+        "n": (_in_range(int, 1, MAX_TOKENS), 64),
         "ngram": (_in_range(int, 2), 3),
         "window": (_in_range(int, 1), 4),
         "prompt": (_as_int_list, [0]),
@@ -469,6 +470,9 @@ def emit_plot_data(path: str, kind: str, out_path: str):
     atomic_write_text(out_path, "\n".join(lines) + "\n")
 
 
+# Built once per process: parse_args leaves the parser unchanged, and argparse
+# reads COLUMNS when it formats help or an error, not when the parser is built.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dynexec",
                                      description="dynamic-execution experiments on toy models")

@@ -33,6 +33,9 @@ MIN_FEATURE_DIM = 4
 MAX_FEATURE_DIM = 32
 
 DIST_ATOL = 1e-9
+# the float64s (1 GiB) a run may peak at: each size ceiling is this budget
+# over the float64s per unit a run was measured to peak at, with headroom
+ELEMENT_BUDGET = 2**27
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -173,16 +176,18 @@ def normalize(weights) -> np.ndarray:
     return w / total
 
 
-def check_dist(d, name: str = "distribution") -> np.ndarray:
-    """Validate a probability vector: non-negative entries summing to 1 within 1e-9."""
+def check_dist(d, name: str = "distribution", vocab_size: int = None) -> np.ndarray:
+    """Validate a probability vector: non-negative entries summing to 1 within
+    1e-9, and vocab_size of them when it is given."""
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 1 or d.size < MIN_VOCAB:
         raise InvalidDistribution(f"{name} must be a 1-D vector of length >= {MIN_VOCAB}")
-    # ndarray methods, not np.any/np.all: a model load checks every table row
     if (d < 0).any() or not np.isfinite(d).all():
         raise InvalidDistribution(f"{name} has negative or non-finite entries")
     if abs(float(d.sum()) - 1.0) > DIST_ATOL:
         raise InvalidDistribution(f"{name} sums to {d.sum()!r}, not 1")
+    if vocab_size is not None and d.size != vocab_size:
+        raise InvalidDistribution(f"{name} has {d.size} entries, not the vocabulary size {vocab_size}")
     return d
 
 
@@ -274,6 +279,24 @@ def _frozen(a) -> np.ndarray:
     return out
 
 
+def _row_matrix(rows, vocab_size: int):
+    """The rows as one read-only (len(rows), vocab_size) float64 matrix, and the
+    index of the first row that check_dist with vocab_size rejects (len(rows)
+    if none), from one pass over the matrix. Rows that do not stack into that
+    shape give (None, 0): each must be checked on its own."""
+    try:
+        matrix = np.array(rows, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError):
+        return None, 0
+    if matrix.shape != (len(rows), vocab_size):
+        return None, 0
+    # x >= 0 is false for NaN, and a row holding +inf sums to inf or NaN; each
+    # row's sum is the same float as that row's own d.sum(), bit for bit
+    ok = (matrix >= 0).all(axis=1) & (np.abs(matrix.sum(axis=1) - 1.0) <= DIST_ATOL)
+    matrix.flags.writeable = False
+    return matrix, len(rows) if ok.all() else int(np.argmin(ok))
+
+
 class SequenceModel:
     """Deterministic next-token distribution producer with a per-call cost.
 
@@ -329,16 +352,22 @@ class TableModel(SequenceModel):
             raise ValueError(f"table order must be in [0, {MAX_TABLE_ORDER}]")
         self.order = order
         self.cost_units = _check_cost(cost_units)
-        rows = {}
-        for window, row in table.items():
+        if fallback is None:
+            fallback = np.full(self.vocab_size, 1.0 / self.vocab_size)
+        rows = [*table.values(), fallback]
+        matrix, first_bad = _row_matrix(rows, self.vocab_size)
+        windows = []
+        for i, window in enumerate(table):
             window = check_context(window, self.vocab_size)
             if len(window) != order:
                 raise ValueError(f"window {window} does not have length {order}")
-            rows[window] = _frozen(check_dist(row, f"table row {window}"))
-        self.table = rows
-        if fallback is None:
-            fallback = np.full(self.vocab_size, 1.0 / self.vocab_size)
-        self.fallback = _frozen(check_dist(fallback, "fallback"))
+            if i >= first_bad:
+                check_dist(rows[i], f"table row {window}", self.vocab_size)
+            windows.append(window)
+        if first_bad < len(rows):
+            check_dist(fallback, "fallback", self.vocab_size)
+        self.table = dict(zip(windows, matrix))  # read-only row views of the one matrix
+        self.fallback = matrix[-1]
 
     # The state is the window of the last `order` tokens. A shorter one, from
     # a context shorter than the order, is no table key, so it selects the

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Rng
+from .core import ELEMENT_BUDGET, Rng
 from .errors import DegenerateData, NotConverged
 
 BOUNDARY_X_RANGE = (-1.5, 1.5)
@@ -28,9 +28,8 @@ RIDGE = 1e-3
 FIT_TOLERANCE = 1e-10
 FIT_MAX_ITERATIONS = 50
 # the largest early-exit `count`: a run (dataset, both fits, sweep) peaks at
-# about 28 float64s per point under tracemalloc, so 32 per point within an
-# element budget of 2**27 float64s (1 GiB)
-MAX_POINTS = 2**27 // 32
+# about 28 float64s per point under tracemalloc, so 32 per point
+MAX_POINTS = ELEMENT_BUDGET // 32
 
 
 def boundary(x):

@@ -12,10 +12,10 @@ from collections import defaultdict
 
 import numpy as np
 
-from dynexec.core import Rng, check_context, entropy, feature_forward, sample
+from dynexec.core import Rng, check_context, check_dist, entropy, feature_forward, sample
 from dynexec.eagle import Extrapolator
 from dynexec.earlyexit import BOUNDARY_X_RANGE, EASY_BAND, HARD_BAND, Dataset, SweepRow, _row_entropies
-from dynexec.errors import EmptyPrompt, InsufficientData, LengthMismatch
+from dynexec.errors import EmptyPrompt, InsufficientData, InvalidDistribution, LengthMismatch
 from dynexec.router import LOGPROB_FLOOR, RouteReport
 from dynexec.specdec import DraftOutput, verify
 from dynexec.stepsaver import ORACLE_GRID, MixtureSpec, quality, respaced_timesteps
@@ -300,6 +300,32 @@ def fit_extrapolator_reference(model, corpus, ridge):
     Xc = X - x_mean
     W = np.linalg.solve(Xc.T @ Xc + ridge * np.eye(2 * d), Xc.T @ (Y - y_mean))
     return Extrapolator(W.T, y_mean - W.T @ x_mean)
+
+
+def table_model_reference(vocab_size, order, table, fallback=None):
+    """`TableModel`'s table and fallback checked one row at a time: in table
+    order, each window through check_context and then its row through
+    check_dist and a length check against vocab_size, the fallback last, each
+    row copied into its own read-only array. Returns (rows by window,
+    fallback), or raises what the first failing check raises. vocab_size and
+    order must already be valid."""
+    def frozen_row(row, name):
+        d = check_dist(row, name)
+        if d.size != vocab_size:
+            raise InvalidDistribution(f"{name} has {d.size} entries, not the vocabulary size {vocab_size}")
+        out = np.array(d, dtype=np.float64)
+        out.flags.writeable = False
+        return out
+
+    rows = {}
+    for window, row in table.items():
+        window = check_context(window, vocab_size)
+        if len(window) != order:
+            raise ValueError(f"window {window} does not have length {order}")
+        rows[window] = frozen_row(row, f"table row {window}")
+    if fallback is None:
+        fallback = np.full(vocab_size, 1.0 / vocab_size)
+    return rows, frozen_row(fallback, "fallback")
 
 
 def gen_dataset_reference(count, hard_fraction, seed):

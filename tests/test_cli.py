@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from dynexec import Rng
+from dynexec import Rng, cli
 from dynexec.cli import (
     _SCHEMAS,
     DEFAULT_TAUS,
@@ -22,6 +22,7 @@ from dynexec.cli import (
 from dynexec.core import save_model
 from dynexec.earlyexit import MAX_POINTS
 from dynexec.errors import MissingSeries, ParseError, SchemaError
+from dynexec.specdec import MAX_DRAFT, MAX_TOKENS
 
 from helpers import random_table_model, random_feature_model, skewed_workload, route_workload
 
@@ -397,6 +398,53 @@ def test_cli_rejects_count_past_max_points_before_allocating(tmp_path, capsys):
     assert peak < 2**20  # no point array, not even one refused by the allocator
 
 
+@pytest.mark.parametrize("technique, key, ceiling", [
+    ("specdec", "n", MAX_TOKENS),
+    ("specdec", "k", MAX_DRAFT),
+    ("eagle", "n", MAX_TOKENS),
+    ("eagle", "k", MAX_DRAFT),
+    ("lookahead", "n", MAX_TOKENS),
+])
+def test_cli_rejects_decoder_sizes_past_their_ceiling_before_allocating(tmp_path, model_files, capsys,
+                                                                        technique, key, ceiling):
+    models = {"specdec": {"target": model_files["large"], "draft": model_files["small"]},
+              "eagle": {"model": model_files["feature"]},
+              "lookahead": {"model": model_files["large"]}}[technique]
+    assert validate_config({"technique": technique, "params": {**models, key: ceiling}})["params"][key] == ceiling
+    flags = [arg for name, path in models.items() for arg in ("--" + name, path)]
+    out = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        rc = main([technique, *flags, "--" + key, str(ceiling + 1), "--report", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert f"'{key}' must be >= 1 and <= {ceiling}, got {ceiling + 1}" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 2**20  # no model loaded and no token decoded
+
+
+@pytest.mark.parametrize("technique", ["specdec", "lookahead"])
+@pytest.mark.parametrize("edit, row", [
+    pytest.param({"table": {"0": [0.2] * 5}}, "table row (0,) has 5 entries", id="row-too-long"),
+    pytest.param({"table": {"0": [0.5, 0.5, 0.0]}}, "table row (0,) has 3 entries", id="row-too-short"),
+    pytest.param({"fallback": [0.2] * 5}, "fallback has 5 entries", id="fallback-too-long"),
+])
+def test_cli_rejects_table_rows_not_of_vocab_size(tmp_path, model_files, capsys, technique, edit, row):
+    doc = json.load(open(model_files["small"]))  # vocabulary of 4, order 1
+    for key, value in edit.items():
+        doc[key] = {**doc[key], **value} if key == "table" else value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    models = ["--target", str(path), "--draft", str(path)] if technique == "specdec" else ["--model", str(path)]
+    assert main([technique, *models, "--n", "8", "--report", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"malformed model file {path}: {row}, not the vocabulary size 4" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("technique, flags", [
     pytest.param("stepsaver", ["--workload", "MIX", "--count", str(10**17)], id="stepsaver-count"),
     pytest.param("eagle", ["--model", "FEATURE", "--fit-seqs", str(10**16)], id="eagle-fit-seqs"),
@@ -628,6 +676,51 @@ def test_emit_plot_data_missing_series(tmp_path, model_files):
         emit_plot_data(out, "tau-vs-accuracy", str(tmp_path / "nope.txt"))
     with pytest.raises(SchemaError):
         emit_plot_data(out, "loss-vs-time", str(tmp_path / "nope.txt"))
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, model_files, capsys, monkeypatch):
+    # every help text, then malformed input of each kind the benchmark sends and
+    # argparse's own usage errors, a successful run, and the malformed input again
+    no_fallback = tmp_path / "no-fallback.json"
+    no_fallback.write_text(json.dumps({"kind": "table", "vocab_size": 2, "order": 0, "cost_units": 1.0,
+                                       "table": {"": [0.5, 0.5]}}))
+    broken = tmp_path / "broken.json"
+    broken.write_text(_BROKEN)
+    out = str(tmp_path / "out.report")
+    specdec = ["specdec", "--target", model_files["large"], "--draft", model_files["small"]]
+    route = ["route", "--small", model_files["small"], "--large", model_files["large"],
+             "--workload", model_files["route_workload"]]
+    malformed = [
+        specdec + ["--k", "0"],
+        specdec + ["--prompt", "7"],
+        ["early-exit", "--count", "500", "--hard-fraction", "2"],
+        ["stepsaver", "--workload", model_files["mix_workload"], "--epsilon", "-1"],
+        ["early-exit", "--count", "500", "--taus", "0,nan,0.1"],
+        route + ["--thetas", "nan"],
+        ["lookahead", "--model", str(no_fallback), "--n", "8"],
+        ["lookahead", "--model", str(broken), "--n", "8"],
+    ]
+    malformed = [argv + ["--report", out] for argv in malformed] + [
+        specdec + ["--bogus", "--report", out], ["specdec"], ["early-exit", "--count", "x", "--report", out],
+        ["plot", "--report", out, "--kind", "none", "--out", out], [],
+    ]
+    sequence = ([[], ["--help"]] + [[command, "--help"] for command in [*_SCHEMAS, "run", "plot"]]
+                + malformed + [specdec + ["--n", "8", "--seed", "3", "--report", out]] + malformed)
+
+    def outcomes():
+        results = []
+        for argv in sequence:
+            code = main(argv)
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    assert cli.build_parser() is cli.build_parser()
+    cached = outcomes()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = outcomes()
+    assert cached == fresh
+    helps = 1 + len(_SCHEMAS) + 2
+    assert [code for code, _, _ in cached] == [1] + [0] * helps + [1] * len(malformed) + [0] + [1] * len(malformed)
 
 
 def test_cli_help_exits_zero():

@@ -5,6 +5,8 @@ The goldens in tests/golden/ fix one small config and seed per technique
 behaviour" must draw the same uniforms in the same order and compute the same
 floats, so every report byte except the wall clock must match. Each golden is
 reproduced twice: from its config file, and from the technique's CLI flags.
+Every help text at COLUMNS=80 reproduces its copy in tests/golden/help/,
+written by `COLUMNS=80 dynexec [<command>] --help > help/<command or dynexec>.txt`.
 """
 
 import json
@@ -99,3 +101,12 @@ def test_plot_of_every_golden_report(tmp_path, report, kind, xcol, ycol):
     out = tmp_path / "xy.txt"
     assert main(["plot", "--report", path, "--kind", kind, "--out", str(out)]) == 0
     assert out.read_text() == expected
+
+
+@pytest.mark.parametrize("name", sorted(f[:-len(".txt")] for f in os.listdir(os.path.join(GOLDEN, "help"))))
+def test_help_text_reproduced(monkeypatch, capsys, name):
+    # `dynexec --help` is help/dynexec.txt; `dynexec <command> --help` is help/<command>.txt
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(([] if name == "dynexec" else [name]) + ["--help"]) == 0
+    with open(os.path.join(GOLDEN, "help", f"{name}.txt")) as fh:
+        assert capsys.readouterr().out == fh.read()
