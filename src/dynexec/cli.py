@@ -21,10 +21,11 @@ from .core import Rng, _load_json, atomic_write_text, is_int, is_number, load_mo
 from .eagle import DEFAULT_RIDGE, eagle_decode, fit_extrapolator, sample_corpus
 from .earlyexit import MAX_POINTS, gen_dataset, sweep, train_stages
 from .errors import DynexecError, MissingSeries, ParseError, SchemaError
-from .lookahead import lookahead_decode
+from .lookahead import MAX_NGRAM, lookahead_decode
 from .router import WorkloadItem, frontier
 from .specdec import MAX_DRAFT, MAX_TOKENS, simulated_speedup, speculative_decode
-from .stepsaver import DEFAULT_STEPS, MAX_STEPS, MIN_LABELED_SPECS, MixtureSpec, NoiseSchedule, train_and_evaluate
+from .stepsaver import (DEFAULT_STEPS, MAX_SAMPLES, MAX_STEPS, MIN_LABELED_SPECS, MixtureSpec, NoiseSchedule,
+                        train_and_evaluate)
 
 VERSION = "dynexec 0.1.0"
 SEED_ENV_VAR = "DYNEXEC_SEED"
@@ -124,8 +125,9 @@ _SCHEMAS = {
     "lookahead": {
         "model": (_as_str, _REQUIRED),
         "n": (_in_range(int, 1, MAX_TOKENS), 64),
-        "ngram": (_in_range(int, 2), 3),
-        "window": (_in_range(int, 1), 4),
+        "ngram": (_in_range(int, 2, MAX_NGRAM), 3),
+        # proposed tokens of one round, verified in one call, as drafted tokens are
+        "window": (_in_range(int, 1, MAX_DRAFT), 4),
         "prompt": (_as_int_list, [0]),
     },
     "early-exit": {
@@ -137,7 +139,7 @@ _SCHEMAS = {
         "workload": (_as_str, _REQUIRED),
         "epsilon": (_in_range(float, 0.0, above=True), 0.1),
         "train_frac": (_in_range(float, 0.0, 1.0), 0.5),
-        "count": (_in_range(int, 1), 4000),
+        "count": (_in_range(int, 1, MAX_SAMPLES), 4000),
         "steps": (_in_range(int, 1, MAX_STEPS), DEFAULT_STEPS),
     },
     "route": {

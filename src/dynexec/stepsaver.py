@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rng, RngStreams
+from .core import ELEMENT_BUDGET, Rng, RngStreams
 from .errors import InsufficientData, StepsOutOfRange
 
 DEFAULT_STEPS = 100
@@ -23,6 +23,11 @@ BETA_END = 0.02
 # the most timesteps whose float64 cumulative product still decreases
 # strictly; from 73 253 it underflows (found by bisection over T)
 MAX_STEPS = 73_252
+# the largest `count` (samples per chain and per reference): at count 65 536
+# a run peaks under tracemalloc at about 43 float64s per sample on 6 specs and
+# 86 on 24, each spec adding about 2.4 (its pending samples and reference, and
+# the reference the oracle hands over), so 256 leaves room for about 90 specs
+MAX_SAMPLES = ELEMENT_BUDGET // 256
 DIFFICULTY_CAP = 10.0
 ORACLE_GRID = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50, 63, 79, 100)
 MIN_LABELED_SPECS = 5
@@ -187,47 +192,63 @@ _BATCH_ELEMENTS = 1 << 18
 _NOISE_ELEMENTS = 1 << 14
 
 
-def generate_many(chains, schedule: NoiseSchedule, count: int) -> list[np.ndarray]:
-    """`generate` for every (spec, steps, rng) chain, run side by side.
+def generate_many(chains, schedule: NoiseSchedule, count: int) -> list:
+    """`generate` for every (spec, steps, rng) entry, run side by side.
+
+    `steps` is a step count, or a tuple of step counts that share the one
+    stream: such an entry draws its start and noise once, for its longest
+    count, and each shorter chain reads the first of those steps, as a
+    one-chain run from the same stream position would. Its result is a list
+    of sample arrays, one per count, and its rng ends where the longest
+    one-chain run leaves it.
 
     Chains with the same component count step in lockstep, longest first, so
     the chains still running are always a leading block: one diffusion step
     is one batched score, one batched noise draw and one update for all of
-    them. Each chain draws from its own rng as `generate` would, and every
-    per-chain scalar comes from the same float operations, so each returned
-    sample array, and each rng's final counter, equals the one-chain run.
+    them. Every per-chain scalar comes from the same float operations, so
+    each returned sample array, and each rng's final counter, equals the
+    one-chain run.
     """
-    for _, steps, _ in chains:
-        if not 1 <= steps <= schedule.T:
-            raise StepsOutOfRange(f"steps must lie in [1, {schedule.T}], got {steps}")
+    entries = [(spec, steps if isinstance(steps, tuple) else (steps,), rng) for spec, steps, rng in chains]
+    for _, counts, _ in entries:
+        for steps in counts:
+            if not 1 <= steps <= schedule.T:
+                raise StepsOutOfRange(f"steps must lie in [1, {schedule.T}], got {steps}")
     if count < 1:
         raise ValueError("count must be >= 1")
     groups = {}
-    for i, (spec, _, _) in enumerate(chains):
+    for i, (spec, _, _) in enumerate(entries):
         groups.setdefault(len(spec.components), []).append(i)
-    out = [None] * len(chains)
+    out = [None] * len(entries)
     for k, members in groups.items():
-        members.sort(key=lambda i: -chains[i][1])
-        per_batch = max(1, _BATCH_ELEMENTS // (count * k))
+        members.sort(key=lambda i: -max(entries[i][1]))
+        widest = max(len(entries[i][1]) for i in members)
+        per_batch = max(1, _BATCH_ELEMENTS // (count * k * widest))
         for start in range(0, len(members), per_batch):
             batch = members[start:start + per_batch]
-            for i, x in zip(batch, _lockstep([chains[i] for i in batch], schedule, count)):
-                out[i] = x
+            for i, xs in zip(batch, _lockstep([entries[i] for i in batch], schedule, count)):
+                out[i] = xs if isinstance(chains[i][1], tuple) else xs[0]
     return out
 
 
-def _lockstep(chains, schedule: NoiseSchedule, count: int) -> np.ndarray:
-    """One `generate` per row for chains of one component count, sorted by
-    steps, longest first."""
-    n_chains, max_steps = len(chains), chains[0][1]
-    n_comps = len(chains[0][0].components)
+def _lockstep(entries, schedule: NoiseSchedule, count: int) -> list[list[np.ndarray]]:
+    """One `generate` per chain of (spec, step counts, rng) entries of one
+    component count, sorted by their longest count, longest first. Returns
+    each entry's samples, one array per count."""
+    n_comps = len(entries[0][0].components)
+    # every chain as (steps, entry, position in the entry), longest first
+    chains = sorted(((s, e, p) for e, (_, counts, _) in enumerate(entries) for p, s in enumerate(counts)),
+                    key=lambda chain: -chain[0])
+    n_chains, max_steps = len(chains), chains[0][0]
+    rows = np.array([e for _, e, _ in chains])  # each chain's stream
     # per step and chain: the score's noised means and variances, and the
     # update's b, sqrt(a) and sqrt(b); a finished chain's entries stay unread
     ms = np.zeros((max_steps, n_chains, n_comps))
     vs = np.ones((max_steps, n_chains, n_comps))
     coefs = np.zeros((max_steps, n_chains, 3, 1))
     sds0 = np.zeros((n_chains, n_comps))
-    for c, (spec, steps, _) in enumerate(chains):
+    for c, (steps, e, _) in enumerate(chains):
+        spec = entries[e][0]
         kept = respaced_timesteps(schedule.T, steps)
         abs_ = [float(schedule.alpha_bar[t]) for t in kept] + [1.0]
         noised = [_noised_components(spec, ab_t) for ab_t in abs_[:-1]]
@@ -236,30 +257,41 @@ def _lockstep(chains, schedule: NoiseSchedule, count: int) -> np.ndarray:
         sds0[c] = noised[0][1]
         a_effs = [ab_t / ab_prev for ab_t, ab_prev in zip(abs_, abs_[1:])]
         coefs[:steps, c, :, 0] = [(1.0 - a, math.sqrt(a), math.sqrt(1.0 - a)) for a in a_effs]
-    ws = np.array([[w for w, _, _ in spec.components] for spec, _, _ in chains])
+    ws = np.array([[w for w, _, _ in entries[e][0].components] for _, e, _ in chains])
     log_norms = _log_norms(ws, vs)
-    # the start: a draw from the noised mixture at kept[0] = T-1, as `MixtureSpec.sample` makes it
-    streams = RngStreams([rng for _, _, rng in chains])
+    # the start, once per stream: a draw from the noised mixture at kept[0] =
+    # T-1, whatever the step count, as `MixtureSpec.sample` makes it
+    first = np.unique(rows, return_index=True)[1]  # a chain of each stream
+    streams = RngStreams([rng for _, _, rng in entries])
     u = streams.uniforms(count)
-    idx = (np.cumsum(ws, axis=1)[:, :, None] < u[:, None, :]).sum(axis=1)  # searchsorted, row by row
+    idx = (np.cumsum(ws[first], axis=1)[:, :, None] < u[:, None, :]).sum(axis=1)  # searchsorted, row by row
     np.minimum(idx, n_comps - 1, out=idx)
-    x = np.take_along_axis(ms[0], idx, 1) + np.take_along_axis(sds0, idx, 1) * streams.normals(count)
-    active, block_end = n_chains, 0
+    x = np.take_along_axis(ms[0, first], idx, 1) + np.take_along_axis(sds0[first], idx, 1) * streams.normals(count)
+    x = x[rows]
+    # the streams still drawing noise are a leading block too: a stream runs
+    # as long as its longest chain
+    live_steps = [max(counts) for _, counts, _ in entries]
+    active, live, block_end = n_chains, len(entries), 0
     for i in range(max_steps):
         if i == block_end:
-            while chains[active - 1][1] <= i:
+            while chains[active - 1][0] <= i:
                 active -= 1
+            while live_steps[live - 1] <= i:
+                live -= 1
             # the noise of the next steps while no chain finishes, in one
             # block: step b's draws follow step b-1's in every stream
-            block = min(chains[active - 1][1] - i, max(1, _NOISE_ELEMENTS // (active * count)))
-            noise = streams.normals(block * count, active).reshape(active, block, count)
-            block_start, block_end = i, i + block
+            block = min(chains[active - 1][0] - i, max(1, _NOISE_ELEMENTS // (live * count)))
+            noise = streams.normals(block * count, live).reshape(live, block, count)
+            block_start, block_end, noise_rows = i, i + block, rows[:active]
         xa = x[:active]
         b, root_a, root_b = coefs[i, :active].transpose(1, 0, 2)
         score = _mixture_score(xa, log_norms[i, :active], ms[i, :active], vs[i, :active])
-        x[:active] = (xa + b * score) / root_a + root_b * noise[:, i - block_start]
+        x[:active] = (xa + b * score) / root_a + root_b * noise[noise_rows, i - block_start]
     streams.close()
-    return x
+    out = [[None] * len(counts) for _, counts, _ in entries]
+    for c, (_, e, p) in enumerate(chains):
+        out[e][p] = x[c]
+    return out
 
 
 def wasserstein1(a, b) -> float:
@@ -272,6 +304,11 @@ def wasserstein1(a, b) -> float:
     b = np.sort(np.asarray(b, dtype=np.float64))
     if a.size == 0 or b.size == 0:
         raise ValueError("both sample sets must be non-empty")
+    return _sorted_w1(a, b)
+
+
+def _sorted_w1(a: np.ndarray, b: np.ndarray) -> float:
+    """`wasserstein1` of two sorted, non-empty float64 samples."""
     if a.size == b.size:
         return float(np.mean(np.abs(a - b)))
     support = np.sort(np.concatenate([a, b]))
@@ -286,12 +323,9 @@ def quality(samples, spec: MixtureSpec, reference_count: int, rng: Rng) -> float
     return wasserstein1(samples, spec.sample(reference_count, rng))
 
 
-def _scored(chains, schedule: NoiseSchedule, count: int):
-    """Every (spec, steps, rng, reference rng) chain generated in one lockstep
-    batch, and its W1 against `count` reference draws from its reference rng.
-    Returns the samples and the W1s, one per chain, in order."""
-    samples = generate_many([chain[:3] for chain in chains], schedule, count)
-    return samples, [quality(x, spec, count, ref) for x, (spec, _, _, ref) in zip(samples, chains)]
+def _reference(spec: MixtureSpec, count: int, rng: Rng) -> np.ndarray:
+    """`count` reference draws from the spec, sorted once for every W1 against them."""
+    return np.sort(spec.sample(count, rng))
 
 
 def min_steps_oracle(spec: MixtureSpec, schedule: NoiseSchedule, epsilon: float,
@@ -312,25 +346,34 @@ def oracle_labels(items, schedule: NoiseSchedule, epsilon: float, count: int) ->
     item generates on rng.child(s).child(0) and draws its reference from
     rng.child(s).child(1), so every label equals the one-spec scan's.
     """
+    return _oracle(items, schedule, epsilon, count)[0]
+
+
+def _oracle(items, schedule: NoiseSchedule, epsilon: float, count: int):
+    """`oracle_labels`, and each item's T-step baseline as (its sorted
+    reference, its W1)."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
 
-    def w1s(members, steps):
+    def scored(members, steps):
         branches = [rng.child(steps) for _, rng in members]
-        return _scored([(spec, steps, branch.child(0), branch.child(1))
-                        for (spec, _), branch in zip(members, branches)], schedule, count)[1]
+        refs = [_reference(spec, count, branch.child(1)) for (spec, _), branch in zip(members, branches)]
+        samples = generate_many([(spec, steps, branch.child(0)) for (spec, _), branch in zip(members, branches)],
+                                schedule, count)
+        return refs, [_sorted_w1(np.sort(x), ref) for x, ref in zip(samples, refs)]
 
-    bounds = [(1.0 + epsilon) * w1 for w1 in w1s(items, schedule.T)]
+    refs, baseline_w1s = scored(items, schedule.T)
+    bounds = [(1.0 + epsilon) * w1 for w1 in baseline_w1s]
     labels = [schedule.T] * len(items)
     pending = list(range(len(items)))
     for steps in (s for s in ORACLE_GRID if s < schedule.T):
         if not pending:
             break
-        passed = [w1 <= bounds[i] for i, w1 in zip(pending, w1s([items[i] for i in pending], steps))]
+        passed = [w1 <= bounds[i] for i, w1 in zip(pending, scored([items[i] for i in pending], steps)[1])]
         for i in (i for i, ok in zip(pending, passed) if ok):
             labels[i] = steps
         pending = [i for i, ok in zip(pending, passed) if not ok]
-    return labels
+    return labels, list(zip(refs, baseline_w1s))
 
 
 def fit_recommender(labeled_specs, max_steps: int) -> StepRecommender:
@@ -387,16 +430,34 @@ def adaptive_generate(spec: MixtureSpec, recommender: StepRecommender,
 
 def adaptive_generate_many(items, recommender: StepRecommender, schedule: NoiseSchedule,
                            count: int) -> list[tuple[np.ndarray, QualityReport]]:
-    """`adaptive_generate` of every (spec, rng) item, with every
-    recommended-step chain and every baseline in one lockstep batch. The
-    chains draw from rng.child(0), the baselines from rng.child(2), and their
-    references from rng.child(1) and rng.child(3)."""
-    steps = [recommender.recommend(spec.difficulty) for spec, _ in items]
-    chains = [(spec, s, rng.child(0), rng.child(1)) for (spec, rng), s in zip(items, steps)]
-    chains += [(spec, schedule.T, rng.child(2), rng.child(3)) for spec, rng in items]
-    samples, w1s = _scored(chains, schedule, count)
-    return [(x, QualityReport(steps_used=s, w1=w1, baseline_w1=base_w1))
-            for x, s, w1, base_w1 in zip(samples, steps, w1s, w1s[len(items):])]
+    """`adaptive_generate` of every (spec, rng) item, in one lockstep batch.
+    An item's recommended-step chain and its T-step baseline share the one
+    stream rng.child(0), and both are scored against one reference from
+    rng.child(1)."""
+    return _paired([_own_streams(spec, rng, count) for spec, rng in items], recommender, schedule, count)
+
+
+def _own_streams(spec: MixtureSpec, rng: Rng, count: int):
+    """A `_paired` entry whose chains run on rng.child(0), scored against a
+    reference from rng.child(1)."""
+    return spec, rng.child(0), _reference(spec, count, rng.child(1)), None
+
+
+def _paired(entries, recommender: StepRecommender, schedule: NoiseSchedule, count: int):
+    """Each (spec, rng, sorted reference, baseline W1) entry's recommended-step
+    chain, generated on rng and scored against the reference. An entry whose
+    baseline W1 is None runs its T-step baseline on the same rng, its first
+    steps' noise common to both chains. Returns (samples, report) per entry."""
+    T = schedule.T
+    steps = [recommender.recommend(spec.difficulty) for spec, _, _, _ in entries]
+    samples = generate_many([(spec, (s,) if base_w1 is not None or s == T else (s, T), rng)
+                             for (spec, rng, _, base_w1), s in zip(entries, steps)], schedule, count)
+    out = []
+    for (_, _, ref, base_w1), s, xs in zip(entries, steps, samples):
+        w1s = [_sorted_w1(np.sort(x), ref) for x in xs]
+        base_w1 = w1s[-1] if base_w1 is None else base_w1
+        out.append((xs[0], QualityReport(steps_used=s, w1=w1s[0], baseline_w1=base_w1)))
+    return out
 
 
 def train_and_evaluate(specs, schedule: NoiseSchedule, epsilon: float, n_train: int,
@@ -405,11 +466,16 @@ def train_and_evaluate(specs, schedule: NoiseSchedule, epsilon: float, n_train: 
 
     The first n_train specs get oracle labels (spec i on rng.child(i)), the
     recommender is fit to them, and every spec is then generated at its
-    recommended step count and scored against its T-step baseline (spec j on
-    rng.child(100000 + j)). Returns one report per spec, in order.
+    recommended step count and scored against its T-step baseline. A
+    training spec reuses the oracle's baseline: its chain runs on that
+    baseline's stream rng.child(i).child(T).child(0) and is scored against
+    its reference. Every other spec j is an `adaptive_generate` item on
+    rng.child(100000 + j). Returns one report per spec, in order.
     """
     train = specs[:n_train]
-    labels = oracle_labels([(spec, rng.child(i)) for i, spec in enumerate(train)], schedule, epsilon, count)
+    labels, baselines = _oracle([(spec, rng.child(i)) for i, spec in enumerate(train)], schedule, epsilon, count)
     recommender = fit_recommender(list(zip(train, labels)), schedule.T)
-    items = [(spec, rng.child(100000 + j)) for j, spec in enumerate(specs)]
-    return [report for _, report in adaptive_generate_many(items, recommender, schedule, count)]
+    entries = [(spec, rng.child(i).child(schedule.T).child(0), ref, w1)
+               for i, (spec, (ref, w1)) in enumerate(zip(train, baselines))]
+    entries += [_own_streams(specs[j], rng.child(100000 + j), count) for j in range(n_train, len(specs))]
+    return [report for _, report in _paired(entries, recommender, schedule, count)]

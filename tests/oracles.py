@@ -18,7 +18,7 @@ from dynexec.earlyexit import BOUNDARY_X_RANGE, EASY_BAND, HARD_BAND, Dataset, S
 from dynexec.errors import EmptyPrompt, InsufficientData, InvalidDistribution, LengthMismatch
 from dynexec.router import LOGPROB_FLOOR, RouteReport
 from dynexec.specdec import DraftOutput, verify
-from dynexec.stepsaver import ORACLE_GRID, MixtureSpec, quality, respaced_timesteps
+from dynexec.stepsaver import ORACLE_GRID, MixtureSpec, fit_recommender, quality, respaced_timesteps
 
 
 def autoregressive_distribution(next_fn, prompt, length, vocab):
@@ -498,11 +498,35 @@ def min_steps_oracle_reference(spec, schedule, epsilon, count, rng):
 
 
 def adaptive_generate_reference(spec, recommender, schedule, count, rng):
-    """`adaptive_generate` one chain at a time: the recommended-step chain on
-    rng.child(0) and the T-step baseline on rng.child(2), scored against
-    reference draws from rng.child(1) and rng.child(3). Returns the samples,
-    the steps used, the W1 and the baseline W1."""
+    """`adaptive_generate` one chain at a time: the recommended-step chain and
+    the T-step baseline each on a fresh rng.child(0), so the shorter chain's
+    noise is the first steps of the baseline's, both scored against reference
+    draws from rng.child(1). Returns the samples, the steps used, the W1 and
+    the baseline W1."""
     steps = recommender.recommend(spec.difficulty)
     x = generate_reference(spec, schedule, steps, count, rng.child(0))
-    baseline = generate_reference(spec, schedule, schedule.T, count, rng.child(2))
-    return x, steps, quality(x, spec, count, rng.child(1)), quality(baseline, spec, count, rng.child(3))
+    baseline = generate_reference(spec, schedule, schedule.T, count, rng.child(0))
+    return x, steps, quality(x, spec, count, rng.child(1)), quality(baseline, spec, count, rng.child(1))
+
+
+def train_and_evaluate_reference(specs, schedule, epsilon, n_train, count, rng):
+    """`train_and_evaluate` one chain at a time: the scan oracle labels the
+    training specs and the recommender is fit to them; a training spec's
+    chain and its T-step baseline then each run on a fresh copy of the oracle
+    baseline's stream rng.child(i).child(T).child(0), scored against
+    reference draws from rng.child(i).child(T).child(1), and every other spec
+    j is `adaptive_generate_reference` on rng.child(100000 + j). Returns
+    (steps used, W1, baseline W1) per spec."""
+    train = specs[:n_train]
+    labels = [min_steps_oracle_reference(spec, schedule, epsilon, count, rng.child(i)) for i, spec in enumerate(train)]
+    recommender = fit_recommender(list(zip(train, labels)), schedule.T)
+    out = []
+    for i, spec in enumerate(train):
+        branch = rng.child(i).child(schedule.T)
+        steps = recommender.recommend(spec.difficulty)
+        x = generate_reference(spec, schedule, steps, count, branch.child(0))
+        baseline = generate_reference(spec, schedule, schedule.T, count, branch.child(0))
+        out.append((steps, quality(x, spec, count, branch.child(1)), quality(baseline, spec, count, branch.child(1))))
+    for j in range(n_train, len(specs)):
+        out.append(adaptive_generate_reference(specs[j], recommender, schedule, count, rng.child(100000 + j))[1:])
+    return out

@@ -21,8 +21,10 @@ from dynexec.cli import (
 )
 from dynexec.core import save_model
 from dynexec.earlyexit import MAX_POINTS
+from dynexec.lookahead import MAX_NGRAM
 from dynexec.errors import MissingSeries, ParseError, SchemaError
 from dynexec.specdec import MAX_DRAFT, MAX_TOKENS
+from dynexec.stepsaver import MAX_SAMPLES
 
 from helpers import random_table_model, random_feature_model, skewed_workload, route_workload
 
@@ -425,6 +427,31 @@ def test_cli_rejects_decoder_sizes_past_their_ceiling_before_allocating(tmp_path
     assert peak < 2**20  # no model loaded and no token decoded
 
 
+@pytest.mark.parametrize("technique, key, rule, ceiling", [
+    pytest.param("stepsaver", "count", ">= 1", MAX_SAMPLES, id="stepsaver-count"),
+    pytest.param("lookahead", "ngram", ">= 2", MAX_NGRAM, id="lookahead-ngram"),
+    pytest.param("lookahead", "window", ">= 1", MAX_DRAFT, id="lookahead-window"),
+])
+def test_cli_rejects_sizes_past_their_ceiling_before_allocating(tmp_path, model_files, capsys,
+                                                                technique, key, rule, ceiling):
+    inputs = {"stepsaver": {"workload": model_files["mix_workload"]},
+              "lookahead": {"model": model_files["large"]}}[technique]
+    assert validate_config({"technique": technique, "params": {**inputs, key: ceiling}})["params"][key] == ceiling
+    flags = [arg for name, path in inputs.items() for arg in ("--" + name, path)]
+    out = tmp_path / "out.report"
+    for value in (ceiling + 1, 10**17):
+        tracemalloc.start()
+        try:
+            rc = main([technique, *flags, "--" + key, str(value), "--report", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        assert f"'{key}' must be {rule} and <= {ceiling}, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 2**20  # no input loaded and no sample drawn or token decoded
+
+
 @pytest.mark.parametrize("technique", ["specdec", "lookahead"])
 @pytest.mark.parametrize("edit, row", [
     pytest.param({"table": {"0": [0.2] * 5}}, "table row (0,) has 5 entries", id="row-too-long"),
@@ -446,13 +473,12 @@ def test_cli_rejects_table_rows_not_of_vocab_size(tmp_path, model_files, capsys,
 
 
 @pytest.mark.parametrize("technique, flags", [
-    pytest.param("stepsaver", ["--workload", "MIX", "--count", str(10**17)], id="stepsaver-count"),
     pytest.param("eagle", ["--model", "FEATURE", "--fit-seqs", str(10**16)], id="eagle-fit-seqs"),
 ])
 def test_cli_run_too_large_to_allocate_exits_2_in_one_line(tmp_path, model_files, capsys, technique, flags):
-    # each run asks numpy for an array of over 700 PiB, more than any machine's
+    # the run asks numpy for an array of over 700 PiB, more than any machine's
     # virtual address space, so it is refused at once and nothing is allocated
-    flags = [{"MIX": model_files["mix_workload"], "FEATURE": model_files["feature"]}.get(f, f) for f in flags]
+    flags = [{"FEATURE": model_files["feature"]}.get(f, f) for f in flags]
     out = tmp_path / "out.report"
     assert main([technique, *flags, "--report", str(out)]) == 2
     err = capsys.readouterr().err

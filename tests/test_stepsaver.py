@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,12 +20,12 @@ from dynexec import (
 from dynexec import stepsaver
 from dynexec.core import RngStreams
 from dynexec.stepsaver import (_log_norms, _mixture_score, _noised_components, adaptive_generate_many, generate_many,
-                               oracle_labels, respaced_timesteps)
+                               oracle_labels, respaced_timesteps, train_and_evaluate)
 from dynexec.errors import InsufficientData, StepsOutOfRange
 
 from helpers import separated_mixture, single_gaussian, skewed_workload
 from oracles import (adaptive_generate_reference, generate_reference, min_steps_oracle_reference,
-                     mixture_score_reference)
+                     mixture_score_reference, train_and_evaluate_reference)
 
 SCHEDULE = NoiseSchedule()
 
@@ -316,6 +318,20 @@ def test_adaptive_generate_many_matches_per_item_reference(items, count):
         assert (report.steps_used, report.w1, report.baseline_w1) == (steps, w1, baseline_w1)
 
 
+@settings(max_examples=8, deadline=None)
+@given(st.lists(mixtures(3), min_size=5, max_size=7), st.integers(5, 7), st.sampled_from([1, 9, 25]),
+       st.integers(0, 2**64 - 1), st.integers(10, 40))
+def test_train_and_evaluate_matches_one_chain_reference(specs, n_train, T, seed, count):
+    # training specs reuse their oracle baselines; T = 1 leaves no candidate, so every chain is its own baseline
+    schedule = NoiseSchedule(T)
+    n_train = min(n_train, len(specs))
+    reports = train_and_evaluate(specs, schedule, 0.1, n_train, count, Rng(seed))
+    expected = train_and_evaluate_reference(specs, schedule, 0.1, n_train, count, Rng(seed))
+    assert [(r.steps_used, r.w1, r.baseline_w1) for r in reports] == expected
+    if T == 1:
+        assert all(r.w1 == r.baseline_w1 for r in reports)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 1000)), min_size=1, max_size=6),
        st.integers(0, 300), st.data())
@@ -355,3 +371,58 @@ def test_generate_many_batch_and_noise_block_sizes(monkeypatch, batch_elements, 
     rows = generate_many(chains, SCHEDULE, 60)
     for i, ((spec, steps, _), row) in enumerate(zip(chains, rows)):
         assert np.array_equal(row, generate_reference(spec, SCHEDULE, steps, 60, _used_rng(40 + i, i)))
+
+
+_BLOCK_SIZES = [(1, 1), (300, 50), (10**9, 10**9)]
+
+
+@pytest.mark.parametrize("batch_elements, noise_elements", _BLOCK_SIZES)
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([1, 7, 30]).flatmap(lambda T: st.tuples(
+    st.just(T),
+    st.lists(st.tuples(mixtures(3), st.one_of(st.integers(1, T), st.lists(st.integers(1, T), min_size=1, max_size=4)
+                                              .map(tuple)),
+                       st.integers(0, 2**64 - 1), st.integers(0, 300)), min_size=1, max_size=4),
+    st.integers(1, 60))))
+@example((30, [(_TWO_MODES, (4, 30, 4, 1), 7, 0), (_TWO_MODES, 30, 8, 5), (single_gaussian(), (12,), 9, 0)], 5))
+def test_shared_stream_entry_matches_a_fresh_rng_per_step_count(batch_elements, noise_elements, case):
+    # an entry's chains share its stream: each equals the one-chain run on an
+    # Rng of the same seed and counter, and the entry's Rng ends where the longest run leaves it
+    T, entries, count = case
+    schedule = NoiseSchedule(T)
+    rngs = [_used_rng(seed, drawn) for _, _, seed, drawn in entries]
+    with mock.patch.object(stepsaver, "_BATCH_ELEMENTS", batch_elements), \
+            mock.patch.object(stepsaver, "_NOISE_ELEMENTS", noise_elements):
+        out = generate_many([(spec, steps, rng) for (spec, steps, _, _), rng in zip(entries, rngs)], schedule, count)
+    for (spec, steps, seed, drawn), samples, rng in zip(entries, out, rngs):
+        counts, samples = (steps, samples) if isinstance(steps, tuple) else ((steps,), [samples])
+        assert len(samples) == len(counts)
+        for s, x in zip(counts, samples):
+            assert np.array_equal(x, generate_reference(spec, schedule, s, count, _used_rng(seed, drawn)))
+        longest = _used_rng(seed, drawn)
+        generate_reference(spec, schedule, max(counts), count, longest)
+        assert rng.u64() == longest.u64()
+
+
+def test_train_and_evaluate_runs_each_baseline_once(monkeypatch):
+    # a training spec reuses its oracle baseline; any other spec runs one T-step
+    # baseline, none when its recommended chain is that baseline
+    specs = [spec for _, spec in skewed_workload()][:8]
+    schedule, count = NoiseSchedule(25), 50
+    steps_run = []
+    real = stepsaver.generate_many
+
+    def counting(chains, schedule, count):
+        steps_run.extend(s for _, steps, _ in chains for s in (steps if isinstance(steps, tuple) else (steps,)))
+        return real(chains, schedule, count)
+
+    monkeypatch.setattr(stepsaver, "generate_many", counting)
+    oracle_labels([(spec, Rng(5).child(i)) for i, spec in enumerate(specs[:5])], schedule, 0.1, count)
+    oracle_steps = sum(steps_run)
+    steps_run.clear()
+    reports = train_and_evaluate(specs, schedule, 0.1, 5, count, Rng(5))
+    baselines = [schedule.T for r in reports[5:] if r.steps_used < schedule.T]
+    # both kinds of spec, and a recommended chain that is its own baseline
+    assert baselines and any(r.steps_used < schedule.T for r in reports[:5])
+    assert any(r.steps_used == schedule.T for r in reports[5:])
+    assert sum(steps_run) == oracle_steps + sum(r.steps_used for r in reports) + sum(baselines)
