@@ -361,7 +361,11 @@ def test_mixture_rejects_components_beyond_scale():
             MixtureSpec((bad,))
 
 
-@pytest.mark.parametrize("batch_elements, noise_elements", [(1, 1), (300, 50), (10**9, 10**9)])
+# one-element batches and noise blocks, mid-sized ones, and everything in one
+_BLOCK_SIZES = [(1, 1), (300, 50), (10**9, 10**9)]
+
+
+@pytest.mark.parametrize("batch_elements, noise_elements", _BLOCK_SIZES)
 def test_generate_many_batch_and_noise_block_sizes(monkeypatch, batch_elements, noise_elements):
     # a group split into several batches, and noise drawn one step or many steps at a time
     monkeypatch.setattr(stepsaver, "_BATCH_ELEMENTS", batch_elements)
@@ -371,9 +375,6 @@ def test_generate_many_batch_and_noise_block_sizes(monkeypatch, batch_elements, 
     rows = generate_many(chains, SCHEDULE, 60)
     for i, ((spec, steps, _), row) in enumerate(zip(chains, rows)):
         assert np.array_equal(row, generate_reference(spec, SCHEDULE, steps, 60, _used_rng(40 + i, i)))
-
-
-_BLOCK_SIZES = [(1, 1), (300, 50), (10**9, 10**9)]
 
 
 @pytest.mark.parametrize("batch_elements, noise_elements", _BLOCK_SIZES)
