@@ -17,15 +17,15 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 
-from .core import Rng, _load_json, atomic_write_text, is_int, is_number, load_model, FeatureModel
+from .core import ELEMENT_BUDGET, Rng, _load_json, atomic_write_text, is_int, is_number, load_model, FeatureModel
 from .eagle import DEFAULT_RIDGE, eagle_decode, fit_extrapolator, sample_corpus
 from .earlyexit import MAX_POINTS, gen_dataset, sweep, train_stages
 from .errors import DynexecError, MissingSeries, ParseError, SchemaError
 from .lookahead import MAX_NGRAM, lookahead_decode
 from .router import WorkloadItem, frontier
 from .specdec import MAX_DRAFT, MAX_TOKENS, simulated_speedup, speculative_decode
-from .stepsaver import (DEFAULT_STEPS, MAX_SAMPLES, MAX_STEPS, MIN_LABELED_SPECS, MixtureSpec, NoiseSchedule,
-                        train_and_evaluate)
+from .stepsaver import (DEFAULT_STEPS, MAX_SAMPLES, MAX_SPEC_LOAD, MAX_STEPS, MIN_LABELED_SPECS, MixtureSpec,
+                        NoiseSchedule, train_and_evaluate)
 
 VERSION = "dynexec 0.1.0"
 SEED_ENV_VAR = "DYNEXEC_SEED"
@@ -325,6 +325,13 @@ def _run_eagle(params, seed, base_dir):
         raise SchemaError(f"key 'fit_seqs' gives fit_seqs * (fit_len - 1) = "
                           f"{params['fit_seqs'] * (params['fit_len'] - 1)} transitions; a model of "
                           f"dim {model.dim} needs at least {needed}", key="fit_seqs")
+    # under tracemalloc the corpus and the fit peak at about 7 float64s per
+    # corpus token per feature dim, and the sampler's batched head at about 4
+    # per sequence per vocabulary token, so a fit may take 8 of each
+    elements = params["fit_seqs"] * 8 * (params["fit_len"] * model.dim + model.vocab_size)
+    if elements > ELEMENT_BUDGET:
+        raise SchemaError(f"key 'fit_seqs' gives a fit of fit_seqs * 8 * (fit_len * dim + vocabulary) = "
+                          f"{elements} float64s, past the budget of {ELEMENT_BUDGET}", key="fit_seqs")
     rng = Rng(seed)
     corpus = sample_corpus(model, params["fit_seqs"], params["fit_len"], rng.child(1))
     ex = fit_extrapolator(model, corpus, params["ridge"])
@@ -351,6 +358,11 @@ def _run_early_exit(params, seed, base_dir):
 def _run_stepsaver(params, seed, base_dir):
     """adaptive diffusion step recommendation"""
     specs = load_mixture_workload(_resolve(base_dir, params["workload"]))
+    load = params["count"] + 4 * params["steps"]
+    if len(specs) * load > MAX_SPEC_LOAD:
+        raise SchemaError(f"key 'workload' names {len(specs)} specs; at count {params['count']} and steps "
+                          f"{params['steps']} at most {MAX_SPEC_LOAD // load} fit the element budget "
+                          f"(specs * (count + 4 * steps) <= {MAX_SPEC_LOAD})", key="workload")
     schedule = NoiseSchedule(params["steps"])
     # the recommender needs MIN_LABELED_SPECS labels, so small workloads train on more than train_frac
     n_train = min(len(specs), max(MIN_LABELED_SPECS, round(params["train_frac"] * len(specs))))

@@ -207,11 +207,13 @@ def sample(d, rng: Rng) -> int:
 
     Consumes exactly one uniform, which is what makes brute-force enumeration
     of the decode process tractable (uniforms integrate out analytically).
+    The scan walks Python floats: they add with the same IEEE operations in
+    the same order as float64 array elements, at a fraction of the cost.
     """
     u = rng.uniform()
     acc = 0.0
     last_positive = 0
-    for i, p in enumerate(d):
+    for i, p in enumerate(d.tolist() if isinstance(d, np.ndarray) else d):
         if p > 0:
             last_positive = i
             acc += p
@@ -307,6 +309,8 @@ class SequenceModel:
     positions from one state and decoding costs one `advance` per token.
     A feature model's `advance` and `dist` also take a batch, one state (and
     one token) per row, and row i equals the 1-D call bit for bit.
+    `dists(states)` reads the K+1 positions of a cycle at once: a table model
+    looks up each row, a feature model runs one batched `dist`.
     `next_dist(ctx)` is `dist(start(ctx))`. Models are immutable after
     construction and safe to share across sessions.
     """
@@ -322,6 +326,10 @@ class SequenceModel:
 
     def dist(self, state) -> np.ndarray:
         raise NotImplementedError
+
+    def dists(self, states):
+        """The distribution of each state, in order."""
+        return [self.dist(s) for s in states]
 
     # no caller in src/, which reads contexts through states, but the tests'
     # from-scratch references read every prefix through it. Each subclass
@@ -441,6 +449,10 @@ class FeatureModel(SequenceModel):
 
     def dist(self, state: np.ndarray) -> np.ndarray:
         return softmax(np.matmul(self.head_w, state[..., None])[..., 0] + self.head_b)
+
+    # one stacked mat-vec and one softmax for all the states, row i equal to dist(states[i])
+    def dists(self, states) -> np.ndarray:
+        return self.dist(np.array(states))
 
     next_dist = SequenceModel.next_dist
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ELEMENT_BUDGET, Rng, SequenceModel, check_context, normalize, sample
+from .core import ELEMENT_BUDGET, Rng, SequenceModel, check_context, sample
 from .errors import AllZeroResidual, ContractViolation, LengthMismatch, VocabMismatch
 
 # the largest `n` and `k` of a decode: under tracemalloc one peaks at about 10
@@ -93,12 +93,14 @@ def residual(p, q) -> np.ndarray:
     """The distribution sampled after a rejection: normalize(max(0, p - q))."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise LengthMismatch("residual needs distributions of equal length")
+    if p.shape != q.shape or p.ndim != 1:
+        raise LengthMismatch("residual needs two 1-D distributions of equal length")
     r = np.maximum(p - q, 0.0)
-    if float(r.sum()) == 0.0:
+    total = float(r.sum())
+    if total == 0.0:
         raise AllZeroResidual("p equals q elementwise; rejection there has probability 0")
-    return normalize(r)
+    # r is non-negative by construction, so this is normalize(r) without its checks
+    return r / total
 
 
 def verify(target_dists, d: DraftOutput, rng: Rng) -> VerificationResult:
@@ -136,12 +138,13 @@ def _decode_loop(target: SequenceModel, prompt, N, propose, check, draft_model=N
     Each cycle `propose(history, state, draft_state)` returns the proposed
     tokens (possibly none), the object `check` verifies and the states
     draft_model drafted them from (None without a draft model). The target's
-    positions after each proposal prefix branch from its one state and count
-    as one batched target call; `check(dists, proposal)` returns
-    (n_accepted, emitted, resampled). Each state then moves on from the last
-    one inside the accepted prefix by the emitted tokens after it, so every
-    model reads the prompt once and each emitted token once. `history` is
-    the prompt plus the tokens emitted so far.
+    positions after each proposal prefix branch from its one state, and one
+    `target.dists` call, one batched target call, reads them all;
+    `check(dists, proposal)` returns (n_accepted, emitted, resampled).
+    Each state then moves on from the last one inside the accepted prefix
+    by the emitted tokens after it, so every model reads the prompt once and
+    each emitted token once. `history` is the prompt plus the tokens emitted
+    so far.
 
     Returns the first N emitted tokens, the cycles run (one target call
     each) and the tokens drafted (one draft call each) and accepted over all
@@ -159,7 +162,7 @@ def _decode_loop(target: SequenceModel, prompt, N, propose, check, draft_model=N
     while len(history) - n_prompt < N:
         tokens, proposal, draft_branch = propose(history, state, draft_state)
         branch = target.branch(state, tokens)
-        n_accepted, emitted, _ = check([target.dist(s) for s in branch], proposal)
+        n_accepted, emitted, _ = check(target.dists(branch), proposal)
         last = emitted[-1]
         state = target.advance(branch[n_accepted], last)
         if draft_model is not None:

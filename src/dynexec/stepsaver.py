@@ -25,9 +25,13 @@ BETA_END = 0.02
 MAX_STEPS = 73_252
 # the largest `count` (samples per chain and per reference): at count 65 536
 # a run peaks under tracemalloc at about 43 float64s per sample on 6 specs and
-# 86 on 24, each spec adding about 2.4 (its pending samples and reference, and
-# the reference the oracle hands over), so 256 leaves room for about 90 specs
+# 86 on 24, so 256
 MAX_SAMPLES = ELEMENT_BUDGET // 256
+# the largest specs x (count + 4 x steps) of a run: under tracemalloc each spec
+# adds about 2.5 float64s per sample (its pending samples and references) and,
+# at small counts, up to 8.3 per step (its chains' per-step coefficients), so
+# a spec is charged 4 per sample and 16 per step against the budget
+MAX_SPEC_LOAD = ELEMENT_BUDGET // 4
 DIFFICULTY_CAP = 10.0
 ORACLE_GRID = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50, 63, 79, 100)
 MIN_LABELED_SPECS = 5

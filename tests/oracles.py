@@ -12,13 +12,29 @@ from collections import defaultdict
 
 import numpy as np
 
-from dynexec.core import Rng, check_context, check_dist, entropy, feature_forward, sample
+from dynexec.core import Rng, check_context, check_dist, entropy, feature_forward
 from dynexec.eagle import Extrapolator
 from dynexec.earlyexit import BOUNDARY_X_RANGE, EASY_BAND, HARD_BAND, Dataset, SweepRow, _row_entropies
 from dynexec.errors import EmptyPrompt, InsufficientData, InvalidDistribution, LengthMismatch
 from dynexec.router import LOGPROB_FLOOR, RouteReport
 from dynexec.specdec import DraftOutput, verify
 from dynexec.stepsaver import ORACLE_GRID, MixtureSpec, fit_recommender, quality, respaced_timesteps
+
+
+def sample_reference(d, rng) -> int:
+    """`core.sample` as a scan over float64 array elements: one uniform, then
+    the first index whose running total of the positive entries exceeds it,
+    or the last positive entry when it lies past the mass."""
+    u = rng.uniform()
+    acc = 0.0
+    last_positive = 0
+    for i, p in enumerate(np.asarray(d, dtype=np.float64)):
+        if p > 0:
+            last_positive = i
+            acc += p
+            if u < acc:
+                return i
+    return last_positive
 
 
 def autoregressive_distribution(next_fn, prompt, length, vocab):
@@ -208,7 +224,7 @@ def speculative_reference(target, draft_model, prompt, length, K, rng):
         dists = []
         for _ in range(K):
             q = draft_model.next_dist(ctx + tuple(tokens))
-            tokens.append(sample(q, rng))
+            tokens.append(sample_reference(q, rng))
             dists.append(q)
         return tokens, dists
 
@@ -231,7 +247,7 @@ def eagle_reference(model, extrapolator, prompt, length, K, rng):
         dists = []
         for _ in range(K):
             q = model.dist(f)
-            tokens.append(sample(q, rng))
+            tokens.append(sample_reference(q, rng))
             dists.append(q)
             f = extrapolator.predict(f, model.embed[tokens[-1]])
         return tokens, dists
@@ -274,7 +290,7 @@ def sample_corpus_reference(model, n_sequences, length, rng):
         seq = [first]
         f = model.advance(np.zeros(model.dim), first)
         for _ in range(length - 1):
-            token = sample(model.dist(f), rng)
+            token = sample_reference(model.dist(f), rng)
             seq.append(token)
             f = model.advance(f, token)
         corpus.append(tuple(seq))

@@ -19,12 +19,12 @@ from dynexec.cli import (
     validate_config,
     write_report,
 )
-from dynexec.core import save_model
+from dynexec.core import ELEMENT_BUDGET, load_model, save_model
 from dynexec.earlyexit import MAX_POINTS
 from dynexec.lookahead import MAX_NGRAM
 from dynexec.errors import MissingSeries, ParseError, SchemaError
 from dynexec.specdec import MAX_DRAFT, MAX_TOKENS
-from dynexec.stepsaver import MAX_SAMPLES
+from dynexec.stepsaver import MAX_SAMPLES, MAX_SPEC_LOAD
 
 from helpers import random_table_model, random_feature_model, skewed_workload, route_workload
 
@@ -472,12 +472,69 @@ def test_cli_rejects_table_rows_not_of_vocab_size(tmp_path, model_files, capsys,
     assert not out.exists()
 
 
+class _Reached(Exception):
+    """Raised by a stub of the step after a check: the run got past the check."""
+
+
+def _reach(*args):
+    raise _Reached
+
+
+def test_cli_rejects_an_eagle_fit_past_the_budget_before_allocating(tmp_path, model_files, capsys, monkeypatch):
+    model = load_model(model_files["feature"])
+    ceiling = ELEMENT_BUDGET // (8 * (16 * model.dim + model.vocab_size))  # at the default fit_len of 16
+    out = tmp_path / "out.json"
+    monkeypatch.setattr(cli, "sample_corpus", _reach)
+    with pytest.raises(_Reached):  # the ceiling passes the check, and the corpus would be sampled
+        main(["eagle", "--model", model_files["feature"], "--fit-seqs", str(ceiling), "--report", str(out)])
+    for value in (ceiling + 1, 10**16):
+        tracemalloc.start()
+        try:
+            rc = main(["eagle", "--model", model_files["feature"], "--fit-seqs", str(value), "--report", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        assert "key 'fit_seqs' gives a fit of" in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 2**20  # no corpus drawn, not even one refused by the allocator
+
+
+def test_cli_rejects_a_stepsaver_workload_past_the_budget_before_any_chain(tmp_path, capsys, monkeypatch):
+    count = MAX_SPEC_LOAD // 64 - 4  # with --steps 1, 64 specs reach the ceiling exactly
+    out = tmp_path / "out.csv"
+
+    def run_on(n_specs):
+        path = tmp_path / f"specs{n_specs}.json"
+        path.write_text(json.dumps({"specs": [{"id": f"s{i}", "components": [[1.0, 0.0, 1.0]]}
+                                              for i in range(n_specs)]}))
+        return main(["stepsaver", "--workload", str(path), "--count", str(count), "--steps", "1",
+                     "--report", str(out)])
+
+    monkeypatch.setattr(cli, "train_and_evaluate", _reach)
+    with pytest.raises(_Reached):  # the ceiling passes the check, and the chains would run
+        run_on(64)
+    tracemalloc.start()
+    try:
+        rc = run_on(65)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert "key 'workload' names 65 specs" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 2**20  # no chain run and no sample drawn
+
+
 @pytest.mark.parametrize("technique, flags", [
     pytest.param("eagle", ["--model", "FEATURE", "--fit-seqs", str(10**16)], id="eagle-fit-seqs"),
 ])
-def test_cli_run_too_large_to_allocate_exits_2_in_one_line(tmp_path, model_files, capsys, technique, flags):
-    # the run asks numpy for an array of over 700 PiB, more than any machine's
-    # virtual address space, so it is refused at once and nothing is allocated
+def test_cli_run_too_large_to_allocate_exits_2_in_one_line(tmp_path, model_files, capsys, monkeypatch,
+                                                           technique, flags):
+    # with the element budget lifted past the fit's ceiling, the run asks numpy
+    # for an array of over 700 PiB, more than any machine's virtual address
+    # space, so it is refused at once and nothing is allocated
+    monkeypatch.setattr(cli, "ELEMENT_BUDGET", 2**80)
     flags = [{"FEATURE": model_files["feature"]}.get(f, f) for f in flags]
     out = tmp_path / "out.report"
     assert main([technique, *flags, "--report", str(out)]) == 2

@@ -66,6 +66,8 @@ def test_residual_identical_distributions_error():
         residual([0.5, 0.5], [0.5, 0.5])
     with pytest.raises(LengthMismatch):
         residual([0.5, 0.5], [0.3, 0.3, 0.4])
+    with pytest.raises(LengthMismatch):  # a batch is no distribution
+        residual([[0.9, 0.1]], [[0.5, 0.5]])
 
 
 def test_verify_accept_branch_hand_trace():
