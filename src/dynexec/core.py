@@ -42,6 +42,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _GOLDEN_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
+_BLOCK = 256  # uniforms `Rng.uniform` computes ahead at a time
 
 
 def _mix64(z: int) -> int:
@@ -56,8 +57,10 @@ class Rng:
     """Deterministic counter-based SplitMix64 stream.
 
     Draw number k (1-based) of a stream with seed s is mix64(s + k*GOLDEN mod 2^64),
-    which makes scalar and vectorized draws bit-identical and the whole stream a
-    pure function of (seed, draw index) on every platform. Uniforms use the top
+    so the stream is a pure function of (seed, draw index) on every platform, and
+    `uniform` hands out scalar draws from a block of the next `_BLOCK`, computed by
+    the vectorized kernel and keyed by the position it starts at: the same values,
+    with `_count` still the draws taken, whatever moved it. Uniforms use the top
     53 bits, so values lie in [0, 1). Normals are Box-Muller pairs consuming two
     uniforms each. `child(i)` derives an independent stream by hashing the master
     seed with the child index; it does not disturb this stream's counter.
@@ -66,6 +69,7 @@ class Rng:
     def __init__(self, seed: int):
         self._seed = int(seed) & _MASK64
         self._count = 0
+        self._block_start, self._block = -_BLOCK, None  # no block yet
 
     @property
     def seed(self) -> int:
@@ -76,12 +80,13 @@ class Rng:
             raise ValueError("child index must be non-negative")
         return Rng(_mix64(self._seed ^ _mix64((index + 1) * _GOLDEN)))
 
-    def u64(self) -> int:
-        self._count += 1
-        return _mix64(self._seed + self._count * _GOLDEN)
-
     def uniform(self) -> float:
-        return (self.u64() >> 11) * 2.0**-53
+        i = self._count - self._block_start
+        if not 0 <= i < _BLOCK:
+            z = _positions(np.uint64(self._seed), np.uint64(self._count), _BLOCK)
+            self._block_start, self._block, i = self._count, _mixed_uniforms(z).tolist(), 0
+        self._count += 1
+        return self._block[i]
 
     def uniforms(self, n: int) -> np.ndarray:
         z = _positions(np.uint64(self._seed), np.uint64(self._count), n)

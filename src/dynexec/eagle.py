@@ -18,6 +18,7 @@ from .errors import InsufficientData, SingularSystem
 from .specdec import DraftOutput, _speculate, draft_from
 
 DEFAULT_RIDGE = 1e-6
+_HEAD_ELEMENTS = 1 << 14  # sequences x vocabulary of one block of the corpus sampler
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,10 @@ def sample_corpus(model: FeatureModel, n_sequences: int, length: int,
     Returns the tokens (n_sequences, length) and the feature after each token
     (n_sequences, length, d). The first token of each sequence is uniform over
     the vocabulary (the model needs a non-empty context before it can produce
-    a distribution). The sequences advance together, one batched `advance`
-    per position; row i of a batched call equals the 1-D call bit for bit, and
-    sequence i reads uniforms i*length .. (i+1)*length - 1 of the stream, as
-    if the sequences were sampled one after another.
+    a distribution). Blocks of `_HEAD_ELEMENTS` // vocabulary sequences advance
+    together, one batched `advance` per position; row i of a batched call equals
+    the 1-D call bit for bit, and sequence i reads uniforms i*length ..
+    (i+1)*length - 1 of the stream, as if the sequences were sampled one after another.
     """
     if n_sequences < 1 or length < 2:
         raise ValueError("need at least one sequence of length >= 2")
@@ -57,11 +58,13 @@ def sample_corpus(model: FeatureModel, n_sequences: int, length: int,
     tokens = np.empty((n_sequences, length), dtype=np.intp)
     tokens[:, 0] = np.minimum((u[:, 0] * model.vocab_size).astype(np.intp), model.vocab_size - 1)
     feats = np.empty((n_sequences, length, model.dim))
-    f = np.zeros((n_sequences, model.dim))
-    for t in range(1, length):
-        f = feats[:, t - 1] = model.advance(f, tokens[:, t - 1])
-        tokens[:, t] = inverse_cdf(model.dist(f), u[:, t])
-    feats[:, -1] = model.advance(f, tokens[:, -1])
+    block = max(1, _HEAD_ELEMENTS // model.vocab_size)
+    for rows in (slice(s, s + block) for s in range(0, n_sequences, block)):
+        f = np.zeros_like(feats[rows, 0])
+        for t in range(1, length):
+            f = feats[rows, t - 1] = model.advance(f, tokens[rows, t - 1])
+            tokens[rows, t] = inverse_cdf(model.dist(f), u[rows, t])
+        feats[rows, -1] = model.advance(f, tokens[rows, -1])
     return tokens, feats
 
 

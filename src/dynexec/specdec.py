@@ -95,7 +95,8 @@ def residual(p, q) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape or p.ndim != 1:
         raise LengthMismatch("residual needs two 1-D distributions of equal length")
-    r = np.maximum(p - q, 0.0)
+    r = p - q
+    np.maximum(r, 0.0, out=r)
     total = float(r.sum())
     if total == 0.0:
         raise AllZeroResidual("p equals q elementwise; rejection there has probability 0")

@@ -187,8 +187,9 @@ def generate(spec: MixtureSpec, schedule: NoiseSchedule, steps: int, count: int,
     return generate_many([(spec, steps, rng)], schedule, count)[0]
 
 
-# elements (chains x count x components) of one lockstep batch; larger groups
-# run in several batches, so a big workload does not hold it all at once
+# float64s of one lockstep batch: per chain, count x components scores and, per
+# step, means, variances and log-norms (components each) and 3 coefficients;
+# larger groups run in several batches, so a big workload does not hold it all at once
 _BATCH_ELEMENTS = 1 << 18
 # normals drawn ahead in one block, several steps' noise for the running
 # chains; small enough that a block's uint64 and float buffers stay below
@@ -226,8 +227,8 @@ def generate_many(chains, schedule: NoiseSchedule, count: int) -> list:
     out = [None] * len(entries)
     for k, members in groups.items():
         members.sort(key=lambda i: -max(entries[i][1]))
-        widest = max(len(entries[i][1]) for i in members)
-        per_batch = max(1, _BATCH_ELEMENTS // (count * k * widest))
+        widest, steps = max(len(entries[i][1]) for i in members), max(entries[members[0]][1])
+        per_batch = max(1, _BATCH_ELEMENTS // (widest * (count * k + steps * (3 * k + 3))))
         for start in range(0, len(members), per_batch):
             batch = members[start:start + per_batch]
             for i, xs in zip(batch, _lockstep([entries[i] for i in batch], schedule, count)):

@@ -21,6 +21,29 @@ from dynexec.specdec import DraftOutput, verify
 from dynexec.stepsaver import ORACLE_GRID, MixtureSpec, fit_recommender, quality, respaced_timesteps
 
 
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def mix64_reference(z: int) -> int:
+    """The SplitMix64 finalizer of one 64-bit word, in Python integers."""
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def uniform_reference(seed: int, k: int) -> float:
+    """Draw k (1-based) of the `Rng` stream with this seed, one draw at a time:
+    the top 53 bits of mix64(seed + k*GOLDEN mod 2^64), scaled to [0, 1)."""
+    return (mix64_reference((seed & _MASK64) + k * _GOLDEN) >> 11) * 2.0**-53
+
+
+def child_seed_reference(seed: int, index: int) -> int:
+    """The seed of `Rng(seed).child(index)`."""
+    return mix64_reference((seed & _MASK64) ^ mix64_reference((index + 1) * _GOLDEN))
+
+
 def sample_reference(d, rng) -> int:
     """`core.sample` as a scan over float64 array elements: one uniform, then
     the first index whose running total of the positive entries exceeds it,

@@ -1,25 +1,73 @@
 """The verify cycle's fast paths against their plain forms, bit for bit.
 
-A decode cycle samples through `core.sample`, which scans Python floats,
-resamples through `specdec.residual`, which divides by the total it has
-computed, and reads the target's K+1 positions through one
-`SequenceModel.dists` call. Each must give exactly what the plain form
-gives, so every report stays byte-identical: the numpy-scalar scan
-`oracles.sample_reference`, `normalize(max(p - q, 0))` and one `dist` per
-state.
+A decode cycle draws its uniforms through `Rng.uniform`, which serves them
+from blocks of the vectorized kernel, samples through `core.sample`, which
+scans Python floats, resamples through `specdec.residual`, which clips its
+difference in place and divides by the total it has computed, and reads the
+target's K+1 positions through one `SequenceModel.dists` call. Each must
+give exactly what the plain form gives, so every report stays
+byte-identical: the one-draw-at-a-time formula `oracles.uniform_reference`,
+the numpy-scalar scan `oracles.sample_reference`, `normalize(max(p - q, 0))`
+and one `dist` per state.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dynexec import Rng, normalize, residual, sample
-from dynexec.core import MAX_FEATURE_DIM, MIN_FEATURE_DIM
+from dynexec.core import _BLOCK, MAX_FEATURE_DIM, MIN_FEATURE_DIM, RngStreams, _box_muller
 from dynexec.errors import AllZeroResidual
 
 from helpers import FixedRng, random_feature_model, random_table_model
-from oracles import sample_reference
+from oracles import child_seed_reference, sample_reference, uniform_reference
+
+
+def test_rng_first_draws_are_pinned():
+    # the reference itself is pinned, so it cannot drift along with the Rng
+    first = [0.7415648787718233, 0.1599103928769201, 0.27860113025513866, 0.34419071652363753]
+    rng = Rng(42)
+    assert [rng.uniform() for _ in first] == first
+    assert [uniform_reference(42, k) for k in range(1, len(first) + 1)] == first
+
+
+# each step moves one Rng: a run of scalar draws, a vector of uniforms or
+# normals, a block drawn through RngStreams and handed back, or a child;
+# n reaches about three blocks, so the scalar draws cross block boundaries
+_RNG_STEPS = st.one_of(
+    st.tuples(st.sampled_from(["uniform", "uniforms", "streams"]), st.integers(0, 3 * _BLOCK + 1)),
+    st.tuples(st.just("normals"), st.integers(0, 3 * _BLOCK // 2)),
+    st.tuples(st.just("child"), st.integers(0, 2**32)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.lists(_RNG_STEPS, max_size=8))
+@example(2**64 - 1, [("uniform", 1), ("uniforms", 10), ("uniform", _BLOCK), ("normals", 3), ("streams", 5),
+                     ("child", 0), ("uniform", 2 * _BLOCK + 1), ("streams", _BLOCK), ("uniform", 2)])
+def test_rng_interleaved_draws_match_the_scalar_reference(seed, steps):
+    rng = Rng(seed)
+    taken = 0
+    for kind, n in steps:
+        if kind == "child":
+            assert rng.child(n).uniform() == uniform_reference(child_seed_reference(seed, n), 1)
+            continue
+        width = 2 * n if kind == "normals" else n
+        expected = [uniform_reference(seed, taken + k) for k in range(1, width + 1)]
+        if kind == "uniform":
+            assert [rng.uniform() for _ in range(n)] == expected
+        elif kind == "uniforms":
+            assert rng.uniforms(n).tolist() == expected
+        elif kind == "normals":
+            assert np.array_equal(rng.normals(n), _box_muller(np.array(expected)))
+        else:
+            streams = RngStreams([rng])
+            assert streams.uniforms(n)[0].tolist() == expected
+            streams.close()
+        taken += width
+        assert rng._count == taken
+    assert rng.uniform() == uniform_reference(seed, taken + 1)
 
 SUBNORMAL = 2.0**-1060
 

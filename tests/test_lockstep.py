@@ -1,18 +1,21 @@
 """Lockstep self-distillation against the one-sequence-at-a-time path.
 
-The corpus sampler runs every sequence together, one batched step per
+The corpus sampler runs blocks of sequences together, one batched step per
 position, and the extrapolator fit reads the sampler's tokens and features.
 They must reproduce the scalar references in `oracles.py` bit for bit: the
 same tokens from the same uniforms, the same features as `feature_forward`,
 and the same fitted weight and bias, so eagle reports stay byte-identical.
 """
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynexec import Rng, fit_extrapolator, sample, sample_corpus
+from dynexec import Rng, eagle, fit_extrapolator, sample, sample_corpus
 from dynexec.core import feature_forward, inverse_cdf
 from dynexec.errors import InsufficientData
 
@@ -81,10 +84,12 @@ def test_batched_advance_and_dist_rows_equal_single_calls(model, n, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(feature_models(), st.integers(1, 24), st.integers(2, 12), st.integers(0, 2**32),
-       st.sampled_from([1e-6, 1e-3, 1.0]))
-def test_lockstep_corpus_and_fit_equal_scalar_reference(model, n, length, seed, ridge):
+       st.sampled_from([1e-6, 1e-3, 1.0]), st.sampled_from([1, 600, eagle._HEAD_ELEMENTS]))
+def test_lockstep_corpus_and_fit_equal_scalar_reference(model, n, length, seed, ridge, head_elements):
+    # head_elements 1 samples one sequence at a time, 600 a few, the default all 24 together
     batched_rng, scalar_rng = Rng(seed), Rng(seed)
-    tokens, feats = sample_corpus(model, n, length, batched_rng)
+    with mock.patch.object(eagle, "_HEAD_ELEMENTS", head_elements):
+        tokens, feats = sample_corpus(model, n, length, batched_rng)
     corpus = sample_corpus_reference(model, n, length, scalar_rng)
     assert [tuple(row) for row in tokens.tolist()] == corpus
     assert batched_rng.uniform() == scalar_rng.uniform()
@@ -99,3 +104,18 @@ def test_lockstep_corpus_and_fit_equal_scalar_reference(model, n, length, seed, 
     reference = fit_extrapolator_reference(model, corpus, ridge)
     assert np.array_equal(fitted.weight, reference.weight)
     assert np.array_equal(fitted.bias, reference.bias)
+
+
+def test_corpus_and_fit_memory_does_not_grow_with_the_head():
+    # at vocabulary 256 and two tokens a sequence, a head over every sequence
+    # at once would peak at about 1 000 float64s a sequence; in blocks, the
+    # corpus and the design matrix set the peak, 8 * dim * fit_len a sequence
+    model = random_feature_model(256, 4, Rng(3))
+    n = 4096
+    tracemalloc.start()
+    try:
+        fit_extrapolator(model, sample_corpus(model, n, 2, Rng(5)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (8 * model.dim * 2) * n

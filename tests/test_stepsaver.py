@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -293,7 +294,7 @@ def test_generate_many_matches_per_chain_reference(case):
                              schedule, count)
     for (spec, steps, _), row, rng in zip(chains, rows, ref_rngs):
         assert np.array_equal(row, generate_reference(spec, schedule, steps, count, rng))
-    assert [r.u64() for r in batch_rngs] == [r.u64() for r in ref_rngs]  # every counter ends where it did
+    assert [r.uniform() for r in batch_rngs] == [r.uniform() for r in ref_rngs]  # every counter ends where it did
 
 
 @settings(max_examples=25, deadline=None)
@@ -345,7 +346,7 @@ def test_stream_normals_match_per_stream_rng(streams, n, data):
     assert rows.shape == (active, n)
     for row, rng in zip(rows, alone):
         assert np.array_equal(row, rng.normals(n))
-    assert [r.u64() for r in rngs] == [r.u64() for r in alone]
+    assert [r.uniform() for r in rngs] == [r.uniform() for r in alone]
 
 
 def test_generate_many_needs_one_rng_per_chain():
@@ -402,7 +403,23 @@ def test_shared_stream_entry_matches_a_fresh_rng_per_step_count(batch_elements, 
             assert np.array_equal(x, generate_reference(spec, schedule, s, count, _used_rng(seed, drawn)))
         longest = _used_rng(seed, drawn)
         generate_reference(spec, schedule, max(counts), count, longest)
-        assert rng.u64() == longest.u64()
+        assert rng.uniform() == longest.uniform()
+
+
+def test_lockstep_batches_count_their_steps():
+    # one sample a chain and a 4 000-step schedule, so each chain's per-step
+    # coefficients, held for the batch's longest chain, outweigh its samples;
+    # one chain runs every step and the rest stop after one, which keeps the run short
+    schedule = NoiseSchedule(4000)
+    chains = [(single_gaussian(0.01 * i), 4000 if i == 0 else 1, Rng(i)) for i in range(64)]
+    tracemalloc.start()
+    try:
+        generate_many(chains, schedule, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one batch of all 64 chains peaks at about 14 MB
+    assert peak < 2 * 8 * stepsaver._BATCH_ELEMENTS
 
 
 def test_train_and_evaluate_runs_each_baseline_once(monkeypatch):
