@@ -10,6 +10,7 @@ module specifies.
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -17,12 +18,14 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .core import ELEMENT_BUDGET, Rng, _load_json, atomic_write_text, is_int, is_number, load_model, FeatureModel
 from .eagle import DEFAULT_RIDGE, eagle_decode, fit_extrapolator, sample_corpus
 from .earlyexit import MAX_POINTS, gen_dataset, sweep, train_stages
 from .errors import DynexecError, MissingSeries, ParseError, SchemaError
 from .lookahead import MAX_NGRAM, lookahead_decode
-from .router import WorkloadItem, frontier
+from .router import RouteWorkload, WorkloadItem, frontier
 from .specdec import MAX_DRAFT, MAX_TOKENS, simulated_speedup, speculative_decode
 from .stepsaver import (DEFAULT_STEPS, MAX_SAMPLES, MAX_SPEC_LOAD, MAX_STEPS, MIN_LABELED_SPECS, MixtureSpec,
                         NoiseSchedule, train_and_evaluate)
@@ -273,29 +276,54 @@ def load_mixture_workload(path: str) -> list[tuple[str, MixtureSpec]]:
     return specs
 
 
-def load_route_workload(path: str, small, large) -> list[WorkloadItem]:
+def _route_lists(doc):
+    """Each route entry's prompt and continuation, entry after entry, or None
+    when an entry is malformed: the types of all entries are checked in two passes."""
+    try:
+        lists = [tokens for entry in doc["items"] for tokens in (entry["prompt"], entry["continuation"])]
+    except (KeyError, TypeError):
+        return None
+    if not (set(map(type, lists)) <= {list} and set(map(type, itertools.chain.from_iterable(lists))) <= {int}
+            and all(lists[1::2])):
+        return None
+    return lists
+
+
+def _entry_lists(entry):
+    pair = _as_int_list(entry["prompt"], "prompt"), _as_int_list(entry["continuation"], "continuation")
+    WorkloadItem(*pair)  # rejects an empty continuation
+    return pair
+
+
+def load_route_workload(path: str, small, large) -> RouteWorkload:
     """Workload file: {"items": [{"prompt": [...], "continuation": [...]}, ...]}.
 
     Every prompt must be non-empty and every token inside both models' vocabularies.
     """
     doc = _load_json(path)
-    try:
-        items = [WorkloadItem(tuple(_as_int_list(entry["prompt"], "prompt")),
-                              tuple(_as_int_list(entry["continuation"], "continuation")))
-                 for entry in doc["items"]]
-    except (KeyError, TypeError, ValueError, SchemaError) as exc:
-        raise SchemaError(f"malformed route workload {path}: {exc}") from exc
-    if not items:
+    lists = _route_lists(doc)
+    if lists is None:
+        # an entry is malformed: walk them in order to name the first fault as it is met
+        try:
+            lists = [tokens for entry in doc["items"] for tokens in _entry_lists(entry)]
+        except (KeyError, TypeError, ValueError, SchemaError) as exc:
+            raise SchemaError(f"malformed route workload {path}: {exc}") from exc
+    if not lists:
         raise SchemaError(f"route workload {path} has no items")
     vocab = min(small.vocab_size, large.vocab_size)
-    for i, item in enumerate(items):
-        if not item.prompt:
-            raise SchemaError(f"route workload {path}: item {i} has an empty prompt")
-        tokens = item.prompt + item.reference_continuation
-        if min(tokens) < 0 or max(tokens) >= vocab:
-            raise SchemaError(f"route workload {path}: item {i} has a token outside the models' "
-                              f"vocabulary of size {vocab}")
-    return items
+    tokens = list(itertools.chain.from_iterable(lists))
+    prompt_lens, continuation_lens = np.array(list(map(len, lists)), dtype=np.int64).reshape(-1, 2).T
+    # JSON integers may pass int64, so the range is checked on the Python ints
+    if min(tokens) >= 0 and max(tokens) < vocab and prompt_lens.all():
+        return RouteWorkload(np.array(tokens, dtype=np.int64), prompt_lens, continuation_lens)
+    item_lens = prompt_lens + continuation_lens
+    bad = (prompt_lens == 0) | np.logical_or.reduceat([not 0 <= t < vocab for t in tokens],
+                                                     np.cumsum(item_lens) - item_lens)
+    i = int(np.argmax(bad))
+    if not prompt_lens[i]:
+        raise SchemaError(f"route workload {path}: item {i} has an empty prompt")
+    raise SchemaError(f"route workload {path}: item {i} has a token outside the models' "
+                      f"vocabulary of size {vocab}")
 
 
 def _decode_metrics(tokens, stats, k, target_cost, draft_cost):
@@ -383,6 +411,12 @@ def _run_route(params, seed, base_dir):
     small = load_model(_resolve(base_dir, params["small"]))
     large = load_model(_resolve(base_dir, params["large"]))
     workload = load_route_workload(_resolve(base_dir, params["workload"]), small, large)
+    items = len(workload.prompt_lens)
+    # each threshold is one pass over every item
+    if len(params["thetas"]) * items > ELEMENT_BUDGET:
+        raise SchemaError(f"key 'thetas' has {len(params['thetas'])} thresholds; on {items} items at most "
+                          f"{ELEMENT_BUDGET // items} fit the element budget (thetas * items <= {ELEMENT_BUDGET})",
+                          key="thetas")
     reports = frontier(small, params["thetas"], workload, small, large)
     return {"rows": [{"theta": theta, **asdict(report)} for theta, report in zip(params["thetas"], reports)]}
 

@@ -381,6 +381,18 @@ class TableModel(SequenceModel):
             check_dist(fallback, "fallback", self.vocab_size)
         self.table = dict(zip(windows, matrix))  # read-only row views of the one matrix
         self.fallback = matrix[-1]
+        # for `rows_after`: the rows with the fallback last, and each window's base-V
+        # code (order <= 4 and V <= 256 fit an int64), then V**order, past any code,
+        # for the fallback, sorted beside the row each selects
+        self.rows = matrix
+        powers = self.vocab_size ** np.arange(order - 1, -1, -1, dtype=np.int64)
+        codes = np.empty(len(windows) + 1, dtype=np.int64)
+        tokens = np.fromiter(itertools.chain.from_iterable(windows), np.int64)
+        codes[:-1] = tokens.reshape(len(windows), order) @ powers
+        codes[-1] = self.vocab_size ** order
+        self._code_rows = codes.argsort()
+        self._codes = codes[self._code_rows]
+        self._code_rows.flags.writeable = self._codes.flags.writeable = False
 
     # The state is the window of the last `order` tokens. A shorter one, from
     # a context shorter than the order, is no table key, so it selects the
@@ -395,6 +407,21 @@ class TableModel(SequenceModel):
         return self.table.get(state, self.fallback)
 
     next_dist = SequenceModel.next_dist
+
+    def rows_after(self, tokens: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """The index into `rows` of `dist` after each position k of int64 `tokens`,
+        having read the offsets[k] + 1 tokens tokens[k - offsets[k]] .. tokens[k]:
+        one searchsorted over the window codes, with a window shorter than the
+        order, like one absent from the table, selecting the fallback (the last
+        row). Every token must lie inside the vocabulary."""
+        codes = np.zeros(len(tokens), dtype=np.int64)
+        for shift in range(self.order - 1, -1, -1):  # Horner, oldest token of the window first
+            codes *= self.vocab_size
+            codes[shift:] += tokens[:len(tokens) - shift]
+        at = np.searchsorted(self._codes, codes)
+        rows = self._code_rows[at]
+        rows[(self._codes[at] != codes) | (offsets < self.order - 1)] = len(self.rows) - 1
+        return rows
 
 
 class FeatureModel(SequenceModel):

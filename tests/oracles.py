@@ -12,11 +12,12 @@ from collections import defaultdict
 
 import numpy as np
 
-from dynexec.core import Rng, check_context, check_dist, entropy, feature_forward
+from dynexec.cli import _as_int_list
+from dynexec.core import Rng, _load_json, check_context, check_dist, entropy, feature_forward
 from dynexec.eagle import Extrapolator
 from dynexec.earlyexit import BOUNDARY_X_RANGE, EASY_BAND, HARD_BAND, Dataset, SweepRow, _row_entropies
-from dynexec.errors import EmptyPrompt, InsufficientData, InvalidDistribution, LengthMismatch
-from dynexec.router import LOGPROB_FLOOR, RouteReport
+from dynexec.errors import EmptyPrompt, InsufficientData, InvalidDistribution, LengthMismatch, SchemaError
+from dynexec.router import LOGPROB_FLOOR, RouteReport, WorkloadItem
 from dynexec.specdec import DraftOutput, verify
 from dynexec.stepsaver import ORACLE_GRID, MixtureSpec, fit_recommender, quality, respaced_timesteps
 
@@ -457,6 +458,29 @@ def mean_log_likelihood_reference(model, item):
 def route(policy, item):
     """Returns "large" iff the item's difficulty strictly exceeds the threshold."""
     return "large" if difficulty_reference(item.prompt, policy.probe) > policy.threshold else "small"
+
+
+def load_route_workload_reference(path, small, large):
+    """`cli.load_route_workload` one entry and then one item at a time: a list
+    of WorkloadItems, or the SchemaError of the first fault met."""
+    doc = _load_json(path)
+    try:
+        items = [WorkloadItem(tuple(_as_int_list(entry["prompt"], "prompt")),
+                              tuple(_as_int_list(entry["continuation"], "continuation")))
+                 for entry in doc["items"]]
+    except (KeyError, TypeError, ValueError, SchemaError) as exc:
+        raise SchemaError(f"malformed route workload {path}: {exc}") from exc
+    if not items:
+        raise SchemaError(f"route workload {path} has no items")
+    vocab = min(small.vocab_size, large.vocab_size)
+    for i, item in enumerate(items):
+        if not item.prompt:
+            raise SchemaError(f"route workload {path}: item {i} has an empty prompt")
+        tokens = item.prompt + item.reference_continuation
+        if min(tokens) < 0 or max(tokens) >= vocab:
+            raise SchemaError(f"route workload {path}: item {i} has a token outside the models' "
+                              f"vocabulary of size {vocab}")
+    return items
 
 
 def route_evaluate_reference(policy, workload, small, large):

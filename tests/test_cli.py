@@ -526,6 +526,24 @@ def test_cli_rejects_a_stepsaver_workload_past_the_budget_before_any_chain(tmp_p
     assert peak < 2**20  # no chain run and no sample drawn
 
 
+def test_cli_rejects_a_route_sweep_past_the_budget_before_scoring(tmp_path, model_files, capsys, monkeypatch):
+    items = 2**14
+    path = tmp_path / "items.json"
+    path.write_text(json.dumps({"items": [{"prompt": [0], "continuation": [1]}] * items}))
+    out = tmp_path / "out.csv"
+
+    def run_on(n_thetas):
+        return main(["route", "--small", model_files["small"], "--large", model_files["large"],
+                     "--workload", str(path), "--thetas=" + ",".join(["0.5"] * n_thetas), "--report", str(out)])
+
+    monkeypatch.setattr(cli, "frontier", _reach)
+    with pytest.raises(_Reached):  # the ceiling passes the check, and the items would be scored
+        run_on(ELEMENT_BUDGET // items)
+    assert run_on(ELEMENT_BUDGET // items + 1) == 1
+    assert f"key 'thetas' has {ELEMENT_BUDGET // items + 1} thresholds; on {items} items" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("technique, flags", [
     pytest.param("eagle", ["--model", "FEATURE", "--fit-seqs", str(10**16)], id="eagle-fit-seqs"),
 ])

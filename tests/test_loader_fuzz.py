@@ -22,16 +22,17 @@ import math
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dynexec import RoutePolicy, Rng, WorkloadItem
-from dynexec.cli import _REQUIRED, _SCHEMAS, PLOT_KINDS, csv_text, main, run, validate_config
+from dynexec import RoutePolicy, RouteWorkload, Rng, WorkloadItem
+from dynexec.cli import _REQUIRED, _SCHEMAS, PLOT_KINDS, csv_text, load_route_workload, main, run, validate_config
 from dynexec.core import check_dist, load_model, model_to_dict, save_model
 from dynexec.errors import ParseError, SchemaError
 
 from helpers import random_feature_model, random_table_model, varied_entropy_table_model
-from oracles import route_evaluate_reference
+from oracles import load_route_workload_reference, route_evaluate_reference
 
 # JSON values that are not a well-formed component entry
 JUNK = st.one_of(
@@ -133,30 +134,33 @@ BAD_TOKENS = st.one_of(st.booleans(), st.floats(), st.integers(3, 9), st.integer
 
 
 @st.composite
-def route_docs(draw):
-    """A well-formed route workload of 1-6 items, then at most one corruption."""
+def route_docs(draw, corruptions=1):
+    """A well-formed route workload of 1-6 items, then at most `corruptions` corruptions."""
     items = [{"prompt": draw(st.lists(TOKENS, min_size=1, max_size=5)),
               "continuation": draw(st.lists(TOKENS, min_size=1, max_size=5))}
              for _ in range(draw(st.integers(1, 6)))]
-    index = draw(st.integers(0, len(items) - 1))
-    field = draw(st.sampled_from(["prompt", "continuation"]))
-    corruption = draw(st.sampled_from(["none", "token", "empty", "value", "missing", "entry", "no items",
-                                       "document"]))
-    if corruption == "token":
-        tokens = items[index][field]
-        tokens.insert(draw(st.integers(0, len(tokens))), draw(BAD_TOKENS))
-    elif corruption == "empty":
-        items[index][field] = []
-    elif corruption == "value":
-        items[index][field] = draw(JSON_VALUES)
-    elif corruption == "missing":
-        del items[index][field]
-    elif corruption == "entry":
-        items[index] = draw(JSON_VALUES)
-    elif corruption == "no items":
-        items.clear()
-    elif corruption == "document":
-        return draw(JSON_VALUES | st.sampled_from([{}, {"items": {}}, {"items": "ab"}, {"items": None}]))
+    for _ in range(corruptions):
+        if not items:
+            break
+        index = draw(st.integers(0, len(items) - 1))
+        field = draw(st.sampled_from(["prompt", "continuation"]))
+        corruption = draw(st.sampled_from(["none", "token", "empty", "value", "missing", "entry", "no items",
+                                           "document"]))
+        entry = items[index]
+        if corruption == "token" and isinstance(entry, dict) and isinstance(entry.get(field), list):
+            entry[field].insert(draw(st.integers(0, len(entry[field]))), draw(BAD_TOKENS))
+        elif corruption == "empty" and isinstance(entry, dict):
+            entry[field] = []
+        elif corruption == "value" and isinstance(entry, dict):
+            entry[field] = draw(JSON_VALUES)
+        elif corruption == "missing" and isinstance(entry, dict):
+            entry.pop(field, None)
+        elif corruption == "entry":
+            items[index] = draw(JSON_VALUES)
+        elif corruption == "no items":
+            items.clear()
+        elif corruption == "document":
+            return draw(JSON_VALUES | st.sampled_from([{}, {"items": {}}, {"items": "ab"}, {"items": None}]))
     return {"items": items}
 
 
@@ -190,6 +194,46 @@ def test_route_workload_runs_or_exits_1(doc):
     ref = [route_evaluate_reference(RoutePolicy(theta, ROUTE_SMALL), items, ROUTE_SMALL, ROUTE_LARGE)
            for theta in ROUTE_THETAS]
     assert got == [(r.total_cost, r.mean_quality, r.fraction_large) for r in ref]
+
+
+def _loaded(load, path):
+    try:
+        return load(path, ROUTE_SMALL, ROUTE_LARGE)
+    except SchemaError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(route_docs(corruptions=3))
+@example({"items": [{"prompt": [], "continuation": [0]}]})  # an empty prompt
+@example({"items": [{"prompt": [0], "continuation": []}]})  # an empty continuation
+@example({"items": [{"prompt": [0, True], "continuation": [1]}]})  # a bool token
+@example({"items": [{"prompt": [0], "continuation": [1.0]}]})  # a float token
+@example({"items": [{"prompt": [3], "continuation": [1]}]})  # inside the large model's vocabulary only
+@example({"items": [{"prompt": [0], "continuation": [-1]}]})  # a negative token
+@example({"items": [{"prompt": [0], "continuation": [10**400]}]})  # past int64
+@example({"items": [{"prompt": [0], "continuation": [1]}, {"prompt": [0, 9], "continuation": [1]},
+                    {"prompt": [], "continuation": [1]}]})  # the out-of-vocabulary item comes first
+@example({"items": [{"prompt": [1], "continuation": [2]}, {"prompt": [], "continuation": [7]},
+                    {"prompt": [7], "continuation": [1]}]})  # an empty prompt is named before its token
+@example({"items": [{"prompt": [0], "continuation": []}, {"prompt": [True], "continuation": [0]}]})
+@example({"items": [{"prompt": [0.5]}, {"continuation": [1]}]})  # a prompt's type before a missing key
+@example({"items": [{"prompt": [0], "continuation": [1]}, 3, {"prompt": [], "continuation": [1]}]})
+def test_route_loader_matches_the_per_entry_reference(doc):
+    """The array loader gives the per-entry loader's tokens and lengths, or
+    raises the SchemaError message it raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "items.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        got, ref = _loaded(load_route_workload, path), _loaded(load_route_workload_reference, path)
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert isinstance(got, RouteWorkload)
+        expected = RouteWorkload.of(ref)
+        assert [a.dtype for a in got] == [np.dtype(np.int64)] * 3
+        assert [a.tolist() for a in got] == [a.tolist() for a in expected]
 
 
 CELLS = st.one_of(st.floats().map(repr), st.integers().map(str), st.text(max_size=3))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dynexec import RoutePolicy, Rng, TableModel, WorkloadItem, difficulty, evaluate
+from dynexec import RoutePolicy, Rng, TableModel, WorkloadItem, difficulty, evaluate, frontier
 from dynexec.core import entropy
 from dynexec.router import LOGPROB_FLOOR, _mean_log_likelihood
 from dynexec.errors import EmptyPrompt, VocabMismatch
@@ -40,7 +40,19 @@ def test_difficulty_empty_prompt():
 def test_out_of_vocab_continuation_raises(token):
     for model in (random_table_model(3, 1, Rng(16)), random_feature_model(3, 4, Rng(17))):
         with pytest.raises(VocabMismatch):
-            _mean_log_likelihood(model, WorkloadItem((0,), (token, 0)))
+            _mean_log_likelihood(model, (0,), (token, 0))
+
+
+@pytest.mark.parametrize("prompt, continuation, error", [
+    ((0, 3), (1,), VocabMismatch),   # inside the large model's vocabulary only
+    ((0,), (1, -1), VocabMismatch),
+    ((), (1,), EmptyPrompt),
+])
+def test_frontier_rejects_an_item_the_models_cannot_read(prompt, continuation, error):
+    small, large = random_table_model(3, 1, Rng(18)), random_table_model(4, 2, Rng(19))
+    items = [WorkloadItem((0, 1), (2,)), WorkloadItem(prompt, continuation)]
+    with pytest.raises(error):
+        frontier(small, [0.5], items, small, large)
 
 
 def test_route_threshold_endpoints():
@@ -64,8 +76,7 @@ def test_workload_item_requires_continuation():
 
 def test_quality_floor_keeps_loglik_finite():
     model = TableModel(2, 0, {(): [1.0, 0.0]})
-    item = WorkloadItem((0,), (1, 1))  # continuation has probability zero
-    ll = _mean_log_likelihood(model, item)
+    ll = _mean_log_likelihood(model, (0,), (1, 1))  # continuation has probability zero
     assert math.isfinite(ll)
     assert ll == pytest.approx(math.log(LOGPROB_FLOOR))
 

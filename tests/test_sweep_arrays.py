@@ -7,13 +7,15 @@ for bit, so early-exit and route reports stay byte-identical.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynexec import RoutePolicy, Rng, TableModel, difficulty, frontier, gen_dataset, sweep, train_stages
+from dynexec import (RoutePolicy, Rng, TableModel, WorkloadItem, difficulty, frontier, gen_dataset, sweep,
+                     train_stages)
 from dynexec.core import MAX_TABLE_ORDER, MIN_FEATURE_DIM, entropy
 from dynexec.earlyexit import ExitStage, MultiExitNet, SweepRow
 
@@ -174,12 +176,80 @@ def route_cases(draw):
     return probe, small, large, items, draw(st.permutations(thetas))
 
 
+def _case(probe, small, large, items):
+    """A route case at both ends of the grid and at one item's difficulty."""
+    scores = sorted(difficulty(item.prompt, probe) for item in items)
+    return probe, small, large, items, [-math.inf, scores[len(scores) // 2], math.inf]
+
+
+def _items(*pairs):
+    return [WorkloadItem(prompt, continuation) for prompt, continuation in pairs]
+
+
+def _short_prompts_case():
+    """Order-4 tables read prompts shorter than the order, and continuations
+    that reach it only part of the way through."""
+    rng = Rng(41)
+    small = varied_entropy_table_model(3, 4, rng.child(0))
+    large = varied_entropy_table_model(3, 4, rng.child(1), cost_units=4.0)
+    return _case(small, small, large, _items(((0,), (1, 2, 0, 1, 2)), ((1, 2), (0,)), ((2, 1, 0), (1, 1, 2)),
+                                             ((0, 1, 2, 0), (2,)), ((2,), (2,))))
+
+
+def _order_zero_fallback_case():
+    """An order-0 probe with no () row: every position reads the fallback."""
+    small = TableModel(3, 0, {}, fallback=[0.2, 0.3, 0.5])
+    large = varied_entropy_table_model(3, 1, Rng(42), cost_units=2.0)
+    return _case(small, small, large, _items(((0, 1), (2, 2)), ((1,), (0,)), ((2, 2, 2), (1, 0, 1))))
+
+
+def _zero_probability_case():
+    """Continuation tokens of probability zero, scored at LOGPROB_FLOOR."""
+    small = TableModel(3, 1, {(0,): [1.0, 0.0, 0.0], (1,): [0.0, 0.5, 0.5], (2,): [0.3, 0.3, 0.4]})
+    large = TableModel(3, 2, {(0, 1): [0.0, 0.0, 1.0]}, fallback=[0.5, 0.5, 0.0], cost_units=3.0)
+    return _case(small, small, large, _items(((0,), (1, 0, 2)), ((1,), (0, 0)), ((0, 1), (2, 2)), ((2,), (1,))))
+
+
+def _long_item_case():
+    """One 5 000-token continuation among 200 short items."""
+    rng = Rng(43)
+    small = varied_entropy_table_model(4, 1, rng.child(0))
+    large = varied_entropy_table_model(4, 2, rng.child(1), cost_units=4.0)
+    items = route_workload(200, small, large, rng.child(2))
+    long_tokens = np.minimum((rng.child(3).uniforms(LONG_ITEM) * 4).astype(int), 3).tolist()
+    items.insert(100, WorkloadItem((1, 2, 3), tuple(long_tokens)))
+    return _case(small, small, large, items)
+
+
+LONG_ITEM = 5000
+# the frontier's tracemalloc peak on a table workload: a few arrays of the
+# total tokens, never an items x longest-item matrix
+PEAK_BYTES_PER_TOKEN = 256
+
+
 @settings(max_examples=100, deadline=None)
 @given(route_cases())
+@example(_short_prompts_case())
+@example(_order_zero_fallback_case())
+@example(_zero_probability_case())
+@example(_long_item_case())
 def test_frontier_matches_per_threshold_reference(case):
-    """The frontier's state walks and per-state memos give the reports of
-    from-scratch scoring, per threshold, bit for bit."""
+    """The frontier's window lookups and per-length sums, and its walks of
+    feature models, give the reports of from-scratch scoring, per threshold,
+    bit for bit; on table models, within memory linear in the workload's tokens."""
     probe, small, large, items, thetas = case
-    got = frontier(probe, thetas, items, small, large)
+    attributes = [{key: id(value) for key, value in vars(model).items()} for model in (probe, small, large)]
+    # the array path's memory is traced; a feature model walks one item at a time, slower under tracing
+    if all(isinstance(model, TableModel) for model in (probe, small, large)):
+        tracemalloc.start()
+    try:
+        got = frontier(probe, thetas, items, small, large)
+        peak = tracemalloc.get_traced_memory()[1]  # 0 when not traced
+    finally:
+        tracemalloc.stop()
+    tokens = sum(len(item.prompt) + len(item.reference_continuation) for item in items)
+    assert peak < 2**16 + PEAK_BYTES_PER_TOKEN * tokens
+    # nothing is cached on a model at its first use
+    assert [{key: id(value) for key, value in vars(model).items()} for model in (probe, small, large)] == attributes
     ref = [route_evaluate_reference(RoutePolicy(theta, probe), items, small, large) for theta in thetas]
     assert _bits(_report_fields(got)) == _bits(_report_fields(ref))
