@@ -56,7 +56,6 @@ from .stepsaver import (
     generate,
     generate_many,
     min_steps_oracle,
-    quality,
     train_and_evaluate,
     wasserstein1,
 )

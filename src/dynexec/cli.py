@@ -379,6 +379,11 @@ def _run_lookahead(params, seed, base_dir):
 
 def _run_early_exit(params, seed, base_dir):
     """entropy-gated two-stage classifier sweep"""
+    # a run peaks at about 67 float64s per threshold (its flag text, its row
+    # and its report line), so 128 per threshold
+    if len(params["taus"]) > ELEMENT_BUDGET // 128:
+        raise SchemaError(f"key 'taus' has {len(params['taus'])} thresholds; at most {ELEMENT_BUDGET // 128} "
+                          f"fit the element budget (128 float64s per threshold)", key="taus")
     data = gen_dataset(params["count"], params["hard_fraction"], seed)
     return {"rows": [asdict(row) for row in sweep(train_stages(data), data, sorted(params["taus"]))]}
 

@@ -29,8 +29,8 @@ MAX_STEPS = 73_252
 MAX_SAMPLES = ELEMENT_BUDGET // 256
 # the largest specs x (count + 4 x steps) of a run: under tracemalloc each spec
 # adds about 2.5 float64s per sample (its pending samples and references) and,
-# at small counts, up to 8.3 per step (its chains' per-step coefficients), so
-# a spec is charged 4 per sample and 16 per step against the budget
+# at count 1, up to 8.1 per step (its chains' kept alpha_bars, and the noise
+# block's coefficients), so a spec is charged 4 per sample and 16 per step
 MAX_SPEC_LOAD = ELEMENT_BUDGET // 4
 DIFFICULTY_CAP = 10.0
 ORACLE_GRID = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50, 63, 79, 100)
@@ -126,14 +126,6 @@ class QualityReport:
     baseline_w1: float
 
 
-def _noised_components(spec: MixtureSpec, alpha_bar: float):
-    """The forward-process marginal's component means and stddevs: means scale
-    by sqrt(alpha_bar), variances become alpha_bar * sigma^2 + (1 - alpha_bar)."""
-    root = math.sqrt(alpha_bar)
-    return ([root * mu for _, mu, _ in spec.components],
-            [math.sqrt(alpha_bar * sg * sg + 1.0 - alpha_bar) for _, _, sg in spec.components])
-
-
 def _log_norms(ws: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Each component's log(weight) - log(sqrt(2 pi variance)), the score's
     per-component constant."""
@@ -187,13 +179,13 @@ def generate(spec: MixtureSpec, schedule: NoiseSchedule, steps: int, count: int,
     return generate_many([(spec, steps, rng)], schedule, count)[0]
 
 
-# float64s of one lockstep batch: per chain, count x components scores and, per
-# step, means, variances and log-norms (components each) and 3 coefficients;
-# larger groups run in several batches, so a big workload does not hold it all at once
+# float64s of one lockstep batch: per chain, count x components scores and
+# its kept alpha_bar of each step; larger groups run in several batches, so a
+# big workload does not hold it all at once
 _BATCH_ELEMENTS = 1 << 18
 # normals drawn ahead in one block, several steps' noise for the running
-# chains; small enough that a block's uint64 and float buffers stay below
-# the rest of a run's memory
+# chains, counted with those steps' per-component coefficients; small enough
+# that a block's uint64 and float buffers stay below the rest of a run's memory
 _NOISE_ELEMENTS = 1 << 14
 
 
@@ -228,12 +220,30 @@ def generate_many(chains, schedule: NoiseSchedule, count: int) -> list:
     for k, members in groups.items():
         members.sort(key=lambda i: -max(entries[i][1]))
         widest, steps = max(len(entries[i][1]) for i in members), max(entries[members[0]][1])
-        per_batch = max(1, _BATCH_ELEMENTS // (widest * (count * k + steps * (3 * k + 3))))
+        per_batch = max(1, _BATCH_ELEMENTS // (widest * (count * k + steps)))
         for start in range(0, len(members), per_batch):
             batch = members[start:start + per_batch]
             for i, xs in zip(batch, _lockstep([entries[i] for i in batch], schedule, count)):
                 out[i] = xs if isinstance(chains[i][1], tuple) else xs[0]
     return out
+
+
+def _step_coefficients(ab, ws, mus, sgs):
+    """The sampler's numbers for the steps whose alpha_bars are ab[:-1], each
+    followed by ab[1:], from (steps + 1, chains, 1) alpha_bar columns and
+    (chains, components) weights, means and stddevs: the noised component
+    means sqrt(ab)*mu, stddevs sqrt(ab*sigma*sigma + 1 - ab), variances and
+    `_log_norms`, (steps, chains, components), and the update's b = 1 - a,
+    sqrt(a) and sqrt(b) with a = ab / next ab, (steps, chains, 1).
+
+    Each is the scalar formula's operations in its order, elementwise, so
+    every value has the bits of the one-chain Python floats. The variance is
+    `np.float_power`, C pow as Python's sd ** 2; sd * sd differs in the last bit.
+    """
+    ab, a = ab[:-1], ab[:-1] / ab[1:]
+    sds = np.sqrt(ab * sgs * sgs + 1.0 - ab)
+    vs = np.float_power(sds, 2.0)
+    return np.sqrt(ab) * mus, sds, vs, _log_norms(ws, vs), 1.0 - a, np.sqrt(a), np.sqrt(1.0 - a)
 
 
 def _lockstep(entries, schedule: NoiseSchedule, count: int) -> list[list[np.ndarray]]:
@@ -246,32 +256,21 @@ def _lockstep(entries, schedule: NoiseSchedule, count: int) -> list[list[np.ndar
                     key=lambda chain: -chain[0])
     n_chains, max_steps = len(chains), chains[0][0]
     rows = np.array([e for _, e, _ in chains])  # each chain's stream
-    # per step and chain: the score's noised means and variances, and the
-    # update's b, sqrt(a) and sqrt(b); a finished chain's entries stay unread
-    ms = np.zeros((max_steps, n_chains, n_comps))
-    vs = np.ones((max_steps, n_chains, n_comps))
-    coefs = np.zeros((max_steps, n_chains, 3, 1))
-    sds0 = np.zeros((n_chains, n_comps))
-    for c, (steps, e, _) in enumerate(chains):
-        spec = entries[e][0]
-        kept = respaced_timesteps(schedule.T, steps)
-        abs_ = [float(schedule.alpha_bar[t]) for t in kept] + [1.0]
-        noised = [_noised_components(spec, ab_t) for ab_t in abs_[:-1]]
-        ms[:steps, c] = [means for means, _ in noised]
-        vs[:steps, c] = [[sd ** 2 for sd in sds] for _, sds in noised]
-        sds0[c] = noised[0][1]
-        a_effs = [ab_t / ab_prev for ab_t, ab_prev in zip(abs_, abs_[1:])]
-        coefs[:steps, c, :, 0] = [(1.0 - a, math.sqrt(a), math.sqrt(1.0 - a)) for a in a_effs]
-    ws = np.array([[w for w, _, _ in entries[e][0].components] for _, e, _ in chains])
-    log_norms = _log_norms(ws, vs)
+    # each chain's kept alpha_bars, one column per chain, then 1.0: the last
+    # step's a divides by it; a finished chain's rows stay unread
+    abs_ = np.ones((max_steps + 1, n_chains, 1))
+    for c, (steps, _, _) in enumerate(chains):
+        abs_[:steps, c, 0] = schedule.alpha_bar[respaced_timesteps(schedule.T, steps)]
+    ws, mus, sgs = np.array([entries[e][0].components for _, e, _ in chains]).transpose(2, 0, 1)
     # the start, once per stream: a draw from the noised mixture at kept[0] =
     # T-1, whatever the step count, as `MixtureSpec.sample` makes it
     first = np.unique(rows, return_index=True)[1]  # a chain of each stream
+    ms0, sds0 = _step_coefficients(abs_[:2, first], ws[first], mus[first], sgs[first])[:2]
     streams = RngStreams([rng for _, _, rng in entries])
     u = streams.uniforms(count)
     idx = (np.cumsum(ws[first], axis=1)[:, :, None] < u[:, None, :]).sum(axis=1)  # searchsorted, row by row
     np.minimum(idx, n_comps - 1, out=idx)
-    x = np.take_along_axis(ms[0, first], idx, 1) + np.take_along_axis(sds0[first], idx, 1) * streams.normals(count)
+    x = np.take_along_axis(ms0[0], idx, 1) + np.take_along_axis(sds0[0], idx, 1) * streams.normals(count)
     x = x[rows]
     # the streams still drawing noise are a leading block too: a stream runs
     # as long as its longest chain
@@ -283,15 +282,17 @@ def _lockstep(entries, schedule: NoiseSchedule, count: int) -> list[list[np.ndar
                 active -= 1
             while live_steps[live - 1] <= i:
                 live -= 1
-            # the noise of the next steps while no chain finishes, in one
-            # block: step b's draws follow step b-1's in every stream
-            block = min(chains[active - 1][0] - i, max(1, _NOISE_ELEMENTS // (live * count)))
+            # the noise and the coefficients of the next steps while no chain
+            # finishes, in one block: step b's draws follow step b-1's in every stream
+            block = min(chains[active - 1][0] - i, max(1, _NOISE_ELEMENTS // (live * count + active * n_comps)))
             noise = streams.normals(block * count, live).reshape(live, block, count)
+            ms, _, vs, log_norms, bs, root_as, root_bs = _step_coefficients(
+                abs_[i:i + block + 1, :active], ws[:active], mus[:active], sgs[:active])
             block_start, block_end, noise_rows = i, i + block, rows[:active]
+        j = i - block_start
         xa = x[:active]
-        b, root_a, root_b = coefs[i, :active].transpose(1, 0, 2)
-        score = _mixture_score(xa, log_norms[i, :active], ms[i, :active], vs[i, :active])
-        x[:active] = (xa + b * score) / root_a + root_b * noise[noise_rows, i - block_start]
+        score = _mixture_score(xa, log_norms[j], ms[j], vs[j])
+        x[:active] = (xa + bs[j] * score) / root_as[j] + root_bs[j] * noise[noise_rows, j]
     streams.close()
     out = [[None] * len(counts) for _, counts, _ in entries]
     for c, (_, e, p) in enumerate(chains):
@@ -323,11 +324,6 @@ def _sorted_w1(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(np.abs(cdf_a - cdf_b) * deltas))
 
 
-def quality(samples, spec: MixtureSpec, reference_count: int, rng: Rng) -> float:
-    """W1 distance between generated samples and fresh reference draws from the spec."""
-    return wasserstein1(samples, spec.sample(reference_count, rng))
-
-
 def _reference(spec: MixtureSpec, count: int, rng: Rng) -> np.ndarray:
     """`count` reference draws from the spec, sorted once for every W1 against them."""
     return np.sort(spec.sample(count, rng))
@@ -340,23 +336,18 @@ def min_steps_oracle(spec: MixtureSpec, schedule: NoiseSchedule, epsilon: float,
     Scans the fixed grid ascending; returns T when nothing qualifies. Each
     candidate gets its own derived rng streams so the scan order is irrelevant.
     """
-    return oracle_labels([(spec, rng)], schedule, epsilon, count)[0]
+    return _oracle([(spec, rng)], schedule, epsilon, count)[0][0]
 
 
-def oracle_labels(items, schedule: NoiseSchedule, epsilon: float, count: int) -> list[int]:
-    """`min_steps_oracle` of every (spec, rng) item, one lockstep batch per phase.
+def _oracle(items, schedule: NoiseSchedule, epsilon: float, count: int):
+    """`min_steps_oracle` of every (spec, rng) item, one lockstep batch per
+    phase, and each item's T-step baseline as (its sorted reference, its W1).
 
     The T-step baselines of all items run together; then each grid value,
     ascending, runs for the items still without a label. Candidate s of an
     item generates on rng.child(s).child(0) and draws its reference from
     rng.child(s).child(1), so every label equals the one-spec scan's.
     """
-    return _oracle(items, schedule, epsilon, count)[0]
-
-
-def _oracle(items, schedule: NoiseSchedule, epsilon: float, count: int):
-    """`oracle_labels`, and each item's T-step baseline as (its sorted
-    reference, its W1)."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
 
@@ -429,17 +420,10 @@ def _pool_adjacent_violators(ys: np.ndarray, ws: np.ndarray) -> np.ndarray:
 def adaptive_generate(spec: MixtureSpec, recommender: StepRecommender,
                       schedule: NoiseSchedule, count: int, rng: Rng):
     """Generate with the recommended step count and report quality against the
-    T-step baseline."""
-    return adaptive_generate_many([(spec, rng)], recommender, schedule, count)[0]
-
-
-def adaptive_generate_many(items, recommender: StepRecommender, schedule: NoiseSchedule,
-                           count: int) -> list[tuple[np.ndarray, QualityReport]]:
-    """`adaptive_generate` of every (spec, rng) item, in one lockstep batch.
-    An item's recommended-step chain and its T-step baseline share the one
+    T-step baseline. The recommended-step chain and the baseline share the one
     stream rng.child(0), and both are scored against one reference from
     rng.child(1)."""
-    return _paired([_own_streams(spec, rng, count) for spec, rng in items], recommender, schedule, count)
+    return _paired([_own_streams(spec, rng, count)], recommender, schedule, count)[0]
 
 
 def _own_streams(spec: MixtureSpec, rng: Rng, count: int):

@@ -19,7 +19,7 @@ from dynexec.earlyexit import BOUNDARY_X_RANGE, EASY_BAND, HARD_BAND, Dataset, S
 from dynexec.errors import EmptyPrompt, InsufficientData, InvalidDistribution, LengthMismatch, SchemaError
 from dynexec.router import LOGPROB_FLOOR, RouteReport, WorkloadItem
 from dynexec.specdec import DraftOutput, verify
-from dynexec.stepsaver import ORACLE_GRID, MixtureSpec, fit_recommender, quality, respaced_timesteps
+from dynexec.stepsaver import ORACLE_GRID, MixtureSpec, fit_recommender, respaced_timesteps, wasserstein1
 
 
 _MASK64 = (1 << 64) - 1
@@ -508,6 +508,11 @@ def noised_reference(spec, alpha_bar):
     root = math.sqrt(alpha_bar)
     return MixtureSpec(tuple((w, root * mu, math.sqrt(alpha_bar * sg * sg + 1.0 - alpha_bar))
                              for w, mu, sg in spec.components))
+
+
+def quality(samples, spec, reference_count, rng):
+    """W1 distance between generated samples and fresh reference draws from the spec."""
+    return wasserstein1(samples, spec.sample(reference_count, rng))
 
 
 def mixture_score_reference(spec, x, alpha_bar):

@@ -358,6 +358,7 @@ def test_cli_rejects_bad_decoder_input_by_name(tmp_path, model_files, capsys, te
     ("route", ["--thetas", "nan"], "thetas"),
     ("route", ["--thetas=-inf,nan,inf"], "thetas"),
     ("stepsaver", ["--steps", "100000"], "steps"),  # the schedule's cumulative product underflows
+    ("early-exit", ["--taus", ",".join(["0"] * (ELEMENT_BUDGET // 128 + 1))], "taus"),  # one past the ceiling
 ])
 def test_cli_rejects_bad_sweep_input_by_name(tmp_path, model_files, capsys, technique, flags, key):
     inputs = {"early-exit": [],
@@ -866,6 +867,19 @@ def test_env_var_seed_through_cli(tmp_path, model_files, monkeypatch):
     assert env_doc["config"]["master_seed"] == 77
     assert json.dumps(env_doc["metrics"], sort_keys=True) == \
         json.dumps(flag_doc["metrics"], sort_keys=True)
+
+
+def test_one_shot_runs_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs about 10 ms to import, most of a one-shot early-exit run
+    import subprocess
+    import sys
+    specs = os.path.join(os.path.dirname(__file__), "golden", "inputs", "specs.json")
+    runs = [["early-exit", "--count", "200", "--report", str(tmp_path / "exit.csv")],
+            ["stepsaver", "--workload", specs, "--count", "20", "--steps", "10", "--report", str(tmp_path / "steps.csv")]]
+    script = (f"import sys\nfrom dynexec.cli import main\nfor argv in {runs!r}:\n    assert main(argv) == 0\n"
+              "assert 'numpy.ma' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_subprocess(tmp_path, model_files):

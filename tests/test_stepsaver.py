@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -15,18 +16,17 @@ from dynexec import (
     fit_recommender,
     generate,
     min_steps_oracle,
-    quality,
     wasserstein1,
 )
 from dynexec import stepsaver
 from dynexec.core import RngStreams
-from dynexec.stepsaver import (_log_norms, _mixture_score, _noised_components, adaptive_generate_many, generate_many,
-                               oracle_labels, respaced_timesteps, train_and_evaluate)
+from dynexec.stepsaver import (_log_norms, _mixture_score, _step_coefficients, generate_many, respaced_timesteps,
+                               train_and_evaluate)
 from dynexec.errors import InsufficientData, StepsOutOfRange
 
 from helpers import separated_mixture, single_gaussian, skewed_workload
 from oracles import (adaptive_generate_reference, generate_reference, min_steps_oracle_reference,
-                     mixture_score_reference, train_and_evaluate_reference)
+                     mixture_score_reference, noised_reference, quality, train_and_evaluate_reference)
 
 SCHEDULE = NoiseSchedule()
 
@@ -242,10 +242,11 @@ def test_mixture_score_matches_noised_spec_reference():
     schedule = NoiseSchedule()
     x = Rng(5).normals(257) * 3.0
     for _, spec in skewed_workload():
-        noised = [_noised_components(spec, float(alpha_bar)) for alpha_bar in schedule.alpha_bar]
+        noised = [noised_reference(spec, float(alpha_bar)).components for alpha_bar in schedule.alpha_bar]
         ws = np.array([[w for w, _, _ in spec.components]] * schedule.T)
-        vs = np.array([[sd ** 2 for sd in sds] for _, sds in noised])
-        scores = _mixture_score(np.tile(x, (schedule.T, 1)), _log_norms(ws, vs), np.array([m for m, _ in noised]), vs)
+        vs = np.array([[sd ** 2 for _, _, sd in comps] for comps in noised])
+        ms = np.array([[mu for _, mu, _ in comps] for comps in noised])
+        scores = _mixture_score(np.tile(x, (schedule.T, 1)), _log_norms(ws, vs), ms, vs)
         for row, alpha_bar in zip(scores, schedule.alpha_bar):
             assert np.array_equal(row, mixture_score_reference(spec, x, float(alpha_bar)))
 
@@ -302,7 +303,7 @@ def test_generate_many_matches_per_chain_reference(case):
        st.sampled_from([2, 9, 25]), st.floats(0.01, 2.0), st.integers(10, 80))
 def test_oracle_labels_match_scan_reference(items, T, epsilon, count):
     schedule = NoiseSchedule(T)
-    labels = oracle_labels([(spec, Rng(seed)) for spec, seed in items], schedule, epsilon, count)
+    labels = stepsaver._oracle([(spec, Rng(seed)) for spec, seed in items], schedule, epsilon, count)[0]
     assert labels == [min_steps_oracle_reference(spec, schedule, epsilon, count, Rng(seed)) for spec, seed in items]
 
 
@@ -312,8 +313,8 @@ def test_adaptive_generate_many_matches_per_item_reference(items, count):
     schedule = NoiseSchedule(25)
     rec = fit_recommender([(single_gaussian(mu), 2) for mu in (-1.0, 0.0, 1.0)]
                           + [(separated_mixture(3), 9), (separated_mixture(5), 25)], schedule.T)
-    out = adaptive_generate_many([(spec, Rng(seed)) for spec, seed in items], rec, schedule, count)
-    for (spec, seed), (x, report) in zip(items, out):
+    for spec, seed in items:
+        x, report = adaptive_generate(spec, rec, schedule, count, Rng(seed))
         ref_x, steps, w1, baseline_w1 = adaptive_generate_reference(spec, rec, schedule, count, Rng(seed))
         assert np.array_equal(x, ref_x)
         assert (report.steps_used, report.w1, report.baseline_w1) == (steps, w1, baseline_w1)
@@ -406,19 +407,28 @@ def test_shared_stream_entry_matches_a_fresh_rng_per_step_count(batch_elements, 
         assert rng.uniform() == longest.uniform()
 
 
-def test_lockstep_batches_count_their_steps():
-    # one sample a chain and a 4 000-step schedule, so each chain's per-step
-    # coefficients, held for the batch's longest chain, outweigh its samples;
+def test_lockstep_batches_count_their_steps(monkeypatch):
+    # one sample a chain and a 4 000-step schedule, so each chain's kept
+    # alpha_bars, held for the batch's longest chain, outweigh its samples;
     # one chain runs every step and the rest stop after one, which keeps the run short
     schedule = NoiseSchedule(4000)
     chains = [(single_gaussian(0.01 * i), 4000 if i == 0 else 1, Rng(i)) for i in range(64)]
+    batches = []
+    real = stepsaver._lockstep
+
+    def counting(entries, schedule, count):
+        batches.append(len(entries))
+        return real(entries, schedule, count)
+
+    monkeypatch.setattr(stepsaver, "_lockstep", counting)
     tracemalloc.start()
     try:
         generate_many(chains, schedule, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one batch of all 64 chains peaks at about 14 MB
+    # one alpha_bar a step and chain, so all 64 chains fit one batch (about 2.4 MB at its peak)
+    assert batches == [64]
     assert peak < 2 * 8 * stepsaver._BATCH_ELEMENTS
 
 
@@ -435,7 +445,7 @@ def test_train_and_evaluate_runs_each_baseline_once(monkeypatch):
         return real(chains, schedule, count)
 
     monkeypatch.setattr(stepsaver, "generate_many", counting)
-    oracle_labels([(spec, Rng(5).child(i)) for i, spec in enumerate(specs[:5])], schedule, 0.1, count)
+    stepsaver._oracle([(spec, Rng(5).child(i)) for i, spec in enumerate(specs[:5])], schedule, 0.1, count)
     oracle_steps = sum(steps_run)
     steps_run.clear()
     reports = train_and_evaluate(specs, schedule, 0.1, 5, count, Rng(5))
@@ -444,3 +454,24 @@ def test_train_and_evaluate_runs_each_baseline_once(monkeypatch):
     assert baselines and any(r.steps_used < schedule.T for r in reports[:5])
     assert any(r.steps_used == schedule.T for r in reports[5:])
     assert sum(steps_run) == oracle_steps + sum(r.steps_used for r in reports) + sum(baselines)
+
+
+def test_step_coefficients_have_the_scalar_formulas_bits():
+    # every 16th step of the longest schedule, one a chain, against stddevs over (0.01, 50]:
+    # the columns equal the one-chain Python floats, where a variance of sd * sd would not
+    schedule = NoiseSchedule(stepsaver.MAX_STEPS)
+    sgs = np.geomspace(50.0, 0.01, 24, endpoint=False)[::-1]
+    spec = MixtureSpec(tuple((1.0 / 24, float(mu), float(sg)) for mu, sg in zip(np.linspace(-40.0, 40.0, 24), sgs)))
+    ws, mus, sgs = np.array(spec.components).T
+    abs_ = np.append(schedule.alpha_bar[::-1], 1.0)
+    pairs = np.stack([abs_[:-1:16], abs_[1::16]])  # each step's alpha_bar and the next one
+    ms, sds, vs, log_norms, bs, root_as, root_bs = _step_coefficients(pairs[:, :, None], ws, mus, sgs)
+    for c, (ab_t, ab_prev) in enumerate(pairs.T.tolist()):
+        noised = noised_reference(spec, ab_t).components
+        ref_vs = np.array([sd ** 2 for _, _, sd in noised])
+        assert ms[0, c].tolist() == [mu for _, mu, _ in noised]
+        assert sds[0, c].tolist() == [sd for _, _, sd in noised]
+        assert vs[0, c].tolist() == ref_vs.tolist()
+        assert np.array_equal(log_norms[0, c], np.log(ws) - 0.5 * np.log(2.0 * np.pi * ref_vs))
+        a = ab_t / ab_prev
+        assert (bs[0, c, 0], root_as[0, c, 0], root_bs[0, c, 0]) == (1.0 - a, math.sqrt(a), math.sqrt(1.0 - a))
