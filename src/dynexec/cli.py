@@ -265,7 +265,7 @@ def load_mixture_workload(path: str) -> list[tuple[str, MixtureSpec]]:
                                                       for comp in entry["components"])))
                  for entry in doc["specs"]]
     except (KeyError, TypeError, ValueError, SchemaError) as exc:
-        raise SchemaError(f"malformed mixture workload {path}: {exc}") from exc
+        raise SchemaError(f"malformed mixture workload {path}: {exc}", key="workload") from exc
     for spec_id, _ in specs:
         if any(c in spec_id for c in ',"\r\n'):
             raise SchemaError(f"mixture workload {path}: spec id {spec_id!r} has a comma, quote or "
@@ -396,6 +396,14 @@ def _run_stepsaver(params, seed, base_dir):
         raise SchemaError(f"key 'workload' names {len(specs)} specs; at count {params['count']} and steps "
                           f"{params['steps']} at most {MAX_SPEC_LOAD // load} fit the element budget "
                           f"(specs * (count + 4 * steps) <= {MAX_SPEC_LOAD})", key="workload")
+    # a lockstep chain's scores peak under tracemalloc at about 4.1-5.1 float64s
+    # per sample per component (one chain or 5 specs, 16-256 components, count x
+    # components from 256 000 to 2 097 152), so the widest spec is charged 8
+    widest = max(len(spec.components) for _, spec in specs)
+    if params["count"] * widest > ELEMENT_BUDGET // 8:
+        raise SchemaError(f"key 'workload' has a spec of {widest} components; at count {params['count']} at most "
+                          f"{ELEMENT_BUDGET // 8 // params['count']} fit the element budget "
+                          f"(count * components <= {ELEMENT_BUDGET // 8})", key="workload")
     schedule = NoiseSchedule(params["steps"])
     # the recommender needs MIN_LABELED_SPECS labels, so small workloads train on more than train_frac
     n_train = min(len(specs), max(MIN_LABELED_SPECS, round(params["train_frac"] * len(specs))))
@@ -518,6 +526,9 @@ def emit_plot_data(path: str, kind: str, out_path: str):
         raise MissingSeries(f"report {path} has no numeric series {xcol!r} vs {ycol!r}: {exc}") from exc
     if not series:
         raise MissingSeries(f"report {path} has no rows")
+    for col, values in zip((xcol, ycol), zip(*series)):
+        if any(v != v for v in values):  # NaN, the one value unequal to itself; +-inf stays
+            raise MissingSeries(f"report {path} has NaN in column {col!r}")
     series.sort(key=lambda pair: pair[0])
     lines = [f"{_format_cell(x)} {_format_cell(y)}" for x, y in series]
     atomic_write_text(out_path, "\n".join(lines) + "\n")

@@ -38,6 +38,9 @@ MIN_LABELED_SPECS = 5
 # bound on |mean| and stddev of a mixture component: far below where the
 # sampler's squared distances could overflow
 MAX_COMPONENT_SCALE = 1e6
+# the most components of one mixture: `MixtureSpec.difficulty` sums over
+# pairs in Python, about 6 ms a call at 256 components and 110 ms at 1 024
+MAX_COMPONENTS = 256
 
 
 class NoiseSchedule:
@@ -66,6 +69,8 @@ class MixtureSpec:
     def __post_init__(self):
         if not self.components:
             raise ValueError("mixture needs at least one component")
+        if len(self.components) > MAX_COMPONENTS:
+            raise ValueError(f"mixture has {len(self.components)} components; at most {MAX_COMPONENTS}")
         if any(len(c) != 3 for c in self.components):
             raise ValueError("each component must be (weight, mean, stddev)")
         if not all(map(math.isfinite, itertools.chain.from_iterable(self.components))):
@@ -189,15 +194,9 @@ _BATCH_ELEMENTS = 1 << 18
 _NOISE_ELEMENTS = 1 << 14
 
 
-def generate_many(chains, schedule: NoiseSchedule, count: int) -> list:
-    """`generate` for every (spec, steps, rng) entry, run side by side.
-
-    `steps` is a step count, or a tuple of step counts that share the one
-    stream: such an entry draws its start and noise once, for its longest
-    count, and each shorter chain reads the first of those steps, as a
-    one-chain run from the same stream position would. Its result is a list
-    of sample arrays, one per count, and its rng ends where the longest
-    one-chain run leaves it.
+def generate_many(chains, schedule: NoiseSchedule, count: int) -> list[np.ndarray]:
+    """`generate` for every (spec, steps, rng) chain, run side by side; each
+    chain needs its own rng.
 
     Chains with the same component count step in lockstep, longest first, so
     the chains still running are always a leading block: one diffusion step
@@ -206,25 +205,22 @@ def generate_many(chains, schedule: NoiseSchedule, count: int) -> list:
     each returned sample array, and each rng's final counter, equals the
     one-chain run.
     """
-    entries = [(spec, steps if isinstance(steps, tuple) else (steps,), rng) for spec, steps, rng in chains]
-    for _, counts, _ in entries:
-        for steps in counts:
-            if not 1 <= steps <= schedule.T:
-                raise StepsOutOfRange(f"steps must lie in [1, {schedule.T}], got {steps}")
+    for _, steps, _ in chains:
+        if not 1 <= steps <= schedule.T:
+            raise StepsOutOfRange(f"steps must lie in [1, {schedule.T}], got {steps}")
     if count < 1:
         raise ValueError("count must be >= 1")
     groups = {}
-    for i, (spec, _, _) in enumerate(entries):
+    for i, (spec, _, _) in enumerate(chains):
         groups.setdefault(len(spec.components), []).append(i)
-    out = [None] * len(entries)
+    out = [None] * len(chains)
     for k, members in groups.items():
-        members.sort(key=lambda i: -max(entries[i][1]))
-        widest, steps = max(len(entries[i][1]) for i in members), max(entries[members[0]][1])
-        per_batch = max(1, _BATCH_ELEMENTS // (widest * (count * k + steps)))
+        members.sort(key=lambda i: -chains[i][1])
+        per_batch = max(1, _BATCH_ELEMENTS // (count * k + chains[members[0]][1]))
         for start in range(0, len(members), per_batch):
             batch = members[start:start + per_batch]
-            for i, xs in zip(batch, _lockstep([entries[i] for i in batch], schedule, count)):
-                out[i] = xs if isinstance(chains[i][1], tuple) else xs[0]
+            for i, x in zip(batch, _lockstep([chains[i] for i in batch], schedule, count)):
+                out[i] = x
     return out
 
 
@@ -246,58 +242,42 @@ def _step_coefficients(ab, ws, mus, sgs):
     return np.sqrt(ab) * mus, sds, vs, _log_norms(ws, vs), 1.0 - a, np.sqrt(a), np.sqrt(1.0 - a)
 
 
-def _lockstep(entries, schedule: NoiseSchedule, count: int) -> list[list[np.ndarray]]:
-    """One `generate` per chain of (spec, step counts, rng) entries of one
-    component count, sorted by their longest count, longest first. Returns
-    each entry's samples, one array per count."""
-    n_comps = len(entries[0][0].components)
-    # every chain as (steps, entry, position in the entry), longest first
-    chains = sorted(((s, e, p) for e, (_, counts, _) in enumerate(entries) for p, s in enumerate(counts)),
-                    key=lambda chain: -chain[0])
-    n_chains, max_steps = len(chains), chains[0][0]
-    rows = np.array([e for _, e, _ in chains])  # each chain's stream
+def _lockstep(chains, schedule: NoiseSchedule, count: int) -> list[np.ndarray]:
+    """One `generate` per (spec, steps, rng) chain of one component count,
+    sorted by steps, longest first: row c of every array is chain c and its stream."""
+    n_chains, max_steps, n_comps = len(chains), chains[0][1], len(chains[0][0].components)
     # each chain's kept alpha_bars, one column per chain, then 1.0: the last
     # step's a divides by it; a finished chain's rows stay unread
     abs_ = np.ones((max_steps + 1, n_chains, 1))
-    for c, (steps, _, _) in enumerate(chains):
+    for c, (_, steps, _) in enumerate(chains):
         abs_[:steps, c, 0] = schedule.alpha_bar[respaced_timesteps(schedule.T, steps)]
-    ws, mus, sgs = np.array([entries[e][0].components for _, e, _ in chains]).transpose(2, 0, 1)
-    # the start, once per stream: a draw from the noised mixture at kept[0] =
-    # T-1, whatever the step count, as `MixtureSpec.sample` makes it
-    first = np.unique(rows, return_index=True)[1]  # a chain of each stream
-    ms0, sds0 = _step_coefficients(abs_[:2, first], ws[first], mus[first], sgs[first])[:2]
-    streams = RngStreams([rng for _, _, rng in entries])
+    ws, mus, sgs = np.array([spec.components for spec, _, _ in chains]).transpose(2, 0, 1)
+    # the start: a draw from the noised mixture at kept[0] = T-1, whatever the
+    # step count, as `MixtureSpec.sample` makes it
+    ms0, sds0 = _step_coefficients(abs_[:2], ws, mus, sgs)[:2]
+    streams = RngStreams([rng for _, _, rng in chains])
     u = streams.uniforms(count)
-    idx = (np.cumsum(ws[first], axis=1)[:, :, None] < u[:, None, :]).sum(axis=1)  # searchsorted, row by row
+    idx = (np.cumsum(ws, axis=1)[:, :, None] < u[:, None, :]).sum(axis=1)  # searchsorted, row by row
     np.minimum(idx, n_comps - 1, out=idx)
     x = np.take_along_axis(ms0[0], idx, 1) + np.take_along_axis(sds0[0], idx, 1) * streams.normals(count)
-    x = x[rows]
-    # the streams still drawing noise are a leading block too: a stream runs
-    # as long as its longest chain
-    live_steps = [max(counts) for _, counts, _ in entries]
-    active, live, block_end = n_chains, len(entries), 0
+    active, block_end = n_chains, 0
     for i in range(max_steps):
         if i == block_end:
-            while chains[active - 1][0] <= i:
+            while chains[active - 1][1] <= i:
                 active -= 1
-            while live_steps[live - 1] <= i:
-                live -= 1
             # the noise and the coefficients of the next steps while no chain
             # finishes, in one block: step b's draws follow step b-1's in every stream
-            block = min(chains[active - 1][0] - i, max(1, _NOISE_ELEMENTS // (live * count + active * n_comps)))
-            noise = streams.normals(block * count, live).reshape(live, block, count)
+            block = min(chains[active - 1][1] - i, max(1, _NOISE_ELEMENTS // (active * (count + n_comps))))
+            noise = streams.normals(block * count, active).reshape(active, block, count)
             ms, _, vs, log_norms, bs, root_as, root_bs = _step_coefficients(
                 abs_[i:i + block + 1, :active], ws[:active], mus[:active], sgs[:active])
-            block_start, block_end, noise_rows = i, i + block, rows[:active]
+            block_start, block_end = i, i + block
         j = i - block_start
         xa = x[:active]
         score = _mixture_score(xa, log_norms[j], ms[j], vs[j])
-        x[:active] = (xa + bs[j] * score) / root_as[j] + root_bs[j] * noise[noise_rows, j]
+        x[:active] = (xa + bs[j] * score) / root_as[j] + root_bs[j] * noise[:, j]
     streams.close()
-    out = [[None] * len(counts) for _, counts, _ in entries]
-    for c, (_, e, p) in enumerate(chains):
-        out[e][p] = x[c]
-    return out
+    return list(x)
 
 
 def wasserstein1(a, b) -> float:
@@ -420,33 +400,37 @@ def _pool_adjacent_violators(ys: np.ndarray, ws: np.ndarray) -> np.ndarray:
 def adaptive_generate(spec: MixtureSpec, recommender: StepRecommender,
                       schedule: NoiseSchedule, count: int, rng: Rng):
     """Generate with the recommended step count and report quality against the
-    T-step baseline. The recommended-step chain and the baseline share the one
-    stream rng.child(0), and both are scored against one reference from
-    rng.child(1)."""
+    T-step baseline. The recommended-step chain and the baseline each run on
+    an Rng of the stream rng.child(0), so they read the same draws, and both
+    are scored against one reference from rng.child(1)."""
     return _paired([_own_streams(spec, rng, count)], recommender, schedule, count)[0]
 
 
 def _own_streams(spec: MixtureSpec, rng: Rng, count: int):
-    """A `_paired` entry whose chains run on rng.child(0), scored against a
-    reference from rng.child(1)."""
-    return spec, rng.child(0), _reference(spec, count, rng.child(1)), None
+    """A `_paired` entry whose recommended chain and T-step baseline each run
+    on their own Rng of the stream rng.child(0), scored against a reference
+    from rng.child(1)."""
+    return spec, rng.child(0), _reference(spec, count, rng.child(1)), rng.child(0)
 
 
 def _paired(entries, recommender: StepRecommender, schedule: NoiseSchedule, count: int):
-    """Each (spec, rng, sorted reference, baseline W1) entry's recommended-step
-    chain, generated on rng and scored against the reference. An entry whose
-    baseline W1 is None runs its T-step baseline on the same rng, its first
-    steps' noise common to both chains. Returns (samples, report) per entry."""
+    """Each (spec, rng, sorted reference, baseline) entry's recommended-step
+    chain, generated on rng and scored against the reference. The baseline is
+    the T-step W1, or an Rng of rng's seed and counter on which the T-step
+    baseline runs as a second chain: both chains read the same start and
+    first steps' noise. A recommended chain of T steps is its own baseline.
+    Returns (samples, report) per entry."""
     T = schedule.T
     steps = [recommender.recommend(spec.difficulty) for spec, _, _, _ in entries]
-    samples = generate_many([(spec, (s,) if base_w1 is not None or s == T else (s, T), rng)
-                             for (spec, rng, _, base_w1), s in zip(entries, steps)], schedule, count)
-    out = []
-    for (_, _, ref, base_w1), s, xs in zip(entries, steps, samples):
-        w1s = [_sorted_w1(np.sort(x), ref) for x in xs]
-        base_w1 = w1s[-1] if base_w1 is None else base_w1
-        out.append((xs[0], QualityReport(steps_used=s, w1=w1s[0], baseline_w1=base_w1)))
-    return out
+    chains = [(e, spec, s, rng) for e, ((spec, rng, _, _), s) in enumerate(zip(entries, steps))]
+    chains += [(e, spec, T, base) for e, ((spec, _, _, base), s) in enumerate(zip(entries, steps))
+               if isinstance(base, Rng) and s < T]
+    samples = generate_many([chain[1:] for chain in chains], schedule, count)
+    w1s = [_sorted_w1(np.sort(x), entries[e][2]) for (e, *_), x in zip(chains, samples)]
+    # an entry's last chain is its baseline
+    baselines = {e: w1 for (e, *_), w1 in zip(chains, w1s)}
+    return [(x, QualityReport(steps_used=s, w1=w1, baseline_w1=baselines[e] if isinstance(base, Rng) else base))
+            for e, ((_, _, _, base), s, x, w1) in enumerate(zip(entries, steps, samples, w1s))]
 
 
 def train_and_evaluate(specs, schedule: NoiseSchedule, epsilon: float, n_train: int,

@@ -24,7 +24,7 @@ from dynexec.earlyexit import MAX_POINTS
 from dynexec.lookahead import MAX_NGRAM
 from dynexec.errors import MissingSeries, ParseError, SchemaError
 from dynexec.specdec import MAX_DRAFT, MAX_TOKENS
-from dynexec.stepsaver import MAX_SAMPLES, MAX_SPEC_LOAD
+from dynexec.stepsaver import MAX_COMPONENTS, MAX_SAMPLES, MAX_SPEC_LOAD
 
 from helpers import random_table_model, random_feature_model, skewed_workload, route_workload
 
@@ -527,6 +527,33 @@ def test_cli_rejects_a_stepsaver_workload_past_the_budget_before_any_chain(tmp_p
     assert peak < 2**20  # no chain run and no sample drawn
 
 
+def test_cli_rejects_a_wide_stepsaver_spec_past_the_budget_before_any_draw(tmp_path, capsys, monkeypatch):
+    count = ELEMENT_BUDGET // 8 // 64  # a spec of 64 components reaches the budget exactly
+    out = tmp_path / "out.csv"
+
+    def run_on(components):
+        wide = {"id": "wide", "components": [[1 / components, float(j), 1.0] for j in range(components)]}
+        path = tmp_path / f"specs{components}.json"
+        path.write_text(json.dumps({"specs": [{"id": f"s{i}", "components": [[1.0, 0.0, 1.0]]} for i in range(4)]
+                                    + [wide]}))
+        return main(["stepsaver", "--workload", str(path), "--count", str(count), "--steps", "1",
+                     "--report", str(out)])
+
+    monkeypatch.setattr(cli, "train_and_evaluate", _reach)
+    with pytest.raises(_Reached):  # the budget passes the check, and the chains would run
+        run_on(64)
+    tracemalloc.start()
+    try:
+        rc = run_on(65)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert "key 'workload' has a spec of 65 components; at count 262144 at most 64" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 2**20  # no chain run and no sample drawn
+
+
 def test_cli_rejects_a_route_sweep_past_the_budget_before_scoring(tmp_path, model_files, capsys, monkeypatch):
     items = 2**14
     path = tmp_path / "items.json"
@@ -636,6 +663,8 @@ def _items(prompt, continuation):
     pytest.param("specs", _specs([10**400, 0.0, 1.0]), "", id="mixture-int-beyond-float"),
     pytest.param("specs", _specs([1.0, 2e6, 1.0]), "", id="mixture-mean-beyond-scale"),
     pytest.param("specs", _specs([1.0, 0.0, 1.4e154]), "", id="mixture-stddev-beyond-scale"),
+    pytest.param("specs", _specs(*[[1 / (MAX_COMPONENTS + 1), 0.0, 1.0]] * (MAX_COMPONENTS + 1)), "",
+                 id="mixture-components-past-ceiling"),
     pytest.param("specs", _specs([1.0, 0.0, 1.0], spec_id=3), "", id="mixture-int-id"),
     pytest.param("specs", _specs([1.0, 0.0, 1.0], spec_id=None), "", id="mixture-null-id"),
     pytest.param("specs", _specs([1.0, 0.0, 1.0], spec_id="1,2"), "", id="mixture-comma-id"),
@@ -778,6 +807,22 @@ def test_emit_plot_data_missing_series(tmp_path, model_files):
         emit_plot_data(out, "tau-vs-accuracy", str(tmp_path / "nope.txt"))
     with pytest.raises(SchemaError):
         emit_plot_data(out, "loss-vs-time", str(tmp_path / "nope.txt"))
+
+
+def test_emit_plot_data_rejects_nan_by_path_and_column(tmp_path, capsys):
+    # a NaN x or y would break the sort on x; an inf threshold is a value the sweeps write
+    csv_report, json_report, xy = tmp_path / "ee.csv", tmp_path / "sd.json", str(tmp_path / "xy.txt")
+    for rows, col in (("nan,0.5\n0.3,0.9\n", "tau"), ("0,0.5\n0.3,nan\n", "accuracy")):
+        csv_report.write_text("tau,accuracy\n" + rows)
+        assert main(["plot", "--report", str(csv_report), "--kind", "tau-vs-accuracy", "--out", xy]) == 1
+        assert f"report {csv_report} has NaN in column '{col}'" in capsys.readouterr().err
+    json_report.write_text('{"metrics": {"k": 3, "simulated_speedup": NaN}}')
+    with pytest.raises(MissingSeries, match=f"{json_report} has NaN in column 'simulated_speedup'"):
+        emit_plot_data(str(json_report), "k-vs-speedup", xy)
+    assert not os.path.exists(xy)
+    csv_report.write_text("tau,accuracy\ninf,0.5\n0,0.9\n")
+    emit_plot_data(str(csv_report), "tau-vs-accuracy", xy)
+    assert open(xy).read().splitlines() == ["0.0 0.9", "inf 0.5"]
 
 
 def test_cached_parser_keeps_no_state_between_calls(tmp_path, model_files, capsys, monkeypatch):

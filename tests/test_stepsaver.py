@@ -18,7 +18,7 @@ from dynexec import (
     min_steps_oracle,
     wasserstein1,
 )
-from dynexec import stepsaver
+from dynexec import core, stepsaver
 from dynexec.core import RngStreams
 from dynexec.stepsaver import (_log_norms, _mixture_score, _step_coefficients, generate_many, respaced_timesteps,
                                train_and_evaluate)
@@ -61,6 +61,10 @@ def test_mixture_validation():
                 (1.0, 0.0), (1.0, 0.0, 1.0, 1.0)):
         with pytest.raises(ValueError):
             MixtureSpec((bad,))
+    k = stepsaver.MAX_COMPONENTS
+    assert len(MixtureSpec(((1 / k, 0.0, 1.0),) * k).components) == k
+    with pytest.raises(ValueError, match="components"):
+        MixtureSpec(((1 / (k + 1), 0.0, 1.0),) * (k + 1))
 
 
 def test_difficulty_values():
@@ -276,21 +280,28 @@ def chain_batches(draw):
 
 
 _TWO_MODES = MixtureSpec(((0.3, -1.0, 0.4), (0.7, 1.5, 0.6)))
+# one-element batches and noise blocks, mid-sized ones, and everything in one
+_BLOCK_SIZES = [(1, 1), (300, 50), (10**9, 10**9)]
 
 
-@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("batch_elements, noise_elements", _BLOCK_SIZES)
+@settings(max_examples=25, deadline=None)
 @given(chain_batches())
 @example((30, [(_TWO_MODES, 30, (7, 0)), (_TWO_MODES, 12, (7, 0)), (_TWO_MODES, 12, (8, 40))], 5))
 @example((100, [(single_gaussian(), 100, (3, 9)), (separated_mixture(4), 1, (3, 0)),
                 (single_gaussian(0.5), 37, (4, 1))], 1))
 @example((100, [(separated_mixture(9), 100, (5, 0)), (separated_mixture(9), 20, (6, 3))], 1))
-def test_generate_many_matches_per_chain_reference(case):
+# a recommended chain and its T-step baseline, each on an Rng of one seed and counter
+@example((30, [(_TWO_MODES, 4, (9, 0)), (_TWO_MODES, 30, (9, 0)), (single_gaussian(), 1, (9, 0))], 7))
+def test_generate_many_matches_per_chain_reference(batch_elements, noise_elements, case):
     T, chains, count = case
     schedule = NoiseSchedule(T)
     batch_rngs = [_used_rng(*stream) for _, _, stream in chains]
     ref_rngs = [_used_rng(*stream) for _, _, stream in chains]
     # no step may divide by zero, overflow or make a NaN, as a zero-weight mode's log(0) would
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
+    with np.errstate(divide="raise", over="raise", invalid="raise"), \
+            mock.patch.object(stepsaver, "_BATCH_ELEMENTS", batch_elements), \
+            mock.patch.object(stepsaver, "_NOISE_ELEMENTS", noise_elements):
         rows = generate_many([(spec, steps, rng) for (spec, steps, _), rng in zip(chains, batch_rngs)],
                              schedule, count)
     for (spec, steps, _), row, rng in zip(chains, rows, ref_rngs):
@@ -363,10 +374,6 @@ def test_mixture_rejects_components_beyond_scale():
             MixtureSpec((bad,))
 
 
-# one-element batches and noise blocks, mid-sized ones, and everything in one
-_BLOCK_SIZES = [(1, 1), (300, 50), (10**9, 10**9)]
-
-
 @pytest.mark.parametrize("batch_elements, noise_elements", _BLOCK_SIZES)
 def test_generate_many_batch_and_noise_block_sizes(monkeypatch, batch_elements, noise_elements):
     # a group split into several batches, and noise drawn one step or many steps at a time
@@ -377,34 +384,6 @@ def test_generate_many_batch_and_noise_block_sizes(monkeypatch, batch_elements, 
     rows = generate_many(chains, SCHEDULE, 60)
     for i, ((spec, steps, _), row) in enumerate(zip(chains, rows)):
         assert np.array_equal(row, generate_reference(spec, SCHEDULE, steps, 60, _used_rng(40 + i, i)))
-
-
-@pytest.mark.parametrize("batch_elements, noise_elements", _BLOCK_SIZES)
-@settings(max_examples=20, deadline=None)
-@given(st.sampled_from([1, 7, 30]).flatmap(lambda T: st.tuples(
-    st.just(T),
-    st.lists(st.tuples(mixtures(3), st.one_of(st.integers(1, T), st.lists(st.integers(1, T), min_size=1, max_size=4)
-                                              .map(tuple)),
-                       st.integers(0, 2**64 - 1), st.integers(0, 300)), min_size=1, max_size=4),
-    st.integers(1, 60))))
-@example((30, [(_TWO_MODES, (4, 30, 4, 1), 7, 0), (_TWO_MODES, 30, 8, 5), (single_gaussian(), (12,), 9, 0)], 5))
-def test_shared_stream_entry_matches_a_fresh_rng_per_step_count(batch_elements, noise_elements, case):
-    # an entry's chains share its stream: each equals the one-chain run on an
-    # Rng of the same seed and counter, and the entry's Rng ends where the longest run leaves it
-    T, entries, count = case
-    schedule = NoiseSchedule(T)
-    rngs = [_used_rng(seed, drawn) for _, _, seed, drawn in entries]
-    with mock.patch.object(stepsaver, "_BATCH_ELEMENTS", batch_elements), \
-            mock.patch.object(stepsaver, "_NOISE_ELEMENTS", noise_elements):
-        out = generate_many([(spec, steps, rng) for (spec, steps, _, _), rng in zip(entries, rngs)], schedule, count)
-    for (spec, steps, seed, drawn), samples, rng in zip(entries, out, rngs):
-        counts, samples = (steps, samples) if isinstance(steps, tuple) else ((steps,), [samples])
-        assert len(samples) == len(counts)
-        for s, x in zip(counts, samples):
-            assert np.array_equal(x, generate_reference(spec, schedule, s, count, _used_rng(seed, drawn)))
-        longest = _used_rng(seed, drawn)
-        generate_reference(spec, schedule, max(counts), count, longest)
-        assert rng.uniform() == longest.uniform()
 
 
 def test_lockstep_batches_count_their_steps(monkeypatch):
@@ -432,6 +411,19 @@ def test_lockstep_batches_count_their_steps(monkeypatch):
     assert peak < 2 * 8 * stepsaver._BATCH_ELEMENTS
 
 
+def test_a_wide_chain_stays_within_its_component_charge():
+    # one chain whose 64 components x 8 192 samples outweigh a whole batch: it peaks at about
+    # 4.1 float64s per sample per component, within the 8 the CLI charges the widest spec
+    spec = MixtureSpec(tuple((1 / 64, 0.5 * j, 0.3) for j in range(64)))
+    tracemalloc.start()
+    try:
+        generate_many([(spec, 3, Rng(1))], SCHEDULE, 8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * 8192 * 64 * 2 < peak < 8 * 8 * 8192 * 64
+
+
 def test_train_and_evaluate_runs_each_baseline_once(monkeypatch):
     # a training spec reuses its oracle baseline; any other spec runs one T-step
     # baseline, none when its recommended chain is that baseline
@@ -441,7 +433,7 @@ def test_train_and_evaluate_runs_each_baseline_once(monkeypatch):
     real = stepsaver.generate_many
 
     def counting(chains, schedule, count):
-        steps_run.extend(s for _, steps, _ in chains for s in (steps if isinstance(steps, tuple) else (steps,)))
+        steps_run.extend(steps for _, steps, _ in chains)
         return real(chains, schedule, count)
 
     monkeypatch.setattr(stepsaver, "generate_many", counting)
@@ -454,6 +446,26 @@ def test_train_and_evaluate_runs_each_baseline_once(monkeypatch):
     assert baselines and any(r.steps_used < schedule.T for r in reports[:5])
     assert any(r.steps_used == schedule.T for r in reports[5:])
     assert sum(steps_run) == oracle_steps + sum(r.steps_used for r in reports) + sum(baselines)
+
+
+def test_train_and_evaluate_draws_a_pinned_number_of_normals(monkeypatch):
+    # each chain draws count normals for its start and count per step, and each reference count:
+    # 18 400 in the oracle, then 2 900 for the training specs' recommended chains, 150 for the
+    # other specs' references and 5 050 for their chains, where specs 5 and 6, recommended 20
+    # and 1 of 25 steps, also run a T-step baseline that draws its own start and noise
+    specs = [spec for _, spec in skewed_workload()][:8]
+    drawn = []
+    real = core._box_muller
+
+    def counting(u):
+        normals = real(u)
+        drawn.append(normals.size)
+        return normals
+
+    monkeypatch.setattr(core, "_box_muller", counting)
+    reports = train_and_evaluate(specs, NoiseSchedule(25), 0.1, 5, 50, Rng(5))
+    assert [r.steps_used for r in reports] == [1, 25, 1, 25, 1, 20, 1, 25]
+    assert sum(drawn) == 26_500
 
 
 def test_step_coefficients_have_the_scalar_formulas_bits():
