@@ -8,6 +8,7 @@ counter-based `Rng` so any experiment is reproducible from a single 64-bit seed.
 
 import itertools
 import json
+import math
 import os
 import secrets
 
@@ -61,9 +62,11 @@ class Rng:
     `uniform` hands out scalar draws from a block of the next `_BLOCK`, computed by
     the vectorized kernel and keyed by the position it starts at: the same values,
     with `_count` still the draws taken, whatever moved it. Uniforms use the top
-    53 bits, so values lie in [0, 1). Normals are Box-Muller pairs consuming two
-    uniforms each. `child(i)` derives an independent stream by hashing the master
-    seed with the child index; it does not disturb this stream's counter.
+    53 bits, so values lie in [0, 1). `normals(n)` takes the next n + n % 2
+    uniforms as Box-Muller pairs, each giving two normals (`_box_muller`); an
+    odd n drops the last pair's second one. `child(i)` derives an independent
+    stream by hashing the master seed with the child index; it does not
+    disturb this stream's counter.
     """
 
     def __init__(self, seed: int):
@@ -94,7 +97,7 @@ class Rng:
         return _mixed_uniforms(z)
 
     def normals(self, n: int) -> np.ndarray:
-        return _box_muller(self.uniforms(2 * n))
+        return _box_muller(self.uniforms(n + n % 2), n)
 
 
 def _positions(seeds, counters, n: int) -> np.ndarray:
@@ -123,16 +126,29 @@ def _mixed_uniforms(z: np.ndarray) -> np.ndarray:
     return np.multiply(z, 2.0**-53, out=z.view(np.float64))
 
 
-def _box_muller(u: np.ndarray) -> np.ndarray:
-    """Standard normals from uniform pairs along the last axis: (u[0], u[1]),
-    (u[2], u[3]), ... give one normal each."""
+def _box_muller(u: np.ndarray, n: int) -> np.ndarray:
+    """The first n standard normals of the uniform pairs (u[0], u[1]), (u[2],
+    u[3]), ... along the last axis, which has an even length: pair i gives
+    normal 2i = r cos(theta) and 2i+1 = r sin(theta), with r = sqrt(-2 ln(1 -
+    u[2i])) and theta = 2 pi u[2i+1]. The sine is sqrt((1 - c)(1 + c)) of the
+    cosine c, signed as 0.5 - u[2i+1] (theta below or above pi), so each pair
+    costs one log, two sqrts and one cos."""
+    u1 = u[..., 1::2]
     r = 1.0 - u[..., 0::2]
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
-    angle = u[..., 1::2] * (2.0 * np.pi)
-    r *= np.cos(angle, out=angle)
-    return r
+    c = u1 * (2.0 * np.pi)
+    np.cos(c, out=c)
+    s = 1.0 - c
+    t = 1.0 + c
+    s *= t
+    np.sqrt(s, out=s)
+    np.copysign(s, np.subtract(0.5, u1, out=t), out=s)
+    out = np.empty(u.shape)
+    np.multiply(r, c, out=out[..., 0::2])
+    np.multiply(r, s, out=out[..., 1::2])
+    return out[..., :n]
 
 
 class RngStreams:
@@ -160,8 +176,15 @@ class RngStreams:
         self._counters[:m] += np.uint64(n)
         return _mixed_uniforms(z)
 
-    def normals(self, n: int, active: int = None) -> np.ndarray:
-        return _box_muller(self.uniforms(2 * n, active))
+    def normals(self, shape, active: int = None) -> np.ndarray:
+        """Normals of `shape` (an int or a tuple) from each of the first
+        `active` streams, one leading row per stream. Each run along the last
+        axis is one `Rng.normals(shape[-1])` call, the next one's draws
+        following it in the stream, so an odd length skips a uniform per run."""
+        *runs, n = np.atleast_1d(shape).tolist()
+        width = n + n % 2
+        u = self.uniforms(math.prod(runs) * width, active)
+        return _box_muller(u.reshape(len(u), *runs, width), n)
 
     def close(self):
         for rng, count in zip(self._rngs, self._counters.tolist()):

@@ -24,12 +24,12 @@ BETA_END = 0.02
 # strictly; from 73 253 it underflows (found by bisection over T)
 MAX_STEPS = 73_252
 # the largest `count` (samples per chain and per reference): at count 65 536
-# a run peaks under tracemalloc at about 43 float64s per sample on 6 specs and
-# 86 on 24, so 256
+# a run peaks under tracemalloc at about 34 float64s per sample on 6 specs and
+# 80 on 24, so 256
 MAX_SAMPLES = ELEMENT_BUDGET // 256
 # the largest specs x (count + 4 x steps) of a run: under tracemalloc each spec
-# adds about 2.5 float64s per sample (its pending samples and references) and,
-# at count 1, up to 8.1 per step (its chains' kept alpha_bars, and the noise
+# adds about 2.6 float64s per sample (its pending samples and references) and,
+# at count 1, up to 8.8 per step (its chains' kept alpha_bars, and the noise
 # block's coefficients), so a spec is charged 4 per sample and 16 per step
 MAX_SPEC_LOAD = ELEMENT_BUDGET // 4
 DIFFICULTY_CAP = 10.0
@@ -228,18 +228,16 @@ def _step_coefficients(ab, ws, mus, sgs):
     """The sampler's numbers for the steps whose alpha_bars are ab[:-1], each
     followed by ab[1:], from (steps + 1, chains, 1) alpha_bar columns and
     (chains, components) weights, means and stddevs: the noised component
-    means sqrt(ab)*mu, stddevs sqrt(ab*sigma*sigma + 1 - ab), variances and
-    `_log_norms`, (steps, chains, components), and the update's b = 1 - a,
+    means sqrt(ab)*mu, variances ab*sigma*sigma + 1 - ab, their square roots
+    and `_log_norms`, (steps, chains, components), and the update's b = 1 - a,
     sqrt(a) and sqrt(b) with a = ab / next ab, (steps, chains, 1).
 
     Each is the scalar formula's operations in its order, elementwise, so
-    every value has the bits of the one-chain Python floats. The variance is
-    `np.float_power`, C pow as Python's sd ** 2; sd * sd differs in the last bit.
+    every value has the bits of the one-chain Python floats.
     """
     ab, a = ab[:-1], ab[:-1] / ab[1:]
-    sds = np.sqrt(ab * sgs * sgs + 1.0 - ab)
-    vs = np.float_power(sds, 2.0)
-    return np.sqrt(ab) * mus, sds, vs, _log_norms(ws, vs), 1.0 - a, np.sqrt(a), np.sqrt(1.0 - a)
+    vs = ab * sgs * sgs + 1.0 - ab
+    return np.sqrt(ab) * mus, np.sqrt(vs), vs, _log_norms(ws, vs), 1.0 - a, np.sqrt(a), np.sqrt(1.0 - a)
 
 
 def _lockstep(chains, schedule: NoiseSchedule, count: int) -> list[np.ndarray]:
@@ -266,9 +264,10 @@ def _lockstep(chains, schedule: NoiseSchedule, count: int) -> list[np.ndarray]:
             while chains[active - 1][1] <= i:
                 active -= 1
             # the noise and the coefficients of the next steps while no chain
-            # finishes, in one block: step b's draws follow step b-1's in every stream
+            # finishes, in one block: each step's noise is its own draw of
+            # count normals, following the step before's in every stream
             block = min(chains[active - 1][1] - i, max(1, _NOISE_ELEMENTS // (active * (count + n_comps))))
-            noise = streams.normals(block * count, active).reshape(active, block, count)
+            noise = streams.normals((block, count), active)
             ms, _, vs, log_norms, bs, root_as, root_bs = _step_coefficients(
                 abs_[i:i + block + 1, :active], ws[:active], mus[:active], sgs[:active])
             block_start, block_end = i, i + block

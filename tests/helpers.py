@@ -8,6 +8,8 @@ from dynexec import Rng, TableModel, FeatureModel, WorkloadItem
 from dynexec.core import normalize, sample
 from dynexec.stepsaver import MixtureSpec
 
+from oracles import fixture_normals
+
 
 class FixedRng:
     """Scripted stand-in for Rng: returns preset uniforms, then fails loudly."""
@@ -81,10 +83,10 @@ def random_feature_model(vocab, dim, rng, scale=0.8, cost_units=1.0):
 def constant_feature_model(vocab=3, dim=4, seed=10):
     """FeatureModel with zero recurrence weights: features are tanh(bias), constant."""
     rng = Rng(seed)
-    bias = rng.normals(dim) * 0.5
-    embed = rng.normals(vocab * dim).reshape(vocab, dim)
-    head_w = rng.normals(vocab * dim).reshape(vocab, dim)
-    head_b = rng.normals(vocab)
+    bias = fixture_normals(rng, dim) * 0.5
+    embed = fixture_normals(rng, vocab * dim).reshape(vocab, dim)
+    head_w = fixture_normals(rng, vocab * dim).reshape(vocab, dim)
+    head_b = fixture_normals(rng, vocab)
     model = FeatureModel(vocab, embed, np.zeros((dim, 2 * dim)), bias, head_w, head_b)
     return model, bias
 
@@ -99,12 +101,12 @@ def affine_dynamics_model(vocab=3, dim=4, seed=20):
     """
     assert vocab <= dim
     rng = Rng(seed)
-    embed = Rng(10).normals(vocab * dim).reshape(vocab, dim)
+    embed = fixture_normals(Rng(10), vocab * dim).reshape(vocab, dim)
     recur_w = np.zeros((dim, 2 * dim))
-    recur_w[:, dim:] = rng.normals(dim * dim).reshape(dim, dim) * 0.7
-    recur_b = rng.normals(dim) * 0.3
-    head_w = Rng(10).child(5).normals(vocab * dim).reshape(vocab, dim)
-    head_b = Rng(10).child(6).normals(vocab)
+    recur_w[:, dim:] = fixture_normals(rng, dim * dim).reshape(dim, dim) * 0.7
+    recur_b = fixture_normals(rng, dim) * 0.3
+    head_w = fixture_normals(Rng(10).child(5), vocab * dim).reshape(vocab, dim)
+    head_b = fixture_normals(Rng(10).child(6), vocab)
     return FeatureModel(vocab, embed, recur_w, recur_b, head_w, head_b)
 
 

@@ -45,6 +45,15 @@ def child_seed_reference(seed: int, index: int) -> int:
     return mix64_reference((seed & _MASK64) ^ mix64_reference((index + 1) * _GOLDEN))
 
 
+def fixture_normals(rng, n):
+    """n normals from 2n uniforms, one per pair as r cos(theta) only: the first
+    Box-Muller form of `Rng.normals`, frozen so that fixture data drawn from it
+    keeps its bits whatever `Rng.normals` becomes."""
+    u = rng.uniforms(2 * n)
+    r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+    return r * np.cos(u[1::2] * (2.0 * np.pi))
+
+
 def sample_reference(d, rng) -> int:
     """`core.sample` as a scan over float64 array elements: one uniform, then
     the first index whose running total of the positive entries exceeds it,
@@ -502,12 +511,18 @@ def route_evaluate_reference(policy, workload, small, large):
                        fraction_large=n_large / len(workload))
 
 
-def noised_reference(spec, alpha_bar):
-    """The forward-process marginal as a validated spec: component means scale
-    by sqrt(alpha_bar), variances become alpha_bar * sigma^2 + (1 - alpha_bar)."""
+def noised_components_reference(spec, alpha_bar):
+    """The forward-process marginal's (weight, mean, variance) components:
+    means scale by sqrt(alpha_bar), variances become alpha_bar * sigma * sigma
+    + 1 - alpha_bar."""
     root = math.sqrt(alpha_bar)
-    return MixtureSpec(tuple((w, root * mu, math.sqrt(alpha_bar * sg * sg + 1.0 - alpha_bar))
-                             for w, mu, sg in spec.components))
+    return [(w, root * mu, alpha_bar * sg * sg + 1.0 - alpha_bar) for w, mu, sg in spec.components]
+
+
+def noised_reference(spec, alpha_bar):
+    """The forward-process marginal as a validated spec, each stddev the square
+    root of its `noised_components_reference` variance."""
+    return MixtureSpec(tuple((w, mu, math.sqrt(v)) for w, mu, v in noised_components_reference(spec, alpha_bar)))
 
 
 def quality(samples, spec, reference_count, rng):
@@ -516,11 +531,8 @@ def quality(samples, spec, reference_count, rng):
 
 
 def mixture_score_reference(spec, x, alpha_bar):
-    """The analytic score read from the validated noised spec."""
-    noised = noised_reference(spec, alpha_bar)
-    ms = np.array([c[1] for c in noised.components])
-    vs = np.array([c[2] ** 2 for c in noised.components])
-    ws = np.array([c[0] for c in noised.components])
+    """The analytic score of the noised components."""
+    ws, ms, vs = np.array(noised_components_reference(spec, alpha_bar)).T
     diffs = x[None, :] - ms[:, None]
     logs = np.log(ws)[:, None] - 0.5 * np.log(2.0 * np.pi * vs)[:, None] - 0.5 * diffs**2 / vs[:, None]
     logs -= logs.max(axis=0, keepdims=True)

@@ -43,6 +43,7 @@ from oracles import (
     acceptance_rate_memoryless,
     eagle_draft_dist_fn,
     expected_tokens_per_cycle,
+    fixture_normals,
     greedy_decode,
     max_preservation_deviation,
     table_draft_dist_fn,
@@ -80,8 +81,8 @@ def test_criterion_2_eagle_preservation_independence():
     model = random_feature_model(3, 4, Rng(515151))
     worst = 0.0
     for i in range(20):
-        ex = Extrapolator(Rng(7000 + i).normals(4 * 8).reshape(4, 8),
-                          Rng(8000 + i).normals(4))
+        ex = Extrapolator(fixture_normals(Rng(7000 + i), 4 * 8).reshape(4, 8),
+                          fixture_normals(Rng(8000 + i), 4))
         dev = max_preservation_deviation(model, eagle_draft_dist_fn(model, ex), (0,), 2, 1)
         worst = max(worst, dev)
     const_model, bias = constant_feature_model()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from dynexec import Rng, TableModel, FeatureModel, entropy, normalize, sample
 from dynexec.core import (
@@ -153,6 +154,24 @@ def test_rng_normal_moments():
     z = Rng(31).normals(200_000)
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
+
+
+def test_rng_normal_pairs_are_cosine_and_sine():
+    # 2**20 pairs: normal 2i is r cos(theta) and normal 2i+1 is r sin(theta), with the sine taken
+    # from the cosine: of np.sin's sign and within 1e-9 of it; both halves are standard normal
+    # and r^2 = z_2i^2 + z_2i+1^2 is exponential with mean 2
+    pairs = 2**20
+    z = Rng(2024).normals(2 * pairs)
+    u = Rng(2024).uniforms(2 * pairs)
+    r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+    theta = 2.0 * np.pi * u[1::2]
+    assert np.array_equal(z[0::2], r * np.cos(theta))
+    sin = np.sin(theta)
+    assert np.array_equal(np.signbit(z[1::2]), np.signbit(sin))
+    assert np.abs(z[1::2] / r - sin).max() <= 1e-9
+    for half in (z[0::2], z[1::2]):
+        assert stats.kstest(half, "norm").pvalue > 1e-3
+    assert stats.kstest(z[0::2] ** 2 + z[1::2] ** 2, "expon", args=(0.0, 2.0)).pvalue > 1e-3
 
 
 def test_table_model_unseen_window_falls_back():

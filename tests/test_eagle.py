@@ -7,7 +7,7 @@ from dynexec.eagle import Extrapolator
 from dynexec.errors import EmptyContext, InsufficientData, SingularSystem
 
 from helpers import affine_dynamics_model, constant_feature_model, random_feature_model
-from oracles import collect_trajectories, eagle_draft_dist_fn, max_preservation_deviation
+from oracles import collect_trajectories, eagle_draft_dist_fn, fixture_normals, max_preservation_deviation
 
 
 def _fit_residual(model, extrapolator, corpus):
@@ -71,7 +71,7 @@ def test_fit_with_ridge_never_singular():
 
 def test_eagle_draft_base_case_and_determinism():
     model = random_feature_model(4, 5, Rng(50))
-    ex = Extrapolator(Rng(51).normals(5 * 10).reshape(5, 10), Rng(52).normals(5))
+    ex = Extrapolator(fixture_normals(Rng(51), 5 * 10).reshape(5, 10), fixture_normals(Rng(52), 5))
     out1 = eagle_draft(model, ex, (0, 2), 1, Rng(7))
     out2 = eagle_draft(model, ex, (0, 2), 1, Rng(7))
     assert out1.tokens == out2.tokens
@@ -120,7 +120,7 @@ def test_eagle_preservation_random_extrapolator():
     model = random_feature_model(3, 4, Rng(60))
     worst = 0.0
     for i in range(5):
-        ex = Extrapolator(Rng(100 + i).normals(4 * 8).reshape(4, 8), Rng(200 + i).normals(4))
+        ex = Extrapolator(fixture_normals(Rng(100 + i), 4 * 8).reshape(4, 8), fixture_normals(Rng(200 + i), 4))
         dev = max_preservation_deviation(model, eagle_draft_dist_fn(model, ex), (0,), 2, 1)
         worst = max(worst, dev)
     assert worst <= 1e-9
@@ -132,8 +132,8 @@ def test_fitted_beats_random_extrapolator():
     fitted = fit_extrapolator(model, corpus)
     wins = 0
     for seed in range(20):
-        random_ex = Extrapolator(Rng(300 + seed).normals(4 * 8).reshape(4, 8) * 0.8,
-                                 Rng(400 + seed).normals(4) * 0.8)
+        random_ex = Extrapolator(fixture_normals(Rng(300 + seed), 4 * 8).reshape(4, 8) * 0.8,
+                                 fixture_normals(Rng(400 + seed), 4) * 0.8)
         _, stats_fit = eagle_decode(model, fitted, (0,), 48, 3, Rng(1000 + seed))
         _, stats_rand = eagle_decode(model, random_ex, (0,), 48, 3, Rng(1000 + seed))
         if stats_fit.acceptance_rate > stats_rand.acceptance_rate:

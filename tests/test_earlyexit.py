@@ -12,7 +12,7 @@ from dynexec.earlyexit import (
 )
 from dynexec.errors import DegenerateData
 
-from oracles import infer_with_exit, point_rows
+from oracles import fixture_normals, infer_with_exit, point_rows
 
 LN2 = math.log(2)
 DEFAULT_TAUS = [round(0.05 * i, 2) for i in range(16)]
@@ -50,7 +50,7 @@ def test_hard_fraction_one_favors_expressive_stage():
 def test_linearly_separable_blobs_stage0():
     rng = Rng(3)
     labels = np.arange(400) % 2
-    noise = rng.normals(800).reshape(400, 2) * 0.3
+    noise = fixture_normals(rng, 800).reshape(400, 2) * 0.3
     pts = Dataset(np.where(labels == 1, 3.0, -3.0) + noise[:, 0], noise[:, 1], labels)
     net = train_stages(pts)
     assert stage_accuracy(net.stages[0], pts) >= 0.99

@@ -11,6 +11,8 @@ from dynexec import earlyexit
 from dynexec.earlyexit import RIDGE, _fit_logistic, _sigmoid, featurize
 from dynexec.errors import NotConverged
 
+from oracles import fixture_normals
+
 # the fit reaches about 1e-17; a fit stopped short of convergence sits orders of magnitude above
 GRADIENT_TOLERANCE = 1e-12
 
@@ -18,7 +20,7 @@ GRADIENT_TOLERANCE = 1e-12
 def _blobs():
     rng = Rng(3)
     labels = np.arange(400) % 2
-    noise = rng.normals(800).reshape(400, 2) * 0.3
+    noise = fixture_normals(rng, 800).reshape(400, 2) * 0.3
     return Dataset(np.where(labels == 1, 3.0, -3.0) + noise[:, 0], noise[:, 1], labels)
 
 

@@ -18,7 +18,7 @@ from dynexec.core import MIN_FEATURE_DIM
 from dynexec.eagle import Extrapolator
 
 from helpers import random_feature_model, varied_entropy_table_model
-from oracles import eagle_reference, lookahead_reference, speculative_reference
+from oracles import eagle_reference, fixture_normals, lookahead_reference, speculative_reference
 
 
 @st.composite
@@ -76,7 +76,7 @@ def test_eagle_decode_matches_from_scratch_reference(case, K, N, seed, ex_scale)
     (model,), prompt = case
     rng = Rng(seed).child(1)
     d = model.dim
-    ex = Extrapolator(rng.normals(d * 2 * d).reshape(d, 2 * d) * ex_scale, rng.normals(d) * ex_scale)
+    ex = Extrapolator(fixture_normals(rng, d * 2 * d).reshape(d, 2 * d) * ex_scale, fixture_normals(rng, d) * ex_scale)
     out, stats = eagle_decode(model, ex, prompt, N, K, Rng(seed))
     ref_out, ref_stats = eagle_reference(model, ex, prompt, N, K, Rng(seed))
     assert out == ref_out
