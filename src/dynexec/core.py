@@ -212,8 +212,10 @@ def check_dist(d, name: str = "distribution", vocab_size: int = None) -> np.ndar
         raise InvalidDistribution(f"{name} must be a 1-D vector of length >= {MIN_VOCAB}")
     if (d < 0).any() or not np.isfinite(d).all():
         raise InvalidDistribution(f"{name} has negative or non-finite entries")
-    if abs(float(d.sum()) - 1.0) > DIST_ATOL:
-        raise InvalidDistribution(f"{name} sums to {d.sum()!r}, not 1")
+    with np.errstate(over="ignore"):  # huge finite entries sum to inf, which the check rejects
+        total = float(d.sum())
+    if abs(total - 1.0) > DIST_ATOL:
+        raise InvalidDistribution(f"{name} sums to {total!r}, not 1")
     if vocab_size is not None and d.size != vocab_size:
         raise InvalidDistribution(f"{name} has {d.size} entries, not the vocabulary size {vocab_size}")
     return d
@@ -320,9 +322,11 @@ def _row_matrix(rows, vocab_size: int):
         return None, 0
     if matrix.shape != (len(rows), vocab_size):
         return None, 0
-    # x >= 0 is false for NaN, and a row holding +inf sums to inf or NaN; each
-    # row's sum is the same float as that row's own d.sum(), bit for bit
-    ok = (matrix >= 0).all(axis=1) & (np.abs(matrix.sum(axis=1) - 1.0) <= DIST_ATOL)
+    # x >= 0 is false for NaN, and a row holding +inf or huge finite entries
+    # sums to inf, one holding both infinities to NaN; each row's sum is the
+    # same float as that row's own d.sum(), bit for bit
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = (matrix >= 0).all(axis=1) & (np.abs(matrix.sum(axis=1) - 1.0) <= DIST_ATOL)
     matrix.flags.writeable = False
     return matrix, len(rows) if ok.all() else int(np.argmin(ok))
 

@@ -289,13 +289,8 @@ def wasserstein1(a, b) -> float:
     b = np.sort(np.asarray(b, dtype=np.float64))
     if a.size == 0 or b.size == 0:
         raise ValueError("both sample sets must be non-empty")
-    return _sorted_w1(a, b)
-
-
-def _sorted_w1(a: np.ndarray, b: np.ndarray) -> float:
-    """`wasserstein1` of two sorted, non-empty float64 samples."""
     if a.size == b.size:
-        return float(np.mean(np.abs(a - b)))
+        return _sorted_w1(a, b)
     support = np.sort(np.concatenate([a, b]))
     deltas = np.diff(support)
     cdf_a = np.searchsorted(a, support[:-1], side="right") / a.size
@@ -303,9 +298,37 @@ def _sorted_w1(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(np.abs(cdf_a - cdf_b) * deltas))
 
 
-def _reference(spec: MixtureSpec, count: int, rng: Rng) -> np.ndarray:
-    """`count` reference draws from the spec, sorted once for every W1 against them."""
-    return np.sort(spec.sample(count, rng))
+def _sorted_w1(a: np.ndarray, b: np.ndarray) -> float:
+    """`wasserstein1` of two sorted float64 samples of one size."""
+    return float(np.mean(np.abs(a - b)))
+
+
+class _Scores:
+    """The W1 of each (spec, steps, branch) chain, each run once.
+
+    A chain generates on an Rng of branch.child(0) and is scored against the
+    one reference of (spec, branch), `count` draws from branch.child(1); a
+    call runs the chains not yet run, by spec, steps and branch seed, in one
+    `generate_many` call. Each value is a pure function of its key, so a kept
+    one only saves work: a reference is kept once its branch's T-step chain
+    has run, as the later chains on a branch are scored beside that baseline.
+    """
+
+    def __init__(self, schedule: NoiseSchedule, count: int):
+        self.schedule, self.count = schedule, count
+        self._w1s, self._refs = {}, {}
+
+    def __call__(self, chains) -> list[float]:
+        keys = [(spec, steps, branch.seed) for spec, steps, branch in chains]
+        new = {key: branch for key, (_, _, branch) in zip(keys, chains) if key not in self._w1s}
+        samples = generate_many([(spec, steps, branch.child(0)) for (spec, steps, _), branch in new.items()],
+                                self.schedule, self.count)
+        for ((spec, steps, seed), branch), x in zip(new.items(), samples):
+            if (spec, seed) not in self._refs:
+                self._refs[spec, seed] = np.sort(spec.sample(self.count, branch.child(1)))
+            self._w1s[spec, steps, seed] = _sorted_w1(np.sort(x), self._refs[spec, seed])
+        self._refs = {key: ref for key, ref in self._refs.items() if (key[0], self.schedule.T, key[1]) in self._w1s}
+        return [self._w1s[key] for key in keys]
 
 
 def min_steps_oracle(spec: MixtureSpec, schedule: NoiseSchedule, epsilon: float,
@@ -313,42 +336,31 @@ def min_steps_oracle(spec: MixtureSpec, schedule: NoiseSchedule, epsilon: float,
     """Smallest grid step count whose W1 stays within (1+epsilon) of the T-step baseline.
 
     Scans the fixed grid ascending; returns T when nothing qualifies. Each
-    candidate gets its own derived rng streams so the scan order is irrelevant.
+    candidate s is the chain (spec, s, rng.child(s)) of `_Scores`, on its own
+    branch, so the scan order is irrelevant.
     """
-    return _oracle([(spec, rng)], schedule, epsilon, count)[0][0]
+    return _labels([(spec, rng)], _Scores(schedule, count), epsilon)[0]
 
 
-def _oracle(items, schedule: NoiseSchedule, epsilon: float, count: int):
-    """`min_steps_oracle` of every (spec, rng) item, one lockstep batch per
-    phase, and each item's T-step baseline as (its sorted reference, its W1).
-
-    The T-step baselines of all items run together; then each grid value,
-    ascending, runs for the items still without a label. Candidate s of an
-    item generates on rng.child(s).child(0) and draws its reference from
-    rng.child(s).child(1), so every label equals the one-spec scan's.
-    """
+def _labels(items, scores: _Scores, epsilon: float) -> list[int]:
+    """`min_steps_oracle` of every (spec, rng) item, candidate s on the
+    branch rng.child(s): the T-step baselines of all items in one call, then
+    each grid value, ascending, for the items still without a label."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-
-    def scored(members, steps):
-        branches = [rng.child(steps) for _, rng in members]
-        refs = [_reference(spec, count, branch.child(1)) for (spec, _), branch in zip(members, branches)]
-        samples = generate_many([(spec, steps, branch.child(0)) for (spec, _), branch in zip(members, branches)],
-                                schedule, count)
-        return refs, [_sorted_w1(np.sort(x), ref) for x, ref in zip(samples, refs)]
-
-    refs, baseline_w1s = scored(items, schedule.T)
-    bounds = [(1.0 + epsilon) * w1 for w1 in baseline_w1s]
-    labels = [schedule.T] * len(items)
+    T = scores.schedule.T
+    bounds = [(1.0 + epsilon) * w1 for w1 in scores([(spec, T, rng.child(T)) for spec, rng in items])]
+    labels = [T] * len(items)
     pending = list(range(len(items)))
-    for steps in (s for s in ORACLE_GRID if s < schedule.T):
+    for steps in (s for s in ORACLE_GRID if s < T):
         if not pending:
             break
-        passed = [w1 <= bounds[i] for i, w1 in zip(pending, scored([items[i] for i in pending], steps)[1])]
-        for i in (i for i, ok in zip(pending, passed) if ok):
+        w1s = scores([(items[i][0], steps, items[i][1].child(steps)) for i in pending])
+        passed = [w1 <= bounds[i] for i, w1 in zip(pending, w1s)]
+        for i in itertools.compress(pending, passed):
             labels[i] = steps
         pending = [i for i, ok in zip(pending, passed) if not ok]
-    return labels, list(zip(refs, baseline_w1s))
+    return labels
 
 
 def fit_recommender(labeled_specs, max_steps: int) -> StepRecommender:
@@ -402,34 +414,10 @@ def adaptive_generate(spec: MixtureSpec, recommender: StepRecommender,
     T-step baseline. The recommended-step chain and the baseline each run on
     an Rng of the stream rng.child(0), so they read the same draws, and both
     are scored against one reference from rng.child(1)."""
-    return _paired([_own_streams(spec, rng, count)], recommender, schedule, count)[0]
-
-
-def _own_streams(spec: MixtureSpec, rng: Rng, count: int):
-    """A `_paired` entry whose recommended chain and T-step baseline each run
-    on their own Rng of the stream rng.child(0), scored against a reference
-    from rng.child(1)."""
-    return spec, rng.child(0), _reference(spec, count, rng.child(1)), rng.child(0)
-
-
-def _paired(entries, recommender: StepRecommender, schedule: NoiseSchedule, count: int):
-    """Each (spec, rng, sorted reference, baseline) entry's recommended-step
-    chain, generated on rng and scored against the reference. The baseline is
-    the T-step W1, or an Rng of rng's seed and counter on which the T-step
-    baseline runs as a second chain: both chains read the same start and
-    first steps' noise. A recommended chain of T steps is its own baseline.
-    Returns (samples, report) per entry."""
-    T = schedule.T
-    steps = [recommender.recommend(spec.difficulty) for spec, _, _, _ in entries]
-    chains = [(e, spec, s, rng) for e, ((spec, rng, _, _), s) in enumerate(zip(entries, steps))]
-    chains += [(e, spec, T, base) for e, ((spec, _, _, base), s) in enumerate(zip(entries, steps))
-               if isinstance(base, Rng) and s < T]
-    samples = generate_many([chain[1:] for chain in chains], schedule, count)
-    w1s = [_sorted_w1(np.sort(x), entries[e][2]) for (e, *_), x in zip(chains, samples)]
-    # an entry's last chain is its baseline
-    baselines = {e: w1 for (e, *_), w1 in zip(chains, w1s)}
-    return [(x, QualityReport(steps_used=s, w1=w1, baseline_w1=baselines[e] if isinstance(base, Rng) else base))
-            for e, ((_, _, _, base), s, x, w1) in enumerate(zip(entries, steps, samples, w1s))]
+    steps = recommender.recommend(spec.difficulty)
+    x, baseline = generate_many([(spec, steps, rng.child(0)), (spec, schedule.T, rng.child(0))], schedule, count)
+    ref = np.sort(spec.sample(count, rng.child(1)))
+    return x, QualityReport(steps, _sorted_w1(np.sort(x), ref), _sorted_w1(np.sort(baseline), ref))
 
 
 def train_and_evaluate(specs, schedule: NoiseSchedule, epsilon: float, n_train: int,
@@ -437,17 +425,18 @@ def train_and_evaluate(specs, schedule: NoiseSchedule, epsilon: float, n_train: 
     """The step recommender's whole flow on one workload of specs.
 
     The first n_train specs get oracle labels (spec i on rng.child(i)), the
-    recommender is fit to them, and every spec is then generated at its
-    recommended step count and scored against its T-step baseline. A
-    training spec reuses the oracle's baseline: its chain runs on that
-    baseline's stream rng.child(i).child(T).child(0) and is scored against
-    its reference. Every other spec j is an `adaptive_generate` item on
-    rng.child(100000 + j). Returns one report per spec, in order.
+    recommender is fit to them, and every spec's recommended chain and its
+    T-step baseline are then scored, as `_Scores` chains, on the spec's
+    branch: rng.child(i).child(T), the oracle baseline's own, for training
+    spec i, so its baseline is not run again, and rng.child(100000 + j) for
+    every other spec j, whose two chains read the same draws. A recommended
+    chain of T steps is its own baseline. Returns one report per spec, in
+    order.
     """
-    train = specs[:n_train]
-    labels, baselines = _oracle([(spec, rng.child(i)) for i, spec in enumerate(train)], schedule, epsilon, count)
-    recommender = fit_recommender(list(zip(train, labels)), schedule.T)
-    entries = [(spec, rng.child(i).child(schedule.T).child(0), ref, w1)
-               for i, (spec, (ref, w1)) in enumerate(zip(train, baselines))]
-    entries += [_own_streams(specs[j], rng.child(100000 + j), count) for j in range(n_train, len(specs))]
-    return [report for _, report in _paired(entries, recommender, schedule, count)]
+    T, scores = schedule.T, _Scores(schedule, count)
+    labels = _labels([(spec, rng.child(i)) for i, spec in enumerate(specs[:n_train])], scores, epsilon)
+    recommender = fit_recommender(list(zip(specs, labels)), T)
+    branches = [rng.child(i).child(T) if i < n_train else rng.child(100000 + i) for i in range(len(specs))]
+    steps = [recommender.recommend(spec.difficulty) for spec in specs]
+    w1s = scores([*zip(specs, steps, branches), *((spec, T, branch) for spec, branch in zip(specs, branches))])
+    return [QualityReport(s, w1, baseline_w1) for s, w1, baseline_w1 in zip(steps, w1s, w1s[len(specs):])]

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import re
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -700,6 +702,26 @@ def test_cli_rejects_malformed_input_files_by_path(tmp_path, model_files, capsys
             "report": plot, "csv report": plot, "config": ["run", "--config", str(path)]}[role]
     assert main(argv) == 1
     assert f"{path}{position}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row, problem", [
+    pytest.param([1.7e308] * 8, "sums to inf, not 1", id="huge-finite-row"),
+    pytest.param([math.inf, -math.inf] + [0.0] * 6, "has negative or non-finite entries", id="both-infinities-row"),
+])
+def test_table_row_whose_sum_overflows_is_one_line_error(tmp_path, capsys, row, problem):
+    # the golden target model with one row whose sum overflows to inf, or is inf - inf:
+    # the load is rejected with one line, printing a Python float, and numpy does not warn
+    doc = json.load(open(os.path.join(os.path.dirname(__file__), "golden", "inputs", "target.json")))
+    doc["table"][next(iter(doc["table"]))] = row
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["lookahead", "--model", str(path), "--n", "4", "--report", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{path}: table row (0, 0) {problem}" in err
     assert not out.exists()
 
 

@@ -316,7 +316,7 @@ def test_generate_many_matches_per_chain_reference(batch_elements, noise_element
        st.sampled_from([2, 9, 25]), st.floats(0.01, 2.0), st.integers(10, 80))
 def test_oracle_labels_match_scan_reference(items, T, epsilon, count):
     schedule = NoiseSchedule(T)
-    labels = stepsaver._oracle([(spec, Rng(seed)) for spec, seed in items], schedule, epsilon, count)[0]
+    labels = stepsaver._labels([(spec, Rng(seed)) for spec, seed in items], stepsaver._Scores(schedule, count), epsilon)
     assert labels == [min_steps_oracle_reference(spec, schedule, epsilon, count, Rng(seed)) for spec, seed in items]
 
 
@@ -427,34 +427,59 @@ def test_a_wide_chain_stays_within_its_component_charge():
     assert 8 * 8192 * 64 * 2 < peak < 8 * 8 * 8192 * 64
 
 
-def test_train_and_evaluate_runs_each_baseline_once(monkeypatch):
-    # a training spec reuses its oracle baseline; any other spec runs one T-step
-    # baseline, none when its recommended chain is that baseline; the master seed is one
-    # whose labels give both kinds of spec and a recommended chain that is its own baseline
-    specs = [spec for _, spec in skewed_workload()][:8]
-    schedule, count, seed = NoiseSchedule(25), 50, 112
-    steps_run = []
+def _recording_chains(monkeypatch):
+    """Every (spec, steps, rng seed) chain that `train_and_evaluate` hands to `generate_many`."""
+    chains_run = []
     real = stepsaver.generate_many
 
-    def counting(chains, schedule, count):
-        steps_run.extend(steps for _, steps, _ in chains)
+    def recording(chains, schedule, count):
+        chains_run.extend((spec, steps, rng.seed) for spec, steps, rng in chains)
         return real(chains, schedule, count)
 
-    monkeypatch.setattr(stepsaver, "generate_many", counting)
-    stepsaver._oracle([(spec, Rng(seed).child(i)) for i, spec in enumerate(specs[:5])], schedule, 0.1, count)
-    oracle_steps = sum(steps_run)
-    steps_run.clear()
-    reports = train_and_evaluate(specs, schedule, 0.1, 5, count, Rng(seed))
-    baselines = [schedule.T for r in reports[5:] if r.steps_used < schedule.T]
-    # both kinds of spec, and a recommended chain that is its own baseline
-    assert baselines and any(r.steps_used < schedule.T for r in reports[:5])
-    assert any(r.steps_used == schedule.T for r in reports[5:])
-    assert sum(steps_run) == oracle_steps + sum(r.steps_used for r in reports) + sum(baselines)
+    monkeypatch.setattr(stepsaver, "generate_many", recording)
+    return chains_run
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(5, 8), st.integers(0, 2**64 - 1))
+def test_train_and_evaluate_runs_each_chain_once(n_specs, seed):
+    # a training spec's baseline is the oracle's, on rng.child(i).child(T); any other spec j
+    # runs its baseline on rng.child(100000 + j), once even when it is the recommended chain
+    specs = [spec for _, spec in skewed_workload()][:n_specs]
+    schedule, rng = NoiseSchedule(25), Rng(seed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        chains_run = _recording_chains(monkeypatch)
+        train_and_evaluate(specs, schedule, 0.1, 5, 30, rng)
+    assert len(chains_run) == len(set(chains_run))
+    for i, spec in enumerate(specs):
+        branch = rng.child(i).child(schedule.T) if i < 5 else rng.child(100000 + i)
+        assert chains_run.count((spec, schedule.T, branch.child(0).seed)) == 1
+
+
+def test_train_and_evaluate_at_one_step_runs_one_chain_a_spec(monkeypatch):
+    # T = 1 leaves the oracle no candidate: each spec's one chain is its T-step baseline,
+    # the training specs' from the oracle, and is scored once
+    specs = [spec for _, spec in skewed_workload()][:8]
+    chains_run = _recording_chains(monkeypatch)
+    reports = train_and_evaluate(specs, NoiseSchedule(1), 0.1, 5, 50, Rng(5))
+    assert len(chains_run) == len(specs)
+    assert all(r.steps_used == 1 and r.w1 == r.baseline_w1 for r in reports)
+
+
+def test_scores_keep_a_reference_only_beside_its_baseline():
+    # a branch's reference outlives its call once the branch's T-step chain has run, so the
+    # oracle's other candidates hold their references only while they are scored
+    spec, rng = single_gaussian(), Rng(3)
+    scores = stepsaver._Scores(NoiseSchedule(25), 20)
+    w1s = scores([(spec, 25, rng.child(0)), (spec, 4, rng.child(1)), (spec, 25, rng.child(0))])
+    assert w1s[0] == w1s[2]
+    assert list(scores._refs) == [(spec, rng.child(0).seed)]
 
 
 def test_train_and_evaluate_draws_a_pinned_number_of_normals(monkeypatch):
     # each chain draws count normals for its start and count per step, and each reference count:
-    # 15 600 in the oracle, then 2 200 for the training specs' recommended chains, 150 for the
+    # 15 600 in the oracle, then 900 for the training specs' recommended chains (the one
+    # recommended 25 of 25 steps is its oracle baseline and does not run again), 150 for the
     # other specs' references and 4 900 for their chains, each of which, recommended 7, 2 and 8
     # of 25 steps, also runs a T-step baseline that draws its own start and noise
     specs = [spec for _, spec in skewed_workload()][:8]
@@ -469,7 +494,7 @@ def test_train_and_evaluate_draws_a_pinned_number_of_normals(monkeypatch):
     monkeypatch.setattr(core, "_box_muller", counting)
     reports = train_and_evaluate(specs, NoiseSchedule(25), 0.1, 5, 50, Rng(5))
     assert [r.steps_used for r in reports] == [2, 25, 2, 8, 2, 7, 2, 8]
-    assert sum(drawn) == 22_850
+    assert sum(drawn) == 21_550
 
 
 def test_step_coefficients_have_the_scalar_formulas_bits():
