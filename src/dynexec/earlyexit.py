@@ -23,7 +23,7 @@ STAGE0_COST = 1.0
 STAGE1_COST = 4.0
 # Newton's method on the penalised mean logistic loss: RIDGE/2 * |w|^2 on the
 # non-intercept weights keeps the optimum finite on separable data, and the fit
-# stops once no weight moves by FIT_TOLERANCE or more (5-16 steps in practice)
+# stops once no weight moves by FIT_TOLERANCE, within FIT_MAX_ITERATIONS steps
 RIDGE = 1e-3
 FIT_TOLERANCE = 1e-10
 FIT_MAX_ITERATIONS = 50
@@ -54,7 +54,7 @@ class ExitStage:
     cost_units: float
 
     def dists(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        p1 = _sigmoid(featurize(self.feature_kind, xs, ys) @ self.weights[:-1] + self.weights[-1])
+        p1 = _sigmoid(self.weights[:-1] @ featurize(self.feature_kind, xs, ys) + self.weights[-1])
         return np.stack([1.0 - p1, p1], axis=1)
 
 
@@ -83,13 +83,14 @@ class SweepRow:
 
 
 def featurize(kind: str, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    if kind == "linear":
-        return np.stack([xs, ys], axis=1)
+    if kind not in ("linear", "cubic"):
+        raise ValueError(f"unknown feature kind {kind!r}")
+    rows = [xs, ys]
     if kind == "cubic":
         # products, not **3: numpy's power is about 70x slower than two multiplies
         xx, xy, yy = xs * xs, xs * ys, ys * ys
-        return np.stack([xs, ys, xx, xy, yy, xx * xs, xx * ys, xy * ys, yy * ys], axis=1)
-    raise ValueError(f"unknown feature kind {kind!r}")
+        rows += [xx, xy, yy, xx * xs, xx * ys, xy * ys, yy * ys]
+    return np.stack(rows)
 
 
 def _sigmoid(z):
@@ -122,35 +123,42 @@ def gen_dataset(count: int, hard_fraction: float, seed: int) -> Dataset:
     return Dataset(x, y, labels)
 
 
-def _fit_logistic(feats: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Newton's method (IRLS) on the mean logistic loss plus RIDGE/2 * |w|^2,
-    the intercept unpenalised, from zero weights until the largest step is
-    below FIT_TOLERANCE. Returns the weights with the intercept last; raises
-    NotConverged after FIT_MAX_ITERATIONS steps.
+def _loss_and_p(feats: np.ndarray, labels: np.ndarray, weights: np.ndarray):
+    """The penalised mean logistic loss at `weights` and each point's p(1)."""
+    z = weights[:-1] @ feats + weights[-1]
+    p = _sigmoid(z)
+    # a point's loss is -log p, plus z where its label is 0; a p of exactly 0 gives inf. Not
+    # labels @ z: OpenBLAS threads a dot this long, and in some processes each call then waits
+    # a scheduler tick (8 ms against 5 us at 25 000 points)
+    with np.errstate(divide="ignore"):
+        loss = (z.sum() - (labels * z).sum() - np.log(p).sum()) / len(z)
+    return loss + RIDGE / 2 * (weights[:-1] @ weights[:-1]), p
 
-    The intercept is the last row and column of the (d+1)x(d+1) system rather
-    than a column of ones, and one n x d buffer holds feats * p(1-p) on every
-    step, so the fit holds no second n x (d+1) copy of the features.
-    """
-    n, d = feats.shape
-    w, b = np.zeros(d), 0.0
+
+def _fit_logistic(feats: np.ndarray, labels: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, int]:
+    """Newton's method (IRLS) on the penalised loss from `start`, over d feature
+    rows of n points: the weights, intercept last, and the step count, or
+    NotConverged. One d x n buffer holds feats * p(1-p) on every step."""
+    d, n = feats.shape
     weighted = np.empty_like(feats)
     hessian = np.empty((d + 1, d + 1))
-    penalty = RIDGE * np.eye(d)
-    for _ in range(FIT_MAX_ITERATIONS):
-        p = _sigmoid(feats @ w + b)
-        residual = p - labels
+    weights, (loss, p) = start, _loss_and_p(feats, labels, start)
+    for steps in range(1, FIT_MAX_ITERATIONS + 1):
         curvature = p * (1.0 - p)
-        np.multiply(feats, curvature[:, None], out=weighted)
-        hessian[:d, :d] = feats.T @ weighted / n + penalty
-        hessian[:d, d] = hessian[d, :d] = weighted.sum(axis=0) / n
+        residual = np.subtract(p, labels, out=p)
+        np.multiply(feats, curvature, out=weighted)
+        # the intercept's row and column are row sums, in place of a row of ones
+        hessian[:d, :d] = weighted @ feats.T / n + RIDGE * np.eye(d)
+        hessian[:d, d] = hessian[d, :d] = weighted.sum(axis=1) / n
         hessian[d, d] = curvature.sum() / n
-        gradient = np.append(feats.T @ residual / n + RIDGE * w, residual.sum() / n)
-        step = np.linalg.solve(hessian, gradient)
-        w -= step[:d]
-        b -= step[d]
+        step = np.linalg.solve(hessian, np.append(feats @ residual / n + RIDGE * weights[:-1], residual.sum() / n))
         if np.max(np.abs(step)) < FIT_TOLERANCE:
-            return np.append(w, b)
+            return weights - step, steps
+        # a full step far from the optimum, as from a warm start, can overshoot
+        # and diverge; halve it while it raises the loss (ESL 4.4.1)
+        while (trial := _loss_and_p(feats, labels, weights - step))[0] > loss + FIT_TOLERANCE:
+            step /= 2
+        weights, (loss, p) = weights - step, trial
     raise NotConverged(f"logistic fit still moving after {FIT_MAX_ITERATIONS} Newton steps")
 
 
@@ -162,9 +170,10 @@ def train_stages(data: Dataset) -> MultiExitNet:
     # not np.unique, which imports numpy.ma at its first call in a process
     if labels.min() == labels.max():
         raise DegenerateData("training data contains a single class")
-    stage0 = ExitStage(_fit_logistic(featurize("linear", data.xs, data.ys), labels), "linear", STAGE0_COST)
-    stage1 = ExitStage(_fit_logistic(featurize("cubic", data.xs, data.ys), labels), "cubic", STAGE1_COST)
-    return MultiExitNet((stage0, stage1))
+    linear, _ = _fit_logistic(featurize("linear", data.xs, data.ys), labels, np.zeros(3))
+    # the cubic rows start with the linear two: start there, 0 on the seven higher-order rows
+    cubic, _ = _fit_logistic(featurize("cubic", data.xs, data.ys), labels, np.insert(linear, -1, np.zeros(7)))
+    return MultiExitNet((ExitStage(linear, "linear", STAGE0_COST), ExitStage(cubic, "cubic", STAGE1_COST)))
 
 
 def sweep(net: MultiExitNet, data: Dataset, taus) -> list[SweepRow]:

@@ -15,8 +15,11 @@ import numpy as np
 from dynexec.cli import _as_int_list
 from dynexec.core import Rng, _load_json, check_context, check_dist, entropy, feature_forward
 from dynexec.eagle import Extrapolator
-from dynexec.earlyexit import BOUNDARY_X_RANGE, EASY_BAND, HARD_BAND, Dataset, SweepRow, _row_entropies
-from dynexec.errors import EmptyPrompt, InsufficientData, InvalidDistribution, LengthMismatch, SchemaError
+from dynexec.earlyexit import (BOUNDARY_X_RANGE, EASY_BAND, FIT_MAX_ITERATIONS, FIT_TOLERANCE, HARD_BAND, RIDGE,
+                               STAGE0_COST, STAGE1_COST, Dataset, ExitStage, MultiExitNet, SweepRow, _row_entropies,
+                               _sigmoid)
+from dynexec.errors import (EmptyPrompt, InsufficientData, InvalidDistribution, LengthMismatch, NotConverged,
+                            SchemaError)
 from dynexec.router import LOGPROB_FLOOR, RouteReport, WorkloadItem
 from dynexec.specdec import DraftOutput, verify
 from dynexec.stepsaver import ORACLE_GRID, MixtureSpec, fit_recommender, respaced_timesteps, wasserstein1
@@ -392,6 +395,57 @@ def gen_dataset_reference(count, hard_fraction, seed):
         ys.append(x**3 - x + (offset if label == 1 else -offset))
         labels.append(label)
     return Dataset(np.array(xs), np.array(ys), np.array(labels))
+
+
+def features_reference(kind, xs, ys):
+    """The early-exit features sample-major, one (n, d) row per point."""
+    if kind == "linear":
+        return np.stack([xs, ys], axis=1)
+    xx, xy, yy = xs * xs, xs * ys, ys * ys
+    return np.stack([xs, ys, xx, xy, yy, xx * xs, xx * ys, xy * ys, yy * ys], axis=1)
+
+
+def fit_logistic_reference(feats, labels, start=None):
+    """Newton's method on the mean logistic loss plus RIDGE/2 * |w|^2 over
+    sample-major (n, d) features, taking every full step, from zero weights
+    unless `start` (intercept last) is given. Returns the weights, intercept
+    last; raises NotConverged after FIT_MAX_ITERATIONS steps."""
+    n, d = feats.shape
+    w, b = (np.zeros(d), 0.0) if start is None else (start[:-1].copy(), start[-1])
+    weighted = np.empty_like(feats)
+    hessian = np.empty((d + 1, d + 1))
+    penalty = RIDGE * np.eye(d)
+    for _ in range(FIT_MAX_ITERATIONS):
+        p = _sigmoid(feats @ w + b)
+        residual = p - labels
+        curvature = p * (1.0 - p)
+        np.multiply(feats, curvature[:, None], out=weighted)
+        hessian[:d, :d] = feats.T @ weighted / n + penalty
+        hessian[:d, d] = hessian[d, :d] = weighted.sum(axis=0) / n
+        hessian[d, d] = curvature.sum() / n
+        gradient = np.append(feats.T @ residual / n + RIDGE * w, residual.sum() / n)
+        step = np.linalg.solve(hessian, gradient)
+        w -= step[:d]
+        b -= step[d]
+        if np.max(np.abs(step)) < FIT_TOLERANCE:
+            return np.append(w, b)
+    raise NotConverged(f"logistic fit still moving after {FIT_MAX_ITERATIONS} Newton steps")
+
+
+class SampleMajorStage(ExitStage):
+    """An ExitStage whose outputs take the sample-major product over `features_reference`."""
+
+    def dists(self, xs, ys):
+        p1 = _sigmoid(features_reference(self.feature_kind, xs, ys) @ self.weights[:-1] + self.weights[-1])
+        return np.stack([1.0 - p1, p1], axis=1)
+
+
+def train_stages_reference(data):
+    """Both early-exit stages fitted from zero weights by `fit_logistic_reference`."""
+    labels = data.labels.astype(np.float64)
+    return MultiExitNet(tuple(
+        SampleMajorStage(fit_logistic_reference(features_reference(kind, data.xs, data.ys), labels), kind, cost)
+        for kind, cost in (("linear", STAGE0_COST), ("cubic", STAGE1_COST))))
 
 
 def point_rows(net, data):

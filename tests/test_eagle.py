@@ -35,6 +35,15 @@ def test_fit_affine_dynamics_residual_tiny():
     assert _fit_residual(model, ex, corpus) <= 1e-8
 
 
+def test_fit_affine_dynamics_residual_is_the_ridges_bias():
+    # the 1e-8 bound above holds by about 2x: what it reads is the default ridge's bias,
+    # which a thousandfold smaller ridge shrinks at least a hundredfold
+    model = affine_dynamics_model()
+    corpus = sample_corpus(model, 40, 10, Rng(6))
+    default = _fit_residual(model, fit_extrapolator(model, corpus), corpus)
+    assert _fit_residual(model, fit_extrapolator(model, corpus, ridge=1e-9), corpus) <= 1e-2 * default
+
+
 def test_fit_large_ridge_approaches_sample_mean():
     model = random_feature_model(3, 4, Rng(40))
     corpus = sample_corpus(model, 30, 8, Rng(41))
