@@ -14,21 +14,22 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .core import ELEMENT_BUDGET, Rng, _load_json, atomic_write_text, is_int, is_number, load_model, FeatureModel
+from .core import Rng, _load_json, atomic_write_text, is_int, is_number, load_model, FeatureModel
 from .eagle import DEFAULT_RIDGE, eagle_decode, fit_extrapolator, sample_corpus
-from .earlyexit import MAX_POINTS, gen_dataset, sweep, train_stages
+from .earlyexit import gen_dataset, sweep, train_stages
 from .errors import DynexecError, MissingSeries, ParseError, SchemaError
-from .lookahead import MAX_NGRAM, lookahead_decode
+from .lookahead import lookahead_decode
 from .router import RouteWorkload, WorkloadItem, frontier
-from .specdec import MAX_DRAFT, MAX_TOKENS, simulated_speedup, speculative_decode
-from .stepsaver import (DEFAULT_STEPS, MAX_SAMPLES, MAX_SPEC_LOAD, MAX_STEPS, MIN_LABELED_SPECS, MixtureSpec,
-                        NoiseSchedule, train_and_evaluate)
+from .specdec import simulated_speedup, speculative_decode
+from .stepsaver import DEFAULT_STEPS, MAX_STEPS, MIN_LABELED_SPECS, MixtureSpec, NoiseSchedule, train_and_evaluate
 
 VERSION = "dynexec 0.1.0"
 SEED_ENV_VAR = "DYNEXEC_SEED"
@@ -103,6 +104,45 @@ def _as_float_list(value, key):
 _as_str.flag_type = str
 _as_int_list.flag_type = _comma_list(int)
 _as_float_list.flag_type = _comma_list(float)
+
+# The float64s (1 GiB) a run may peak at. Each ceiling and charge below is the
+# float64s per unit a run was measured to peak at under tracemalloc, with headroom.
+ELEMENT_BUDGET = 2**27
+# a decode's `n` and `k`: about 10 float64s per emitted token and, at the
+# largest vocabulary and feature dim, 650 per token drafted in one cycle
+MAX_TOKENS = ELEMENT_BUDGET // 32
+MAX_DRAFT = ELEMENT_BUDGET // 1024
+# lookahead's cache copies an (ngram - 1)-token window at every history
+# position, so n x ngram stays within the budget at the largest n
+MAX_NGRAM = ELEMENT_BUDGET // MAX_TOKENS
+# early exit's `count`: a run (dataset, both fits, sweep) peaks at about 28 per point
+MAX_POINTS = ELEMENT_BUDGET // 32
+# stepsaver's `count`, samples per chain and per reference: at count 65 536 a
+# run peaks at about 34 float64s per sample on 6 specs and 80 on 24
+MAX_SAMPLES = ELEMENT_BUDGET // 256
+
+# Each technique's (key, rule, charge) on the sizes known once its inputs are loaded:
+# its numeric params, a list param's length and the loaded sizes. See _check_budget.
+_CHARGES = {
+    # the corpus and the fit peak at about 7 per corpus token per feature dim,
+    # and the sampler's batched head at about 4 per sequence per vocabulary token
+    "eagle": [("fit_seqs", "8 * fit_seqs * (fit_len * dim + vocabulary)",
+               lambda s: 8 * s.fit_seqs * (s.fit_len * s.dim + s.vocabulary))],
+    # a run peaks at about 67 per threshold: its flag text, its row and its report line
+    "early-exit": [("taus", "128 * taus", lambda s: 128 * s.taus)],
+    "stepsaver": [
+        # each spec adds about 2.6 per sample (its pending samples and references)
+        # and, at count 1, up to 8.8 per step (its chains' kept alpha_bars, and
+        # the noise block's coefficients)
+        ("workload", "4 * specs * (count + 4 * steps)", lambda s: 4 * s.specs * (s.count + 4 * s.steps)),
+        # a lockstep chain's scores peak at about 4.1-5.1 per sample per component of
+        # the widest spec (one chain or 5 specs, 16-256 components, count x
+        # components from 256 000 to 2 097 152)
+        ("workload", "8 * count * components", lambda s: 8 * s.count * s.components),
+    ],
+    # each threshold is one pass over every item
+    "route": [("thetas", "thetas * items", lambda s: s.thetas * s.items)],
+}
 
 # Each technique's keys: key -> (checker, default). The config's
 # "params" keys and the technique's CLI flags (--key with '-' for '_') both
@@ -257,6 +297,18 @@ def _check_prompt(prompt, *models):
     return prompt
 
 
+def _check_budget(technique, params, **loaded):
+    """Reject a run whose charge passes ELEMENT_BUDGET, naming the charge's key,
+    before the run allocates what the charge measures."""
+    sizes = {key: len(value) if isinstance(value, list) else value for key, value in params.items()} | loaded
+    for key, rule, charge in _CHARGES[technique]:
+        elements = charge(SimpleNamespace(**sizes))
+        if elements > ELEMENT_BUDGET:
+            values = re.sub("[a-z_]+", lambda name: str(sizes[name[0]]), rule)
+            raise SchemaError(f"key '{key}' charges {rule} = {values} = {elements} float64s, past the budget "
+                              f"of {ELEMENT_BUDGET}", key=key)
+
+
 def load_mixture_workload(path: str) -> list[tuple[str, MixtureSpec]]:
     """Workload file: {"specs": [{"id": "...", "components": [[w, mean, stddev], ...]}, ...]}."""
     doc = _load_json(path)
@@ -353,13 +405,7 @@ def _run_eagle(params, seed, base_dir):
         raise SchemaError(f"key 'fit_seqs' gives fit_seqs * (fit_len - 1) = "
                           f"{params['fit_seqs'] * (params['fit_len'] - 1)} transitions; a model of "
                           f"dim {model.dim} needs at least {needed}", key="fit_seqs")
-    # under tracemalloc the corpus and the fit peak at about 7 float64s per
-    # corpus token per feature dim, and the sampler's batched head at about 4
-    # per sequence per vocabulary token, so a fit may take 8 of each
-    elements = params["fit_seqs"] * 8 * (params["fit_len"] * model.dim + model.vocab_size)
-    if elements > ELEMENT_BUDGET:
-        raise SchemaError(f"key 'fit_seqs' gives a fit of fit_seqs * 8 * (fit_len * dim + vocabulary) = "
-                          f"{elements} float64s, past the budget of {ELEMENT_BUDGET}", key="fit_seqs")
+    _check_budget("eagle", params, dim=model.dim, vocabulary=model.vocab_size)
     rng = Rng(seed)
     corpus = sample_corpus(model, params["fit_seqs"], params["fit_len"], rng.child(1))
     ex = fit_extrapolator(model, corpus, params["ridge"])
@@ -379,11 +425,7 @@ def _run_lookahead(params, seed, base_dir):
 
 def _run_early_exit(params, seed, base_dir):
     """entropy-gated two-stage classifier sweep"""
-    # a run peaks at about 67 float64s per threshold (its flag text, its row
-    # and its report line), so 128 per threshold
-    if len(params["taus"]) > ELEMENT_BUDGET // 128:
-        raise SchemaError(f"key 'taus' has {len(params['taus'])} thresholds; at most {ELEMENT_BUDGET // 128} "
-                          f"fit the element budget (128 float64s per threshold)", key="taus")
+    _check_budget("early-exit", params)
     data = gen_dataset(params["count"], params["hard_fraction"], seed)
     return {"rows": [asdict(row) for row in sweep(train_stages(data), data, sorted(params["taus"]))]}
 
@@ -391,19 +433,7 @@ def _run_early_exit(params, seed, base_dir):
 def _run_stepsaver(params, seed, base_dir):
     """adaptive diffusion step recommendation"""
     specs = load_mixture_workload(_resolve(base_dir, params["workload"]))
-    load = params["count"] + 4 * params["steps"]
-    if len(specs) * load > MAX_SPEC_LOAD:
-        raise SchemaError(f"key 'workload' names {len(specs)} specs; at count {params['count']} and steps "
-                          f"{params['steps']} at most {MAX_SPEC_LOAD // load} fit the element budget "
-                          f"(specs * (count + 4 * steps) <= {MAX_SPEC_LOAD})", key="workload")
-    # a lockstep chain's scores peak under tracemalloc at about 4.1-5.1 float64s
-    # per sample per component (one chain or 5 specs, 16-256 components, count x
-    # components from 256 000 to 2 097 152), so the widest spec is charged 8
-    widest = max(len(spec.components) for _, spec in specs)
-    if params["count"] * widest > ELEMENT_BUDGET // 8:
-        raise SchemaError(f"key 'workload' has a spec of {widest} components; at count {params['count']} at most "
-                          f"{ELEMENT_BUDGET // 8 // params['count']} fit the element budget "
-                          f"(count * components <= {ELEMENT_BUDGET // 8})", key="workload")
+    _check_budget("stepsaver", params, specs=len(specs), components=max(len(s.components) for _, s in specs))
     schedule = NoiseSchedule(params["steps"])
     # the recommender needs MIN_LABELED_SPECS labels, so small workloads train on more than train_frac
     n_train = min(len(specs), max(MIN_LABELED_SPECS, round(params["train_frac"] * len(specs))))
@@ -424,12 +454,7 @@ def _run_route(params, seed, base_dir):
     small = load_model(_resolve(base_dir, params["small"]))
     large = load_model(_resolve(base_dir, params["large"]))
     workload = load_route_workload(_resolve(base_dir, params["workload"]), small, large)
-    items = len(workload.prompt_lens)
-    # each threshold is one pass over every item
-    if len(params["thetas"]) * items > ELEMENT_BUDGET:
-        raise SchemaError(f"key 'thetas' has {len(params['thetas'])} thresholds; on {items} items at most "
-                          f"{ELEMENT_BUDGET // items} fit the element budget (thetas * items <= {ELEMENT_BUDGET})",
-                          key="thetas")
+    _check_budget("route", params, items=len(workload.prompt_lens))
     reports = frontier(small, params["thetas"], workload, small, large)
     return {"rows": [{"theta": theta, **asdict(report)} for theta, report in zip(params["thetas"], reports)]}
 

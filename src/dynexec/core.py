@@ -34,9 +34,6 @@ MIN_FEATURE_DIM = 4
 MAX_FEATURE_DIM = 32
 
 DIST_ATOL = 1e-9
-# the float64s (1 GiB) a run may peak at: each size ceiling is this budget
-# over the float64s per unit a run was measured to peak at, with headroom
-ELEMENT_BUDGET = 2**27
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

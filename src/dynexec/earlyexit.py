@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ELEMENT_BUDGET, Rng
+from .core import Rng
 from .errors import DegenerateData, NotConverged
 
 BOUNDARY_X_RANGE = (-1.5, 1.5)
@@ -27,9 +27,6 @@ STAGE1_COST = 4.0
 RIDGE = 1e-3
 FIT_TOLERANCE = 1e-10
 FIT_MAX_ITERATIONS = 50
-# the largest early-exit `count`: a run (dataset, both fits, sweep) peaks at
-# about 28 float64s per point under tracemalloc, so 32 per point
-MAX_POINTS = ELEMENT_BUDGET // 32
 
 
 def boundary(x):

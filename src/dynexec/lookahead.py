@@ -10,13 +10,8 @@ exact and seed-free.
 
 from dataclasses import dataclass, field
 
-from .core import ELEMENT_BUDGET, SequenceModel, check_context
-from .specdec import MAX_TOKENS, _decode_loop
-
-# the largest n-gram size: the cache copies an (ngram - 1)-token window at
-# every history position, so a decode's time and cache grow as n x ngram,
-# which stays within the element budget at the largest n
-MAX_NGRAM = ELEMENT_BUDGET // MAX_TOKENS
+from .core import SequenceModel, check_context
+from .specdec import _decode_loop
 
 
 @dataclass

@@ -15,14 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ELEMENT_BUDGET, Rng, SequenceModel, check_context, sample
+from .core import Rng, SequenceModel, check_context, sample
 from .errors import AllZeroResidual, ContractViolation, LengthMismatch, VocabMismatch
-
-# the largest `n` and `k` of a decode: under tracemalloc one peaks at about 10
-# float64s per emitted token and, at the largest vocabulary and feature dim,
-# 650 per token drafted in one cycle, so 32 and 1024
-MAX_TOKENS = ELEMENT_BUDGET // 32
-MAX_DRAFT = ELEMENT_BUDGET // 1024
 
 
 @dataclass(frozen=True)

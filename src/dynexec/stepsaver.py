@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ELEMENT_BUDGET, Rng, RngStreams
+from .core import Rng, RngStreams
 from .errors import InsufficientData, StepsOutOfRange
 
 DEFAULT_STEPS = 100
@@ -23,15 +23,6 @@ BETA_END = 0.02
 # the most timesteps whose float64 cumulative product still decreases
 # strictly; from 73 253 it underflows (found by bisection over T)
 MAX_STEPS = 73_252
-# the largest `count` (samples per chain and per reference): at count 65 536
-# a run peaks under tracemalloc at about 34 float64s per sample on 6 specs and
-# 80 on 24, so 256
-MAX_SAMPLES = ELEMENT_BUDGET // 256
-# the largest specs x (count + 4 x steps) of a run: under tracemalloc each spec
-# adds about 2.6 float64s per sample (its pending samples and references) and,
-# at count 1, up to 8.8 per step (its chains' kept alpha_bars, and the noise
-# block's coefficients), so a spec is charged 4 per sample and 16 per step
-MAX_SPEC_LOAD = ELEMENT_BUDGET // 4
 DIFFICULTY_CAP = 10.0
 ORACLE_GRID = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50, 63, 79, 100)
 MIN_LABELED_SPECS = 5

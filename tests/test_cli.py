@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,8 +7,11 @@ import re
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynexec import Rng, cli
 from dynexec.cli import (
@@ -21,12 +26,9 @@ from dynexec.cli import (
     validate_config,
     write_report,
 )
-from dynexec.core import ELEMENT_BUDGET, load_model, save_model
-from dynexec.earlyexit import MAX_POINTS
-from dynexec.lookahead import MAX_NGRAM
+from dynexec.core import load_model, save_model
 from dynexec.errors import MissingSeries, ParseError, SchemaError
-from dynexec.specdec import MAX_DRAFT, MAX_TOKENS
-from dynexec.stepsaver import MAX_COMPONENTS, MAX_SAMPLES, MAX_SPEC_LOAD
+from dynexec.stepsaver import MAX_COMPONENTS
 
 from helpers import random_table_model, random_feature_model, skewed_workload, route_workload
 
@@ -360,7 +362,6 @@ def test_cli_rejects_bad_decoder_input_by_name(tmp_path, model_files, capsys, te
     ("route", ["--thetas", "nan"], "thetas"),
     ("route", ["--thetas=-inf,nan,inf"], "thetas"),
     ("stepsaver", ["--steps", "100000"], "steps"),  # the schedule's cumulative product underflows
-    ("early-exit", ["--taus", ",".join(["0"] * (ELEMENT_BUDGET // 128 + 1))], "taus"),  # one past the ceiling
 ])
 def test_cli_rejects_bad_sweep_input_by_name(tmp_path, model_files, capsys, technique, flags, key):
     inputs = {"early-exit": [],
@@ -388,73 +389,6 @@ def test_cli_rejects_huge_steps_by_name_before_allocating(tmp_path, model_files,
     assert peak < 2**20  # no T-length array, not even one refused by the allocator
 
 
-def test_cli_rejects_count_past_max_points_before_allocating(tmp_path, capsys):
-    assert validate_config({"technique": "early-exit", "params": {"count": MAX_POINTS}})["params"]["count"] == MAX_POINTS
-    out = tmp_path / "out.csv"
-    tracemalloc.start()
-    try:
-        rc = main(["early-exit", "--count", str(MAX_POINTS + 1), "--report", str(out)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 1
-    assert f"'count' must be >= 100 and <= {MAX_POINTS}" in capsys.readouterr().err
-    assert not out.exists()
-    assert peak < 2**20  # no point array, not even one refused by the allocator
-
-
-@pytest.mark.parametrize("technique, key, ceiling", [
-    ("specdec", "n", MAX_TOKENS),
-    ("specdec", "k", MAX_DRAFT),
-    ("eagle", "n", MAX_TOKENS),
-    ("eagle", "k", MAX_DRAFT),
-    ("lookahead", "n", MAX_TOKENS),
-])
-def test_cli_rejects_decoder_sizes_past_their_ceiling_before_allocating(tmp_path, model_files, capsys,
-                                                                        technique, key, ceiling):
-    models = {"specdec": {"target": model_files["large"], "draft": model_files["small"]},
-              "eagle": {"model": model_files["feature"]},
-              "lookahead": {"model": model_files["large"]}}[technique]
-    assert validate_config({"technique": technique, "params": {**models, key: ceiling}})["params"][key] == ceiling
-    flags = [arg for name, path in models.items() for arg in ("--" + name, path)]
-    out = tmp_path / "out.json"
-    tracemalloc.start()
-    try:
-        rc = main([technique, *flags, "--" + key, str(ceiling + 1), "--report", str(out)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 1
-    assert f"'{key}' must be >= 1 and <= {ceiling}, got {ceiling + 1}" in capsys.readouterr().err
-    assert not out.exists()
-    assert peak < 2**20  # no model loaded and no token decoded
-
-
-@pytest.mark.parametrize("technique, key, rule, ceiling", [
-    pytest.param("stepsaver", "count", ">= 1", MAX_SAMPLES, id="stepsaver-count"),
-    pytest.param("lookahead", "ngram", ">= 2", MAX_NGRAM, id="lookahead-ngram"),
-    pytest.param("lookahead", "window", ">= 1", MAX_DRAFT, id="lookahead-window"),
-])
-def test_cli_rejects_sizes_past_their_ceiling_before_allocating(tmp_path, model_files, capsys,
-                                                                technique, key, rule, ceiling):
-    inputs = {"stepsaver": {"workload": model_files["mix_workload"]},
-              "lookahead": {"model": model_files["large"]}}[technique]
-    assert validate_config({"technique": technique, "params": {**inputs, key: ceiling}})["params"][key] == ceiling
-    flags = [arg for name, path in inputs.items() for arg in ("--" + name, path)]
-    out = tmp_path / "out.report"
-    for value in (ceiling + 1, 10**17):
-        tracemalloc.start()
-        try:
-            rc = main([technique, *flags, "--" + key, str(value), "--report", str(out)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rc == 1
-        assert f"'{key}' must be {rule} and <= {ceiling}, got {value}" in capsys.readouterr().err
-        assert not out.exists()
-        assert peak < 2**20  # no input loaded and no sample drawn or token decoded
-
-
 @pytest.mark.parametrize("technique", ["specdec", "lookahead"])
 @pytest.mark.parametrize("edit, row", [
     pytest.param({"table": {"0": [0.2] * 5}}, "table row (0,) has 5 entries", id="row-too-long"),
@@ -479,99 +413,189 @@ class _Reached(Exception):
     """Raised by a stub of the step after a check: the run got past the check."""
 
 
-def _reach(*args):
+def _reach(*args, **kwargs):
     raise _Reached
 
 
-def test_cli_rejects_an_eagle_fit_past_the_budget_before_allocating(tmp_path, model_files, capsys, monkeypatch):
-    model = load_model(model_files["feature"])
-    ceiling = ELEMENT_BUDGET // (8 * (16 * model.dim + model.vocab_size))  # at the default fit_len of 16
-    out = tmp_path / "out.json"
-    monkeypatch.setattr(cli, "sample_corpus", _reach)
-    with pytest.raises(_Reached):  # the ceiling passes the check, and the corpus would be sampled
-        main(["eagle", "--model", model_files["feature"], "--fit-seqs", str(ceiling), "--report", str(out)])
-    for value in (ceiling + 1, 10**16):
+def _tracing_after(function):
+    """`function`, starting tracemalloc once it returns, so a run is traced from its loaded inputs on."""
+    def call(*args, **kwargs):
+        result = function(*args, **kwargs)
         tracemalloc.start()
-        try:
-            rc = main(["eagle", "--model", model_files["feature"], "--fit-seqs", str(value), "--report", str(out)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rc == 1
-        assert "key 'fit_seqs' gives a fit of" in capsys.readouterr().err
-        assert not out.exists()
-        assert peak < 2**20  # no corpus drawn, not even one refused by the allocator
+        return result
+    return call
 
 
-def test_cli_rejects_a_stepsaver_workload_past_the_budget_before_any_chain(tmp_path, capsys, monkeypatch):
-    count = MAX_SPEC_LOAD // 64 - 4  # with --steps 1, 64 specs reach the ceiling exactly
-    out = tmp_path / "out.csv"
-
-    def run_on(n_specs):
-        path = tmp_path / f"specs{n_specs}.json"
-        path.write_text(json.dumps({"specs": [{"id": f"s{i}", "components": [[1.0, 0.0, 1.0]]}
-                                              for i in range(n_specs)]}))
-        return main(["stepsaver", "--workload", str(path), "--count", str(count), "--steps", "1",
-                     "--report", str(out)])
-
-    monkeypatch.setattr(cli, "train_and_evaluate", _reach)
-    with pytest.raises(_Reached):  # the ceiling passes the check, and the chains would run
-        run_on(64)
-    tracemalloc.start()
-    try:
-        rc = run_on(65)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 1
-    assert "key 'workload' names 65 specs" in capsys.readouterr().err
-    assert not out.exists()
-    assert peak < 2**20  # no chain run and no sample drawn
+_BUDGET = 2**27
+# the feature models an eagle fit is drawn on: (vocabulary, dim), from the smallest to the largest allowed
+_FEATURE_MODELS = ((3, 4), (64, 8), (256, 32))
 
 
-def test_cli_rejects_a_wide_stepsaver_spec_past_the_budget_before_any_draw(tmp_path, capsys, monkeypatch):
-    count = ELEMENT_BUDGET // 8 // 64  # a spec of 64 components reaches the budget exactly
-    out = tmp_path / "out.csv"
-
-    def run_on(components):
-        wide = {"id": "wide", "components": [[1 / components, float(j), 1.0] for j in range(components)]}
-        path = tmp_path / f"specs{components}.json"
-        path.write_text(json.dumps({"specs": [{"id": f"s{i}", "components": [[1.0, 0.0, 1.0]]} for i in range(4)]
-                                    + [wide]}))
-        return main(["stepsaver", "--workload", str(path), "--count", str(count), "--steps", "1",
-                     "--report", str(out)])
-
-    monkeypatch.setattr(cli, "train_and_evaluate", _reach)
-    with pytest.raises(_Reached):  # the budget passes the check, and the chains would run
-        run_on(64)
-    tracemalloc.start()
-    try:
-        rc = run_on(65)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 1
-    assert "key 'workload' has a spec of 65 components; at count 262144 at most 64" in capsys.readouterr().err
-    assert not out.exists()
-    assert peak < 2**20  # no chain run and no sample drawn
+@pytest.fixture(scope="module")
+def ceiling_dir(tmp_path_factory):
+    """A directory holding the models the ceiling runs read; each run writes its inputs and report there."""
+    tmp = tmp_path_factory.mktemp("ceilings")
+    rng = Rng(89)
+    save_model(random_table_model(4, 1, rng.child(0)), str(tmp / "small.json"))
+    save_model(random_table_model(4, 2, rng.child(1)), str(tmp / "large.json"))
+    for i, (vocab, dim) in enumerate(_FEATURE_MODELS):
+        save_model(random_feature_model(vocab, dim, rng.child(2 + i)), str(tmp / f"feature-{vocab}-{dim}.json"))
+    (tmp / "specs.json").write_text(_spec_doc(5, 1))
+    return tmp
 
 
-def test_cli_rejects_a_route_sweep_past_the_budget_before_scoring(tmp_path, model_files, capsys, monkeypatch):
-    items = 2**14
-    path = tmp_path / "items.json"
-    path.write_text(json.dumps({"items": [{"prompt": [0], "continuation": [1]}] * items}))
-    out = tmp_path / "out.csv"
+def _spec_doc(n_specs, widest):
+    """A mixture workload of unit Gaussians but for its last spec, of `widest` components."""
+    wide = [[1 / widest, float(j), 1.0] for j in range(widest)]
+    return json.dumps({"specs": [{"id": f"s{i}", "components": wide if i == n_specs - 1 else [[1.0, 0.0, 1.0]]}
+                                 for i in range(n_specs)]})
 
-    def run_on(n_thetas):
-        return main(["route", "--small", model_files["small"], "--large", model_files["large"],
-                     "--workload", str(path), "--thetas=" + ",".join(["0.5"] * n_thetas), "--report", str(out)])
 
-    monkeypatch.setattr(cli, "frontier", _reach)
-    with pytest.raises(_Reached):  # the ceiling passes the check, and the items would be scored
-        run_on(ELEMENT_BUDGET // items)
-    assert run_on(ELEMENT_BUDGET // items + 1) == 1
-    assert f"key 'thetas' has {ELEMENT_BUDGET // items + 1} thresholds; on {items} items" in capsys.readouterr().err
-    assert not out.exists()
+class _Ceiling(NamedTuple):
+    argv: object  # size -> the command line that runs at that size
+    ceiling: int  # the largest size accepted
+    rejected: tuple  # sizes past the ceiling
+    next_step: str  # the cli function a run calls once its size is checked
+    loaded: str  # the cli function whose return starts the trace; None traces all of main
+    error: object  # size -> the one stderr line of its rejection
+
+
+# each schema key with a ceiling from the element budget: its ceiling and the other flags a run needs
+_SCALAR_CEILINGS = {
+    ("specdec", "n"): (2**22, "--target", "large.json", "--draft", "small.json"),
+    ("specdec", "k"): (2**17, "--target", "large.json", "--draft", "small.json"),
+    ("eagle", "n"): (2**22, "--model", "feature-3-4.json"),
+    ("eagle", "k"): (2**17, "--model", "feature-3-4.json"),
+    ("lookahead", "n"): (2**22, "--model", "large.json"),
+    ("lookahead", "ngram"): (32, "--model", "large.json"),
+    ("lookahead", "window"): (2**17, "--model", "large.json"),
+    ("early-exit", "count"): (2**22,),
+    ("stepsaver", "count"): (2**19, "--workload", "specs.json"),
+}
+
+
+def _scalar(technique, key):
+    def case(data, tmp):
+        ceiling, *inputs = _SCALAR_CEILINGS[technique, key]
+        rule = _SCHEMAS[technique][key][0].rule
+        assert rule.endswith(f"<= {ceiling}")
+        flags = [str(tmp / flag) if flag.endswith(".json") else flag for flag in inputs]
+        return _Ceiling(lambda size: [technique, *flags, "--" + key.replace("_", "-"), str(size)], ceiling,
+                        (ceiling + 1, 10**17), "run", None,
+                        lambda size: f"error: key '{key}' must be {rule}, got {size}\n")
+    return case
+
+
+def _charged(key, text):
+    """size -> the rejection line of a charge whose text, with its values and total, is text(size)."""
+    return lambda size: f"error: key '{key}' charges {text(size)} float64s, past the budget of {_BUDGET}\n"
+
+
+def _eagle_fit(data, tmp):
+    vocab, dim = data.draw(st.sampled_from(_FEATURE_MODELS), label="vocabulary, dim")
+    fit_len = data.draw(st.integers(2, 64), label="fit_len")
+    unit = fit_len * dim + vocab
+    return _Ceiling(lambda size: ["eagle", "--model", str(tmp / f"feature-{vocab}-{dim}.json"), "--fit-len",
+                                  str(fit_len), "--fit-seqs", str(size)],
+                    _BUDGET // (8 * unit), (_BUDGET // (8 * unit) + 1, 10**17), "sample_corpus",
+                    "_load_feature_model",
+                    _charged("fit_seqs", lambda size: f"8 * fit_seqs * (fit_len * dim + vocabulary) = 8 * {size} * "
+                                                      f"({fit_len} * {dim} + {vocab}) = {8 * size * unit}"))
+
+
+def _taus(data, tmp):
+    return _Ceiling(lambda size: ["early-exit", "--taus", ",".join(["0"] * size)], _BUDGET // 128,
+                    (_BUDGET // 128 + 1,), "gen_dataset", "validate_config",
+                    _charged("taus", lambda size: f"128 * taus = 128 * {size} = {128 * size}"))
+
+
+def _stepsaver_draws(data):
+    # from count 2**17 up, a ceiling's workload stays under 256 specs or 256 components
+    return data.draw(st.integers(2**17, 2**19), label="count"), data.draw(st.integers(1, 2000), label="steps")
+
+
+def _stepsaver(tmp, count, steps, workload):
+    def argv(size):
+        path = tmp / "specs-drawn.json"
+        path.write_text(workload(size))
+        return ["stepsaver", "--workload", str(path), "--count", str(count), "--steps", str(steps)]
+    return argv
+
+
+def _spec_load(data, tmp):
+    count, steps = _stepsaver_draws(data)
+    widest = data.draw(st.integers(1, 2**24 // count), label="widest spec")  # within the widest-spec charge
+    ceiling = _BUDGET // 4 // (count + 4 * steps)
+    return _Ceiling(_stepsaver(tmp, count, steps, lambda size: _spec_doc(size, widest)), ceiling, (ceiling + 1,),
+                    "train_and_evaluate", "load_mixture_workload",
+                    _charged("workload", lambda size: f"4 * specs * (count + 4 * steps) = 4 * {size} * ({count} + "
+                                                      f"4 * {steps}) = {4 * size * (count + 4 * steps)}"))
+
+
+def _widest_spec(data, tmp):
+    count, steps = _stepsaver_draws(data)
+    ceiling = _BUDGET // 8 // count
+    return _Ceiling(_stepsaver(tmp, count, steps, lambda size: _spec_doc(5, size)), ceiling, (ceiling + 1,),
+                    "train_and_evaluate", "load_mixture_workload",
+                    _charged("workload", lambda size: f"8 * count * components = 8 * {count} * {size} = "
+                                                      f"{8 * count * size}"))
+
+
+def _route_sweep(data, tmp):
+    items = data.draw(st.integers(2**12, 2**14), label="items")
+    tokens = st.lists(st.integers(0, 3), min_size=1, max_size=3)  # both models have 4 tokens
+    item = {"prompt": data.draw(tokens, label="prompt"), "continuation": data.draw(tokens, label="continuation")}
+    path = tmp / "items-drawn.json"
+    path.write_text(json.dumps({"items": [item] * items}))
+    return _Ceiling(lambda size: ["route", "--small", str(tmp / "small.json"), "--large", str(tmp / "large.json"),
+                                  "--workload", str(path), "--thetas=" + ",".join(["0.5"] * size)],
+                    _BUDGET // items, (_BUDGET // items + 1,), "frontier", "load_route_workload",
+                    _charged("thetas", lambda size: f"thetas * items = {size} * {items} = {size * items}"))
+
+
+# each declared charge's case, by its rule
+_CHARGE_CASES = {
+    "8 * fit_seqs * (fit_len * dim + vocabulary)": ("eagle-fit_seqs", _eagle_fit),
+    "128 * taus": ("early-exit-taus", _taus),
+    "4 * specs * (count + 4 * steps)": ("stepsaver-workload-specs", _spec_load),
+    "8 * count * components": ("stepsaver-workload-components", _widest_spec),
+    "thetas * items": ("route-thetas", _route_sweep),
+}
+# every int key with an upper bound, but for stepsaver's steps, whose bound is its schedule's, and every charge
+_CEILING_CASES = [pytest.param(_scalar(technique, key), id=f"{technique}-{key}")
+                  for technique, schema in _SCHEMAS.items() for key, (check, _) in schema.items()
+                  if check.flag_type is int and "<=" in check.rule and key != "steps"]
+_CEILING_CASES += [pytest.param(_CHARGE_CASES[rule][1], id=_CHARGE_CASES[rule][0])
+                   for charges in cli._CHARGES.values() for _, rule, _ in charges]
+
+
+@pytest.mark.parametrize("case", _CEILING_CASES)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_cli_rejects_every_size_past_its_ceiling_before_allocating(ceiling_dir, case, data):
+    case = case(data, ceiling_dir)
+    out = ceiling_dir / "out.report"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, case.next_step, _reach)
+        with pytest.raises(_Reached):  # the ceiling passes its check, and the run goes on
+            main([*case.argv(case.ceiling), "--report", str(out)])
+        if case.loaded is not None:
+            patch.setattr(cli, case.loaded, _tracing_after(getattr(cli, case.loaded)))
+        for size in case.rejected:
+            argv, err = case.argv(size), io.StringIO()
+            if case.loaded is None:
+                tracemalloc.start()
+            try:
+                with contextlib.redirect_stderr(err):
+                    rc = main([*argv, "--report", str(out)])
+                assert tracemalloc.is_tracing()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc == 1
+            assert err.getvalue() == case.error(size)
+            assert not out.exists()
+            assert peak < 2**20  # nothing the size charges is allocated, not even refused by the allocator
 
 
 @pytest.mark.parametrize("technique, flags", [
