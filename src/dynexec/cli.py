@@ -94,8 +94,11 @@ def _as_int_list(value, key):
 def _as_float_list(value, key):
     if not isinstance(value, list) or not value or not all(map(is_number, value)):
         raise SchemaError(f"key '{key}' must be a non-empty list of numbers", key=key)
-    floats = [_as_float(v, key) for v in value]
-    if any(math.isnan(v) for v in floats):
+    try:
+        floats = list(map(float, value))
+    except OverflowError:
+        raise SchemaError(f"key '{key}' has an integer too large for a float", key=key) from None
+    if any(map(math.isnan, floats)):
         raise SchemaError(f"key '{key}' must not contain NaN", key=key)
     return floats
 
@@ -109,7 +112,10 @@ _as_float_list.flag_type = _comma_list(float)
 # float64s per unit a run was measured to peak at under tracemalloc, with headroom.
 ELEMENT_BUDGET = 2**27
 # a decode's `n` and `k`: about 10 float64s per emitted token and, at the
-# largest vocabulary and feature dim, 650 per token drafted in one cycle
+# largest vocabulary and feature dim, 650 per token drafted in one cycle.
+# A specdec decode on table models also keeps the running sums its draws
+# build, under 9 per table entry whatever n is (8.25 with every row and
+# every pair the cap allows built, on two vocabulary-256 order-1 tables)
 MAX_TOKENS = ELEMENT_BUDGET // 32
 MAX_DRAFT = ELEMENT_BUDGET // 1024
 # lookahead's cache copies an (ngram - 1)-token window at every history

@@ -236,6 +236,8 @@ def sample(d, rng: Rng) -> int:
     of the decode process tractable (uniforms integrate out analytically).
     The scan walks Python floats: they add with the same IEEE operations in
     the same order as float64 array elements, at a fraction of the cost.
+    A speculative decode on table models keeps these running totals per row
+    and bisects them (`specdec._TableDraws`), for the same token.
     """
     u = rng.uniform()
     acc = 0.0

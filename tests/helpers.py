@@ -53,13 +53,18 @@ def memoryless_model(dist, cost_units=1.0):
     return TableModel(len(dist), 0, {(): dist}, cost_units=cost_units)
 
 
-def varied_entropy_table_model(vocab, order, rng, cost_units=1.0):
+def varied_entropy_table_model(vocab, order, rng, cost_units=1.0, zero_share=0.0):
     """Table model whose rows range from near-uniform to sharply peaked, so
-    prompt difficulties spread across [0, ln V] instead of clustering."""
+    prompt difficulties spread across [0, ln V] instead of clustering. With
+    a zero_share, each entry but a row's largest is an exact zero with that
+    probability."""
     table = {}
     for w in itertools.product(range(vocab), repeat=order):
         sharpness = 0.2 + 8.0 * rng.uniform()
-        table[w] = normalize(rng.uniforms(vocab) ** sharpness)
+        row = rng.uniforms(vocab) ** sharpness
+        if zero_share:
+            row[(rng.uniforms(vocab) < zero_share) & (row < row.max())] = 0.0
+        table[w] = normalize(row)
     return TableModel(vocab, order, table, cost_units=cost_units)
 
 

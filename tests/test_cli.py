@@ -141,6 +141,22 @@ def test_type_checks(tmp_path, model_files):
             load_config(path)
 
 
+@pytest.mark.parametrize("value, rule", [
+    ([], "must be a non-empty list of numbers"),
+    ((0.1,), "must be a non-empty list of numbers"),
+    ([0.1, True], "must be a non-empty list of numbers"),
+    ([0.1, "0.2"], "must be a non-empty list of numbers"),
+    ([0.1, 10**400], "has an integer too large for a float"),
+    ([float("nan"), 10**400], "has an integer too large for a float"),
+    ([0.1, float("nan")], "must not contain NaN"),
+])
+def test_float_list_rejections_name_the_key_and_rule(value, rule):
+    with pytest.raises(SchemaError) as err:
+        cli._as_float_list(value, "taus")
+    assert str(err.value) == f"key 'taus' {rule}" and err.value.key == "taus"
+    assert cli._as_float_list([0, 2**60, -0.5], "taus") == [0.0, float(2**60), -0.5]
+
+
 def test_seed_precedence(monkeypatch):
     config = {"technique": "specdec", "master_seed": 5, "params": {}}
     assert resolve_seed(config, seed_override=9) == 9

@@ -4,7 +4,9 @@ A decode cycle draws its uniforms through `Rng.uniform`, which serves them
 from blocks of the vectorized kernel, samples through `core.sample`, which
 scans Python floats, resamples through `specdec.residual`, which clips its
 difference in place and divides by the total it has computed, and reads the
-target's K+1 positions through one `SequenceModel.dists` call. Each must
+target's K+1 positions through one `SequenceModel.dists` call. A decode
+on table models draws from a row, and from a rejected pair's residual, by
+bisecting running sums it builds once (`specdec._TableDraws`). Each must
 give exactly what the plain form gives, so every report stays
 byte-identical: the one-draw-at-a-time formula `oracles.uniform_reference`,
 the numpy-scalar scan `oracles.sample_reference`, `normalize(max(p - q, 0))`
@@ -16,9 +18,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dynexec import Rng, normalize, residual, sample
-from dynexec.core import _BLOCK, MAX_FEATURE_DIM, MIN_FEATURE_DIM, RngStreams, _box_muller
+from dynexec import Rng, TableModel, normalize, residual, sample
+from dynexec.core import _BLOCK, DIST_ATOL, MAX_FEATURE_DIM, MIN_FEATURE_DIM, RngStreams, _box_muller
 from dynexec.errors import AllZeroResidual
+from dynexec.specdec import _TableDraws
 
 from helpers import FixedRng, random_feature_model, random_table_model
 from oracles import child_seed_reference, sample_reference, uniform_reference
@@ -136,6 +139,84 @@ def test_residual_equals_normalize_of_the_clipped_difference(case):
     assert fast.tobytes() == normalize(np.maximum(p - q, 0.0)).tobytes()
     with pytest.raises(AllZeroResidual):
         residual(p, p)
+
+
+@st.composite
+def table_rows(draw, count):
+    """`count` valid rows of one vocabulary, each with exact zeros, -0.0s,
+    leading and trailing zeros, subnormal entries and mass short of 1 by up
+    to DIST_ATOL."""
+    rng = Rng(draw(st.integers(0, 2**32)))
+    lead, trail = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    vocab = draw(st.integers(max(1, 2 - lead - trail), 48))
+    rows = []
+    for _ in range(count):
+        d = rng.uniforms(vocab)
+        d[rng.uniforms(vocab) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0.0
+        d[int(rng.uniform() * vocab)] += 0.1
+        d /= d.sum()
+        d *= 1.0 - draw(st.sampled_from([0.0, 1e-12, 0.999 * DIST_ATOL]))
+        d = np.concatenate([np.zeros(lead), d, np.zeros(trail)])
+        zeros = np.flatnonzero(d == 0.0)
+        pick = rng.uniforms(zeros.size)
+        share = draw(st.sampled_from([0.0, 0.3]))
+        d[zeros[pick < share]] = -0.0
+        d[zeros[pick > 1.0 - share]] = SUBNORMAL * (1.0 + pick[pick > 1.0 - share])
+        rows.append(d)
+    return rows
+
+
+def _rng_pair(kind, seed, d):
+    """Two Rngs that read the same uniforms: a seeded stream, or two scripted
+    uniforms on a running total of d, or in the gap between its mass and 1
+    (where a draw returns the last positive entry), then a stream draw."""
+    if kind == "stream":
+        return Rng(seed), Rng(seed)
+    stream = Rng(seed)
+    totals = np.cumsum(np.maximum(d, 0.0))
+    if kind == "running total":
+        u = [float(totals[int(stream.uniform() * d.size)]) for _ in range(2)]
+    else:
+        u = [float(totals[-1]) + (1.0 - float(totals[-1])) * stream.uniform() for _ in range(2)]
+    u = [min(v, 1.0 - 2.0**-53) for v in u]
+    follow = stream.uniform()
+    return FixedRng(u + [follow]), FixedRng(u + [follow])
+
+
+_UNIFORM_KINDS = st.sampled_from(["stream", "running total", "in the gap"])
+
+
+def _table(row):
+    model = TableModel(len(row), 0, {(): row})
+    return model, model.dist(())
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_rows(1), _UNIFORM_KINDS, st.integers(0, 2**32))
+def test_table_row_draw_matches_the_numpy_scalar_reference(rows, kind, seed):
+    model, row = _table(rows[0])
+    assert row.tobytes() == rows[0].tobytes()
+    draws = _TableDraws(model, model)
+    fast, plain = _rng_pair(kind, seed, row)
+    # the first draw builds the row's running sums, the second bisects them
+    for draw in (draws.target, draws.draft):
+        assert draw(row, fast) == sample_reference(row, plain)
+    assert fast.uniform() == plain.uniform()  # each consumed exactly one uniform
+    assert len(draws._sums) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_rows(2), _UNIFORM_KINDS, st.integers(0, 2**32))
+def test_rejected_pair_draw_matches_the_reference_on_its_residual(rows, kind, seed):
+    (target, p), (draft_model, q) = map(_table, rows)
+    assume((p > q).any())
+    r = residual(p, q)
+    draws = _TableDraws(target, draft_model)
+    fast, plain = _rng_pair(kind, seed, r)
+    for _ in range(2):
+        assert draws.rejected(p, q, fast) == sample_reference(r, plain)
+    assert fast.uniform() == plain.uniform()
+    assert len(draws._pairs) == 1
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,7 +3,8 @@
 `tests/oracles.py` re-derives lookahead, speculative decoding and
 feature-level drafting with no incremental state, no shared loop and no
 cache kept between rounds. Tokens and every stats field must be equal for
-random table and feature models, including rounds in which lookahead has
+random table and feature models, table rows with exact zeros, which every
+draw skips, among them, including rounds in which lookahead has
 nothing to propose and argmax ties in the uniform fallback row, which a
 prompt shorter than the order selects.
 """
@@ -23,8 +24,11 @@ from oracles import eagle_reference, fixture_normals, lookahead_reference, specu
 
 @st.composite
 def models(draw, count):
+    """Table models on one vocabulary, their rows holding exact zeros or not,
+    and a prompt."""
     vocab = draw(st.integers(2, 8))
-    built = [varied_entropy_table_model(vocab, draw(st.integers(0, 3)), Rng(draw(st.integers(0, 2**32))))
+    built = [varied_entropy_table_model(vocab, draw(st.integers(0, 3)), Rng(draw(st.integers(0, 2**32))),
+                                        zero_share=draw(st.sampled_from([0.0, 0.5])))
              for _ in range(count)]
     return built, draw(st.lists(st.integers(0, vocab - 1), max_size=6))
 

@@ -1,9 +1,15 @@
+import os
+import tracemalloc
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from dynexec import specdec as specdec_module
 from dynexec import (
     Rng,
     TableModel,
+    normalize,
     residual,
     simulated_speedup,
     speculative_decode,
@@ -16,14 +22,18 @@ from dynexec.errors import (
     LengthMismatch,
     VocabMismatch,
 )
+from dynexec.cli import load_config, run
 
 from helpers import CountingRng, FixedRng, memoryless_model, onehot, random_table_model
 from oracles import (
     acceptance_rate_memoryless,
     expected_tokens_per_cycle,
     max_preservation_deviation,
+    speculative_reference,
     table_draft_dist_fn,
 )
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def test_draft_degenerate_model():
@@ -265,3 +275,74 @@ def test_simulated_speedup_inequality():
     drafter = memoryless_model(q, cost_units=ratio)
     _, stats = speculative_decode(target, drafter, (), 4000, k, Rng(55))
     assert simulated_speedup(stats, 1.0, ratio) >= 1.0
+
+
+@pytest.fixture
+def made_draws(monkeypatch):
+    """Every `_TableDraws` a decode builds, kept for the test to inspect."""
+    made = []
+
+    class Recorded(specdec_module._TableDraws):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(specdec_module, "_TableDraws", Recorded)
+    return made
+
+
+@pytest.mark.parametrize("name", ["eagle", "specdec-feature", "specdec"])
+def test_only_table_rows_enter_the_draw_memo(made_draws, name):
+    run(load_config(os.path.join(GOLDEN, f"{name}.config.json")), base_dir=GOLDEN)
+    # feature-model decodes build no memo; the table one fills both kinds
+    assert len(made_draws) == (name == "specdec")
+    assert all(d._sums and d._pairs for d in made_draws)
+
+
+def _peaked_table(vocab, shift, floor=1e-3):
+    """Order-1 table whose row after token x puts nearly all its mass on x + shift."""
+    table = {}
+    for x in range(vocab):
+        row = np.full(vocab, floor)
+        row[(x + shift) % vocab] += 1.0
+        table[(x,)] = row / row.sum()
+    return TableModel(vocab, 1, table)
+
+
+def test_draw_memo_stays_within_its_cap_and_the_decode_budget(made_draws):
+    # far drafts: the target follows x -> x + 1 and the draft guesses x + 2
+    vocab, N = 256, 4096
+    target, draft_model = _peaked_table(vocab, 1), _peaked_table(vocab, 2)
+    tracemalloc.start()
+    try:
+        _, stats = speculative_decode(target, draft_model, (0,), N, 4, Rng(3))
+        peak = tracemalloc.get_traced_memory()[1] / 8
+    finally:
+        tracemalloc.stop()
+    assert stats.acceptance_rate < 0.1
+    (draws,) = made_draws
+    cap = len(target.rows) + len(draft_model.rows)
+    assert 0 < len(draws._sums) <= cap and 0 < len(draws._pairs) <= cap
+    # cli.MAX_TOKENS' measured bound: about 10 float64s per emitted token, plus
+    # under 9 per table entry for the running sums the draws build
+    assert peak <= 10 * N + 9 * cap * vocab
+
+
+class _FreshRows(TableModel):
+    """A table model that hands out a new copy of its row at every call, so
+    no two draws share a row's identity."""
+
+    def dist(self, state):
+        return super().dist(state).copy()
+
+
+def test_draws_past_the_memo_cap_take_the_plain_path(made_draws):
+    rng = Rng(8)
+    target, draft_model = (_FreshRows(3, 1, {(x,): normalize(rng.uniforms(3)) for x in range(3)})
+                           for _ in range(2))
+    out, stats = speculative_decode(target, draft_model, (0,), 200, 3, Rng(9))
+    ref_out, ref_stats = speculative_reference(target, draft_model, (0,), 200, 3, Rng(9))
+    assert out == ref_out and asdict(stats) == ref_stats
+    (draws,) = made_draws
+    cap = len(target.rows) + len(draft_model.rows)
+    assert len(draws._sums) == len(draws._pairs) == cap
