@@ -11,6 +11,7 @@ import json
 import math
 import os
 import secrets
+from bisect import bisect_right
 
 import numpy as np
 
@@ -229,33 +230,36 @@ def entropy(d) -> float:
     return max(0.0, float(-(p * np.log(p)).sum()))
 
 
-def sample(d, rng: Rng) -> int:
-    """Draw one token by inverse CDF, scanning tokens in index order.
+def running_sums(d) -> list:
+    """The running totals of d (an array or a list) in index order, as Python
+    floats, cut after its last positive entry, whose total becomes inf."""
+    values = d.tolist() if isinstance(d, np.ndarray) else d
+    last = len(values) - 1
+    while last > 0 and not values[last] > 0:
+        last -= 1
+    sums = list(itertools.accumulate(values[:last + 1]))
+    sums[last] = math.inf
+    return sums
 
-    Consumes exactly one uniform, which is what makes brute-force enumeration
-    of the decode process tractable (uniforms integrate out analytically).
-    The scan walks Python floats: they add with the same IEEE operations in
-    the same order as float64 array elements, at a fraction of the cost.
-    A speculative decode on table models keeps these running totals per row
-    and bisects them (`specdec._TableDraws`), for the same token.
-    """
-    u = rng.uniform()
-    acc = 0.0
-    last_positive = 0
-    for i, p in enumerate(d.tolist() if isinstance(d, np.ndarray) else d):
-        if p > 0:
-            last_positive = i
-            acc += p
-            if u < acc:
-                return i
-    # u landed beyond the accumulated mass (sum can be < 1 by ~1e-9)
-    return last_positive
+
+def sample(d, rng: Rng) -> int:
+    """Draw one token by inverse CDF: bisect_right of d's `running_sums` at one
+    uniform, so a uniform past the mass (short of 1 by ~1e-9) gives the last
+    positive entry.
+
+    Consuming exactly one uniform makes brute-force enumeration of a decode
+    tractable (uniforms integrate out analytically). Python floats add with
+    the same IEEE operations as float64 elements. d must be non-negative, as
+    every distribution is: adding 0.0 or -0.0 is exact, so the token is the
+    first whose running total of the positive entries exceeds the uniform."""
+    return bisect_right(running_sums(d), rng.uniform())
 
 
 def inverse_cdf(d, u) -> np.ndarray:
-    """`sample` for each uniform in u, from d or from the matching row of d.
+    """`sample` for each uniform in u, from d or from the matching row of d:
+    the batched form of the same rule.
 
-    The cumulative sum runs in index order like sample()'s running total, so
+    The cumulative sum is `running_sums`' totals, added in the same order, so
     the first index whose sum exceeds u is the token sample() returns; when u
     lies past the mass, the last positive entry is.
     """

@@ -100,6 +100,11 @@ def fit_extrapolator(model: FeatureModel, corpus: tuple[np.ndarray, np.ndarray],
     return Extrapolator(weight, bias)
 
 
+def _extrapolate(model: FeatureModel, ex: Extrapolator):
+    """The drafter's `advance`: the feature ex predicts after feature f and token t."""
+    return lambda f, t: ex.predict(f, model.embed[t])
+
+
 def eagle_draft(model: FeatureModel, ex: Extrapolator, ctx, K: int, rng: Rng) -> DraftOutput:
     """Draft K tokens by rolling the extrapolator at the feature level.
 
@@ -108,7 +113,7 @@ def eagle_draft(model: FeatureModel, ex: Extrapolator, ctx, K: int, rng: Rng) ->
     The first draft distribution therefore equals the target's, and drift
     enters through extrapolated features from the second position on.
     """
-    return draft_from(model.dist, lambda f, t: ex.predict(f, model.embed[t]), model.start(ctx), K, rng)[0]
+    return draft_from(model.dist, _extrapolate(model, ex), model.start(ctx), K, rng)[0]
 
 
 def eagle_decode(model: FeatureModel, ex: Extrapolator, prompt, N: int, K: int, rng: Rng):
@@ -120,7 +125,7 @@ def eagle_decode(model: FeatureModel, ex: Extrapolator, prompt, N: int, K: int, 
     """
 
     def propose(_, feature, __):
-        d, _ = draft_from(model.dist, lambda f, t: ex.predict(f, model.embed[t]), feature, K, rng)
+        d, _ = draft_from(model.dist, _extrapolate(model, ex), feature, K, rng)
         return d.tokens, d, None
 
     return _speculate(model, prompt, N, rng, propose)

@@ -10,15 +10,13 @@ exactly, no matter how bad the draft model is; draft quality only moves the
 acceptance rate, and with it the simulated speedup.
 """
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import Rng, SequenceModel, TableModel, check_context, sample
+from .core import Rng, SequenceModel, TableModel, check_context, running_sums
 from .errors import AllZeroResidual, ContractViolation, LengthMismatch, VocabMismatch
 
 
@@ -58,32 +56,62 @@ class DecodeStats:
     tokens_per_target_call: float
 
 
+class _RowSums:
+    """The `running_sums` of each row a decode draws from and of each
+    rejected (target row, draft row) pair's residual. Up to `cap` of each
+    are kept, keyed by identity and stored with their rows, so no key is
+    reused; past the cap, and always at the default's cap 0, they are built
+    at every draw."""
+
+    def __init__(self, cap: int):
+        self._rows = {}
+        self._pairs = {}
+        self._cap = cap
+
+    def row(self, d) -> list:
+        entry = self._rows.get(id(d))
+        if entry is None:
+            entry = running_sums(d), d
+            if len(self._rows) < self._cap:
+                self._rows[id(d)] = entry
+        return entry[0]
+
+    def rejected(self, p, q) -> list:
+        key = (id(p), id(q))
+        entry = self._pairs.get(key)
+        if entry is None:
+            entry = running_sums(residual(p, q)), p, q
+            if len(self._pairs) < self._cap:
+                self._pairs[key] = entry
+        return entry[0]
+
+
+_UNCACHED = _RowSums(0)
+
+
 def draft(draft_model: SequenceModel, ctx, K: int, rng: Rng) -> DraftOutput:
     """Sample K tokens autoregressively from the draft model, recording each distribution."""
     ctx = check_context(ctx, draft_model.vocab_size)
     return draft_from(draft_model.dist, draft_model.advance, draft_model.start(ctx), K, rng)[0]
 
 
-def draft_from(dist, advance, state, K: int, rng: Rng, draw=None):
+def draft_from(dist, advance, state, K: int, rng: Rng, sums: _RowSums = _UNCACHED):
     """The one drafting loop: `draft` from a drafter's state after the context.
 
     `dist(state)` is the drafter's next-token distribution and
     `advance(state, token)` its next state; the drafter steps only between
-    drafted tokens. Each token is `draw(q, rng)` from its distribution q:
-    `sample` by default, or a draw that gives the same token from the same
-    one uniform, such as `_TableDraws`' bisection of a table row. Returns the
-    proposal and the K states the tokens were drafted from.
+    drafted tokens. Each token is `sample`'s draw from its distribution q,
+    made inline on q's running sums from `sums`. Returns the proposal and
+    the K states the tokens were drafted from.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    if draw is None:
-        draw = sample
     tokens = []
     dists = []
     states = [state]
     for k in range(K):
         q = dist(states[-1])
-        tokens.append(draw(q, rng))
+        tokens.append(bisect_right(sums.row(q), rng.uniform()))
         dists.append(q)
         if k + 1 < K:
             states.append(advance(states[-1], tokens[-1]))
@@ -105,88 +133,15 @@ def residual(p, q) -> np.ndarray:
     return r / total
 
 
-class _Draws:
-    """A decode's draws: from a target row, from a draft row, and from the
-    residual of a rejected (target row, draft row) pair. These plain ones,
-    `sample` and `sample(residual(p, q))`, serve any model's rows."""
-
-    def target(self, d, rng):
-        return sample(d, rng)
-
-    draft = target
-
-    def rejected(self, p, q, rng):
-        return sample(residual(p, q), rng)
-
-
-def _running_sums(values) -> list:
-    """`sample`'s running totals over `values`, cut after the last positive
-    entry, whose total becomes inf, so bisect_right(sums, u) is the token
-    `sample` draws with the uniform u, a u past the mass included. Adding a
-    zero is exact, so the total at each positive entry is the one `sample`
-    reaches, by the same IEEE additions in the same order."""
-    last = len(values) - 1
-    while last > 0 and not values[last] > 0:
-        last -= 1
-    sums = list(accumulate(values[:last + 1]))
-    sums[last] = math.inf
-    return sums
-
-
-class _TableDraws(_Draws):
-    """The draws of one decode whose target and draft are table models.
-
-    A table model has a fixed set of rows, so the running sums of each row
-    drawn from, and of each rejected pair's residual, are built the first
-    time the decode needs them (nothing at load), and a draw is then one
-    uniform and one bisection, the token and the uniform `sample` would take.
-    Rows are keyed by identity and kept alive, so no key is reused. At most
-    rows_target + rows_draft sums of each kind are kept; a row or pair past
-    that cap is drawn the plain way.
-    """
-
-    def __init__(self, target: TableModel, draft_model: TableModel):
-        self._sums = {}
-        self._pairs = {}
-        self._kept = []
-        self._cap = len(target.rows) + len(draft_model.rows)
-
-    def target(self, d, rng):
-        sums = self._sums.get(id(d))
-        if sums is None:
-            if len(self._sums) >= self._cap:
-                return sample(d, rng)
-            sums = self._sums[id(d)] = _running_sums(d.tolist())
-            self._kept.append(d)
-        return bisect_right(sums, rng.uniform())
-
-    draft = target
-
-    def rejected(self, p, q, rng):
-        key = (id(p), id(q))
-        sums = self._pairs.get(key)
-        if sums is None:
-            r = residual(p, q)
-            if len(self._pairs) >= self._cap:
-                return sample(r, rng)
-            sums = self._pairs[key] = _running_sums(r.tolist())
-            self._kept += (p, q)
-        return bisect_right(sums, rng.uniform())
-
-
-_PLAIN_DRAWS = _Draws()
-
-
-def verify(target_dists, d: DraftOutput, rng: Rng, draws: _Draws = _PLAIN_DRAWS) -> VerificationResult:
+def verify(target_dists, d: DraftOutput, rng: Rng, sums: _RowSums = _UNCACHED) -> VerificationResult:
     """Scan drafted tokens in order, accepting token x at position i iff
     u < min(1, p_i(x) / q_i(x)) for a fresh uniform u.
 
     On the first rejection, one token is drawn from residual(p_i, q_i) and the
     scan stops; if all K drafts survive, a bonus token is drawn from
-    target_dists[K]. `draws` makes these two draws: `sample` by default, or
-    `_TableDraws`' bisections, which give the same tokens. Exactly one uniform
-    is consumed per scanned position plus one for the terminal draw, so the
-    randomness budget is countable.
+    target_dists[K]. Each is `sample`'s draw, made inline on the running sums
+    from `sums`. Exactly one uniform is consumed per scanned position plus
+    one for the terminal draw, so the randomness budget is countable.
     """
     K = len(d.tokens)
     if len(target_dists) != K + 1:
@@ -202,9 +157,9 @@ def verify(target_dists, d: DraftOutput, rng: Rng, draws: _Draws = _PLAIN_DRAWS)
         u = rng.uniform()
         if u < min(1.0, float(p_i[token]) / q_tok):
             continue
-        corrected = draws.rejected(p_i, q_i, rng)
+        corrected = bisect_right(sums.rejected(p_i, q_i), rng.uniform())
         return VerificationResult(i, d.tokens[:i] + (corrected,), True)
-    bonus = draws.target(target_dists[K], rng)
+    bonus = bisect_right(sums.row(target_dists[K]), rng.uniform())
     return VerificationResult(K, d.tokens + (bonus,), False)
 
 
@@ -251,10 +206,10 @@ def _decode_loop(target: SequenceModel, prompt, N, propose, check, draft_model=N
     return history[n_prompt:n_prompt + N], cycles, drafted, accepted
 
 
-def _speculate(target: SequenceModel, prompt, N, rng, propose, draft_model=None, draws=_PLAIN_DRAWS):
+def _speculate(target: SequenceModel, prompt, N, rng, propose, draft_model=None, sums=_UNCACHED):
     """_decode_loop with the rejection scan `verify` as its rule, and its DecodeStats."""
     out, cycles, drafted, accepted = _decode_loop(
-        target, prompt, N, propose, lambda dists, d: verify(dists, d, rng, draws), draft_model)
+        target, prompt, N, propose, lambda dists, d: verify(dists, d, rng, sums), draft_model)
     return out, DecodeStats(
         tokens_generated=len(out),
         target_calls=cycles,
@@ -272,21 +227,20 @@ def speculative_decode(target: SequenceModel, draft_model: SequenceModel,
     Each cycle drafts K tokens and counts K draft calls plus ONE target
     call: the K+1 target evaluations of a cycle model the paper-style batched
     forward pass. Surplus tokens from the final cycle are discarded, but its
-    drafted/accepted counts still feed acceptance_rate. When both models
-    are table models, their rows are drawn from by bisection of running sums
-    built during this decode (`_TableDraws`).
+    drafted/accepted counts still feed acceptance_rate. A decode on two
+    table models keeps up to rows_target + rows_draft `_RowSums` of each kind.
     """
     if target.vocab_size != draft_model.vocab_size:
         raise VocabMismatch("target and draft models must share a vocabulary")
     prompt = check_context(prompt, target.vocab_size)
     tables = isinstance(target, TableModel) and isinstance(draft_model, TableModel)
-    draws = _TableDraws(target, draft_model) if tables else _PLAIN_DRAWS
+    sums = _RowSums(len(target.rows) + len(draft_model.rows)) if tables else _UNCACHED
 
     def propose(_, __, draft_state):
-        d, states = draft_from(draft_model.dist, draft_model.advance, draft_state, K, rng, draws.draft)
+        d, states = draft_from(draft_model.dist, draft_model.advance, draft_state, K, rng, sums)
         return d.tokens, d, states
 
-    return _speculate(target, prompt, N, rng, propose, draft_model, draws)
+    return _speculate(target, prompt, N, rng, propose, draft_model, sums)
 
 
 def simulated_speedup(stats: DecodeStats, target_cost: float, draft_cost: float) -> float:

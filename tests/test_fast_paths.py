@@ -1,17 +1,21 @@
 """The verify cycle's fast paths against their plain forms, bit for bit.
 
 A decode cycle draws its uniforms through `Rng.uniform`, which serves them
-from blocks of the vectorized kernel, samples through `core.sample`, which
-scans Python floats, resamples through `specdec.residual`, which clips its
-difference in place and divides by the total it has computed, and reads the
-target's K+1 positions through one `SequenceModel.dists` call. A decode
-on table models draws from a row, and from a rejected pair's residual, by
-bisecting running sums it builds once (`specdec._TableDraws`). Each must
-give exactly what the plain form gives, so every report stays
-byte-identical: the one-draw-at-a-time formula `oracles.uniform_reference`,
-the numpy-scalar scan `oracles.sample_reference`, `normalize(max(p - q, 0))`
-and one `dist` per state.
+from blocks of the vectorized kernel, resamples through `specdec.residual`,
+which clips its difference in place and divides by the total it has
+computed, and reads the target's K+1 positions through one
+`SequenceModel.dists` call. Every token is drawn by the one rule of
+`core.sample`: bisect a row's `core.running_sums`, Python floats, at one
+uniform. A decode makes that draw inline on sums from a `specdec._RowSums`
+memo, which on two table models keeps the sums of each row and rejected
+pair and otherwise builds them at every draw. Each must give exactly what
+the plain form gives, so every report stays byte-identical: the
+one-draw-at-a-time formula `oracles.uniform_reference`, the numpy-scalar
+scan `oracles.sample_reference`, `normalize(max(p - q, 0))` and one `dist`
+per state.
 """
+
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from hypothesis import strategies as st
 from dynexec import Rng, TableModel, normalize, residual, sample
 from dynexec.core import _BLOCK, DIST_ATOL, MAX_FEATURE_DIM, MIN_FEATURE_DIM, RngStreams, _box_muller
 from dynexec.errors import AllZeroResidual
-from dynexec.specdec import _TableDraws
+from dynexec.specdec import _UNCACHED, _RowSums
 
 from helpers import FixedRng, random_feature_model, random_table_model
 from oracles import child_seed_reference, sample_reference, uniform_reference
@@ -191,32 +195,46 @@ def _table(row):
     return model, model.dist(())
 
 
+# how a decode draws: plain `sample`, or inline on the running sums of a memo
+# that keeps them or of the cap-0 default that builds them at every draw
+_HOW = st.sampled_from(["sample", "memo", "cap 0"])
+
+
+def _memo(how):
+    return _RowSums(1) if how == "memo" else _UNCACHED
+
+
 @settings(max_examples=200, deadline=None)
-@given(table_rows(1), _UNIFORM_KINDS, st.integers(0, 2**32))
-def test_table_row_draw_matches_the_numpy_scalar_reference(rows, kind, seed):
-    model, row = _table(rows[0])
+@given(table_rows(1), _UNIFORM_KINDS, st.integers(0, 2**32), _HOW)
+def test_table_row_draw_matches_the_numpy_scalar_reference(rows, kind, seed, how):
+    _, row = _table(rows[0])
     assert row.tobytes() == rows[0].tobytes()
-    draws = _TableDraws(model, model)
+    memo = _memo(how)
     fast, plain = _rng_pair(kind, seed, row)
-    # the first draw builds the row's running sums, the second bisects them
-    for draw in (draws.target, draws.draft):
-        assert draw(row, fast) == sample_reference(row, plain)
+    # with a memo, the first draw builds the row's running sums and the second bisects them
+    for _ in range(2):
+        token = sample(row, fast) if how == "sample" else bisect_right(memo.row(row), fast.uniform())
+        assert token == sample_reference(row, plain)
     assert fast.uniform() == plain.uniform()  # each consumed exactly one uniform
-    assert len(draws._sums) == 1
+    assert len(memo._rows) == (how == "memo")
 
 
 @settings(max_examples=200, deadline=None)
-@given(table_rows(2), _UNIFORM_KINDS, st.integers(0, 2**32))
-def test_rejected_pair_draw_matches_the_reference_on_its_residual(rows, kind, seed):
-    (target, p), (draft_model, q) = map(_table, rows)
+@given(table_rows(2), _UNIFORM_KINDS, st.integers(0, 2**32), _HOW)
+def test_rejected_pair_draw_matches_the_reference_on_its_residual(rows, kind, seed, how):
+    (_, p), (_, q) = map(_table, rows)
     assume((p > q).any())
     r = residual(p, q)
-    draws = _TableDraws(target, draft_model)
+    memo = _memo(how)
     fast, plain = _rng_pair(kind, seed, r)
     for _ in range(2):
-        assert draws.rejected(p, q, fast) == sample_reference(r, plain)
+        if how == "sample":
+            token = sample(residual(p, q), fast)
+        else:
+            token = bisect_right(memo.rejected(p, q), fast.uniform())
+        assert token == sample_reference(r, plain)
     assert fast.uniform() == plain.uniform()
-    assert len(draws._pairs) == 1
+    assert len(memo._pairs) == (how == "memo")
 
 
 @settings(max_examples=100, deadline=None)

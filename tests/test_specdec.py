@@ -278,25 +278,27 @@ def test_simulated_speedup_inequality():
 
 
 @pytest.fixture
-def made_draws(monkeypatch):
-    """Every `_TableDraws` a decode builds, kept for the test to inspect."""
+def made_memos(monkeypatch):
+    """Every `_RowSums` a decode builds, kept for the test to inspect."""
     made = []
 
-    class Recorded(specdec_module._TableDraws):
+    class Recorded(specdec_module._RowSums):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
 
-    monkeypatch.setattr(specdec_module, "_TableDraws", Recorded)
+    monkeypatch.setattr(specdec_module, "_RowSums", Recorded)
     return made
 
 
 @pytest.mark.parametrize("name", ["eagle", "specdec-feature", "specdec"])
-def test_only_table_rows_enter_the_draw_memo(made_draws, name):
+def test_only_table_rows_enter_the_draw_memo(made_memos, name):
     run(load_config(os.path.join(GOLDEN, f"{name}.config.json")), base_dir=GOLDEN)
     # feature-model decodes build no memo; the table one fills both kinds
-    assert len(made_draws) == (name == "specdec")
-    assert all(d._sums and d._pairs for d in made_draws)
+    assert len(made_memos) == (name == "specdec")
+    assert all(m._rows and m._pairs for m in made_memos)
+    # the shared default every other decode draws through keeps nothing
+    assert not specdec_module._UNCACHED._rows and not specdec_module._UNCACHED._pairs
 
 
 def _peaked_table(vocab, shift, floor=1e-3):
@@ -309,7 +311,7 @@ def _peaked_table(vocab, shift, floor=1e-3):
     return TableModel(vocab, 1, table)
 
 
-def test_draw_memo_stays_within_its_cap_and_the_decode_budget(made_draws):
+def test_draw_memo_stays_within_its_cap_and_the_decode_budget(made_memos):
     # far drafts: the target follows x -> x + 1 and the draft guesses x + 2
     vocab, N = 256, 4096
     target, draft_model = _peaked_table(vocab, 1), _peaked_table(vocab, 2)
@@ -320,11 +322,11 @@ def test_draw_memo_stays_within_its_cap_and_the_decode_budget(made_draws):
     finally:
         tracemalloc.stop()
     assert stats.acceptance_rate < 0.1
-    (draws,) = made_draws
+    (memo,) = made_memos
     cap = len(target.rows) + len(draft_model.rows)
-    assert 0 < len(draws._sums) <= cap and 0 < len(draws._pairs) <= cap
+    assert 0 < len(memo._rows) <= cap and 0 < len(memo._pairs) <= cap
     # cli.MAX_TOKENS' measured bound: about 10 float64s per emitted token, plus
-    # under 9 per table entry for the running sums the draws build
+    # under 9 per table entry for the running sums the memo keeps
     assert peak <= 10 * N + 9 * cap * vocab
 
 
@@ -336,13 +338,13 @@ class _FreshRows(TableModel):
         return super().dist(state).copy()
 
 
-def test_draws_past_the_memo_cap_take_the_plain_path(made_draws):
+def test_draws_past_the_memo_cap_build_their_sums_each_time(made_memos):
     rng = Rng(8)
     target, draft_model = (_FreshRows(3, 1, {(x,): normalize(rng.uniforms(3)) for x in range(3)})
                            for _ in range(2))
     out, stats = speculative_decode(target, draft_model, (0,), 200, 3, Rng(9))
     ref_out, ref_stats = speculative_reference(target, draft_model, (0,), 200, 3, Rng(9))
     assert out == ref_out and asdict(stats) == ref_stats
-    (draws,) = made_draws
+    (memo,) = made_memos
     cap = len(target.rows) + len(draft_model.rows)
-    assert len(draws._sums) == len(draws._pairs) == cap
+    assert len(memo._rows) == len(memo._pairs) == cap

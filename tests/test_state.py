@@ -126,9 +126,9 @@ def test_specdec_draft_steps_k_or_k_plus_one_per_cycle(monkeypatch):
         calls += 1
         return advance(state, token)
 
-    def recording_verify(dists, d, rng, draws):
+    def recording_verify(dists, d, rng, sums):
         nonlocal full_accepts
-        result = verify(dists, d, rng, draws)
+        result = verify(dists, d, rng, sums)
         full_accepts += result.n_accepted == len(d.tokens)
         return result
 
