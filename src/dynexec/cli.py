@@ -445,14 +445,9 @@ def _run_stepsaver(params, seed, base_dir):
     n_train = min(len(specs), max(MIN_LABELED_SPECS, round(params["train_frac"] * len(specs))))
     reports = train_and_evaluate([spec for _, spec in specs], schedule, params["epsilon"], n_train,
                                  params["count"], Rng(seed))
-    return {"rows": [{
-        "spec_id": spec_id,
-        "difficulty": spec.difficulty,
-        "steps_used": report.steps_used,
-        "w1": report.w1,
-        "baseline_w1": report.baseline_w1,
-        "throughput_ratio": schedule.T / report.steps_used,
-    } for (spec_id, spec), report in zip(specs, reports)]}
+    return {"rows": [{"spec_id": spec_id, "difficulty": spec.difficulty, **asdict(report),
+                      "throughput_ratio": schedule.T / report.steps_used}
+                     for (spec_id, spec), report in zip(specs, reports)]}
 
 
 def _run_route(params, seed, base_dir):
@@ -461,7 +456,7 @@ def _run_route(params, seed, base_dir):
     large = load_model(_resolve(base_dir, params["large"]))
     workload = load_route_workload(_resolve(base_dir, params["workload"]), small, large)
     _check_budget("route", params, items=len(workload.prompt_lens))
-    reports = frontier(small, params["thetas"], workload, small, large)
+    reports = frontier(params["thetas"], workload, small, large)
     return {"rows": [{"theta": theta, **asdict(report)} for theta, report in zip(params["thetas"], reports)]}
 
 

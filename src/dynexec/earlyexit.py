@@ -2,10 +2,11 @@
 
 The ground-truth boundary is the cubic y = x^3 - x on x in [-1.5, 1.5]: easy
 points sit far enough from the curve that a straight line separates them,
-hard points hug it inside a narrow band and need the curved boundary. Stage 0
-is a plain logistic regression (cost 1), the final stage a cubic-feature
-logistic regression (cost 4), and a per-input entropy gate decides whether
-stage 0's answer is confident enough to stop there.
+hard points hug it inside a narrow band and need the curved boundary. Both
+stages are logistic regressions over one cubic feature matrix: stage 0 (cost
+1) reads its first two rows, x and y, and the final stage (cost 4) all nine.
+A per-input entropy gate decides whether stage 0's answer is confident enough
+to stop there.
 """
 
 from dataclasses import dataclass
@@ -43,31 +44,16 @@ class Dataset(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ExitStage:
-    """One classifier stage: logistic weights over a named feature map."""
-
-    weights: np.ndarray  # last entry is the intercept
-    feature_kind: str    # "linear" or "cubic"
-    cost_units: float
-
-    def dists(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        p1 = _sigmoid(self.weights[:-1] @ featurize(self.feature_kind, xs, ys) + self.weights[-1])
-        return np.stack([1.0 - p1, p1], axis=1)
-
-
-@dataclass(frozen=True)
 class MultiExitNet:
-    """Two stages; the final stage has no entropy gate and answers what the first does not."""
+    """Two stages, each its logistic weights over `featurize`'s rows, intercept
+    last: stage 0 costs STAGE0_COST, and the final stage, which has no entropy
+    gate and answers what the first does not, STAGE1_COST more."""
 
-    stages: tuple[ExitStage, ExitStage]
+    stages: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
         if len(self.stages) != 2:
             raise ValueError(f"need exactly two stages, got {len(self.stages)}")
-
-    @property
-    def full_cost(self) -> float:
-        return sum(s.cost_units for s in self.stages)
 
 
 @dataclass(frozen=True)
@@ -79,15 +65,19 @@ class SweepRow:
     speedup: float
 
 
-def featurize(kind: str, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    if kind not in ("linear", "cubic"):
-        raise ValueError(f"unknown feature kind {kind!r}")
-    rows = [xs, ys]
-    if kind == "cubic":
-        # products, not **3: numpy's power is about 70x slower than two multiplies
-        xx, xy, yy = xs * xs, xs * ys, ys * ys
-        rows += [xx, xy, yy, xx * xs, xx * ys, xy * ys, yy * ys]
-    return np.stack(rows)
+def featurize(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The C-contiguous (9, n) cubic features of n points, x and y first. A
+    stage whose weights are w reads the leading len(w) - 1 rows, so the
+    linear stage reads the contiguous view [:2]."""
+    # products, not **3: numpy's power is about 70x slower than two multiplies
+    xx, xy, yy = xs * xs, xs * ys, ys * ys
+    return np.stack([xs, ys, xx, xy, yy, xx * xs, xx * ys, xy * ys, yy * ys])
+
+
+def stage_dists(weights: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """A stage's (n, 2) class distributions from its weights over `featurize`'s rows."""
+    p1 = _sigmoid(weights[:-1] @ feats[:len(weights) - 1] + weights[-1])
+    return np.stack([1.0 - p1, p1], axis=1)
 
 
 def _sigmoid(z):
@@ -167,10 +157,11 @@ def train_stages(data: Dataset) -> MultiExitNet:
     # not np.unique, which imports numpy.ma at its first call in a process
     if labels.min() == labels.max():
         raise DegenerateData("training data contains a single class")
-    linear, _ = _fit_logistic(featurize("linear", data.xs, data.ys), labels, np.zeros(3))
+    feats = featurize(data.xs, data.ys)
+    linear, _ = _fit_logistic(feats[:2], labels, np.zeros(3))
     # the cubic rows start with the linear two: start there, 0 on the seven higher-order rows
-    cubic, _ = _fit_logistic(featurize("cubic", data.xs, data.ys), labels, np.insert(linear, -1, np.zeros(7)))
-    return MultiExitNet((ExitStage(linear, "linear", STAGE0_COST), ExitStage(cubic, "cubic", STAGE1_COST)))
+    cubic, _ = _fit_logistic(feats, labels, np.insert(linear, -1, np.zeros(7)))
+    return MultiExitNet((linear, cubic))
 
 
 def sweep(net: MultiExitNet, data: Dataset, taus) -> list[SweepRow]:
@@ -184,8 +175,8 @@ def sweep(net: MultiExitNet, data: Dataset, taus) -> list[SweepRow]:
     Each point is bucketed once by the number of grid values at or below its
     entropy, so the points exiting at the j-th tau are the buckets 0..j, and
     each row reads exact integer prefix counts of exits and right answers.
-    With integer stage costs, as the library's are, every sum is an integer
-    below 2**53, so each row equals the per-point means bit for bit.
+    The stage costs are integers, so every sum is an integer below 2**53, and
+    each row equals the per-point means bit for bit.
     """
     taus = list(taus)
     if not taus:
@@ -193,9 +184,10 @@ def sweep(net: MultiExitNet, data: Dataset, taus) -> list[SweepRow]:
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau grid must be sorted ascending")
     first, final = net.stages
-    first_dists = first.dists(data.xs, data.ys)
+    feats = featurize(data.xs, data.ys)
+    first_dists = stage_dists(first, feats)
     first_right = np.argmax(first_dists, axis=1) == data.labels
-    final_right = np.argmax(final.dists(data.xs, data.ys), axis=1) == data.labels
+    final_right = np.argmax(stage_dists(final, feats), axis=1) == data.labels
     # a NaN entropy sorts past every tau, so its point never exits, as `<` says
     buckets = np.searchsorted(np.array(taus, dtype=np.float64), _row_entropies(first_dists), side="right")
     m = len(taus)
@@ -204,10 +196,10 @@ def sweep(net: MultiExitNet, data: Dataset, taus) -> list[SweepRow]:
         for b in (buckets, buckets[first_right], buckets[final_right]))
     n = len(data.labels)
     final_total = int(np.count_nonzero(final_right))
-    full_cost = net.full_cost
+    full_cost = STAGE0_COST + STAGE1_COST
     rows = []
     for tau, k, first_k, final_k in zip(taus, exits, first_hits, final_hits):
-        mean_cost = (k * first.cost_units + (n - k) * full_cost) / n
+        mean_cost = (k * STAGE0_COST + (n - k) * full_cost) / n
         rows.append(SweepRow(
             tau=float(tau),
             accuracy=(first_k + final_total - final_k) / n,
@@ -225,6 +217,6 @@ def _row_entropies(dists: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, -s)
 
 
-def stage_accuracy(stage: ExitStage, data: Dataset) -> float:
-    preds = np.argmax(stage.dists(data.xs, data.ys), axis=1)
+def stage_accuracy(weights: np.ndarray, data: Dataset) -> float:
+    preds = np.argmax(stage_dists(weights, featurize(data.xs, data.ys)), axis=1)
     return float(np.mean(preds == data.labels))

@@ -21,12 +21,6 @@ LOGPROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class RoutePolicy:
-    threshold: float
-    probe: SequenceModel
-
-
-@dataclass(frozen=True)
 class WorkloadItem:
     prompt: tuple[int, ...]
     reference_continuation: tuple[int, ...]
@@ -91,10 +85,8 @@ def _log_prob(p: float) -> float:
 
 
 def _mean_log_likelihood(model: SequenceModel, prompt, continuation) -> float:
-    """Mean log-probability of the continuation after the prompt, read in one state walk."""
-    # advance does not check its token, and dist would read a negative one from the end
-    if min(continuation) < 0 or max(continuation) >= model.vocab_size:
-        raise VocabMismatch(f"continuation token outside vocabulary of size {model.vocab_size}")
+    """Mean log-probability of the continuation after the prompt, read in one
+    state walk; every token must lie inside the vocabulary, as `frontier` checks."""
     total = 0.0
     for state, token in zip(model.branch(model.start(prompt), continuation[:-1]), continuation):
         total += _log_prob(float(model.dist(state)[token]))
@@ -137,22 +129,19 @@ def _table_qualities(model: TableModel, rows, tokens, in_prompt, continuation_le
     return _item_means(log_probs[cell_at], continuation_lens)
 
 
-def frontier(probe: SequenceModel, thetas, workload, small: SequenceModel,
-             large: SequenceModel) -> list[RouteReport]:
-    """One RouteReport per threshold, in the order given, for a RouteWorkload
-    or WorkloadItems; every token must lie inside all three vocabularies.
+def frontier(thetas, workload: RouteWorkload, small: SequenceModel, large: SequenceModel) -> list[RouteReport]:
+    """One RouteReport per threshold, in the order given; every workload
+    token must lie inside both vocabularies. The small model is the probe.
 
     Each item's difficulty and its mean log-likelihood under both models are
     computed once; a threshold only picks between them in one array pass.
     Items whose difficulty strictly exceeds it go to the large model. Costs
-    are one probe call per prompt token plus one chosen-model call per
+    are one small-model call per prompt token plus one chosen-model call per
     continuation token, summed in item order, so every report is the one a
     per-threshold pass gives. A table model is read from the flat token
     array, a window lookup per position (`TableModel.rows_after`); a feature
     model walks each item's states.
     """
-    if not isinstance(workload, RouteWorkload):
-        workload = RouteWorkload.of(workload)
     tokens, prompt_lens, continuation_lens = workload
     if not len(prompt_lens):
         raise ValueError("workload must be non-empty")
@@ -160,27 +149,27 @@ def frontier(probe: SequenceModel, thetas, workload, small: SequenceModel,
         raise EmptyPrompt("difficulty needs a non-empty prompt")
     if not continuation_lens.all():
         raise ValueError("reference continuation must be non-empty")
-    vocab = min(model.vocab_size for model in (probe, small, large))
+    vocab = min(small.vocab_size, large.vocab_size)
     if tokens.min() < 0 or tokens.max() >= vocab:
         raise VocabMismatch(f"workload token outside the models' vocabulary of size {vocab}")
     item_lens = prompt_lens + continuation_lens
     offsets = np.arange(len(tokens)) - np.repeat(np.cumsum(item_lens) - item_lens, item_lens)
     in_prompt = offsets < np.repeat(prompt_lens, item_lens)
-    # each table model's row after every position, read once when the probe is also the small model
-    tables = {id(model): model for model in (probe, small, large) if isinstance(model, TableModel)}
+    # each table model's row after every position, read once when both models are one
+    tables = {id(model): model for model in (small, large) if isinstance(model, TableModel)}
     rows = {key: model.rows_after(tokens, offsets) for key, model in tables.items()}
-    if id(probe) in rows:
-        scores = _table_difficulties(probe, rows[id(probe)], in_prompt, prompt_lens)
+    if id(small) in rows:
+        scores = _table_difficulties(small, rows[id(small)], in_prompt, prompt_lens)
     else:
-        scores = np.array([difficulty(prompt, probe) for prompt, _ in workload.pairs()])
+        scores = np.array([difficulty(prompt, small) for prompt, _ in workload.pairs()])
     small_q, large_q = (
         _table_qualities(model, rows[id(model)], tokens, in_prompt, continuation_lens) if id(model) in rows
         else np.array([_mean_log_likelihood(model, *pair) for pair in workload.pairs()])
         for model in (small, large))
-    # (probe cost, chosen cost) per item, interleaved: np.cumsum adds in order where np.sum
+    # (prompt cost, chosen cost) per item, interleaved: np.cumsum adds in order where np.sum
     # adds pairwise, so its last element is the running total of a per-item pass
     costs = np.empty((len(prompt_lens), 2))
-    costs[:, 0] = prompt_lens * probe.cost_units
+    costs[:, 0] = prompt_lens * small.cost_units
     reports = []
     for theta in thetas:
         goes_large = scores > theta
@@ -192,6 +181,6 @@ def frontier(probe: SequenceModel, thetas, workload, small: SequenceModel,
     return reports
 
 
-def evaluate(policy: RoutePolicy, workload, small: SequenceModel, large: SequenceModel) -> RouteReport:
+def evaluate(threshold: float, workload: RouteWorkload, small: SequenceModel, large: SequenceModel) -> RouteReport:
     """The frontier at one threshold."""
-    return frontier(policy.probe, [policy.threshold], workload, small, large)[0]
+    return frontier([threshold], workload, small, large)[0]

@@ -20,16 +20,12 @@ from .core import Rng, SequenceModel, TableModel, check_context, running_sums
 from .errors import AllZeroResidual, ContractViolation, LengthMismatch, VocabMismatch
 
 
-@dataclass(frozen=True)
-class DraftOutput:
-    """K drafted tokens plus the draft distribution each was sampled from."""
+class DraftOutput(NamedTuple):
+    """K drafted tokens plus the draft distribution each was sampled from;
+    `verify` checks that there is at least one, each with its distribution."""
 
     tokens: tuple[int, ...]
     dists: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.tokens) != len(self.dists) or not self.tokens:
-            raise LengthMismatch("draft needs K >= 1 tokens with one distribution each")
 
 
 class VerificationResult(NamedTuple):
@@ -144,6 +140,8 @@ def verify(target_dists, d: DraftOutput, rng: Rng, sums: _RowSums = _UNCACHED) -
     one for the terminal draw, so the randomness budget is countable.
     """
     K = len(d.tokens)
+    if K != len(d.dists) or not K:
+        raise LengthMismatch("draft needs K >= 1 tokens with one distribution each")
     if len(target_dists) != K + 1:
         raise LengthMismatch(f"expected {K + 1} target distributions, got {len(target_dists)}")
     for i in range(K):

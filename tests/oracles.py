@@ -16,8 +16,8 @@ from dynexec.cli import _as_int_list
 from dynexec.core import Rng, _load_json, check_context, check_dist, entropy, feature_forward
 from dynexec.eagle import Extrapolator
 from dynexec.earlyexit import (BOUNDARY_X_RANGE, EASY_BAND, FIT_MAX_ITERATIONS, FIT_TOLERANCE, HARD_BAND, RIDGE,
-                               STAGE0_COST, STAGE1_COST, Dataset, ExitStage, MultiExitNet, SweepRow, _row_entropies,
-                               _sigmoid)
+                               STAGE0_COST, STAGE1_COST, Dataset, MultiExitNet, SweepRow, _row_entropies, _sigmoid,
+                               featurize, stage_dists)
 from dynexec.errors import (EmptyPrompt, InsufficientData, InvalidDistribution, LengthMismatch, NotConverged,
                             SchemaError)
 from dynexec.router import LOGPROB_FLOOR, RouteReport, WorkloadItem
@@ -397,12 +397,10 @@ def gen_dataset_reference(count, hard_fraction, seed):
     return Dataset(np.array(xs), np.array(ys), np.array(labels))
 
 
-def features_reference(kind, xs, ys):
-    """The early-exit features sample-major, one (n, d) row per point."""
-    if kind == "linear":
-        return np.stack([xs, ys], axis=1)
+def features_reference(xs, ys, d):
+    """The first d early-exit features sample-major, one (n, d) row per point."""
     xx, xy, yy = xs * xs, xs * ys, ys * ys
-    return np.stack([xs, ys, xx, xy, yy, xx * xs, xx * ys, xy * ys, yy * ys], axis=1)
+    return np.stack([xs, ys, xx, xy, yy, xx * xs, xx * ys, xy * ys, yy * ys][:d], axis=1)
 
 
 def fit_logistic_reference(feats, labels, start=None):
@@ -432,43 +430,46 @@ def fit_logistic_reference(feats, labels, start=None):
     raise NotConverged(f"logistic fit still moving after {FIT_MAX_ITERATIONS} Newton steps")
 
 
-class SampleMajorStage(ExitStage):
-    """An ExitStage whose outputs take the sample-major product over `features_reference`."""
+def sample_major_dists(weights, xs, ys):
+    """A stage's two-class distributions from the sample-major product of its
+    weights over the first len(weights) - 1 columns of `features_reference`."""
+    p1 = _sigmoid(features_reference(xs, ys, len(weights) - 1) @ weights[:-1] + weights[-1])
+    return np.stack([1.0 - p1, p1], axis=1)
 
-    def dists(self, xs, ys):
-        p1 = _sigmoid(features_reference(self.feature_kind, xs, ys) @ self.weights[:-1] + self.weights[-1])
-        return np.stack([1.0 - p1, p1], axis=1)
+
+def library_dists(weights, xs, ys):
+    """`earlyexit.stage_dists` over the points' `featurize` rows, as `sweep` reads them."""
+    return stage_dists(weights, featurize(xs, ys))
 
 
 def train_stages_reference(data):
-    """Both early-exit stages fitted from zero weights by `fit_logistic_reference`."""
+    """Both early-exit stages' weights fitted from zero by `fit_logistic_reference`."""
     labels = data.labels.astype(np.float64)
-    return MultiExitNet(tuple(
-        SampleMajorStage(fit_logistic_reference(features_reference(kind, data.xs, data.ys), labels), kind, cost)
-        for kind, cost in (("linear", STAGE0_COST), ("cubic", STAGE1_COST))))
+    return MultiExitNet(tuple(fit_logistic_reference(features_reference(data.xs, data.ys, d), labels) for d in (2, 9)))
 
 
 def point_rows(net, data):
     """Per point, its row of each stage's one batched pass over the data: the
     distributions `sweep` reads. BLAS sums a batched product in an order that
     depends on the batch, so a one-point pass can differ in the last bit."""
-    return list(zip(*(stage.dists(data.xs, data.ys) for stage in net.stages)))
+    return list(zip(*(library_dists(weights, data.xs, data.ys) for weights in net.stages)))
 
 
-def sweep_reference(net, data, taus):
-    """`earlyexit.sweep` as one pass over every point per tau: a mask of the
-    points whose stage-0 entropy is strictly below tau, and the means of the
-    chosen answers' hits and of the chosen costs."""
+def sweep_reference(net, data, taus, dists=library_dists):
+    """`earlyexit.sweep` as one pass over every point per tau, each stage's
+    distributions from `dists(weights, xs, ys)`: a mask of the points whose
+    stage-0 entropy is strictly below tau, and the means of the chosen
+    answers' hits and of the chosen costs."""
     first, final = net.stages
-    first_dists = first.dists(data.xs, data.ys)
+    first_dists = dists(first, data.xs, data.ys)
     first_preds = np.argmax(first_dists, axis=1)
-    final_preds = np.argmax(final.dists(data.xs, data.ys), axis=1)
+    final_preds = np.argmax(dists(final, data.xs, data.ys), axis=1)
     first_ents = _row_entropies(first_dists)
-    full_cost = net.full_cost
+    full_cost = STAGE0_COST + STAGE1_COST
     rows = []
     for tau in taus:
         exits = first_ents < tau
-        mean_cost = float(np.mean(np.where(exits, first.cost_units, full_cost)))
+        mean_cost = float(np.mean(np.where(exits, STAGE0_COST, full_cost)))
         rows.append(SweepRow(
             tau=float(tau),
             accuracy=float(np.mean(np.where(exits, first_preds, final_preds) == data.labels)),
@@ -479,18 +480,18 @@ def sweep_reference(net, data, taus):
     return rows
 
 
-def infer_with_exit(net, rows, tau):
-    """Classify one point from its distribution at each stage (`rows`),
-    exiting at the first stage whose entropy is strictly below tau; the final
-    stage always answers.
+def infer_with_exit(rows, tau):
+    """Classify one point from its distribution at each of the two stages
+    (`rows`), exiting at the first stage whose entropy is strictly below tau;
+    the final stage always answers.
 
     Returns (label, exit_index, cost_spent). The strict inequality makes tau=0
     a clean never-exit endpoint (entropy >= 0 always).
     """
     cost = 0.0
-    for idx, (stage, dist) in enumerate(zip(net.stages, rows)):
-        cost += stage.cost_units
-        final = idx == len(net.stages) - 1
+    for idx, (cost_units, dist) in enumerate(zip((STAGE0_COST, STAGE1_COST), rows)):
+        cost += cost_units
+        final = idx == len(rows) - 1
         if final or entropy(dist) < tau:
             return int(np.argmax(dist)), idx, cost
     raise AssertionError("unreachable: final stage always answers")
@@ -518,9 +519,9 @@ def mean_log_likelihood_reference(model, item):
     return total / len(item.reference_continuation)
 
 
-def route(policy, item):
-    """Returns "large" iff the item's difficulty strictly exceeds the threshold."""
-    return "large" if difficulty_reference(item.prompt, policy.probe) > policy.threshold else "small"
+def route(threshold, small, item):
+    """Returns "large" iff the item's difficulty under the small model strictly exceeds the threshold."""
+    return "large" if difficulty_reference(item.prompt, small) > threshold else "small"
 
 
 def load_route_workload_reference(path, small, large):
@@ -546,15 +547,16 @@ def load_route_workload_reference(path, small, large):
     return items
 
 
-def route_evaluate_reference(policy, workload, small, large):
-    """One threshold's report, recomputing every item's difficulty and scoring
-    only the chosen model's likelihood."""
+def route_evaluate_reference(threshold, workload, small, large):
+    """One threshold's report for a list of WorkloadItems, recomputing every
+    item's difficulty under the small model and scoring only the chosen
+    model's likelihood."""
     total_cost = 0.0
     n_large = 0
     qualities = []
     for item in workload:
-        total_cost += len(item.prompt) * policy.probe.cost_units
-        if route(policy, item) == "large":
+        total_cost += len(item.prompt) * small.cost_units
+        if route(threshold, small, item) == "large":
             chosen = large
             n_large += 1
         else:

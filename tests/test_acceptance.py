@@ -25,7 +25,7 @@ from dynexec.core import save_model
 from dynexec.earlyexit import stage_accuracy
 from dynexec.eagle import Extrapolator
 from dynexec.lookahead import lookahead_decode
-from dynexec.router import RoutePolicy, evaluate
+from dynexec.router import RouteWorkload, evaluate
 from dynexec.specdec import draft
 from dynexec import TableModel
 
@@ -187,17 +187,17 @@ def test_criterion_7_router_monotonicity():
     rng = Rng(888888)
     small = varied_entropy_table_model(4, 1, rng.child(0), cost_units=1.0)
     large = random_table_model(4, 2, rng.child(1), cost_units=8.0)
-    items = route_workload(50, small, large, rng.child(2))
+    workload = RouteWorkload.of(route_workload(50, small, large, rng.child(2)))
     thetas = [-1.0] + [0.15 * i for i in range(1, 9)] + [float("inf")]
-    reports = [evaluate(RoutePolicy(t, small), items, small, large) for t in thetas]
+    reports = [evaluate(t, workload, small, large) for t in thetas]
     fractions = [r.fraction_large for r in reports]
     costs = [r.total_cost for r in reports]
     monotone = (all(b <= a for a, b in zip(fractions, fractions[1:]))
                 and all(b <= a for a, b in zip(costs, costs[1:])))
     all_large, all_small = reports[0], reports[-1]
     endpoints = (all_large.fraction_large == 1.0 and all_small.fraction_large == 0.0
-                 and reports[0] == evaluate(RoutePolicy(-1.0, small), items, small, large)
-                 and reports[-1] == evaluate(RoutePolicy(float("inf"), small), items, small, large))
+                 and reports[0] == evaluate(-1.0, workload, small, large)
+                 and reports[-1] == evaluate(float("inf"), workload, small, large))
     elapsed = time.perf_counter() - start
     _report(monotone and endpoints and elapsed < 10.0,
             f"criterion 7: router monotonicity over {len(thetas)}-point grid "

@@ -5,7 +5,6 @@ import pytest
 
 from dynexec import Dataset, Rng, gen_dataset, sweep, train_stages
 from dynexec.earlyexit import (
-    ExitStage,
     MultiExitNet,
     boundary,
     stage_accuracy,
@@ -65,8 +64,8 @@ def test_stage1_at_least_stage0_over_seeds():
 
 def test_training_deterministic():
     data = gen_dataset(500, 0.2, 9)
-    w1 = train_stages(data).stages[0].weights
-    w2 = train_stages(data).stages[0].weights
+    w1 = train_stages(data).stages[0]
+    w2 = train_stages(data).stages[0]
     assert np.array_equal(w1, w2)
 
 
@@ -79,7 +78,7 @@ def test_train_rejects_single_class():
 def test_infer_tau_zero_never_exits_early():
     data = gen_dataset(300, 0.2, 4)
     net = train_stages(data)
-    label, exit_index, cost = infer_with_exit(net, point_rows(net, data)[0], 0.0)
+    label, exit_index, cost = infer_with_exit(point_rows(net, data)[0], 0.0)
     assert exit_index == 1
     assert cost == 5.0
 
@@ -88,7 +87,7 @@ def test_infer_open_gate_always_exits_at_stage0():
     data = gen_dataset(300, 0.2, 4)
     net = train_stages(data)
     for rows in point_rows(net, data)[:50]:
-        label, exit_index, cost = infer_with_exit(net, rows, LN2 + 0.01)
+        label, exit_index, cost = infer_with_exit(rows, LN2 + 0.01)
         assert exit_index == 0
         assert cost == 1.0
 
@@ -96,20 +95,18 @@ def test_infer_open_gate_always_exits_at_stage0():
 def test_infer_entropy_gate_threshold():
     # stage whose dist is [0.95, 0.05] everywhere: entropy 0.1985 < tau=0.3 exits
     logit = math.log(0.05 / 0.95)
-    confident = ExitStage(np.array([0.0, 0.0, logit]), "linear", 1.0)
-    final = ExitStage(np.array([0.0, 0.0, 0.0], dtype=float), "linear", 4.0)
-    net = MultiExitNet((confident, final))
+    net = MultiExitNet((np.array([0.0, 0.0, logit]), np.array([0.0, 0.0, 0.0])))
     point = Dataset(np.array([0.0]), np.array([0.0]), np.array([0]))
     rows = point_rows(net, point)[0]
     assert np.allclose(rows[0], [0.95, 0.05], atol=1e-12)
-    label, exit_index, cost = infer_with_exit(net, rows, 0.3)
+    label, exit_index, cost = infer_with_exit(rows, 0.3)
     assert exit_index == 0
     assert label == 0
     assert cost == 1.0
 
 
 def test_multi_exit_net_needs_exactly_two_stages():
-    stage = ExitStage(np.zeros(3), "linear", 1.0)
+    stage = np.zeros(3)
     for stages in ((stage,), (stage, stage, stage)):
         with pytest.raises(ValueError, match="exactly two stages"):
             MultiExitNet(stages)
@@ -145,7 +142,7 @@ def test_sweep_matches_pointwise_inference():
     costs = []
     correct = 0
     for point, true_label in zip(point_rows(net, data), data.labels):
-        label, _, cost = infer_with_exit(net, point, 0.35)
+        label, _, cost = infer_with_exit(point, 0.35)
         correct += (label == true_label)
         costs.append(cost)
     assert rows[0].accuracy == pytest.approx(correct / len(data.labels), abs=1e-12)

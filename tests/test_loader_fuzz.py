@@ -26,7 +26,7 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dynexec import RoutePolicy, RouteWorkload, Rng, WorkloadItem
+from dynexec import RouteWorkload, Rng, WorkloadItem
 from dynexec.cli import _REQUIRED, _SCHEMAS, PLOT_KINDS, csv_text, load_route_workload, main, run, validate_config
 from dynexec.core import check_dist, load_model, model_to_dict, save_model
 from dynexec.errors import ParseError, SchemaError
@@ -191,7 +191,7 @@ def test_route_workload_runs_or_exits_1(doc):
     got = [tuple(float(row[key]) for key in ("total_cost", "mean_quality", "fraction_large")) for row in rows]
     assert all(math.isfinite(v) for values in got for v in values)
     items = [WorkloadItem(tuple(entry["prompt"]), tuple(entry["continuation"])) for entry in doc["items"]]
-    ref = [route_evaluate_reference(RoutePolicy(theta, ROUTE_SMALL), items, ROUTE_SMALL, ROUTE_LARGE)
+    ref = [route_evaluate_reference(theta, items, ROUTE_SMALL, ROUTE_LARGE)
            for theta in ROUTE_THETAS]
     assert got == [(r.total_cost, r.mean_quality, r.fraction_large) for r in ref]
 

@@ -15,7 +15,8 @@ from dynexec.cli import DEFAULT_TAUS
 from dynexec.earlyexit import RIDGE, _fit_logistic, _sigmoid, featurize
 from dynexec.errors import NotConverged
 
-from oracles import features_reference, fit_logistic_reference, fixture_normals, train_stages_reference
+from oracles import (features_reference, fit_logistic_reference, fixture_normals, sample_major_dists, sweep_reference,
+                     train_stages_reference)
 
 # the fit reaches about 1e-17; a fit stopped short of convergence sits orders of magnitude above
 GRADIENT_TOLERANCE = 1e-12
@@ -43,12 +44,16 @@ FIT_CASES = {
 }
 
 
-@pytest.mark.parametrize("kind", ["linear", "cubic"])
+# each stage reads the leading rows of one feature matrix
+FEATURE_ROWS = {"linear": 2, "cubic": 9}
+
+
+@pytest.mark.parametrize("kind", list(FEATURE_ROWS))
 @pytest.mark.parametrize("case", sorted(FIT_CASES))
 def test_fit_returns_a_stationary_point_within_the_cap(case, kind):
     # a fit past its cap raises NotConverged, so returning at all is converging within it
     data = FIT_CASES[case]()
-    feats, labels = featurize(kind, data.xs, data.ys), data.labels.astype(np.float64)
+    feats, labels = featurize(data.xs, data.ys)[:FEATURE_ROWS[kind]], data.labels.astype(np.float64)
     weights, _ = _fit_logistic(feats, labels, np.zeros(len(feats) + 1))
     assert np.max(np.abs(_penalised_gradient(feats, labels, weights))) < GRADIENT_TOLERANCE
 
@@ -87,9 +92,10 @@ EQUIVALENCE_CASES = [(count, hard_fraction, seed) for count in (100, 2000) for h
 def test_fit_matches_the_sample_major_fit_from_zero(count, hard_fraction, seed):
     data = gen_dataset(count, hard_fraction, seed)
     net, reference = train_stages(data), train_stages_reference(data)
-    for stage, expected in zip(net.stages, reference.stages):
-        assert np.max(np.abs(stage.weights - expected.weights)) <= 1e-12
-    assert _bits(sweep(net, data, DEFAULT_TAUS)) == _bits(sweep(reference, data, DEFAULT_TAUS))
+    for weights, expected in zip(net.stages, reference.stages):
+        assert np.max(np.abs(weights - expected)) <= 1e-12
+    expected_rows = sweep_reference(reference, data, DEFAULT_TAUS, sample_major_dists)
+    assert _bits(sweep(net, data, DEFAULT_TAUS)) == _bits(expected_rows)
 
 
 @pytest.mark.parametrize("hard_fraction", [0.2, 0.5])
@@ -97,12 +103,12 @@ def test_warm_start_that_full_steps_would_diverge_still_converges(hard_fraction)
     # full Newton steps from the linear optimum leave the basin and end at a singular Hessian
     data = gen_dataset(100, hard_fraction, 2)
     labels = data.labels.astype(np.float64)
-    linear = fit_logistic_reference(features_reference("linear", data.xs, data.ys), labels)
+    linear = fit_logistic_reference(features_reference(data.xs, data.ys, 2), labels)
     with pytest.raises(np.linalg.LinAlgError):
-        fit_logistic_reference(features_reference("cubic", data.xs, data.ys), labels,
+        fit_logistic_reference(features_reference(data.xs, data.ys, 9), labels,
                                start=np.insert(linear, -1, np.zeros(7)))
-    feats = featurize("cubic", data.xs, data.ys)
-    weights = train_stages(data).stages[1].weights
+    feats = featurize(data.xs, data.ys)
+    weights = train_stages(data).stages[1]
     assert np.max(np.abs(_penalised_gradient(feats, labels, weights))) < GRADIENT_TOLERANCE
 
 
@@ -119,6 +125,6 @@ def test_newton_step_counts_are_pinned(monkeypatch):
     monkeypatch.setattr(earlyexit, "_fit_logistic", counting_fit)
     data = gen_dataset(25_000, 0.2, 1)
     train_stages(data)
-    _, from_zero = fit(featurize("cubic", data.xs, data.ys), data.labels.astype(np.float64), np.zeros(10))
+    _, from_zero = fit(featurize(data.xs, data.ys), data.labels.astype(np.float64), np.zeros(10))
     assert counts == [8, 9]
     assert from_zero == 12

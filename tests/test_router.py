@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dynexec import RoutePolicy, Rng, TableModel, WorkloadItem, difficulty, evaluate, frontier
+from dynexec import Rng, RouteWorkload, TableModel, WorkloadItem, difficulty, evaluate, frontier
 from dynexec.core import entropy
 from dynexec.router import LOGPROB_FLOOR, _mean_log_likelihood
 from dynexec.errors import EmptyPrompt, VocabMismatch
@@ -38,9 +38,12 @@ def test_difficulty_empty_prompt():
 
 @pytest.mark.parametrize("token", [-1, 3])
 def test_out_of_vocab_continuation_raises(token):
-    for model in (random_table_model(3, 1, Rng(16)), random_feature_model(3, 4, Rng(17))):
+    # the small model's vocabulary is 3, the large model's 4
+    large = random_table_model(4, 1, Rng(18))
+    workload = RouteWorkload.of([WorkloadItem((0,), (token, 0))])
+    for small in (random_table_model(3, 1, Rng(16)), random_feature_model(3, 4, Rng(17))):
         with pytest.raises(VocabMismatch):
-            _mean_log_likelihood(model, (0,), (token, 0))
+            frontier([0.5], workload, small, large)
 
 
 @pytest.mark.parametrize("prompt, continuation, error", [
@@ -52,21 +55,21 @@ def test_frontier_rejects_an_item_the_models_cannot_read(prompt, continuation, e
     small, large = random_table_model(3, 1, Rng(18)), random_table_model(4, 2, Rng(19))
     items = [WorkloadItem((0, 1), (2,)), WorkloadItem(prompt, continuation)]
     with pytest.raises(error):
-        frontier(small, [0.5], items, small, large)
+        frontier([0.5], RouteWorkload.of(items), small, large)
 
 
 def test_route_threshold_endpoints():
     probe = random_table_model(3, 1, Rng(16))
     item = WorkloadItem((0, 1), (2,))
-    assert route(RoutePolicy(float("inf"), probe), item) == "small"
-    assert route(RoutePolicy(-1.0, probe), item) == "large"
+    assert route(float("inf"), probe, item) == "small"
+    assert route(-1.0, probe, item) == "large"
 
 
 def test_route_difficulty_above_ln2_goes_large():
     probe = TableModel(3, 0, {(): [0.7, 0.2, 0.1]})  # entropy ~ 0.8018
     item = WorkloadItem((0,), (1,))
     assert difficulty(item.prompt, probe) == pytest.approx(0.8018, abs=1e-3)
-    assert route(RoutePolicy(math.log(2), probe), item) == "large"
+    assert route(math.log(2), probe, item) == "large"
 
 
 def test_workload_item_requires_continuation():
@@ -83,8 +86,8 @@ def test_quality_floor_keeps_loglik_finite():
 
 def test_evaluate_identical_models_quality_constant():
     model = random_table_model(4, 1, Rng(17), cost_units=2.0)
-    items = route_workload(20, model, model, Rng(18))
-    reports = [evaluate(RoutePolicy(theta, model), items, model, model)
+    workload = RouteWorkload.of(route_workload(20, model, model, Rng(18)))
+    reports = [evaluate(theta, workload, model, model)
                for theta in (-1.0, 0.5, 1.0, float("inf"))]
     qualities = {r.mean_quality for r in reports}
     costs = {r.total_cost for r in reports}
@@ -96,9 +99,9 @@ def test_evaluate_monotone_in_theta():
     rng = Rng(88)
     small = varied_entropy_table_model(4, 1, rng.child(0), cost_units=1.0)
     large = random_table_model(4, 2, rng.child(1), cost_units=8.0)
-    items = route_workload(50, small, large, rng.child(2))
+    workload = RouteWorkload.of(route_workload(50, small, large, rng.child(2)))
     thetas = [-1.0] + [0.2 * i for i in range(1, 8)] + [float("inf")]
-    reports = [evaluate(RoutePolicy(t, small), items, small, large) for t in thetas]
+    reports = [evaluate(t, workload, small, large) for t in thetas]
     fractions = [r.fraction_large for r in reports]
     costs = [r.total_cost for r in reports]
     assert all(b <= a for a, b in zip(fractions, fractions[1:]))
@@ -113,21 +116,21 @@ def test_evaluate_endpoints_bit_equal_to_forced_runs():
     small = random_table_model(4, 1, rng.child(0), cost_units=1.0)
     large = random_table_model(4, 2, rng.child(1), cost_units=6.0)
     items = route_workload(25, small, large, rng.child(2))
-    probe = small
+    workload = RouteWorkload.of(items)
 
     def forced_report(model):
         total_cost = 0.0
         qualities = []
         for item in items:
-            total_cost += len(item.prompt) * probe.cost_units
+            total_cost += len(item.prompt) * small.cost_units
             qualities.append(mean_log_likelihood_reference(model, item))
             total_cost += len(item.reference_continuation) * model.cost_units
         return total_cost, float(np.mean(qualities))
 
-    all_small = evaluate(RoutePolicy(float("inf"), probe), items, small, large)
+    all_small = evaluate(float("inf"), workload, small, large)
     assert (all_small.total_cost, all_small.mean_quality) == forced_report(small)
     assert all_small.fraction_large == 0.0
-    all_large = evaluate(RoutePolicy(-1.0, probe), items, small, large)
+    all_large = evaluate(-1.0, workload, small, large)
     assert (all_large.total_cost, all_large.mean_quality) == forced_report(large)
     assert all_large.fraction_large == 1.0
 
@@ -136,13 +139,13 @@ def test_large_model_generated_data_scores_better_under_large():
     rng = Rng(77)
     small = random_table_model(4, 1, rng.child(0), cost_units=1.0)
     large = random_table_model(4, 2, rng.child(1), cost_units=4.0)
-    items = route_workload(50, small, large, rng.child(2))
-    all_large = evaluate(RoutePolicy(-1.0, small), items, small, large)
-    all_small = evaluate(RoutePolicy(float("inf"), small), items, small, large)
+    workload = RouteWorkload.of(route_workload(50, small, large, rng.child(2)))
+    all_large = evaluate(-1.0, workload, small, large)
+    all_small = evaluate(float("inf"), workload, small, large)
     assert all_large.mean_quality >= all_small.mean_quality
 
 
 def test_evaluate_requires_items():
     small = random_table_model(3, 1, Rng(1))
     with pytest.raises(ValueError):
-        evaluate(RoutePolicy(0.0, small), [], small, small)
+        evaluate(0.0, RouteWorkload.of([]), small, small)

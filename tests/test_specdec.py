@@ -119,6 +119,15 @@ def test_verify_length_mismatch():
         verify([q], DraftOutput((0, 1), (q, q)), Rng(0))
 
 
+def test_verify_rejects_a_draft_without_one_distribution_per_token():
+    # position 0 accepts (q = p), so a draft whose second token has no
+    # distribution would reach it; an empty draft would draw only a bonus
+    q = np.array([0.5, 0.5])
+    for d in (DraftOutput((0, 1), (q,)), DraftOutput((), ())):
+        with pytest.raises(LengthMismatch):
+            verify([q] * (len(d.tokens) + 1), d, Rng(0))
+
+
 def test_verify_zero_draft_probability_is_contract_violation():
     q = np.array([1.0, 0.0])
     d = DraftOutput((1,), (q,))  # token 1 cannot have come from q

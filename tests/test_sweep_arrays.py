@@ -14,13 +14,14 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynexec import (RoutePolicy, Rng, TableModel, WorkloadItem, difficulty, frontier, gen_dataset, sweep,
+from dynexec import (Rng, RouteWorkload, TableModel, WorkloadItem, difficulty, frontier, gen_dataset, sweep,
                      train_stages)
 from dynexec.core import MAX_TABLE_ORDER, MIN_FEATURE_DIM, entropy
-from dynexec.earlyexit import ExitStage, MultiExitNet, SweepRow
+from dynexec.earlyexit import STAGE0_COST, STAGE1_COST, MultiExitNet, SweepRow
 
 from helpers import random_dist, random_feature_model, route_workload, varied_entropy_table_model
-from oracles import gen_dataset_reference, infer_with_exit, point_rows, route_evaluate_reference, sweep_reference
+from oracles import (gen_dataset_reference, infer_with_exit, library_dists, point_rows, route_evaluate_reference,
+                     sweep_reference)
 
 
 def _bits(values):
@@ -53,15 +54,15 @@ def test_gen_dataset_matches_scalar_reference(count, hard_fraction, seed):
 def _tally(net, data, tau):
     """A sweep row counted point by point through the scalar gate, each point
     read from its batched rows."""
-    results = [infer_with_exit(net, rows, tau) for rows in point_rows(net, data)]
+    results = [infer_with_exit(rows, tau) for rows in point_rows(net, data)]
     labels = data.labels.tolist()
     n = len(labels)
     mean_cost = sum(cost for _, _, cost in results) / n
     return SweepRow(tau=tau,
                     accuracy=sum(label == true for (label, _, _), true in zip(results, labels)) / n,
                     mean_cost=mean_cost,
-                    early_exit_fraction=sum(idx < len(net.stages) - 1 for _, idx, _ in results) / n,
-                    speedup=net.full_cost / mean_cost)
+                    early_exit_fraction=sum(idx == 0 for _, idx, _ in results) / n,
+                    speedup=(STAGE0_COST + STAGE1_COST) / mean_cost)
 
 
 @st.composite
@@ -73,9 +74,9 @@ def exit_cases(draw):
     scale = draw(st.sampled_from([0.5, 5.0, 1e3]))
     weights = [np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))) * scale
                for n in (3, 10)]
-    net = MultiExitNet((ExitStage(weights[0], "linear", 1.0), ExitStage(weights[1], "cubic", 4.0)))
+    net = MultiExitNet(tuple(weights))
     # taus exactly at some points' stage-0 entropies, where the gate's `<` is strict
-    rows = net.stages[0].dists(data.xs, data.ys)
+    rows = library_dists(net.stages[0], data.xs, data.ys)
     at_points = [entropy(rows[i]) for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))]
     taus = draw(st.lists(st.floats(0.0, 0.8), max_size=6)) + at_points + [0.0, math.log(2) + 0.01]
     return net, data, sorted(taus)
@@ -92,11 +93,9 @@ def test_sweep_rows_match_pointwise_tally(case):
 
 def test_sweep_saturated_stage_matches_tally():
     data = gen_dataset(200, 0.3, 5)
-    stage0 = ExitStage(np.array([0.0, 900.0, 0.0]), "linear", 1.0)
-    stage1 = ExitStage(np.array([0.0, 1.0] + [0.0] * 8), "cubic", 4.0)
-    net = MultiExitNet((stage0, stage1))
+    net = MultiExitNet((np.array([0.0, 900.0, 0.0]), np.array([0.0, 1.0] + [0.0] * 8)))
     taus = [0.0, 1e-300, 0.1, math.log(2) + 0.01]
-    dists = stage0.dists(data.xs, data.ys)
+    dists = library_dists(net.stages[0], data.xs, data.ys)
     rows = sweep(net, data, taus)
     tallies = [_tally(net, data, tau) for tau in taus]
     assert (dists == 0.0).any() and (dists == 1.0).any()
@@ -122,8 +121,8 @@ def test_sweep_matches_per_tau_reference(count, hard_fraction, seed, scale, taus
         net = train_stages(data)
     else:
         weights = (Rng(seed).uniforms(13) * 2.0 - 1.0) * scale
-        net = MultiExitNet((ExitStage(weights[:3], "linear", 1.0), ExitStage(weights[3:], "cubic", 4.0)))
-    rows = net.stages[0].dists(data.xs, data.ys)
+        net = MultiExitNet((weights[:3], weights[3:]))
+    rows = library_dists(net.stages[0], data.xs, data.ys)
     taus = sorted(taus + [entropy(rows[i]) for i in at_points])
     if not taus:
         taus = [0.0]
@@ -133,12 +132,12 @@ def test_sweep_matches_per_tau_reference(count, hard_fraction, seed, scale, taus
 
 def test_saturated_stage_answers_without_overflow_warning():
     # logits far below -709 overflow exp(-z); the answer is still the exact 0
-    stage = ExitStage(np.array([0.0, 1e4, 0.0]), "linear", 1.0)
+    weights = np.array([0.0, 1e4, 0.0])
     xs, ys = np.array([0.0, 0.0]), np.array([-1.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dists = stage.dists(xs, ys)
-        singles = [stage.dists(xs[i:i + 1], ys[i:i + 1])[0] for i in range(2)]
+        dists = library_dists(weights, xs, ys)
+        singles = [library_dists(weights, xs[i:i + 1], ys[i:i + 1])[0] for i in range(2)]
     assert dists.tolist() == [[1.0, 0.0], [0.0, 1.0]]
     assert [d.tolist() for d in singles] == dists.tolist()
 
@@ -167,19 +166,18 @@ def route_cases(draw):
     rng = Rng(draw(st.integers(0, 2**32)))
     small = draw(route_models(vocab, rng.child(0)))
     large = draw(route_models(vocab, rng.child(1)))
-    probe = small if draw(st.booleans()) else draw(route_models(vocab, rng.child(3)))
     items = route_workload(draw(st.integers(1, 30)), small, large, rng.child(2))
-    scores = [difficulty(item.prompt, probe) for item in items]
+    scores = [difficulty(item.prompt, small) for item in items]
     # a theta exactly at an item's difficulty, where routing's `>` is strict
     thetas = [draw(st.sampled_from(scores)), -math.inf, math.inf] + draw(st.lists(
         st.one_of(st.sampled_from(scores), st.floats(-1.0, 3.0)), max_size=8))
-    return probe, small, large, items, draw(st.permutations(thetas))
+    return small, large, items, draw(st.permutations(thetas))
 
 
-def _case(probe, small, large, items):
+def _case(small, large, items):
     """A route case at both ends of the grid and at one item's difficulty."""
-    scores = sorted(difficulty(item.prompt, probe) for item in items)
-    return probe, small, large, items, [-math.inf, scores[len(scores) // 2], math.inf]
+    scores = sorted(difficulty(item.prompt, small) for item in items)
+    return small, large, items, [-math.inf, scores[len(scores) // 2], math.inf]
 
 
 def _items(*pairs):
@@ -192,7 +190,7 @@ def _short_prompts_case():
     rng = Rng(41)
     small = varied_entropy_table_model(3, 4, rng.child(0))
     large = varied_entropy_table_model(3, 4, rng.child(1), cost_units=4.0)
-    return _case(small, small, large, _items(((0,), (1, 2, 0, 1, 2)), ((1, 2), (0,)), ((2, 1, 0), (1, 1, 2)),
+    return _case(small, large, _items(((0,), (1, 2, 0, 1, 2)), ((1, 2), (0,)), ((2, 1, 0), (1, 1, 2)),
                                              ((0, 1, 2, 0), (2,)), ((2,), (2,))))
 
 
@@ -200,14 +198,14 @@ def _order_zero_fallback_case():
     """An order-0 probe with no () row: every position reads the fallback."""
     small = TableModel(3, 0, {}, fallback=[0.2, 0.3, 0.5])
     large = varied_entropy_table_model(3, 1, Rng(42), cost_units=2.0)
-    return _case(small, small, large, _items(((0, 1), (2, 2)), ((1,), (0,)), ((2, 2, 2), (1, 0, 1))))
+    return _case(small, large, _items(((0, 1), (2, 2)), ((1,), (0,)), ((2, 2, 2), (1, 0, 1))))
 
 
 def _zero_probability_case():
     """Continuation tokens of probability zero, scored at LOGPROB_FLOOR."""
     small = TableModel(3, 1, {(0,): [1.0, 0.0, 0.0], (1,): [0.0, 0.5, 0.5], (2,): [0.3, 0.3, 0.4]})
     large = TableModel(3, 2, {(0, 1): [0.0, 0.0, 1.0]}, fallback=[0.5, 0.5, 0.0], cost_units=3.0)
-    return _case(small, small, large, _items(((0,), (1, 0, 2)), ((1,), (0, 0)), ((0, 1), (2, 2)), ((2,), (1,))))
+    return _case(small, large, _items(((0,), (1, 0, 2)), ((1,), (0, 0)), ((0, 1), (2, 2)), ((2,), (1,))))
 
 
 def _long_item_case():
@@ -218,7 +216,7 @@ def _long_item_case():
     items = route_workload(200, small, large, rng.child(2))
     long_tokens = np.minimum((rng.child(3).uniforms(LONG_ITEM) * 4).astype(int), 3).tolist()
     items.insert(100, WorkloadItem((1, 2, 3), tuple(long_tokens)))
-    return _case(small, small, large, items)
+    return _case(small, large, items)
 
 
 LONG_ITEM = 5000
@@ -237,19 +235,20 @@ def test_frontier_matches_per_threshold_reference(case):
     """The frontier's window lookups and per-length sums, and its walks of
     feature models, give the reports of from-scratch scoring, per threshold,
     bit for bit; on table models, within memory linear in the workload's tokens."""
-    probe, small, large, items, thetas = case
-    attributes = [{key: id(value) for key, value in vars(model).items()} for model in (probe, small, large)]
+    small, large, items, thetas = case
+    attributes = [{key: id(value) for key, value in vars(model).items()} for model in (small, large)]
+    workload = RouteWorkload.of(items)
     # the array path's memory is traced; a feature model walks one item at a time, slower under tracing
-    if all(isinstance(model, TableModel) for model in (probe, small, large)):
+    if all(isinstance(model, TableModel) for model in (small, large)):
         tracemalloc.start()
     try:
-        got = frontier(probe, thetas, items, small, large)
+        got = frontier(thetas, workload, small, large)
         peak = tracemalloc.get_traced_memory()[1]  # 0 when not traced
     finally:
         tracemalloc.stop()
     tokens = sum(len(item.prompt) + len(item.reference_continuation) for item in items)
     assert peak < 2**16 + PEAK_BYTES_PER_TOKEN * tokens
     # nothing is cached on a model at its first use
-    assert [{key: id(value) for key, value in vars(model).items()} for model in (probe, small, large)] == attributes
-    ref = [route_evaluate_reference(RoutePolicy(theta, probe), items, small, large) for theta in thetas]
+    assert [{key: id(value) for key, value in vars(model).items()} for model in (small, large)] == attributes
+    ref = [route_evaluate_reference(theta, items, small, large) for theta in thetas]
     assert _bits(_report_fields(got)) == _bits(_report_fields(ref))
