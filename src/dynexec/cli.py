@@ -175,7 +175,7 @@ _SCHEMAS = {
         "model": (_as_str, _REQUIRED),
         "n": (_in_range(int, 1, MAX_TOKENS), 64),
         "ngram": (_in_range(int, 2, MAX_NGRAM), 3),
-        # proposed tokens of one round, verified in one call, as drafted tokens are
+        # proposed tokens of one round, charged as drafted tokens are, though checked one at a time
         "window": (_in_range(int, 1, MAX_DRAFT), 4),
         "prompt": (_as_int_list, [0]),
     },

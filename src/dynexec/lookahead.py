@@ -1,17 +1,17 @@
 """Greedy decoding accelerated by an n-gram cache.
 
 Continuations observed earlier in the history are replayed as proposals and
-verified against the target's argmax in one batched call per round. Output is
-bit-identical to plain greedy decoding; the cache only changes how many target
-calls it takes to get there. Argmax ties break to the lowest token index on
-both the proposal and verification sides, which is what makes the equivalence
-exact and seed-free.
+checked against the target's argmax up to the first mismatch, one simulated
+target call per round. Output is bit-identical to plain greedy decoding; the
+cache only changes how many target calls it takes to get there. Argmax ties
+break to the lowest token index on both the proposal and verification sides,
+which is what makes the equivalence exact and seed-free.
 """
 
 from dataclasses import dataclass, field
 
-from .core import SequenceModel, check_context
-from .specdec import _decode_loop
+from .core import SequenceModel, TableModel, check_context
+from .specdec import _UNCACHED, _decode_loop, _RowMemo
 
 
 @dataclass
@@ -62,34 +62,25 @@ def propose(cache: NGramCache, ctx, L: int) -> list[int]:
     return out
 
 
-def _greedy_prefix(dists, proposal):
-    """The verify rule: keep the longest prefix of proposal that matches the
-    target's argmax, then emit the argmax after it (n_accepted, emitted,
-    corrected). A plain tuple, as the loop builds one per round."""
-    # argmax returns the first maximum, i.e. the lowest token index on ties
-    for i, token in enumerate(proposal):
-        best = int(dists[i].argmax())
-        if best != token:
-            return i, proposal[:i] + [best], True
-    return len(proposal), proposal + [int(dists[-1].argmax())], False
-
-
 def lookahead_decode(target: SequenceModel, prompt, N: int, n: int, L: int):
-    """Greedy-decode N tokens, verifying cached n-gram proposals in batched calls.
+    """Greedy-decode N tokens, verifying cached n-gram proposals.
 
-    Each round scores the proposal positions plus one in a single target call,
-    keeps the longest prefix matching the target's argmax, and always emits at
-    least the argmax at the first mismatch (or the position after a fully
-    accepted proposal). A round with no cached continuation proposes nothing
-    and emits the plain greedy token. Surplus tokens past N from the final
-    round are dropped. The cache receives only the windows that end in tokens
-    emitted since the previous round, which are the latest windows and so
-    still win.
+    Each round counts one simulated target call. Its rule receives the
+    target's state and walks it through the proposal: `dist`, then an
+    `advance` only where that row's argmax matches the proposed token. So a
+    round reads n_accepted + 1 positions and emits the accepted prefix plus
+    the argmax after it, taking each row's argmax once per decode (a table
+    target's rows recur, so a `_RowMemo` keeps them). A round with no cached
+    continuation proposes nothing and emits the plain greedy token. Surplus
+    tokens past N from the final round are dropped. The cache receives only
+    the windows that end in tokens emitted since the previous round, which
+    are the latest windows and so still win.
     """
     prompt = check_context(prompt, target.vocab_size)
     cache = NGramCache(n)
     w = n - 1
     seen = 0  # history tokens whose windows are in the cache
+    memo = _RowMemo(len(target.rows)) if isinstance(target, TableModel) else _UNCACHED
 
     # cache_update and propose are read from the module on every round, where
     # the benchmark's tracer and the tests may have replaced them
@@ -100,7 +91,15 @@ def lookahead_decode(target: SequenceModel, prompt, N: int, n: int, L: int):
         tokens = propose(cache, history[-w:], L)
         return tokens, tokens, None
 
-    out, cycles, proposed, hits = _decode_loop(target, prompt, N, propose_from_cache, _greedy_prefix)
+    def greedy(state, proposal):
+        emitted = []
+        for token in proposal + [None]:  # None matches no argmax: the walk ends by then
+            emitted.append(memo.top(target.dist(state)))
+            if emitted[-1] != token:
+                return len(emitted) - 1, emitted, state
+            state = target.advance(state, token)
+
+    out, cycles, proposed, hits = _decode_loop(target, prompt, N, propose_from_cache, greedy)
     return out, LookaheadStats(
         tokens_generated=len(out),
         target_calls=cycles,

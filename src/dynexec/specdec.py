@@ -52,16 +52,18 @@ class DecodeStats:
     tokens_per_target_call: float
 
 
-class _RowSums:
-    """The `running_sums` of each row a decode draws from and of each
-    rejected (target row, draft row) pair's residual. Up to `cap` of each
-    are kept, keyed by identity and stored with their rows, so no key is
-    reused; past the cap, and always at the default's cap 0, they are built
-    at every draw."""
+class _RowMemo:
+    """What a decode derives from a row: the `running_sums` of each row it
+    draws from and of each rejected (target row, draft row) pair's residual,
+    and the greedy token, its first argmax (the lowest index on ties), of
+    each row it checks. Up to `cap` of each are kept, keyed by identity and
+    stored with their rows, so no key is reused; past the cap, and always at
+    the default's cap 0, they are derived at every read."""
 
     def __init__(self, cap: int):
         self._rows = {}
         self._pairs = {}
+        self._tops = {}
         self._cap = cap
 
     def row(self, d) -> list:
@@ -81,8 +83,16 @@ class _RowSums:
                 self._pairs[key] = entry
         return entry[0]
 
+    def top(self, d) -> int:
+        entry = self._tops.get(id(d))
+        if entry is None:
+            entry = int(d.argmax()), d
+            if len(self._tops) < self._cap:
+                self._tops[id(d)] = entry
+        return entry[0]
 
-_UNCACHED = _RowSums(0)
+
+_UNCACHED = _RowMemo(0)
 
 
 def draft(draft_model: SequenceModel, ctx, K: int, rng: Rng) -> DraftOutput:
@@ -91,13 +101,13 @@ def draft(draft_model: SequenceModel, ctx, K: int, rng: Rng) -> DraftOutput:
     return draft_from(draft_model.dist, draft_model.advance, draft_model.start(ctx), K, rng)[0]
 
 
-def draft_from(dist, advance, state, K: int, rng: Rng, sums: _RowSums = _UNCACHED):
+def draft_from(dist, advance, state, K: int, rng: Rng, memo: _RowMemo = _UNCACHED):
     """The one drafting loop: `draft` from a drafter's state after the context.
 
     `dist(state)` is the drafter's next-token distribution and
     `advance(state, token)` its next state; the drafter steps only between
     drafted tokens. Each token is `sample`'s draw from its distribution q,
-    made inline on q's running sums from `sums`. Returns the proposal and
+    made inline on q's running sums from `memo`. Returns the proposal and
     the K states the tokens were drafted from.
     """
     if K < 1:
@@ -107,7 +117,7 @@ def draft_from(dist, advance, state, K: int, rng: Rng, sums: _RowSums = _UNCACHE
     states = [state]
     for k in range(K):
         q = dist(states[-1])
-        tokens.append(bisect_right(sums.row(q), rng.uniform()))
+        tokens.append(bisect_right(memo.row(q), rng.uniform()))
         dists.append(q)
         if k + 1 < K:
             states.append(advance(states[-1], tokens[-1]))
@@ -129,14 +139,14 @@ def residual(p, q) -> np.ndarray:
     return r / total
 
 
-def verify(target_dists, d: DraftOutput, rng: Rng, sums: _RowSums = _UNCACHED) -> VerificationResult:
+def verify(target_dists, d: DraftOutput, rng: Rng, memo: _RowMemo = _UNCACHED) -> VerificationResult:
     """Scan drafted tokens in order, accepting token x at position i iff
     u < min(1, p_i(x) / q_i(x)) for a fresh uniform u.
 
     On the first rejection, one token is drawn from residual(p_i, q_i) and the
     scan stops; if all K drafts survive, a bonus token is drawn from
     target_dists[K]. Each is `sample`'s draw, made inline on the running sums
-    from `sums`. Exactly one uniform is consumed per scanned position plus
+    from `memo`. Exactly one uniform is consumed per scanned position plus
     one for the terminal draw, so the randomness budget is countable.
     """
     K = len(d.tokens)
@@ -155,9 +165,9 @@ def verify(target_dists, d: DraftOutput, rng: Rng, sums: _RowSums = _UNCACHED) -
         u = rng.uniform()
         if u < min(1.0, float(p_i[token]) / q_tok):
             continue
-        corrected = bisect_right(sums.rejected(p_i, q_i), rng.uniform())
+        corrected = bisect_right(memo.rejected(p_i, q_i), rng.uniform())
         return VerificationResult(i, d.tokens[:i] + (corrected,), True)
-    bonus = bisect_right(sums.row(target_dists[K]), rng.uniform())
+    bonus = bisect_right(memo.row(target_dists[K]), rng.uniform())
     return VerificationResult(K, d.tokens + (bonus,), False)
 
 
@@ -166,14 +176,15 @@ def _decode_loop(target: SequenceModel, prompt, N, propose, check, draft_model=N
 
     Each cycle `propose(history, state, draft_state)` returns the proposed
     tokens (possibly none), the object `check` verifies and the states
-    draft_model drafted them from (None without a draft model). The target's
-    positions after each proposal prefix branch from its one state, and one
-    `target.dists` call, one batched target call, reads them all;
-    `check(dists, proposal)` returns (n_accepted, emitted, resampled).
-    Each state then moves on from the last one inside the accepted prefix
-    by the emitted tokens after it, so every model reads the prompt once and
-    each emitted token once. `history` is the prompt plus the tokens emitted
-    so far.
+    draft_model drafted them from (None without a draft model).
+    `check(state, proposal)` receives the target's state, reads the positions
+    it needs and returns (n_accepted, emitted, the target's state after the
+    accepted prefix); a cycle counts one simulated target call however many
+    positions it read. The target's state then moves on by the last emitted
+    token, and the draft model's from its last state inside the accepted
+    prefix by the emitted tokens after it, so every model reads the prompt
+    once and each emitted token once. `history` is the prompt plus the
+    tokens emitted so far.
 
     Returns the first N emitted tokens, the cycles run (one target call
     each) and the tokens drafted (one draft call each) and accepted over all
@@ -190,10 +201,8 @@ def _decode_loop(target: SequenceModel, prompt, N, propose, check, draft_model=N
     drafted = 0
     while len(history) - n_prompt < N:
         tokens, proposal, draft_branch = propose(history, state, draft_state)
-        branch = target.branch(state, tokens)
-        n_accepted, emitted, _ = check(target.dists(branch), proposal)
-        last = emitted[-1]
-        state = target.advance(branch[n_accepted], last)
+        n_accepted, emitted, state = check(state, proposal)
+        state = target.advance(state, emitted[-1])
         if draft_model is not None:
             i = min(n_accepted, len(tokens) - 1)
             draft_state = draft_model.branch(draft_branch[i], emitted[i:])[-1]
@@ -204,10 +213,16 @@ def _decode_loop(target: SequenceModel, prompt, N, propose, check, draft_model=N
     return history[n_prompt:n_prompt + N], cycles, drafted, accepted
 
 
-def _speculate(target: SequenceModel, prompt, N, rng, propose, draft_model=None, sums=_UNCACHED):
-    """_decode_loop with the rejection scan `verify` as its rule, and its DecodeStats."""
-    out, cycles, drafted, accepted = _decode_loop(
-        target, prompt, N, propose, lambda dists, d: verify(dists, d, rng, sums), draft_model)
+def _speculate(target: SequenceModel, prompt, N, rng, propose, draft_model=None, memo=_UNCACHED):
+    """_decode_loop with the rejection scan `verify` as its rule, which reads the positions
+    after every prefix of the proposal in one batched `target.dists` call, and its DecodeStats."""
+
+    def check(state, d):
+        branch = target.branch(state, d.tokens)
+        n_accepted, emitted, _ = verify(target.dists(branch), d, rng, memo)
+        return n_accepted, emitted, branch[n_accepted]
+
+    out, cycles, drafted, accepted = _decode_loop(target, prompt, N, propose, check, draft_model)
     return out, DecodeStats(
         tokens_generated=len(out),
         target_calls=cycles,
@@ -225,20 +240,20 @@ def speculative_decode(target: SequenceModel, draft_model: SequenceModel,
     Each cycle drafts K tokens and counts K draft calls plus ONE target
     call: the K+1 target evaluations of a cycle model the paper-style batched
     forward pass. Surplus tokens from the final cycle are discarded, but its
-    drafted/accepted counts still feed acceptance_rate. A decode on two
-    table models keeps up to rows_target + rows_draft `_RowSums` of each kind.
+    drafted/accepted counts still feed acceptance_rate. A decode on two table
+    models keeps up to rows_target + rows_draft sums of each kind in a `_RowMemo`.
     """
     if target.vocab_size != draft_model.vocab_size:
         raise VocabMismatch("target and draft models must share a vocabulary")
     prompt = check_context(prompt, target.vocab_size)
     tables = isinstance(target, TableModel) and isinstance(draft_model, TableModel)
-    sums = _RowSums(len(target.rows) + len(draft_model.rows)) if tables else _UNCACHED
+    memo = _RowMemo(len(target.rows) + len(draft_model.rows)) if tables else _UNCACHED
 
     def propose(_, __, draft_state):
-        d, states = draft_from(draft_model.dist, draft_model.advance, draft_state, K, rng, sums)
+        d, states = draft_from(draft_model.dist, draft_model.advance, draft_state, K, rng, memo)
         return d.tokens, d, states
 
-    return _speculate(target, prompt, N, rng, propose, draft_model, sums)
+    return _speculate(target, prompt, N, rng, propose, draft_model, memo)
 
 
 def simulated_speedup(stats: DecodeStats, target_cost: float, draft_cost: float) -> float:

@@ -33,6 +33,14 @@ class CountingRng(Rng):
         return super().uniform()
 
 
+class FreshRowsModel(TableModel):
+    """A table model that hands out a new copy of its row at every call, so
+    no two reads share a row's identity."""
+
+    def dist(self, state):
+        return super().dist(state).copy()
+
+
 def onehot(size, index):
     row = np.zeros(size)
     row[index] = 1.0

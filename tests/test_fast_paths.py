@@ -6,9 +6,9 @@ which clips its difference in place and divides by the total it has
 computed, and reads the target's K+1 positions through one
 `SequenceModel.dists` call. Every token is drawn by the one rule of
 `core.sample`: bisect a row's `core.running_sums`, Python floats, at one
-uniform. A decode makes that draw inline on sums from a `specdec._RowSums`
-memo, which on two table models keeps the sums of each row and rejected
-pair and otherwise builds them at every draw. Each must give exactly what
+uniform. A decode makes that draw inline on sums from a `specdec._RowMemo`,
+which on two table models keeps the sums of each row and rejected pair and
+otherwise builds them at every draw. Each must give exactly what
 the plain form gives, so every report stays byte-identical: the
 one-draw-at-a-time formula `oracles.uniform_reference`, the numpy-scalar
 scan `oracles.sample_reference`, `normalize(max(p - q, 0))` and one `dist`
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from dynexec import Rng, TableModel, normalize, residual, sample
 from dynexec.core import _BLOCK, DIST_ATOL, MAX_FEATURE_DIM, MIN_FEATURE_DIM, RngStreams, _box_muller
 from dynexec.errors import AllZeroResidual
-from dynexec.specdec import _UNCACHED, _RowSums
+from dynexec.specdec import _UNCACHED, _RowMemo
 
 from helpers import FixedRng, random_feature_model, random_table_model
 from oracles import child_seed_reference, sample_reference, uniform_reference
@@ -201,7 +201,7 @@ _HOW = st.sampled_from(["sample", "memo", "cap 0"])
 
 
 def _memo(how):
-    return _RowSums(1) if how == "memo" else _UNCACHED
+    return _RowMemo(1) if how == "memo" else _UNCACHED
 
 
 @settings(max_examples=200, deadline=None)

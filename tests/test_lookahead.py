@@ -1,9 +1,16 @@
+import os
+from dataclasses import asdict
+
 import pytest
 
-from dynexec import NGramCache, Rng, TableModel, cache_update, lookahead_decode, propose
+from dynexec import NGramCache, Rng, TableModel, cache_update, lookahead_decode, normalize, propose
+from dynexec.cli import load_config, run
+from dynexec.specdec import _UNCACHED
 
-from helpers import onehot, random_table_model
-from oracles import greedy_decode
+from helpers import FreshRowsModel, onehot, random_table_model
+from oracles import greedy_decode, lookahead_reference
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def test_cache_update_hand_enumeration():
@@ -95,3 +102,35 @@ def test_input_validation():
         NGramCache(1)
     with pytest.raises(ValueError):
         propose(NGramCache(2), (0,), 0)
+
+
+@pytest.mark.parametrize("name", ["lookahead", "lookahead-feature"])
+def test_only_a_table_target_keeps_its_greedy_tokens(made_memos, name):
+    run(load_config(os.path.join(GOLDEN, f"{name}.config.json")), base_dir=GOLDEN)
+    # a feature target builds no memo; a table one keeps greedy tokens only
+    assert len(made_memos) == (name == "lookahead")
+    assert all(m._tops and not m._rows and not m._pairs for m in made_memos)
+    # the shared default a feature target reads through keeps nothing
+    assert not _UNCACHED._rows and not _UNCACHED._pairs and not _UNCACHED._tops
+
+
+def test_reads_past_the_memo_cap_take_their_argmax_each_time(made_memos):
+    rng = Rng(8)
+    model = FreshRowsModel(3, 1, {(x,): normalize(rng.uniforms(3)) for x in range(3)})
+    out, stats = lookahead_decode(model, (0,), 200, n=2, L=3)
+    ref_out, ref_stats = lookahead_reference(model, (0,), 200, 2, 3)
+    assert out == ref_out and tuple(asdict(stats).values()) == ref_stats
+    (memo,) = made_memos
+    assert len(memo._tops) == len(model.rows)
+
+
+def test_a_uniform_fallback_row_gives_the_lowest_token(made_memos):
+    # an empty table: every window selects the uniform fallback, a tie of all
+    # tokens, read once into the memo and then from it
+    model = TableModel(3, 1, {})
+    out, stats = lookahead_decode(model, (2,), 20, n=2, L=3)
+    assert out == [0] * 20
+    assert stats.verified_hits > 0
+    (memo,) = made_memos
+    ((token, row),) = memo._tops.values()
+    assert token == 0 and row is model.fallback

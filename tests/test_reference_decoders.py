@@ -6,7 +6,8 @@ cache kept between rounds. Tokens and every stats field must be equal for
 random table and feature models, table rows with exact zeros, which every
 draw skips, among them, including rounds in which lookahead has
 nothing to propose and argmax ties in the uniform fallback row, which a
-prompt shorter than the order selects.
+prompt shorter than the order selects. Lookahead on a feature target reads
+its positions one 1-D `dist` at a time, the reference through `next_dist`.
 """
 
 from dataclasses import asdict
@@ -44,7 +45,7 @@ def feature_models(draw, count):
 
 
 @settings(max_examples=150, deadline=None)
-@given(models(1), st.integers(2, 4), st.integers(1, 5), st.integers(1, 60))
+@given(st.one_of(models(1), feature_models(1)), st.integers(2, 4), st.integers(1, 5), st.integers(1, 60))
 def test_lookahead_matches_from_scratch_reference(case, n, L, N):
     (model,), prompt = case
     out, stats = lookahead_decode(model, prompt, N, n=n, L=L)

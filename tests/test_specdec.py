@@ -24,7 +24,7 @@ from dynexec.errors import (
 )
 from dynexec.cli import load_config, run
 
-from helpers import CountingRng, FixedRng, memoryless_model, onehot, random_table_model
+from helpers import CountingRng, FixedRng, FreshRowsModel, memoryless_model, onehot, random_table_model
 from oracles import (
     acceptance_rate_memoryless,
     expected_tokens_per_cycle,
@@ -286,28 +286,15 @@ def test_simulated_speedup_inequality():
     assert simulated_speedup(stats, 1.0, ratio) >= 1.0
 
 
-@pytest.fixture
-def made_memos(monkeypatch):
-    """Every `_RowSums` a decode builds, kept for the test to inspect."""
-    made = []
-
-    class Recorded(specdec_module._RowSums):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    monkeypatch.setattr(specdec_module, "_RowSums", Recorded)
-    return made
-
-
 @pytest.mark.parametrize("name", ["eagle", "specdec-feature", "specdec"])
 def test_only_table_rows_enter_the_draw_memo(made_memos, name):
     run(load_config(os.path.join(GOLDEN, f"{name}.config.json")), base_dir=GOLDEN)
     # feature-model decodes build no memo; the table one fills both kinds
     assert len(made_memos) == (name == "specdec")
-    assert all(m._rows and m._pairs for m in made_memos)
+    assert all(m._rows and m._pairs and not m._tops for m in made_memos)
     # the shared default every other decode draws through keeps nothing
-    assert not specdec_module._UNCACHED._rows and not specdec_module._UNCACHED._pairs
+    uncached = specdec_module._UNCACHED
+    assert not uncached._rows and not uncached._pairs and not uncached._tops
 
 
 def _peaked_table(vocab, shift, floor=1e-3):
@@ -339,17 +326,9 @@ def test_draw_memo_stays_within_its_cap_and_the_decode_budget(made_memos):
     assert peak <= 10 * N + 9 * cap * vocab
 
 
-class _FreshRows(TableModel):
-    """A table model that hands out a new copy of its row at every call, so
-    no two draws share a row's identity."""
-
-    def dist(self, state):
-        return super().dist(state).copy()
-
-
 def test_draws_past_the_memo_cap_build_their_sums_each_time(made_memos):
     rng = Rng(8)
-    target, draft_model = (_FreshRows(3, 1, {(x,): normalize(rng.uniforms(3)) for x in range(3)})
+    target, draft_model = (FreshRowsModel(3, 1, {(x,): normalize(rng.uniforms(3)) for x in range(3)})
                            for _ in range(2))
     out, stats = speculative_decode(target, draft_model, (0,), 200, 3, Rng(9))
     ref_out, ref_stats = speculative_reference(target, draft_model, (0,), 200, 3, Rng(9))

@@ -10,6 +10,7 @@ tests gate what makes them linear: every emitted token is read once.
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -163,3 +164,33 @@ def test_lookahead_inserts_each_window_once(monkeypatch):
     # the cache saw every emitted token but those of the final round, at most L + 1
     assert len(text) - (L + 1) <= len(covered) < len(text)
     assert windows == len(covered) - w
+
+
+@pytest.mark.parametrize("kind", ["table", "feature"])
+def test_lookahead_reads_positions_only_up_to_the_first_mismatch(kind):
+    # both decodes reject proposed tokens in some rounds and accept them in others
+    if kind == "table":
+        model, prompt = _sparse_table_model(6, 3, 9), (0, 1, 2)
+    else:
+        model, prompt = random_feature_model(5, 6, Rng(71), scale=1.5), (1, 4, 2)
+    reads = steps = 0
+    dist, advance = model.dist, model.advance
+
+    def counting_dist(state):
+        nonlocal reads
+        reads += 1
+        return dist(state)
+
+    def counting_advance(state, token):
+        nonlocal steps
+        steps += 1
+        return advance(state, token)
+
+    model.dist, model.advance = counting_dist, counting_advance
+    _, stats = lookahead_decode(model, prompt, 300, n=2, L=4)
+    assert 0 < stats.verified_hits < stats.proposed
+    # each round reads its accepted positions and the one after them, and
+    # steps by each accepted token and the token it emits after them
+    assert reads == stats.verified_hits + stats.target_calls
+    # a feature model's `start` also steps over the prompt
+    assert steps == stats.verified_hits + stats.target_calls + (kind == "feature") * len(prompt)
