@@ -146,8 +146,11 @@ _CHARGES = {
         # components from 256 000 to 2 097 152)
         ("workload", "8 * count * components", lambda s: 8 * s.count * s.components),
     ],
-    # each threshold is one pass over every item
-    "route": [("thetas", "thetas * items", lambda s: s.thetas * s.items)],
+    # each threshold is one pass over every item. A feature model's rows after every position, its
+    # softmax's temporaries and its features peak at 2.7-4.0 per token per (vocabulary + dim); a table
+    # model's rows are its own, so vocabulary and dim are the widest feature model's, or 0
+    "route": [("thetas", "thetas * items", lambda s: s.thetas * s.items),
+              ("workload", "5 * tokens * (vocabulary + dim)", lambda s: 5 * s.tokens * (s.vocabulary + s.dim))],
 }
 
 # Each technique's keys: key -> (checker, default). The config's
@@ -455,7 +458,10 @@ def _run_route(params, seed, base_dir):
     small = load_model(_resolve(base_dir, params["small"]))
     large = load_model(_resolve(base_dir, params["large"]))
     workload = load_route_workload(_resolve(base_dir, params["workload"]), small, large)
-    _check_budget("route", params, items=len(workload.prompt_lens))
+    vocabulary, dim = max([(m.vocab_size, m.dim) for m in (small, large) if isinstance(m, FeatureModel)],
+                          key=sum, default=(0, 0))
+    _check_budget("route", params, items=len(workload.prompt_lens), tokens=len(workload.tokens),
+                  vocabulary=vocabulary, dim=dim)
     reports = frontier(params["thetas"], workload, small, large)
     return {"rows": [{"theta": theta, **asdict(report)} for theta, report in zip(params["thetas"], reports)]}
 

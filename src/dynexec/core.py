@@ -345,7 +345,8 @@ class SequenceModel:
     A feature model's `advance` and `dist` also take a batch, one state (and
     one token) per row, and row i equals the 1-D call bit for bit.
     `dists(states)` reads the K+1 positions of a cycle at once: a table model
-    looks up each row, a feature model runs one batched `dist`.
+    looks up each row, a feature model runs one batched `dist`. `rows_after`
+    reads sequences laid end to end: a row matrix and each position's row.
     `next_dist(ctx)` is `dist(start(ctx))`. Models are immutable after
     construction and safe to share across sessions.
     """
@@ -438,20 +439,20 @@ class TableModel(SequenceModel):
 
     next_dist = SequenceModel.next_dist
 
-    def rows_after(self, tokens: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """The index into `rows` of `dist` after each position k of int64 `tokens`,
-        having read the offsets[k] + 1 tokens tokens[k - offsets[k]] .. tokens[k]:
-        one searchsorted over the window codes, with a window shorter than the
-        order, like one absent from the table, selecting the fallback (the last
-        row). Every token must lie inside the vocabulary."""
+    def rows_after(self, tokens: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`rows`, and the index into it of `dist` after each position k of int64
+        `tokens`, having read the offsets[k] + 1 tokens tokens[k - offsets[k]] ..
+        tokens[k]: one searchsorted over the window codes, with a window shorter
+        than the order, like one absent from the table, selecting the fallback
+        (the last row). Every token must lie inside the vocabulary."""
         codes = np.zeros(len(tokens), dtype=np.int64)
         for shift in range(self.order - 1, -1, -1):  # Horner, oldest token of the window first
             codes *= self.vocab_size
             codes[shift:] += tokens[:len(tokens) - shift]
         at = np.searchsorted(self._codes, codes)
-        rows = self._code_rows[at]
-        rows[(self._codes[at] != codes) | (offsets < self.order - 1)] = len(self.rows) - 1
-        return rows
+        index = self._code_rows[at]
+        index[(self._codes[at] != codes) | (offsets < self.order - 1)] = len(self.rows) - 1
+        return self.rows, index
 
 
 class FeatureModel(SequenceModel):
@@ -515,6 +516,22 @@ class FeatureModel(SequenceModel):
     # one stacked mat-vec and one softmax for all the states, row i equal to dist(states[i])
     def dists(self, states) -> np.ndarray:
         return self.dist(np.array(states))
+
+    def rows_after(self, tokens: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """As `TableModel.rows_after`, with one row per position: the sequences,
+        each from an offset of 0, step in lockstep, longest first, one stacked
+        `advance` per position over those still running, then one batched `dist`
+        of all the features, so row k is `next_dist` of its prefix bit for bit."""
+        starts = np.flatnonzero(offsets == 0)
+        lengths = np.diff(starts, append=len(tokens))
+        starts = starts[np.argsort(-lengths)]
+        running = len(starts) - np.cumsum(np.bincount(lengths))  # sequences longer than each position
+        features = np.empty((len(tokens), self.dim))
+        state = np.zeros((len(starts), self.dim))
+        for position, count in enumerate(running[:-1].tolist()):
+            at = starts[:count] + position
+            state = features[at] = self.advance(state[:count], tokens[at])
+        return self.dist(features), np.arange(len(tokens))
 
     next_dist = SequenceModel.next_dist
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SequenceModel, TableModel, check_context, entropy
+from .core import SequenceModel, check_context, entropy
 from .errors import EmptyPrompt, VocabMismatch
 
 LOGPROB_FLOOR = 1e-12
@@ -46,13 +46,6 @@ class RouteWorkload(NamedTuple):
                    np.array([len(item.prompt) for item in items], dtype=np.int64),
                    np.array([len(item.reference_continuation) for item in items], dtype=np.int64))
 
-    def pairs(self) -> list:
-        """Each item's (prompt, continuation), as tuples of ints."""
-        tokens = self.tokens.tolist()
-        ends = np.cumsum(np.column_stack([self.prompt_lens, self.continuation_lens])).tolist()
-        spans = [tuple(tokens[a:b]) for a, b in zip([0, *ends], ends)]
-        return list(zip(spans[0::2], spans[1::2]))
-
 
 @dataclass(frozen=True)
 class RouteReport:
@@ -65,8 +58,8 @@ def difficulty(prompt, probe: SequenceModel) -> float:
     """Mean entropy of the probe's next-token distribution after each prompt
     prefix (lengths 1..len(prompt)); ranges over [0, ln V].
 
-    The probe reads the prompt in one state walk. `frontier` walks a feature
-    probe this way and reads a table probe's entropies from arrays.
+    The probe reads the prompt in one state walk. `frontier` gives the same
+    score from the probe's `rows_after` without calling it.
     """
     prompt = check_context(prompt, probe.vocab_size)
     if not prompt:
@@ -76,21 +69,6 @@ def difficulty(prompt, probe: SequenceModel) -> float:
     for state in probe.branch(probe.start(prompt[:1]), prompt[1:]):
         total += entropy(probe.dist(state))
     return total / len(prompt)
-
-
-def _log_prob(p: float) -> float:
-    # the floor keeps zero-probability table rows from yielding -inf; math.log,
-    # not np.log, which is another implementation and may differ in the last bit
-    return math.log(max(p, LOGPROB_FLOOR))
-
-
-def _mean_log_likelihood(model: SequenceModel, prompt, continuation) -> float:
-    """Mean log-probability of the continuation after the prompt, read in one
-    state walk; every token must lie inside the vocabulary, as `frontier` checks."""
-    total = 0.0
-    for state, token in zip(model.branch(model.start(prompt), continuation[:-1]), continuation):
-        total += _log_prob(float(model.dist(state)[token]))
-    return total / len(continuation)
 
 
 def _item_means(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -109,23 +87,25 @@ def _item_means(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return sums / lengths
 
 
-def _table_difficulties(probe: TableModel, rows, in_prompt, prompt_lens) -> np.ndarray:
-    """`difficulty` of every prompt under a table probe, bit for bit, from the
-    probe's `rows_after`: one `entropy` per distinct row the prompts read."""
-    read = rows[in_prompt]
+def _difficulties(rows, index, in_prompt, prompt_lens) -> np.ndarray:
+    """`difficulty` of every prompt, bit for bit, from the probe's `rows_after`:
+    one `entropy` per distinct row the prompts read."""
+    read = index[in_prompt]
     seen = np.flatnonzero(np.bincount(read))
-    entropies = np.zeros(len(probe.rows))
-    entropies[seen] = [entropy(probe.rows[row]) for row in seen.tolist()]
+    entropies = np.zeros(len(rows))
+    entropies[seen] = [entropy(rows[row]) for row in seen.tolist()]
     return _item_means(entropies[read], prompt_lens)
 
 
-def _table_qualities(model: TableModel, rows, tokens, in_prompt, continuation_lens) -> np.ndarray:
-    """`_mean_log_likelihood` of every item under a table model, bit for bit, from
-    its `rows_after`: one `_log_prob` per distinct (row, token) the continuations read."""
+def _qualities(rows, index, tokens, in_prompt, continuation_lens) -> np.ndarray:
+    """Each item's mean log-probability of its continuation after its prompt, from
+    the model's `rows_after`: one log per distinct (row, token) the continuations read."""
     at = np.flatnonzero(~in_prompt)
     # a continuation token is drawn from the row after the position before it
-    cells, cell_at = np.unique(rows[at - 1] * model.vocab_size + tokens[at], return_inverse=True)
-    log_probs = np.array([_log_prob(p) for p in model.rows.ravel()[cells].tolist()])
+    cells, cell_at = np.unique(index[at - 1] * rows.shape[1] + tokens[at], return_inverse=True)
+    # the floor keeps zero-probability rows from yielding -inf; math.log, not np.log,
+    # which is another implementation and may differ in the last bit
+    log_probs = np.array([math.log(max(p, LOGPROB_FLOOR)) for p in rows.ravel()[cells].tolist()])
     return _item_means(log_probs[cell_at], continuation_lens)
 
 
@@ -138,9 +118,10 @@ def frontier(thetas, workload: RouteWorkload, small: SequenceModel, large: Seque
     Items whose difficulty strictly exceeds it go to the large model. Costs
     are one small-model call per prompt token plus one chosen-model call per
     continuation token, summed in item order, so every report is the one a
-    per-threshold pass gives. A table model is read from the flat token
-    array, a window lookup per position (`TableModel.rows_after`); a feature
-    model walks each item's states.
+    per-threshold pass gives. Each model is read once through its
+    `rows_after`, a row matrix and the row after every position: a table
+    model's stored rows and a window lookup per position, a feature model's
+    lockstep walk over the items.
     """
     tokens, prompt_lens, continuation_lens = workload
     if not len(prompt_lens):
@@ -155,17 +136,11 @@ def frontier(thetas, workload: RouteWorkload, small: SequenceModel, large: Seque
     item_lens = prompt_lens + continuation_lens
     offsets = np.arange(len(tokens)) - np.repeat(np.cumsum(item_lens) - item_lens, item_lens)
     in_prompt = offsets < np.repeat(prompt_lens, item_lens)
-    # each table model's row after every position, read once when both models are one
-    tables = {id(model): model for model in (small, large) if isinstance(model, TableModel)}
-    rows = {key: model.rows_after(tokens, offsets) for key, model in tables.items()}
-    if id(small) in rows:
-        scores = _table_difficulties(small, rows[id(small)], in_prompt, prompt_lens)
-    else:
-        scores = np.array([difficulty(prompt, small) for prompt, _ in workload.pairs()])
-    small_q, large_q = (
-        _table_qualities(model, rows[id(model)], tokens, in_prompt, continuation_lens) if id(model) in rows
-        else np.array([_mean_log_likelihood(model, *pair) for pair in workload.pairs()])
-        for model in (small, large))
+    rows, index = small.rows_after(tokens, offsets)
+    scores = _difficulties(rows, index, in_prompt, prompt_lens)
+    small_q = _qualities(rows, index, tokens, in_prompt, continuation_lens)
+    del rows, index  # a feature model's rows are a (tokens, V) matrix: hold one model's at a time
+    large_q = _qualities(*large.rows_after(tokens, offsets), tokens, in_prompt, continuation_lens)
     # (prompt cost, chosen cost) per item, interleaved: np.cumsum adds in order where np.sum
     # adds pairwise, so its last element is the running total of a per-item pass
     costs = np.empty((len(prompt_lens), 2))

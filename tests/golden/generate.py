@@ -45,6 +45,9 @@ CONFIGS = {
     "route": {"technique": "route", "report": "route.csv", "params": {
         "small": "inputs/small.json", "large": "inputs/large.json", "workload": "inputs/items.json",
         "thetas": [-1.0, 0.5, 1.0, 1.5, 100.0]}},
+    "route-feature": {"technique": "route", "report": "route-feature.csv", "params": {
+        "small": "inputs/feature.json", "large": "inputs/large.json", "workload": "inputs/items.json",
+        "thetas": [-1.0, 0.5, 1.0, 1.5, 100.0]}},
 }
 
 

@@ -509,8 +509,9 @@ def difficulty_reference(prompt, probe):
 
 
 def mean_log_likelihood_reference(model, item):
-    """`router._mean_log_likelihood` from scratch: the model reads the prompt
-    and each continuation prefix anew."""
+    """An item's quality in `router.frontier`, its mean log-likelihood of the
+    continuation after the prompt, from scratch: the model reads the prompt and
+    each continuation prefix anew."""
     ctx = item.prompt
     total = 0.0
     for token in item.reference_continuation:

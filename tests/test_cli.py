@@ -569,6 +569,23 @@ def _route_sweep(data, tmp):
                     _charged("thetas", lambda size: f"thetas * items = {size} * {items} = {size * items}"))
 
 
+def _route_rows(data, tmp):
+    feature, table = str(tmp / "feature-256-32.json"), str(tmp / "large.json")
+    small, large = data.draw(st.permutations([feature, table]), label="small, large")
+    items = data.draw(st.integers(1, 2**10), label="items")
+
+    def argv(size):
+        # items - 1 two-token items, then one of the remaining tokens; both models read tokens 0-3
+        path = tmp / "items-rows.json"
+        rest = {"prompt": [0], "continuation": [1] * (size - 2 * items + 1)}
+        path.write_text(json.dumps({"items": [{"prompt": [0], "continuation": [1]}] * (items - 1) + [rest]}))
+        return ["route", "--small", small, "--large", large, "--workload", str(path), "--thetas=0.5"]
+    ceiling = _BUDGET // (5 * (256 + 32))
+    return _Ceiling(argv, ceiling, (ceiling + 1,), "frontier", "load_route_workload",
+                    _charged("workload", lambda size: f"5 * tokens * (vocabulary + dim) = 5 * {size} * (256 + 32) = "
+                                                      f"{5 * size * (256 + 32)}"))
+
+
 # each declared charge's case, by its rule
 _CHARGE_CASES = {
     "8 * fit_seqs * (fit_len * dim + vocabulary)": ("eagle-fit_seqs", _eagle_fit),
@@ -576,6 +593,7 @@ _CHARGE_CASES = {
     "4 * specs * (count + 4 * steps)": ("stepsaver-workload-specs", _spec_load),
     "8 * count * components": ("stepsaver-workload-components", _widest_spec),
     "thetas * items": ("route-thetas", _route_sweep),
+    "5 * tokens * (vocabulary + dim)": ("route-workload", _route_rows),
 }
 # every int key with an upper bound, but for stepsaver's steps, whose bound is its schedule's, and every charge
 _CEILING_CASES = [pytest.param(_scalar(technique, key), id=f"{technique}-{key}")

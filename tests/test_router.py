@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dynexec import Rng, RouteWorkload, TableModel, WorkloadItem, difficulty, evaluate, frontier
+from dynexec import FeatureModel, Rng, RouteWorkload, TableModel, WorkloadItem, difficulty, evaluate, frontier
 from dynexec.core import entropy
-from dynexec.router import LOGPROB_FLOOR, _mean_log_likelihood
+from dynexec.router import LOGPROB_FLOOR
 from dynexec.errors import EmptyPrompt, VocabMismatch
 
 from helpers import onehot, random_feature_model, random_table_model, route_workload, varied_entropy_table_model
@@ -79,7 +79,8 @@ def test_workload_item_requires_continuation():
 
 def test_quality_floor_keeps_loglik_finite():
     model = TableModel(2, 0, {(): [1.0, 0.0]})
-    ll = _mean_log_likelihood(model, (0,), (1, 1))  # continuation has probability zero
+    workload = RouteWorkload.of([WorkloadItem((0,), (1, 1))])  # continuation has probability zero
+    ll = frontier([math.inf], workload, model, model)[0].mean_quality
     assert math.isfinite(ll)
     assert ll == pytest.approx(math.log(LOGPROB_FLOOR))
 
@@ -149,3 +150,44 @@ def test_evaluate_requires_items():
     small = random_table_model(3, 1, Rng(1))
     with pytest.raises(ValueError):
         evaluate(0.0, RouteWorkload.of([]), small, small)
+
+
+# ragged items, given neither longest nor shortest first, three of them one token long
+_RAGGED = ((2, 0, 7), (5,), (1, 1, 3, 9, 0, 4, 2), (8,), (6, 3), (0, 2, 4, 6, 8), (9,))
+
+
+@pytest.mark.parametrize("vocab, dim", [(10, 4), (10, 16), (12, 32)])
+def test_feature_rows_after_equal_next_dist_of_each_prefix(vocab, dim):
+    """The lockstep walk's row after each position is the one-sequence `next_dist`
+    of its prefix, bit for bit, whatever the order of the sequences' lengths."""
+    model = random_feature_model(vocab, dim, Rng(vocab * dim))
+    tokens = np.array([t for item in _RAGGED for t in item], dtype=np.int64)
+    offsets = np.array([k for item in _RAGGED for k in range(len(item))], dtype=np.int64)
+    rows, index = model.rows_after(tokens, offsets)
+    assert index.tolist() == list(range(len(tokens)))
+    prefixes = [item[:k + 1] for item in _RAGGED for k in range(len(item))]
+    assert [rows[i].tobytes() for i in index] == [model.next_dist(p).tobytes() for p in prefixes]
+
+
+def test_frontier_walks_a_feature_probe_once_in_lockstep(monkeypatch):
+    """A feature probe's frontier takes one stacked `advance` per position of
+    the longest item, and no `start`: every prompt is read once, in lockstep."""
+    calls = {"advance": [], "start": 0}
+    advance, start = FeatureModel.advance, FeatureModel.start
+
+    def counting_advance(self, state, token):
+        calls["advance"].append(np.ndim(token))
+        return advance(self, state, token)
+
+    def counting_start(self, ctx):
+        calls["start"] += 1
+        return start(self, ctx)
+
+    small = random_feature_model(10, 4, Rng(61))
+    large = random_table_model(10, 2, Rng(62), cost_units=4.0)
+    items = [WorkloadItem(item[:1], item[1:] or (0,)) for item in _RAGGED]
+    monkeypatch.setattr(FeatureModel, "advance", counting_advance)
+    monkeypatch.setattr(FeatureModel, "start", counting_start)
+    frontier([-1.0, 1.0, math.inf], RouteWorkload.of(items), small, large)
+    longest = max(len(item.prompt) + len(item.reference_continuation) for item in items)
+    assert calls == {"advance": [1] * longest, "start": 0}

@@ -9,13 +9,15 @@ for bit, so early-exit and route reports stay byte-identical.
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynexec import (Rng, RouteWorkload, TableModel, WorkloadItem, difficulty, frontier, gen_dataset, sweep,
-                     train_stages)
+from dynexec import (FeatureModel, Rng, RouteWorkload, TableModel, WorkloadItem, difficulty, frontier, gen_dataset,
+                     sweep, train_stages)
+from dynexec.cli import _CHARGES
 from dynexec.core import MAX_TABLE_ORDER, MIN_FEATURE_DIM, entropy
 from dynexec.earlyexit import STAGE0_COST, STAGE1_COST, MultiExitNet, SweepRow
 
@@ -219,10 +221,20 @@ def _long_item_case():
     return _case(small, large, items)
 
 
+def _many_feature_items_case():
+    """Feature models on 200 items, so the frontier's peak is its walks', not a fixed cost."""
+    rng = Rng(44)
+    small = random_feature_model(6, 6, rng.child(0))
+    large = random_feature_model(6, 4, rng.child(1), cost_units=4.0)
+    return _case(small, large, route_workload(200, small, large, rng.child(2)))
+
+
 LONG_ITEM = 5000
 # the frontier's tracemalloc peak on a table workload: a few arrays of the
 # total tokens, never an items x longest-item matrix
 PEAK_BYTES_PER_TOKEN = 256
+# with a feature model, the route charge on the widest one's rows, in float64s
+_, _, FEATURE_CHARGE = next(charge for charge in _CHARGES["route"] if charge[0] == "workload")
 
 
 @settings(max_examples=100, deadline=None)
@@ -231,23 +243,28 @@ PEAK_BYTES_PER_TOKEN = 256
 @example(_order_zero_fallback_case())
 @example(_zero_probability_case())
 @example(_long_item_case())
+@example(_many_feature_items_case())
 def test_frontier_matches_per_threshold_reference(case):
-    """The frontier's window lookups and per-length sums, and its walks of
-    feature models, give the reports of from-scratch scoring, per threshold,
-    bit for bit; on table models, within memory linear in the workload's tokens."""
+    """The frontier's window lookups and per-length sums, and its lockstep walks
+    of feature models, give the reports of from-scratch scoring, per threshold,
+    bit for bit, within memory linear in the workload's tokens: on table models
+    a few arrays of them, with a feature model its declared route charge."""
     small, large, items, thetas = case
     attributes = [{key: id(value) for key, value in vars(model).items()} for model in (small, large)]
     workload = RouteWorkload.of(items)
-    # the array path's memory is traced; a feature model walks one item at a time, slower under tracing
-    if all(isinstance(model, TableModel) for model in (small, large)):
-        tracemalloc.start()
+    tracemalloc.start()
     try:
         got = frontier(thetas, workload, small, large)
-        peak = tracemalloc.get_traced_memory()[1]  # 0 when not traced
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     tokens = sum(len(item.prompt) + len(item.reference_continuation) for item in items)
-    assert peak < 2**16 + PEAK_BYTES_PER_TOKEN * tokens
+    widths = [(model.vocab_size, model.dim) for model in (small, large) if isinstance(model, FeatureModel)]
+    if widths:
+        vocabulary, dim = max(widths, key=sum)
+        assert peak < 2**16 + 8 * FEATURE_CHARGE(SimpleNamespace(tokens=tokens, vocabulary=vocabulary, dim=dim))
+    else:
+        assert peak < 2**16 + PEAK_BYTES_PER_TOKEN * tokens
     # nothing is cached on a model at its first use
     assert [{key: id(value) for key, value in vars(model).items()} for model in (small, large)] == attributes
     ref = [route_evaluate_reference(theta, items, small, large) for theta in thetas]
