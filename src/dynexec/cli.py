@@ -131,7 +131,7 @@ MAX_SAMPLES = ELEMENT_BUDGET // 256
 # its numeric params, a list param's length and the loaded sizes. See _check_budget.
 _CHARGES = {
     # the corpus and the fit peak at about 7 per corpus token per feature dim,
-    # and the sampler's batched head at about 4 per sequence per vocabulary token
+    # and the sampler's batched head at about 2.6-2.8 per sequence per vocabulary token
     "eagle": [("fit_seqs", "8 * fit_seqs * (fit_len * dim + vocabulary)",
                lambda s: 8 * s.fit_seqs * (s.fit_len * s.dim + s.vocabulary))],
     # a run peaks at about 67 per threshold: its flag text, its row and its report line
@@ -147,7 +147,7 @@ _CHARGES = {
         ("workload", "8 * count * components", lambda s: 8 * s.count * s.components),
     ],
     # each threshold is one pass over every item. A feature model's rows after every position, its
-    # softmax's temporaries and its features peak at 2.7-4.0 per token per (vocabulary + dim); a table
+    # softmax's temporary and its features peak at 1.8-2.0 per token per (vocabulary + dim); a table
     # model's rows are its own, so vocabulary and dim are the widest feature model's, or 0
     "route": [("thetas", "thetas * items", lambda s: s.thetas * s.items),
               ("workload", "5 * tokens * (vocabulary + dim)", lambda s: 5 * s.tokens * (s.vocabulary + s.dim))],

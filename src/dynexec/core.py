@@ -15,16 +15,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .errors import (
-    AllZero,
-    DynexecError,
-    EmptyContext,
-    InvalidDistribution,
-    NegativeWeight,
-    ParseError,
-    SchemaError,
-    VocabMismatch,
-)
+from .errors import DynexecError, ParseError, SchemaError
 
 Context = tuple[int, ...]
 
@@ -195,10 +186,10 @@ def normalize(weights) -> np.ndarray:
     if w.ndim != 1 or w.size < 2:
         raise ValueError("need a 1-D weight vector of length >= 2")
     if np.any(w < 0):
-        raise NegativeWeight("weights must be non-negative")
+        raise DynexecError("weights must be non-negative")
     total = float(w.sum())
     if total == 0.0:
-        raise AllZero("cannot normalize an all-zero weight vector")
+        raise DynexecError("cannot normalize an all-zero weight vector")
     return w / total
 
 
@@ -207,15 +198,15 @@ def check_dist(d, name: str = "distribution", vocab_size: int = None) -> np.ndar
     1e-9, and vocab_size of them when it is given."""
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 1 or d.size < MIN_VOCAB:
-        raise InvalidDistribution(f"{name} must be a 1-D vector of length >= {MIN_VOCAB}")
+        raise DynexecError(f"{name} must be a 1-D vector of length >= {MIN_VOCAB}")
     if (d < 0).any() or not np.isfinite(d).all():
-        raise InvalidDistribution(f"{name} has negative or non-finite entries")
+        raise DynexecError(f"{name} has negative or non-finite entries")
     with np.errstate(over="ignore"):  # huge finite entries sum to inf, which the check rejects
         total = float(d.sum())
     if abs(total - 1.0) > DIST_ATOL:
-        raise InvalidDistribution(f"{name} sums to {total!r}, not 1")
+        raise DynexecError(f"{name} sums to {total!r}, not 1")
     if vocab_size is not None and d.size != vocab_size:
-        raise InvalidDistribution(f"{name} has {d.size} entries, not the vocabulary size {vocab_size}")
+        raise DynexecError(f"{name} has {d.size} entries, not the vocabulary size {vocab_size}")
     return d
 
 
@@ -271,10 +262,11 @@ def inverse_cdf(d, u) -> np.ndarray:
 
 def softmax(scores) -> np.ndarray:
     """Softmax along the last axis."""
-    z = np.asarray(scores, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    scores = np.asarray(scores, dtype=np.float64)
+    z = scores - scores.max(axis=-1, keepdims=True)  # the one new array; the rest is in place
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def is_int(value) -> bool:
@@ -291,7 +283,7 @@ def check_context(ctx, vocab_size: int) -> Context:
     ctx = tuple(int(t) for t in ctx)
     for t in ctx:
         if t < 0 or t >= vocab_size:
-            raise VocabMismatch(f"token {t} outside vocabulary of size {vocab_size}")
+            raise DynexecError(f"token {t} outside vocabulary of size {vocab_size}")
     return ctx
 
 
@@ -499,7 +491,7 @@ class FeatureModel(SequenceModel):
     def start(self, ctx: Context) -> np.ndarray:
         ctx = check_context(ctx, self.vocab_size)
         if not ctx:
-            raise EmptyContext("a feature model needs at least one context token")
+            raise DynexecError("a feature model needs at least one context token")
         return self.branch(np.zeros(self.dim), ctx)[-1]
 
     # advance and dist take one feature or a batch of them, one per row. The
@@ -541,7 +533,7 @@ def feature_forward(model: FeatureModel, ctx) -> tuple[np.ndarray, np.ndarray]:
     next-token distribution after the final token."""
     ctx = check_context(ctx, model.vocab_size)
     if not ctx:
-        raise EmptyContext("feature_forward needs at least one context token")
+        raise DynexecError("feature_forward needs at least one context token")
     feats = np.array(model.branch(model.start(ctx[:1]), ctx[1:]))
     return feats, model.dist(feats[-1])
 

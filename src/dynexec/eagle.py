@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FeatureModel, Rng, inverse_cdf
-from .errors import InsufficientData, SingularSystem
+from .errors import DynexecError
 from .specdec import DraftOutput, _speculate, draft_from
 
 DEFAULT_RIDGE = 1e-6
@@ -75,7 +75,7 @@ def fit_extrapolator(model: FeatureModel, corpus: tuple[np.ndarray, np.ndarray],
 
     Ridge penalizes the weights but not the bias, so the large-ridge limit
     predicts the sample mean. With ridge=0 a rank-deficient design raises
-    SingularSystem instead of silently picking one of many solutions.
+    DynexecError instead of silently picking one of many solutions.
     """
     if ridge < 0:
         raise ValueError("ridge must be non-negative")
@@ -86,14 +86,14 @@ def fit_extrapolator(model: FeatureModel, corpus: tuple[np.ndarray, np.ndarray],
     Y = feats[:, 1:].reshape(-1, d)
     needed = 2 * d + 1
     if len(X) < needed:
-        raise InsufficientData(f"need at least {needed} transitions, got {len(X)}")
+        raise DynexecError(f"need at least {needed} transitions, got {len(X)}")
     x_mean = X.mean(axis=0)
     y_mean = Y.mean(axis=0)
     Xc = X - x_mean
     Yc = Y - y_mean
     gram = Xc.T @ Xc
     if ridge == 0.0 and np.linalg.matrix_rank(Xc) < 2 * d:
-        raise SingularSystem("design matrix is rank-deficient; use ridge > 0")
+        raise DynexecError("design matrix is rank-deficient; use ridge > 0")
     W = np.linalg.solve(gram + ridge * np.eye(2 * d), Xc.T @ Yc)
     weight = W.T
     bias = y_mean - weight @ x_mean

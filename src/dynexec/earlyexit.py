@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Rng
-from .errors import DegenerateData, NotConverged
+from .errors import DynexecError
 
 BOUNDARY_X_RANGE = (-1.5, 1.5)
 HARD_BAND = (0.02, 0.30)
@@ -125,7 +125,7 @@ def _loss_and_p(feats: np.ndarray, labels: np.ndarray, weights: np.ndarray):
 def _fit_logistic(feats: np.ndarray, labels: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, int]:
     """Newton's method (IRLS) on the penalised loss from `start`, over d feature
     rows of n points: the weights, intercept last, and the step count, or
-    NotConverged. One d x n buffer holds feats * p(1-p) on every step."""
+    DynexecError. One d x n buffer holds feats * p(1-p) on every step."""
     d, n = feats.shape
     weighted = np.empty_like(feats)
     hessian = np.empty((d + 1, d + 1))
@@ -146,7 +146,7 @@ def _fit_logistic(feats: np.ndarray, labels: np.ndarray, start: np.ndarray) -> t
         while (trial := _loss_and_p(feats, labels, weights - step))[0] > loss + FIT_TOLERANCE:
             step /= 2
         weights, (loss, p) = weights - step, trial
-    raise NotConverged(f"logistic fit still moving after {FIT_MAX_ITERATIONS} Newton steps")
+    raise DynexecError(f"logistic fit still moving after {FIT_MAX_ITERATIONS} Newton steps")
 
 
 def train_stages(data: Dataset) -> MultiExitNet:
@@ -156,7 +156,7 @@ def train_stages(data: Dataset) -> MultiExitNet:
     labels = data.labels.astype(np.float64)
     # not np.unique, which imports numpy.ma at its first call in a process
     if labels.min() == labels.max():
-        raise DegenerateData("training data contains a single class")
+        raise DynexecError("training data contains a single class")
     feats = featurize(data.xs, data.ys)
     linear, _ = _fit_logistic(feats[:2], labels, np.zeros(3))
     # the cubic rows start with the linear two: start there, 0 on the seven higher-order rows

@@ -1,64 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The only distinction a caller draws is the CLI's two exit codes: exit 1 for
+ParseError, SchemaError and MissingSeries, exit 2 for any other DynexecError.
+So there are exactly four classes. A failure the library detects raises
+DynexecError with a message naming it; a bad argument may still raise
+ValueError.
+"""
 
 
 class DynexecError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class InvalidDistribution(DynexecError):
-    """A probability vector violates non-negativity or does not sum to 1."""
-
-
-class AllZero(DynexecError):
-    """Every weight is zero, so no distribution can be formed."""
-
-
-class NegativeWeight(DynexecError):
-    """A weight is negative."""
-
-
-class VocabMismatch(DynexecError):
-    """A token or context is invalid for the model's vocabulary."""
-
-
-class EmptyContext(DynexecError):
-    """An operation that needs at least one context token received none."""
-
-
-class AllZeroResidual(DynexecError):
-    """Residual distribution is identically zero (p equals q elementwise)."""
-
-
-class LengthMismatch(DynexecError):
-    """Sequence lengths passed to verification do not line up."""
-
-
-class ContractViolation(DynexecError):
-    """An internal invariant was broken (e.g. a drafted token with zero draft probability)."""
-
-
-class InsufficientData(DynexecError):
-    """Not enough samples to fit the requested model."""
-
-
-class SingularSystem(DynexecError):
-    """Unregularized least squares on a rank-deficient design matrix."""
-
-
-class NotConverged(DynexecError):
-    """An iterative fit reached its iteration cap before its stopping rule held."""
-
-
-class DegenerateData(DynexecError):
-    """Training data is degenerate (e.g. one class entirely absent)."""
-
-
-class StepsOutOfRange(DynexecError):
-    """Requested denoising step count is outside [1, T]."""
-
-
-class EmptyPrompt(DynexecError):
-    """Routing difficulty needs a non-empty prompt."""
 
 
 class ParseError(DynexecError):

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import SequenceModel, check_context, entropy
-from .errors import EmptyPrompt, VocabMismatch
+from .errors import DynexecError
 
 LOGPROB_FLOOR = 1e-12
 
@@ -63,7 +63,7 @@ def difficulty(prompt, probe: SequenceModel) -> float:
     """
     prompt = check_context(prompt, probe.vocab_size)
     if not prompt:
-        raise EmptyPrompt("difficulty needs a non-empty prompt")
+        raise DynexecError("difficulty needs a non-empty prompt")
     total = 0.0
     # from prompt[:1]: a feature model has no state for the empty context
     for state in probe.branch(probe.start(prompt[:1]), prompt[1:]):
@@ -127,12 +127,12 @@ def frontier(thetas, workload: RouteWorkload, small: SequenceModel, large: Seque
     if not len(prompt_lens):
         raise ValueError("workload must be non-empty")
     if not prompt_lens.all():
-        raise EmptyPrompt("difficulty needs a non-empty prompt")
+        raise DynexecError("difficulty needs a non-empty prompt")
     if not continuation_lens.all():
         raise ValueError("reference continuation must be non-empty")
     vocab = min(small.vocab_size, large.vocab_size)
     if tokens.min() < 0 or tokens.max() >= vocab:
-        raise VocabMismatch(f"workload token outside the models' vocabulary of size {vocab}")
+        raise DynexecError(f"workload token outside the models' vocabulary of size {vocab}")
     item_lens = prompt_lens + continuation_lens
     offsets = np.arange(len(tokens)) - np.repeat(np.cumsum(item_lens) - item_lens, item_lens)
     in_prompt = offsets < np.repeat(prompt_lens, item_lens)

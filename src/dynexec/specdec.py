@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Rng, SequenceModel, TableModel, check_context, running_sums
-from .errors import AllZeroResidual, ContractViolation, LengthMismatch, VocabMismatch
+from .errors import DynexecError
 
 
 class DraftOutput(NamedTuple):
@@ -129,12 +129,12 @@ def residual(p, q) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape or p.ndim != 1:
-        raise LengthMismatch("residual needs two 1-D distributions of equal length")
+        raise DynexecError("residual needs two 1-D distributions of equal length")
     r = p - q
     np.maximum(r, 0.0, out=r)
     total = float(r.sum())
     if total == 0.0:
-        raise AllZeroResidual("p equals q elementwise; rejection there has probability 0")
+        raise DynexecError("p equals q elementwise; rejection there has probability 0")
     # r is non-negative by construction, so this is normalize(r) without its checks
     return r / total
 
@@ -151,16 +151,16 @@ def verify(target_dists, d: DraftOutput, rng: Rng, memo: _RowMemo = _UNCACHED) -
     """
     K = len(d.tokens)
     if K != len(d.dists) or not K:
-        raise LengthMismatch("draft needs K >= 1 tokens with one distribution each")
+        raise DynexecError("draft needs K >= 1 tokens with one distribution each")
     if len(target_dists) != K + 1:
-        raise LengthMismatch(f"expected {K + 1} target distributions, got {len(target_dists)}")
+        raise DynexecError(f"expected {K + 1} target distributions, got {len(target_dists)}")
     for i in range(K):
         token = d.tokens[i]
         p_i = target_dists[i]
         q_i = d.dists[i]
         q_tok = float(q_i[token])
         if q_tok <= 0.0:
-            raise ContractViolation(
+            raise DynexecError(
                 f"drafted token {token} has zero draft probability at position {i}")
         u = rng.uniform()
         if u < min(1.0, float(p_i[token]) / q_tok):
@@ -244,7 +244,7 @@ def speculative_decode(target: SequenceModel, draft_model: SequenceModel,
     models keeps up to rows_target + rows_draft sums of each kind in a `_RowMemo`.
     """
     if target.vocab_size != draft_model.vocab_size:
-        raise VocabMismatch("target and draft models must share a vocabulary")
+        raise DynexecError("target and draft models must share a vocabulary")
     prompt = check_context(prompt, target.vocab_size)
     tables = isinstance(target, TableModel) and isinstance(draft_model, TableModel)
     memo = _RowMemo(len(target.rows) + len(draft_model.rows)) if tables else _UNCACHED

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Rng, RngStreams
-from .errors import InsufficientData, StepsOutOfRange
+from .errors import DynexecError
 
 DEFAULT_STEPS = 100
 BETA_START = 1e-4
@@ -198,7 +198,7 @@ def generate_many(chains, schedule: NoiseSchedule, count: int) -> list[np.ndarra
     """
     for _, steps, _ in chains:
         if not 1 <= steps <= schedule.T:
-            raise StepsOutOfRange(f"steps must lie in [1, {schedule.T}], got {steps}")
+            raise DynexecError(f"steps must lie in [1, {schedule.T}], got {steps}")
     if count < 1:
         raise ValueError("count must be >= 1")
     groups = {}
@@ -363,7 +363,7 @@ def fit_recommender(labeled_specs, max_steps: int) -> StepRecommender:
     """
     pairs = [(spec.difficulty, float(label)) for spec, label in labeled_specs]
     if len(pairs) < MIN_LABELED_SPECS:
-        raise InsufficientData(f"need at least {MIN_LABELED_SPECS} labeled specs, got {len(pairs)}")
+        raise DynexecError(f"need at least {MIN_LABELED_SPECS} labeled specs, got {len(pairs)}")
     pairs.sort(key=lambda p: p[0])
     xs: list[float] = []
     ys: list[float] = []

@@ -18,8 +18,7 @@ from dynexec.eagle import Extrapolator
 from dynexec.earlyexit import (BOUNDARY_X_RANGE, EASY_BAND, FIT_MAX_ITERATIONS, FIT_TOLERANCE, HARD_BAND, RIDGE,
                                STAGE0_COST, STAGE1_COST, Dataset, MultiExitNet, SweepRow, _row_entropies, _sigmoid,
                                featurize, stage_dists)
-from dynexec.errors import (EmptyPrompt, InsufficientData, InvalidDistribution, LengthMismatch, NotConverged,
-                            SchemaError)
+from dynexec.errors import DynexecError, SchemaError
 from dynexec.router import LOGPROB_FLOOR, RouteReport, WorkloadItem
 from dynexec.specdec import DraftOutput, verify
 from dynexec.stepsaver import ORACLE_GRID, MixtureSpec, fit_recommender, respaced_timesteps, wasserstein1
@@ -166,7 +165,7 @@ def acceptance_rate_memoryless(p, q) -> float:
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
-        raise LengthMismatch("need distributions of equal length")
+        raise DynexecError("need distributions of equal length")
     return float(np.minimum(p, q).sum())
 
 
@@ -344,7 +343,7 @@ def fit_extrapolator_reference(model, corpus, ridge):
             ys.append(feats[t + 1])
     d = model.dim
     if len(xs) < 2 * d + 1:
-        raise InsufficientData(f"need at least {2 * d + 1} transitions, got {len(xs)}")
+        raise DynexecError(f"need at least {2 * d + 1} transitions, got {len(xs)}")
     X = np.asarray(xs)
     Y = np.asarray(ys)
     x_mean = X.mean(axis=0)
@@ -364,7 +363,7 @@ def table_model_reference(vocab_size, order, table, fallback=None):
     def frozen_row(row, name):
         d = check_dist(row, name)
         if d.size != vocab_size:
-            raise InvalidDistribution(f"{name} has {d.size} entries, not the vocabulary size {vocab_size}")
+            raise DynexecError(f"{name} has {d.size} entries, not the vocabulary size {vocab_size}")
         out = np.array(d, dtype=np.float64)
         out.flags.writeable = False
         return out
@@ -407,7 +406,7 @@ def fit_logistic_reference(feats, labels, start=None):
     """Newton's method on the mean logistic loss plus RIDGE/2 * |w|^2 over
     sample-major (n, d) features, taking every full step, from zero weights
     unless `start` (intercept last) is given. Returns the weights, intercept
-    last; raises NotConverged after FIT_MAX_ITERATIONS steps."""
+    last; raises DynexecError after FIT_MAX_ITERATIONS steps."""
     n, d = feats.shape
     w, b = (np.zeros(d), 0.0) if start is None else (start[:-1].copy(), start[-1])
     weighted = np.empty_like(feats)
@@ -427,7 +426,7 @@ def fit_logistic_reference(feats, labels, start=None):
         b -= step[d]
         if np.max(np.abs(step)) < FIT_TOLERANCE:
             return np.append(w, b)
-    raise NotConverged(f"logistic fit still moving after {FIT_MAX_ITERATIONS} Newton steps")
+    raise DynexecError(f"logistic fit still moving after {FIT_MAX_ITERATIONS} Newton steps")
 
 
 def sample_major_dists(weights, xs, ys):
@@ -501,7 +500,7 @@ def difficulty_reference(prompt, probe):
     """`router.difficulty` from scratch: the probe reads every prompt prefix anew."""
     prompt = check_context(prompt, probe.vocab_size)
     if not prompt:
-        raise EmptyPrompt("difficulty needs a non-empty prompt")
+        raise DynexecError("difficulty needs a non-empty prompt")
     total = 0.0
     for i in range(1, len(prompt) + 1):
         total += entropy(probe.next_dist(prompt[:i]))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynexec import Rng, cli
+from dynexec import Rng, cli, earlyexit
 from dynexec.cli import (
     _SCHEMAS,
     DEFAULT_TAUS,
@@ -646,6 +646,14 @@ def test_cli_run_too_large_to_allocate_exits_2_in_one_line(tmp_path, model_files
     assert main([technique, *flags, "--report", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("runtime error: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_early_exit_fit_that_does_not_converge_exits_2_in_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(earlyexit, "FIT_MAX_ITERATIONS", 1)
+    out = tmp_path / "out.csv"
+    assert main(["early-exit", "--count", "200", "--report", str(out)]) == 2
+    assert capsys.readouterr().err == "runtime error: logistic fit still moving after 1 Newton steps\n"
     assert not out.exists()
 
 

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from dynexec import Rng, TableModel, FeatureModel, entropy, normalize, sample
+from dynexec import Rng, TableModel, FeatureModel, entropy, normalize, sample, softmax
 from dynexec.core import (
     check_context,
     check_dist,
@@ -15,16 +16,10 @@ from dynexec.core import (
     model_to_dict,
     save_model,
 )
-from dynexec.errors import (
-    AllZero,
-    EmptyContext,
-    InvalidDistribution,
-    NegativeWeight,
-    VocabMismatch,
-)
+from dynexec.errors import DynexecError
 
 from helpers import onehot, random_dist, random_feature_model, random_table_model
-from oracles import uniform_reference
+from oracles import fixture_normals, uniform_reference
 
 
 def test_normalize_symmetry():
@@ -40,9 +35,9 @@ def test_normalize_forced_ratio():
 
 
 def test_normalize_errors():
-    with pytest.raises(AllZero):
+    with pytest.raises(DynexecError, match="cannot normalize an all-zero weight vector"):
         normalize([0.0, 0.0])
-    with pytest.raises(NegativeWeight):
+    with pytest.raises(DynexecError, match="weights must be non-negative"):
         normalize([0.5, -0.1])
     with pytest.raises(ValueError):
         normalize([1.0])
@@ -187,9 +182,9 @@ def test_next_dist_deterministic():
 
 
 def test_check_context_vocab_mismatch():
-    with pytest.raises(VocabMismatch):
+    with pytest.raises(DynexecError, match="token 5 outside vocabulary of size 3"):
         check_context((0, 5), 3)
-    with pytest.raises(VocabMismatch):
+    with pytest.raises(DynexecError, match="token -1 outside vocabulary of size 3"):
         check_context((-1,), 3)
 
 
@@ -200,7 +195,7 @@ def test_table_model_short_context_uses_fallback():
 
 
 def test_table_model_validates_rows():
-    with pytest.raises(InvalidDistribution):
+    with pytest.raises(DynexecError, match=r"table row \(0,\) sums to .*, not 1"):
         TableModel(2, 1, {(0,): [0.5, 0.6]})
     with pytest.raises(ValueError):
         TableModel(2, 5, {})
@@ -227,8 +222,22 @@ def test_feature_forward_deterministic_and_shapes():
 
 def test_feature_forward_empty_context():
     model = random_feature_model(3, 4, Rng(1))
-    with pytest.raises(EmptyContext):
+    with pytest.raises(DynexecError, match="feature_forward needs at least one context token"):
         feature_forward(model, ())
+
+
+def test_batched_softmax_allocates_one_array_beyond_its_input():
+    n, vocab = 300, 256
+    scores = fixture_normals(Rng(4), n * vocab).reshape(n, vocab) * 50
+    before = scores.copy()
+    tracemalloc.start()
+    try:
+        softmax(scores)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * vocab * scores.itemsize
+    assert np.array_equal(scores, before)
 
 
 def test_feature_dists_valid_over_many_weightings():

@@ -4,7 +4,7 @@ import pytest
 from dynexec import Rng, eagle_decode, eagle_draft, fit_extrapolator, sample_corpus
 from dynexec.core import feature_forward
 from dynexec.eagle import Extrapolator
-from dynexec.errors import EmptyContext, InsufficientData, SingularSystem
+from dynexec.errors import DynexecError
 
 from helpers import affine_dynamics_model, constant_feature_model, random_feature_model
 from oracles import collect_trajectories, eagle_draft_dist_fn, fixture_normals, max_preservation_deviation
@@ -59,14 +59,14 @@ def test_fit_large_ridge_approaches_sample_mean():
 
 def test_fit_insufficient_data():
     model = random_feature_model(3, 4, Rng(42))
-    with pytest.raises(InsufficientData):
+    with pytest.raises(DynexecError, match="need at least 9 transitions, got 1"):
         fit_extrapolator(model, sample_corpus(model, 1, 2, Rng(43)))  # one transition << 2d+1
 
 
 def test_fit_singular_without_ridge():
     model, _ = constant_feature_model()  # constant features make the design rank-deficient
     corpus = sample_corpus(model, 20, 8, Rng(4))
-    with pytest.raises(SingularSystem):
+    with pytest.raises(DynexecError, match="design matrix is rank-deficient"):
         fit_extrapolator(model, corpus, ridge=0.0)
 
 
@@ -92,7 +92,7 @@ def test_eagle_draft_base_case_and_determinism():
 def test_eagle_draft_empty_context():
     model = random_feature_model(3, 4, Rng(53))
     ex = Extrapolator(np.zeros((4, 8)), np.zeros(4))
-    with pytest.raises(EmptyContext):
+    with pytest.raises(DynexecError, match="a feature model needs at least one context token"):
         eagle_draft(model, ex, (), 2, Rng(0))
 
 
@@ -153,7 +153,7 @@ def test_fitted_beats_random_extrapolator():
 def test_eagle_decode_requires_prompt():
     model = random_feature_model(3, 4, Rng(64))
     ex = Extrapolator(np.zeros((4, 8)), np.zeros(4))
-    with pytest.raises(EmptyContext):
+    with pytest.raises(DynexecError, match="a feature model needs at least one context token"):
         eagle_decode(model, ex, (), 4, 1, Rng(0))
 
 

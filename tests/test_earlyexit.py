@@ -9,7 +9,7 @@ from dynexec.earlyexit import (
     boundary,
     stage_accuracy,
 )
-from dynexec.errors import DegenerateData
+from dynexec.errors import DynexecError
 
 from oracles import fixture_normals, infer_with_exit, point_rows
 
@@ -71,7 +71,7 @@ def test_training_deterministic():
 
 def test_train_rejects_single_class():
     pts = Dataset(np.arange(200.0), np.arange(200.0), np.ones(200, dtype=int))
-    with pytest.raises(DegenerateData):
+    with pytest.raises(DynexecError, match="training data contains a single class"):
         train_stages(pts)
 
 

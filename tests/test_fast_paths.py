@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from dynexec import Rng, TableModel, normalize, residual, sample
 from dynexec.core import _BLOCK, DIST_ATOL, MAX_FEATURE_DIM, MIN_FEATURE_DIM, RngStreams, _box_muller
-from dynexec.errors import AllZeroResidual
+from dynexec.errors import DynexecError
 from dynexec.specdec import _UNCACHED, _RowMemo
 
 from helpers import FixedRng, random_feature_model, random_table_model
@@ -141,7 +141,7 @@ def test_residual_equals_normalize_of_the_clipped_difference(case):
     p, q = case
     fast = residual(p, q)
     assert fast.tobytes() == normalize(np.maximum(p - q, 0.0)).tobytes()
-    with pytest.raises(AllZeroResidual):
+    with pytest.raises(DynexecError, match="p equals q elementwise"):
         residual(p, p)
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from dynexec import Rng, eagle, fit_extrapolator, sample, sample_corpus
 from dynexec.core import feature_forward, inverse_cdf
-from dynexec.errors import InsufficientData
+from dynexec.errors import DynexecError
 
 from helpers import FixedRng, random_feature_model
 from oracles import fit_extrapolator_reference, sample_corpus_reference
@@ -97,7 +97,7 @@ def test_lockstep_corpus_and_fit_equal_scalar_reference(model, n, length, seed, 
     for seq, f in zip(corpus, feats):
         assert np.array_equal(f, feature_forward(model, seq)[0])
     if n * (length - 1) < 2 * model.dim + 1:
-        with pytest.raises(InsufficientData):
+        with pytest.raises(DynexecError, match=f"need at least {2 * model.dim + 1} transitions, got {n * (length - 1)}"):
             fit_extrapolator(model, (tokens, feats), ridge)
         return
     fitted = fit_extrapolator(model, (tokens, feats), ridge)

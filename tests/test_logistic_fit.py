@@ -13,7 +13,7 @@ from dynexec import Dataset, Rng, gen_dataset, sweep, train_stages
 from dynexec import earlyexit
 from dynexec.cli import DEFAULT_TAUS
 from dynexec.earlyexit import RIDGE, _fit_logistic, _sigmoid, featurize
-from dynexec.errors import NotConverged
+from dynexec.errors import DynexecError
 
 from oracles import (features_reference, fit_logistic_reference, fixture_normals, sample_major_dists, sweep_reference,
                      train_stages_reference)
@@ -51,7 +51,7 @@ FEATURE_ROWS = {"linear": 2, "cubic": 9}
 @pytest.mark.parametrize("kind", list(FEATURE_ROWS))
 @pytest.mark.parametrize("case", sorted(FIT_CASES))
 def test_fit_returns_a_stationary_point_within_the_cap(case, kind):
-    # a fit past its cap raises NotConverged, so returning at all is converging within it
+    # a fit past its cap raises DynexecError, so returning at all is converging within it
     data = FIT_CASES[case]()
     feats, labels = featurize(data.xs, data.ys)[:FEATURE_ROWS[kind]], data.labels.astype(np.float64)
     weights, _ = _fit_logistic(feats, labels, np.zeros(len(feats) + 1))
@@ -60,7 +60,7 @@ def test_fit_returns_a_stationary_point_within_the_cap(case, kind):
 
 def test_fit_at_its_cap_raises_instead_of_returning(monkeypatch):
     monkeypatch.setattr(earlyexit, "FIT_MAX_ITERATIONS", 1)
-    with pytest.raises(NotConverged, match="1 Newton steps"):
+    with pytest.raises(DynexecError, match="logistic fit still moving after 1 Newton steps"):
         train_stages(gen_dataset(500, 0.2, 9))
 
 

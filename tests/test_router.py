@@ -6,7 +6,7 @@ import pytest
 from dynexec import FeatureModel, Rng, RouteWorkload, TableModel, WorkloadItem, difficulty, evaluate, frontier
 from dynexec.core import entropy
 from dynexec.router import LOGPROB_FLOOR
-from dynexec.errors import EmptyPrompt, VocabMismatch
+from dynexec.errors import DynexecError
 
 from helpers import onehot, random_feature_model, random_table_model, route_workload, varied_entropy_table_model
 from oracles import mean_log_likelihood_reference, route
@@ -32,7 +32,7 @@ def test_difficulty_mixed_rows_is_prefix_mean():
 
 def test_difficulty_empty_prompt():
     probe = random_table_model(3, 1, Rng(15))
-    with pytest.raises(EmptyPrompt):
+    with pytest.raises(DynexecError, match="difficulty needs a non-empty prompt"):
         difficulty((), probe)
 
 
@@ -42,19 +42,22 @@ def test_out_of_vocab_continuation_raises(token):
     large = random_table_model(4, 1, Rng(18))
     workload = RouteWorkload.of([WorkloadItem((0,), (token, 0))])
     for small in (random_table_model(3, 1, Rng(16)), random_feature_model(3, 4, Rng(17))):
-        with pytest.raises(VocabMismatch):
+        with pytest.raises(DynexecError, match="workload token outside the models' vocabulary of size 3"):
             frontier([0.5], workload, small, large)
 
 
-@pytest.mark.parametrize("prompt, continuation, error", [
-    ((0, 3), (1,), VocabMismatch),   # inside the large model's vocabulary only
-    ((0,), (1, -1), VocabMismatch),
-    ((), (1,), EmptyPrompt),
+OUTSIDE_VOCAB = "workload token outside the models' vocabulary of size 3"
+
+
+@pytest.mark.parametrize("prompt, continuation, message", [
+    pytest.param((0, 3), (1,), OUTSIDE_VOCAB, id="large-vocab-only"),  # inside the large model's vocabulary only
+    pytest.param((0,), (1, -1), OUTSIDE_VOCAB, id="negative-token"),
+    pytest.param((), (1,), "difficulty needs a non-empty prompt", id="empty-prompt"),
 ])
-def test_frontier_rejects_an_item_the_models_cannot_read(prompt, continuation, error):
+def test_frontier_rejects_an_item_the_models_cannot_read(prompt, continuation, message):
     small, large = random_table_model(3, 1, Rng(18)), random_table_model(4, 2, Rng(19))
     items = [WorkloadItem((0, 1), (2,)), WorkloadItem(prompt, continuation)]
-    with pytest.raises(error):
+    with pytest.raises(DynexecError, match=message):
         frontier([0.5], RouteWorkload.of(items), small, large)
 
 

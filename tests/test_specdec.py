@@ -16,12 +16,7 @@ from dynexec import (
     verify,
 )
 from dynexec.specdec import DraftOutput, draft
-from dynexec.errors import (
-    AllZeroResidual,
-    ContractViolation,
-    LengthMismatch,
-    VocabMismatch,
-)
+from dynexec.errors import DynexecError
 from dynexec.cli import load_config, run
 
 from helpers import CountingRng, FixedRng, FreshRowsModel, memoryless_model, onehot, random_table_model
@@ -72,11 +67,12 @@ def test_residual_hand_checked():
 
 
 def test_residual_identical_distributions_error():
-    with pytest.raises(AllZeroResidual):
+    with pytest.raises(DynexecError, match="p equals q elementwise"):
         residual([0.5, 0.5], [0.5, 0.5])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DynexecError, match="residual needs two 1-D distributions of equal length"):
         residual([0.5, 0.5], [0.3, 0.3, 0.4])
-    with pytest.raises(LengthMismatch):  # a batch is no distribution
+    # a batch is no distribution
+    with pytest.raises(DynexecError, match="residual needs two 1-D distributions of equal length"):
         residual([[0.9, 0.1]], [[0.5, 0.5]])
 
 
@@ -115,7 +111,7 @@ def test_verify_equal_dists_always_accept():
 
 def test_verify_length_mismatch():
     q = np.array([0.5, 0.5])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DynexecError, match="expected 3 target distributions, got 1"):
         verify([q], DraftOutput((0, 1), (q, q)), Rng(0))
 
 
@@ -124,14 +120,14 @@ def test_verify_rejects_a_draft_without_one_distribution_per_token():
     # distribution would reach it; an empty draft would draw only a bonus
     q = np.array([0.5, 0.5])
     for d in (DraftOutput((0, 1), (q,)), DraftOutput((), ())):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DynexecError, match="draft needs K >= 1 tokens with one distribution each"):
             verify([q] * (len(d.tokens) + 1), d, Rng(0))
 
 
 def test_verify_zero_draft_probability_is_contract_violation():
     q = np.array([1.0, 0.0])
     d = DraftOutput((1,), (q,))  # token 1 cannot have come from q
-    with pytest.raises(ContractViolation):
+    with pytest.raises(DynexecError, match="drafted token 1 has zero draft probability at position 0"):
         verify([q, q], d, Rng(0))
 
 
@@ -190,7 +186,7 @@ def test_decode_counts_and_costs():
 
 
 def test_decode_vocab_mismatch():
-    with pytest.raises(VocabMismatch):
+    with pytest.raises(DynexecError, match="target and draft models must share a vocabulary"):
         speculative_decode(memoryless_model([0.5, 0.5]),
                            memoryless_model([0.3, 0.3, 0.4]), (), 4, 1, Rng(0))
 

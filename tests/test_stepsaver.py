@@ -22,7 +22,7 @@ from dynexec import core, stepsaver
 from dynexec.core import RngStreams
 from dynexec.stepsaver import (_log_norms, _mixture_score, _step_coefficients, generate_many, respaced_timesteps,
                                train_and_evaluate)
-from dynexec.errors import InsufficientData, StepsOutOfRange
+from dynexec.errors import DynexecError
 
 from helpers import separated_mixture, single_gaussian, skewed_workload
 from oracles import (adaptive_generate_reference, generate_reference, min_steps_oracle_reference,
@@ -87,9 +87,9 @@ def test_respaced_timesteps():
 
 
 def test_generate_validates_steps():
-    with pytest.raises(StepsOutOfRange):
+    with pytest.raises(DynexecError, match=r"steps must lie in \[1, 100\], got 0"):
         generate(single_gaussian(), SCHEDULE, 0, 10, Rng(0))
-    with pytest.raises(StepsOutOfRange):
+    with pytest.raises(DynexecError, match=r"steps must lie in \[1, 100\], got 101"):
         generate(single_gaussian(), SCHEDULE, 101, 10, Rng(0))
 
 
@@ -217,7 +217,7 @@ def test_recommender_monotone_on_random_difficulty_pairs():
 
 
 def test_recommender_needs_five_specs():
-    with pytest.raises(InsufficientData):
+    with pytest.raises(DynexecError, match="need at least 5 labeled specs, got 4"):
         fit_recommender([(single_gaussian(), 1)] * 4, 100)
 
 
