@@ -35,7 +35,7 @@ from .earlyexit import (
     train_stages,
 )
 from .lookahead import NGramCache, cache_update, lookahead_decode, propose
-from .router import RouteReport, RouteWorkload, WorkloadItem, difficulty, evaluate, frontier
+from .router import RouteReport, RouteWorkload, difficulty, evaluate, frontier
 from .specdec import (
     DecodeStats,
     DraftOutput,

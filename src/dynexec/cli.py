@@ -27,7 +27,7 @@ from .eagle import DEFAULT_RIDGE, eagle_decode, fit_extrapolator, sample_corpus
 from .earlyexit import gen_dataset, sweep, train_stages
 from .errors import DynexecError, MissingSeries, ParseError, SchemaError
 from .lookahead import lookahead_decode
-from .router import RouteWorkload, WorkloadItem, frontier
+from .router import RouteWorkload, frontier
 from .specdec import simulated_speedup, speculative_decode
 from .stepsaver import DEFAULT_STEPS, MAX_STEPS, MIN_LABELED_SPECS, MixtureSpec, NoiseSchedule, train_and_evaluate
 
@@ -202,12 +202,6 @@ _SCHEMAS = {
     },
 }
 
-CSV_COLUMNS = {
-    "early-exit": ("tau", "accuracy", "mean_cost", "early_exit_fraction", "speedup"),
-    "stepsaver": ("spec_id", "difficulty", "steps_used", "w1", "baseline_w1", "throughput_ratio"),
-    "route": ("theta", "fraction_large", "total_cost", "mean_quality"),
-}
-
 PLOT_KINDS = {
     "tau-vs-accuracy": ("tau", "accuracy"),
     "k-vs-speedup": ("k", "simulated_speedup"),
@@ -352,7 +346,8 @@ def _route_lists(doc):
 
 def _entry_lists(entry):
     pair = _as_int_list(entry["prompt"], "prompt"), _as_int_list(entry["continuation"], "continuation")
-    WorkloadItem(*pair)  # rejects an empty continuation
+    if not pair[1]:
+        raise ValueError("reference continuation must be non-empty")
     return pair
 
 
@@ -498,8 +493,9 @@ def _format_cell(value) -> str:
     return repr(value)
 
 
-def csv_text(technique: str, rows) -> str:
-    columns = CSV_COLUMNS[technique]
+def csv_text(rows) -> str:
+    """The rows as CSV, their keys in order as the columns."""
+    columns = list(rows[0])
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_format_cell(row[c]) for c in columns))
@@ -513,10 +509,10 @@ def report_json(report: RunReport) -> str:
 
 
 def write_report(report: RunReport, path: str):
-    """Write the technique's native report format (CSV for sweeps, JSON otherwise)."""
-    technique = report.config["technique"]
-    if technique in CSV_COLUMNS:
-        atomic_write_text(path, csv_text(technique, report.metrics["rows"]))
+    """Write the technique's native report format (CSV for sweeps, whose metrics
+    are their rows, JSON otherwise)."""
+    if "rows" in report.metrics:
+        atomic_write_text(path, csv_text(report.metrics["rows"]))
     else:
         atomic_write_text(path, report_json(report))
 

@@ -4,9 +4,10 @@ Instead of a separate draft model, an affine extrapolator predicts the target
 FeatureModel's next penultimate feature from the current feature and the next
 token's embedding (the token sequence runs one step ahead of the feature
 sequence). Draft distributions come from the target's own output head applied
-to extrapolated features, and verification is the unchanged specdec scan, so
-the emitted distribution equals the target's no matter how bad the
-extrapolator is; its quality only moves the acceptance rate.
+to extrapolated features: `eagle_draft(model, ex, feature, K, rng)` rolls one
+proposal from the target's current feature. Verification is the unchanged
+specdec scan, so the emitted distribution equals the target's no matter how
+bad the extrapolator is; its quality only moves the acceptance rate.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 
 from .core import FeatureModel, Rng, inverse_cdf
 from .errors import DynexecError
-from .specdec import DraftOutput, _speculate, draft_from
+from .specdec import DraftOutput, _speculate, draft
 
 DEFAULT_RIDGE = 1e-6
 _HEAD_ELEMENTS = 1 << 14  # sequences x vocabulary of one block of the corpus sampler
@@ -100,20 +101,17 @@ def fit_extrapolator(model: FeatureModel, corpus: tuple[np.ndarray, np.ndarray],
     return Extrapolator(weight, bias)
 
 
-def _extrapolate(model: FeatureModel, ex: Extrapolator):
-    """The drafter's `advance`: the feature ex predicts after feature f and token t."""
-    return lambda f, t: ex.predict(f, model.embed[t])
+def eagle_draft(model: FeatureModel, ex: Extrapolator, feature, K: int, rng: Rng) -> DraftOutput:
+    """Draft K tokens by rolling the extrapolator at the feature level from
+    the target's feature after the context.
 
-
-def eagle_draft(model: FeatureModel, ex: Extrapolator, ctx, K: int, rng: Rng) -> DraftOutput:
-    """Draft K tokens by rolling the extrapolator at the feature level.
-
-    One true forward pass over ctx seeds the rollout (its cost belongs to the
-    target's own batched call, so the draft side counts only K cheap calls).
+    The feature comes from the target's own forward pass (its cost belongs to
+    the target's batched call, so the draft side counts only K cheap calls).
     The first draft distribution therefore equals the target's, and drift
-    enters through extrapolated features from the second position on.
+    enters through extrapolated features from the second position on:
+    `ex.predict(f, embed[t])` is the drafter's step between drafted tokens.
     """
-    return draft_from(model.dist, _extrapolate(model, ex), model.start(ctx), K, rng)[0]
+    return draft(model.dist, lambda f, t: ex.predict(f, model.embed[t]), feature, K, rng)[0]
 
 
 def eagle_decode(model: FeatureModel, ex: Extrapolator, prompt, N: int, K: int, rng: Rng):
@@ -125,7 +123,7 @@ def eagle_decode(model: FeatureModel, ex: Extrapolator, prompt, N: int, K: int, 
     """
 
     def propose(_, feature, __):
-        d, _ = draft_from(model.dist, _extrapolate(model, ex), feature, K, rng)
+        d = eagle_draft(model, ex, feature, K, rng)
         return d.tokens, d, None
 
     return _speculate(model, prompt, N, rng, propose)

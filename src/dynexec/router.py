@@ -2,32 +2,22 @@
 
 The cheap model doubles as the probe: prompt difficulty is its mean next-token
 entropy over prompt prefixes (the continuation is never consulted, so routing
-cannot peek at the answer). Items whose difficulty exceeds the threshold go to
-the large model. Reports carry the cost/quality frontier; picking a "best"
-threshold is left to the reader.
+cannot peek at the answer); `difficulty(rows, index, in_prompt, prompt_lens)`
+scores every prompt at once from the probe's `rows_after`. Items whose
+difficulty exceeds the threshold go to the large model. Reports carry the
+cost/quality frontier; picking a "best" threshold is left to the reader.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import SequenceModel, check_context, entropy
+from .core import SequenceModel, entropy
 from .errors import DynexecError
 
 LOGPROB_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class WorkloadItem:
-    prompt: tuple[int, ...]
-    reference_continuation: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.reference_continuation:
-            raise ValueError("reference continuation must be non-empty")
 
 
 class RouteWorkload(NamedTuple):
@@ -37,38 +27,15 @@ class RouteWorkload(NamedTuple):
     prompt_lens: np.ndarray
     continuation_lens: np.ndarray
 
-    @classmethod
-    def of(cls, items) -> "RouteWorkload":
-        """The workload of WorkloadItems, in order."""
-        items = list(items)
-        return cls(np.fromiter(itertools.chain.from_iterable(item.prompt + item.reference_continuation
-                                                             for item in items), dtype=np.int64),
-                   np.array([len(item.prompt) for item in items], dtype=np.int64),
-                   np.array([len(item.reference_continuation) for item in items], dtype=np.int64))
-
 
 @dataclass(frozen=True)
 class RouteReport:
+    """One threshold's point on the frontier; its fields, in order, are the
+    route report's CSV columns after `theta`."""
+
+    fraction_large: float
     total_cost: float
     mean_quality: float
-    fraction_large: float
-
-
-def difficulty(prompt, probe: SequenceModel) -> float:
-    """Mean entropy of the probe's next-token distribution after each prompt
-    prefix (lengths 1..len(prompt)); ranges over [0, ln V].
-
-    The probe reads the prompt in one state walk. `frontier` gives the same
-    score from the probe's `rows_after` without calling it.
-    """
-    prompt = check_context(prompt, probe.vocab_size)
-    if not prompt:
-        raise DynexecError("difficulty needs a non-empty prompt")
-    total = 0.0
-    # from prompt[:1]: a feature model has no state for the empty context
-    for state in probe.branch(probe.start(prompt[:1]), prompt[1:]):
-        total += entropy(probe.dist(state))
-    return total / len(prompt)
 
 
 def _item_means(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -87,9 +54,11 @@ def _item_means(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return sums / lengths
 
 
-def _difficulties(rows, index, in_prompt, prompt_lens) -> np.ndarray:
-    """`difficulty` of every prompt, bit for bit, from the probe's `rows_after`:
-    one `entropy` per distinct row the prompts read."""
+def difficulty(rows, index, in_prompt, prompt_lens) -> np.ndarray:
+    """Each prompt's difficulty from the probe's `rows_after`: the mean entropy
+    of the probe's next-token distribution after each prompt prefix (lengths
+    1..len(prompt)), in [0, ln V]. One `entropy` per distinct row the prompts
+    read."""
     read = index[in_prompt]
     seen = np.flatnonzero(np.bincount(read))
     entropies = np.zeros(len(rows))
@@ -137,7 +106,7 @@ def frontier(thetas, workload: RouteWorkload, small: SequenceModel, large: Seque
     offsets = np.arange(len(tokens)) - np.repeat(np.cumsum(item_lens) - item_lens, item_lens)
     in_prompt = offsets < np.repeat(prompt_lens, item_lens)
     rows, index = small.rows_after(tokens, offsets)
-    scores = _difficulties(rows, index, in_prompt, prompt_lens)
+    scores = difficulty(rows, index, in_prompt, prompt_lens)
     small_q = _qualities(rows, index, tokens, in_prompt, continuation_lens)
     del rows, index  # a feature model's rows are a (tokens, V) matrix: hold one model's at a time
     large_q = _qualities(*large.rows_after(tokens, offsets), tokens, in_prompt, continuation_lens)

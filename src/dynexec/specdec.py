@@ -1,13 +1,15 @@
 """Token-level speculative sampling.
 
-A cheap draft model proposes K tokens, the target model scores the whole
-proposal in one batched call, and a modified rejection scan decides how many
-to keep. On the first rejection one token is resampled from the residual
-distribution normalize(max(0, p - q)); if everything survives, a bonus token
-is sampled from the target's distribution after the drafts. Under this rule
-the emitted sequence follows the target model's autoregressive distribution
-exactly, no matter how bad the draft model is; draft quality only moves the
-acceptance rate, and with it the simulated speedup.
+A cheap draft model proposes K tokens through `draft(dist, advance, state, K,
+rng, memo)`, the one drafting loop, which runs from the drafter's state after
+the context. The target model scores the whole proposal in one batched call,
+and a modified rejection scan decides how many to keep. On the first
+rejection one token is resampled from the residual distribution
+normalize(max(0, p - q)); if everything survives, a bonus token is sampled
+from the target's distribution after the drafts. Under this rule the emitted
+sequence follows the target model's autoregressive distribution exactly, no
+matter how bad the draft model is; draft quality only moves the acceptance
+rate, and with it the simulated speedup.
 """
 
 from bisect import bisect_right
@@ -95,14 +97,9 @@ class _RowMemo:
 _UNCACHED = _RowMemo(0)
 
 
-def draft(draft_model: SequenceModel, ctx, K: int, rng: Rng) -> DraftOutput:
-    """Sample K tokens autoregressively from the draft model, recording each distribution."""
-    ctx = check_context(ctx, draft_model.vocab_size)
-    return draft_from(draft_model.dist, draft_model.advance, draft_model.start(ctx), K, rng)[0]
-
-
-def draft_from(dist, advance, state, K: int, rng: Rng, memo: _RowMemo = _UNCACHED):
-    """The one drafting loop: `draft` from a drafter's state after the context.
+def draft(dist, advance, state, K: int, rng: Rng, memo: _RowMemo = _UNCACHED):
+    """The one drafting loop: sample K tokens autoregressively from a drafter's
+    state after the context, recording each distribution.
 
     `dist(state)` is the drafter's next-token distribution and
     `advance(state, token)` its next state; the drafter steps only between
@@ -250,7 +247,7 @@ def speculative_decode(target: SequenceModel, draft_model: SequenceModel,
     memo = _RowMemo(len(target.rows) + len(draft_model.rows)) if tables else _UNCACHED
 
     def propose(_, __, draft_state):
-        d, states = draft_from(draft_model.dist, draft_model.advance, draft_state, K, rng, memo)
+        d, states = draft(draft_model.dist, draft_model.advance, draft_state, K, rng, memo)
         return d.tokens, d, states
 
     return _speculate(target, prompt, N, rng, propose, draft_model, memo)

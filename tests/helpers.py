@@ -1,10 +1,11 @@
 """Shared fixtures: random model factories, scripted rngs, workload builders."""
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from dynexec import Rng, TableModel, FeatureModel, WorkloadItem
+from dynexec import Rng, RouteWorkload, TableModel, FeatureModel
 from dynexec.core import normalize, sample
 from dynexec.stepsaver import MixtureSpec
 
@@ -150,6 +151,25 @@ def skewed_workload():
         if i < len(hards):
             specs.append((f"hard-{i}", hards[i]))
     return specs
+
+
+@dataclass(frozen=True)
+class WorkloadItem:
+    prompt: tuple[int, ...]
+    reference_continuation: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.reference_continuation:
+            raise ValueError("reference continuation must be non-empty")
+
+
+def route_arrays(items) -> RouteWorkload:
+    """The RouteWorkload of WorkloadItems, in order."""
+    items = list(items)
+    return RouteWorkload(np.fromiter(itertools.chain.from_iterable(item.prompt + item.reference_continuation
+                                                                   for item in items), dtype=np.int64),
+                         np.array([len(item.prompt) for item in items], dtype=np.int64),
+                         np.array([len(item.reference_continuation) for item in items], dtype=np.int64))
 
 
 def route_workload(n_items, small, large, rng):

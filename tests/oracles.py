@@ -19,7 +19,7 @@ from dynexec.earlyexit import (BOUNDARY_X_RANGE, EASY_BAND, FIT_MAX_ITERATIONS, 
                                STAGE0_COST, STAGE1_COST, Dataset, MultiExitNet, SweepRow, _row_entropies, _sigmoid,
                                featurize, stage_dists)
 from dynexec.errors import DynexecError, SchemaError
-from dynexec.router import LOGPROB_FLOOR, RouteReport, WorkloadItem
+from dynexec.router import LOGPROB_FLOOR, RouteReport
 from dynexec.specdec import DraftOutput, verify
 from dynexec.stepsaver import ORACLE_GRID, MixtureSpec, fit_recommender, respaced_timesteps, wasserstein1
 
@@ -527,6 +527,7 @@ def route(threshold, small, item):
 def load_route_workload_reference(path, small, large):
     """`cli.load_route_workload` one entry and then one item at a time: a list
     of WorkloadItems, or the SchemaError of the first fault met."""
+    from helpers import WorkloadItem  # here, not at the top: helpers imports this module
     doc = _load_json(path)
     try:
         items = [WorkloadItem(tuple(_as_int_list(entry["prompt"], "prompt")),

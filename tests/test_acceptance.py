@@ -25,7 +25,7 @@ from dynexec.core import save_model
 from dynexec.earlyexit import stage_accuracy
 from dynexec.eagle import Extrapolator
 from dynexec.lookahead import lookahead_decode
-from dynexec.router import RouteWorkload, evaluate
+from dynexec.router import evaluate
 from dynexec.specdec import draft
 from dynexec import TableModel
 
@@ -35,6 +35,7 @@ from helpers import (
     onehot,
     random_feature_model,
     random_table_model,
+    route_arrays,
     route_workload,
     skewed_workload,
     varied_entropy_table_model,
@@ -103,7 +104,7 @@ def test_criterion_3_speedup_mechanics():
     cycles = 100_000
     accepted = scanned = emitted = 0
     for _ in range(cycles):
-        d = draft(drafter, (), 2, rng)
+        d, _ = draft(drafter.dist, drafter.advance, drafter.start(()), 2, rng)
         result = verify([p, p, p], d, rng)
         accepted += result.n_accepted
         scanned += result.n_accepted + (1 if result.resampled else 0)
@@ -187,7 +188,7 @@ def test_criterion_7_router_monotonicity():
     rng = Rng(888888)
     small = varied_entropy_table_model(4, 1, rng.child(0), cost_units=1.0)
     large = random_table_model(4, 2, rng.child(1), cost_units=8.0)
-    workload = RouteWorkload.of(route_workload(50, small, large, rng.child(2)))
+    workload = route_arrays(route_workload(50, small, large, rng.child(2)))
     thetas = [-1.0] + [0.15 * i for i in range(1, 9)] + [float("inf")]
     reports = [evaluate(t, workload, small, large) for t in thetas]
     fractions = [r.fraction_large for r in reports]

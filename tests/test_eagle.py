@@ -81,8 +81,8 @@ def test_fit_with_ridge_never_singular():
 def test_eagle_draft_base_case_and_determinism():
     model = random_feature_model(4, 5, Rng(50))
     ex = Extrapolator(fixture_normals(Rng(51), 5 * 10).reshape(5, 10), fixture_normals(Rng(52), 5))
-    out1 = eagle_draft(model, ex, (0, 2), 1, Rng(7))
-    out2 = eagle_draft(model, ex, (0, 2), 1, Rng(7))
+    out1 = eagle_draft(model, ex, model.start((0, 2)), 1, Rng(7))
+    out2 = eagle_draft(model, ex, model.start((0, 2)), 1, Rng(7))
     assert out1.tokens == out2.tokens
     # K=1 is one head application on the true last feature
     _, true_dist = feature_forward(model, (0, 2))
@@ -90,17 +90,17 @@ def test_eagle_draft_base_case_and_determinism():
 
 
 def test_eagle_draft_empty_context():
+    # a draft starts from the target's feature after the context, which an empty context does not have
     model = random_feature_model(3, 4, Rng(53))
-    ex = Extrapolator(np.zeros((4, 8)), np.zeros(4))
     with pytest.raises(DynexecError, match="a feature model needs at least one context token"):
-        eagle_draft(model, ex, (), 2, Rng(0))
+        model.start(())
 
 
 def test_eagle_draft_and_decode_reject_k_0():
     model = random_feature_model(3, 4, Rng(53))
     ex = Extrapolator(np.zeros((4, 8)), np.zeros(4))
     with pytest.raises(ValueError, match="K must be >= 1"):
-        eagle_draft(model, ex, (1,), 0, Rng(0))
+        eagle_draft(model, ex, model.start((1,)), 0, Rng(0))
     with pytest.raises(ValueError, match="K must be >= 1"):
         eagle_decode(model, ex, (1,), 4, 0, Rng(0))
 
@@ -110,7 +110,7 @@ def test_zero_error_extrapolator_matches_target_dists():
     corpus = sample_corpus(model, 40, 10, Rng(6))
     ex = fit_extrapolator(model, corpus)
     ctx = (0, 1)
-    out = eagle_draft(model, ex, ctx, 3, Rng(9))
+    out = eagle_draft(model, ex, model.start(ctx), 3, Rng(9))
     rolled = ctx
     for tok, dist in zip(out.tokens, out.dists):
         _, true_dist = feature_forward(model, rolled)

@@ -15,7 +15,7 @@ import shutil
 
 import pytest
 
-from dynexec.cli import CSV_COLUMNS, load_config, main, run, write_report
+from dynexec.cli import load_config, main, run, write_report
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 NAMES = sorted(f[:-len(".config.json")] for f in os.listdir(GOLDEN) if f.endswith(".config.json"))
@@ -70,7 +70,7 @@ def test_golden_report_reproduced_from_flags(tmp_path, monkeypatch, name):
     _assert_reproduces_golden(config, str(tmp_path / config["report"]))
 
 
-@pytest.mark.parametrize("name", sorted(CSV_COLUMNS))
+@pytest.mark.parametrize("name", ["early-exit", "route", "stepsaver"])
 def test_sweep_metrics_are_the_report_rows(name):
     # a sweep's report is its CSV rows, so the run computes nothing else
     config = load_config(os.path.join(GOLDEN, f"{name}.config.json"))

@@ -26,12 +26,12 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dynexec import RouteWorkload, Rng, WorkloadItem
+from dynexec import RouteWorkload, Rng
 from dynexec.cli import _REQUIRED, _SCHEMAS, PLOT_KINDS, csv_text, load_route_workload, main, run, validate_config
 from dynexec.core import check_dist, load_model, model_to_dict, save_model
 from dynexec.errors import ParseError, SchemaError
 
-from helpers import random_feature_model, random_table_model, varied_entropy_table_model
+from helpers import WorkloadItem, random_feature_model, random_table_model, route_arrays, varied_entropy_table_model
 from oracles import load_route_workload_reference, route_evaluate_reference
 
 # JSON values that are not a well-formed component entry
@@ -112,7 +112,7 @@ def test_mixture_workload_runs_or_exits_1(doc, count, steps, seed):
     rows = report.metrics["rows"]
     assert len(rows) >= 5
     assert [r["spec_id"] for r in rows] == [spec["id"] for spec in doc["specs"]]
-    cells = list(csv.reader(io.StringIO(csv_text("stepsaver", rows), newline="")))
+    cells = list(csv.reader(io.StringIO(csv_text(rows), newline="")))
     assert [row[0] for row in cells[1:]] == [spec["id"] for spec in doc["specs"]]
     assert {len(row) for row in cells} == {len(cells[0])}
     values = [r[key] for r in rows for key in ("w1", "baseline_w1", "difficulty")]
@@ -231,7 +231,7 @@ def test_route_loader_matches_the_per_entry_reference(doc):
         assert got == ref
     else:
         assert isinstance(got, RouteWorkload)
-        expected = RouteWorkload.of(ref)
+        expected = route_arrays(ref)
         assert [a.dtype for a in got] == [np.dtype(np.int64)] * 3
         assert [a.tolist() for a in got] == [a.tolist() for a in expected]
 

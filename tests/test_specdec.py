@@ -33,21 +33,23 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 def test_draft_degenerate_model():
     model = TableModel(4, 0, {(): onehot(4, 3)})
-    out = draft(model, (), 2, Rng(0))
+    out, states = draft(model.dist, model.advance, model.start(()), 2, Rng(0))
     assert out.tokens == (3, 3)
+    assert states == [(), ()]
 
 
 def test_draft_and_decode_reject_k_0():
     model = random_table_model(4, 1, Rng(3))
     with pytest.raises(ValueError, match="K must be >= 1"):
-        draft(model, (1,), 0, Rng(0))
+        draft(model.dist, model.advance, model.start((1,)), 0, Rng(0))
     with pytest.raises(ValueError, match="K must be >= 1"):
         speculative_decode(model, model, (1,), 8, 0, Rng(0))
 
 
 def test_draft_k1_equals_plain_sample():
     model = random_table_model(4, 1, Rng(3))
-    out = draft(model, (1,), 1, Rng(9))
+    out, states = draft(model.dist, model.advance, model.start((1,)), 1, Rng(9))
+    assert states == [(1,)]
     from dynexec.core import sample
     expected = sample(model.next_dist((1,)), Rng(9))
     assert out.tokens == (expected,)
@@ -56,9 +58,11 @@ def test_draft_k1_equals_plain_sample():
 
 def test_draft_deterministic():
     model = random_table_model(5, 2, Rng(4))
-    a = draft(model, (0, 1), 3, Rng(7))
-    b = draft(model, (0, 1), 3, Rng(7))
+    a, states = draft(model.dist, model.advance, model.start((0, 1)), 3, Rng(7))
+    b, _ = draft(model.dist, model.advance, model.start((0, 1)), 3, Rng(7))
     assert a.tokens == b.tokens
+    # the K states drafted from: the context's, then one per drafted token but the last
+    assert states == [(0, 1), (1, a.tokens[0]), (a.tokens[0], a.tokens[1])]
 
 
 def test_residual_hand_checked():
@@ -136,7 +140,8 @@ def test_verify_consumes_countable_uniforms():
     q = np.array([0.5, 0.5])
     for seed in range(200):
         rng = CountingRng(seed)
-        d = draft(memoryless_model(q), (), 2, rng)
+        drafter = memoryless_model(q)
+        d, _ = draft(drafter.dist, drafter.advance, drafter.start(()), 2, rng)
         before = rng.draws
         res = verify([p, p, p], d, rng)
         scanned = res.n_accepted + (1 if res.resampled else 0)
@@ -149,7 +154,8 @@ def test_verify_resampled_token_in_residual_support():
         r = master.child(i)
         p = np.asarray(memoryless_model([0.7, 0.2, 0.1]).next_dist(()))
         q = np.asarray(memoryless_model([0.2, 0.5, 0.3]).next_dist(()))
-        d = draft(memoryless_model(q), (), 2, r)
+        drafter = memoryless_model(q)
+        d, _ = draft(drafter.dist, drafter.advance, drafter.start(()), 2, r)
         res = verify([p, p, p], d, r)
         assert len(res.emitted) == res.n_accepted + 1
         if res.resampled:
@@ -260,7 +266,7 @@ def test_memoryless_monte_carlo_statistics():
     cycles = 20_000
     accepted = scanned = emitted = 0
     for _ in range(cycles):
-        d = draft(drafter, (), 2, rng)
+        d, _ = draft(drafter.dist, drafter.advance, drafter.start(()), 2, rng)
         res = verify([p, p, p], d, rng)
         accepted += res.n_accepted
         scanned += res.n_accepted + (1 if res.resampled else 0)

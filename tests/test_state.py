@@ -14,14 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynexec import (Extrapolator, FeatureModel, Rng, TableModel, eagle_decode, fit_extrapolator, sample_corpus,
-                     speculative_decode)
+from dynexec import (Extrapolator, FeatureModel, Rng, TableModel, eagle_decode, fit_extrapolator, frontier,
+                     sample_corpus, speculative_decode)
+from dynexec import eagle as eagle_module
 from dynexec import lookahead as lookahead_module
+from dynexec import router as router_module
 from dynexec import specdec as specdec_module
 from dynexec.core import normalize
 from dynexec.lookahead import lookahead_decode
 
-from helpers import random_feature_model
+from helpers import random_feature_model, route_arrays, route_workload, varied_entropy_table_model
 
 
 def _fold(model, ctx, tokens):
@@ -141,6 +143,44 @@ def test_specdec_draft_steps_k_or_k_plus_one_per_cycle(monkeypatch):
     # drafted-from state inside the accepted prefix: two after a full accept
     assert calls == K * stats.cycles + full_accepts
     assert 0 < full_accepts < stats.cycles
+
+
+def _count_calls(monkeypatch, module, name):
+    """The calls made to `module.name` through the module attribute, where the
+    benchmark's tracer wraps it, recorded as they happen."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_specdec_drafts_through_draft_once_per_cycle(monkeypatch):
+    calls = _count_calls(monkeypatch, specdec_module, "draft")
+    target, draft = _sparse_table_model(4, 2, 11), _sparse_table_model(4, 1, 12)
+    _, stats = speculative_decode(target, draft, (0, 1), 200, 4, Rng(13))
+    assert len(calls) == stats.cycles > 1
+
+
+def test_eagle_drafts_through_eagle_draft_once_per_cycle(monkeypatch):
+    calls = _count_calls(monkeypatch, eagle_module, "eagle_draft")
+    model = random_feature_model(5, 6, Rng(71), scale=1.5)
+    ex = fit_extrapolator(model, sample_corpus(model, 40, 10, Rng(72)))
+    _, stats = eagle_decode(model, ex, (1, 4, 2), 120, 3, Rng(73))
+    assert len(calls) == stats.cycles > 1
+
+
+def test_frontier_scores_every_prompt_in_one_difficulty_call(monkeypatch):
+    calls = _count_calls(monkeypatch, router_module, "difficulty")
+    rng = Rng(88)
+    small = varied_entropy_table_model(4, 1, rng.child(0))
+    large = varied_entropy_table_model(4, 2, rng.child(1), cost_units=4.0)
+    frontier([-1.0, 0.5, 2.0], route_arrays(route_workload(30, small, large, rng.child(2))), small, large)
+    assert len(calls) == 1
 
 
 def test_lookahead_inserts_each_window_once(monkeypatch):

@@ -15,15 +15,15 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynexec import (FeatureModel, Rng, RouteWorkload, TableModel, WorkloadItem, difficulty, frontier, gen_dataset,
-                     sweep, train_stages)
+from dynexec import FeatureModel, Rng, TableModel, frontier, gen_dataset, sweep, train_stages
 from dynexec.cli import _CHARGES
 from dynexec.core import MAX_TABLE_ORDER, MIN_FEATURE_DIM, entropy
 from dynexec.earlyexit import STAGE0_COST, STAGE1_COST, MultiExitNet, SweepRow
 
-from helpers import random_dist, random_feature_model, route_workload, varied_entropy_table_model
-from oracles import (gen_dataset_reference, infer_with_exit, library_dists, point_rows, route_evaluate_reference,
-                     sweep_reference)
+from helpers import (WorkloadItem, random_dist, random_feature_model, route_arrays, route_workload,
+                     varied_entropy_table_model)
+from oracles import (difficulty_reference, gen_dataset_reference, infer_with_exit, library_dists, point_rows,
+                     route_evaluate_reference, sweep_reference)
 
 
 def _bits(values):
@@ -169,7 +169,7 @@ def route_cases(draw):
     small = draw(route_models(vocab, rng.child(0)))
     large = draw(route_models(vocab, rng.child(1)))
     items = route_workload(draw(st.integers(1, 30)), small, large, rng.child(2))
-    scores = [difficulty(item.prompt, small) for item in items]
+    scores = [difficulty_reference(item.prompt, small) for item in items]
     # a theta exactly at an item's difficulty, where routing's `>` is strict
     thetas = [draw(st.sampled_from(scores)), -math.inf, math.inf] + draw(st.lists(
         st.one_of(st.sampled_from(scores), st.floats(-1.0, 3.0)), max_size=8))
@@ -178,7 +178,7 @@ def route_cases(draw):
 
 def _case(small, large, items):
     """A route case at both ends of the grid and at one item's difficulty."""
-    scores = sorted(difficulty(item.prompt, small) for item in items)
+    scores = sorted(difficulty_reference(item.prompt, small) for item in items)
     return small, large, items, [-math.inf, scores[len(scores) // 2], math.inf]
 
 
@@ -251,7 +251,7 @@ def test_frontier_matches_per_threshold_reference(case):
     a few arrays of them, with a feature model its declared route charge."""
     small, large, items, thetas = case
     attributes = [{key: id(value) for key, value in vars(model).items()} for model in (small, large)]
-    workload = RouteWorkload.of(items)
+    workload = route_arrays(items)
     tracemalloc.start()
     try:
         got = frontier(thetas, workload, small, large)
