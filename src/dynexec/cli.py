@@ -22,7 +22,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import Rng, _load_json, atomic_write_text, is_int, is_number, load_model, FeatureModel
+from .core import (MAX_VOCAB, FeatureModel, Rng, _load_json, atomic_write_text, is_int, is_number, load_checked,
+                   load_model)
 from .eagle import DEFAULT_RIDGE, eagle_decode, fit_extrapolator, sample_corpus
 from .earlyexit import gen_dataset, sweep, train_stages
 from .errors import DynexecError, MissingSeries, ParseError, SchemaError
@@ -312,13 +313,11 @@ def _check_budget(technique, params, **loaded):
                               f"of {ELEMENT_BUDGET}", key=key)
 
 
-def load_mixture_workload(path: str) -> list[tuple[str, MixtureSpec]]:
-    """Workload file: {"specs": [{"id": "...", "components": [[w, mean, stddev], ...]}, ...]}."""
-    doc = _load_json(path)
+def _mixture_specs(doc, path: str) -> tuple[tuple[str, MixtureSpec], ...]:
     try:
-        specs = [(_as_str(entry["id"], "id"), MixtureSpec(tuple(tuple(_as_float_list(comp, "components"))
-                                                      for comp in entry["components"])))
-                 for entry in doc["specs"]]
+        specs = tuple((_as_str(entry["id"], "id"), MixtureSpec(tuple(tuple(_as_float_list(comp, "components"))
+                                                           for comp in entry["components"])))
+                      for entry in doc["specs"])
     except (KeyError, TypeError, ValueError, SchemaError) as exc:
         raise SchemaError(f"malformed mixture workload {path}: {exc}", key="workload") from exc
     for spec_id, _ in specs:
@@ -329,6 +328,11 @@ def load_mixture_workload(path: str) -> list[tuple[str, MixtureSpec]]:
         raise SchemaError(f"mixture workload {path} has {len(specs)} specs; "
                           f"the step recommender needs at least {MIN_LABELED_SPECS}")
     return specs
+
+
+def load_mixture_workload(path: str) -> tuple[tuple[str, MixtureSpec], ...]:
+    """Workload file: {"specs": [{"id": "...", "components": [[w, mean, stddev], ...]}, ...]}."""
+    return load_checked(path, _mixture_specs)
 
 
 def _route_lists(doc):
@@ -351,12 +355,9 @@ def _entry_lists(entry):
     return pair
 
 
-def load_route_workload(path: str, small, large) -> RouteWorkload:
-    """Workload file: {"items": [{"prompt": [...], "continuation": [...]}, ...]}.
-
-    Every prompt must be non-empty and every token inside both models' vocabularies.
-    """
-    doc = _load_json(path)
+def _route_arrays(doc, path: str) -> tuple[RouteWorkload, int, int]:
+    """A route workload file's read-only RouteWorkload, and its least and
+    greatest token as Python ints, which may lie past int64."""
     lists = _route_lists(doc)
     if lists is None:
         # an entry is malformed: walk them in order to name the first fault as it is met
@@ -366,15 +367,32 @@ def load_route_workload(path: str, small, large) -> RouteWorkload:
             raise SchemaError(f"malformed route workload {path}: {exc}") from exc
     if not lists:
         raise SchemaError(f"route workload {path} has no items")
-    vocab = min(small.vocab_size, large.vocab_size)
     tokens = list(itertools.chain.from_iterable(lists))
+    lo, hi = min(tokens), max(tokens)
+    if lo < -1 or hi > MAX_VOCAB:
+        # clipped into [-1, MAX_VOCAB], which int64 holds, a token lies outside every vocabulary as before
+        tokens = [min(max(t, -1), MAX_VOCAB) for t in tokens]
     prompt_lens, continuation_lens = np.array(list(map(len, lists)), dtype=np.int64).reshape(-1, 2).T
+    workload = RouteWorkload(np.array(tokens, dtype=np.int64), prompt_lens, continuation_lens)
+    for array in workload:
+        array.flags.writeable = False
+    return workload, lo, hi
+
+
+def load_route_workload(path: str, small, large) -> RouteWorkload:
+    """Workload file: {"items": [{"prompt": [...], "continuation": [...]}, ...]}.
+
+    Every prompt must be non-empty and every token inside both models' vocabularies.
+    """
+    workload, lo, hi = load_checked(path, _route_arrays)
+    tokens, prompt_lens, continuation_lens = workload
+    vocab = min(small.vocab_size, large.vocab_size)
     # JSON integers may pass int64, so the range is checked on the Python ints
-    if min(tokens) >= 0 and max(tokens) < vocab and prompt_lens.all():
-        return RouteWorkload(np.array(tokens, dtype=np.int64), prompt_lens, continuation_lens)
+    if lo >= 0 and hi < vocab and prompt_lens.all():
+        return workload
     item_lens = prompt_lens + continuation_lens
-    bad = (prompt_lens == 0) | np.logical_or.reduceat([not 0 <= t < vocab for t in tokens],
-                                                     np.cumsum(item_lens) - item_lens)
+    outside = (tokens < 0) | (tokens >= vocab)
+    bad = (prompt_lens == 0) | np.logical_or.reduceat(outside, np.cumsum(item_lens) - item_lens)
     i = int(np.argmax(bad))
     if not prompt_lens[i]:
         raise SchemaError(f"route workload {path}: item {i} has an empty prompt")

@@ -626,10 +626,8 @@ def save_model(model: SequenceModel, path: str):
     atomic_write_text(path, json.dumps(model_to_dict(model), sort_keys=True, indent=1) + "\n")
 
 
-def _load_json(path: str):
-    """Parse one JSON input file; a syntax error is a ParseError at path:line:col."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _parse_json(data: bytes, path: str):
+    """Parse one JSON input file's bytes; a syntax error is a ParseError at path:line:col."""
     try:
         return json.loads(data)
     except json.JSONDecodeError as exc:
@@ -644,11 +642,46 @@ def _load_json(path: str):
         raise ParseError(f"{path}: {exc}") from None
 
 
-def load_model(path: str) -> SequenceModel:
-    doc = _load_json(path)
+def _load_json(path: str):
+    with open(path, "rb") as fh:
+        return _parse_json(fh.read(), path)
+
+
+# What `load_checked` keeps: (build, file bytes) -> build's object, least recently
+# used first. One run of every technique reads about a dozen files.
+_LOADED_CAP = 16
+_loaded = {}
+
+
+def load_checked(path: str, build):
+    """build(doc, path) of the JSON document in the file at path, parsed and
+    built once per content. The file is read at every call; bytes equal to
+    those of an earlier call that succeeded give that call's object. A failure
+    is never kept, and only the _LOADED_CAP objects used last are. So build
+    checks only what the document holds (path names the file in its errors),
+    and what it returns is never None and never changed; a caller runs any
+    check against other inputs itself, at every call."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    key = build, data
+    value = _loaded.pop(key, None)
+    if value is None:
+        value = build(_parse_json(data, path), path)
+        if len(_loaded) >= _LOADED_CAP:
+            del _loaded[next(iter(_loaded))]
+    _loaded[key] = value
+    return value
+
+
+def _model_from_file(doc, path: str) -> SequenceModel:
     try:
         return model_from_dict(doc)
     except KeyError as exc:
         raise SchemaError(f"model file {path} lacks key {exc}", key=path) from exc
     except (AttributeError, TypeError, ValueError, OverflowError, DynexecError) as exc:
         raise SchemaError(f"malformed model file {path}: {exc}", key=path) from exc
+
+
+def load_model(path: str) -> SequenceModel:
+    """The model saved at path; equal bytes give the one shared (immutable) model."""
+    return load_checked(path, _model_from_file)

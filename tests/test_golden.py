@@ -15,6 +15,7 @@ import shutil
 
 import pytest
 
+from dynexec import core
 from dynexec.cli import load_config, main, run, write_report
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -68,6 +69,18 @@ def test_golden_report_reproduced_from_flags(tmp_path, monkeypatch, name):
             "--seed", str(config["master_seed"]), "--report", config["report"]]
     assert main(argv) == 0
     _assert_reproduces_golden(config, str(tmp_path / config["report"]))
+
+
+def test_golden_reports_reproduced_cold_and_warm(tmp_path):
+    # the second run of each config finds every input it reads already loaded
+    core._loaded.clear()
+    for _ in range(2):
+        for name in NAMES:
+            config = load_config(os.path.join(GOLDEN, f"{name}.config.json"))
+            out = str(tmp_path / config["report"])
+            write_report(run(config, base_dir=GOLDEN), out)
+            _assert_reproduces_golden(config, out)
+    assert len(core._loaded) == len(os.listdir(os.path.join(GOLDEN, "inputs")))
 
 
 @pytest.mark.parametrize("name", ["early-exit", "route", "stepsaver"])
