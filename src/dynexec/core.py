@@ -338,9 +338,10 @@ class SequenceModel:
     one token) per row, and row i equals the 1-D call bit for bit.
     `dists(states)` reads the K+1 positions of a cycle at once: a table model
     looks up each row, a feature model runs one batched `dist`. `rows_after`
-    reads sequences laid end to end: a row matrix and each position's row.
-    `next_dist(ctx)` is `dist(start(ctx))`. Models are immutable after
-    construction and safe to share across sessions.
+    reads sequences laid end to end: a row matrix and each position's row, a
+    table model's by one gather per window token, no search. `next_dist(ctx)`
+    is `dist(start(ctx))`. Models are immutable after construction and safe
+    to share across sessions.
     """
 
     vocab_size: int
@@ -404,18 +405,22 @@ class TableModel(SequenceModel):
             check_dist(fallback, "fallback", self.vocab_size)
         self.table = dict(zip(windows, matrix))  # read-only row views of the one matrix
         self.fallback = matrix[-1]
-        # for `rows_after`: the rows with the fallback last, and each window's base-V
-        # code (order <= 4 and V <= 256 fit an int64), then V**order, past any code,
-        # for the fallback, sorted beside the row each selects
+        # for `rows_after`: the rows with the fallback last, and a read-only transition array
+        # per window position j, from node * V + token to the node of the windows' distinct
+        # (j + 1)-token prefixes, at the last j the window's row; a prefix no window has goes
+        # to a dead node, one past the level's nodes, that leads to the fallback
         self.rows = matrix
-        powers = self.vocab_size ** np.arange(order - 1, -1, -1, dtype=np.int64)
-        codes = np.empty(len(windows) + 1, dtype=np.int64)
-        tokens = np.fromiter(itertools.chain.from_iterable(windows), np.int64)
-        codes[:-1] = tokens.reshape(len(windows), order) @ powers
-        codes[-1] = self.vocab_size ** order
-        self._code_rows = codes.argsort()
-        self._codes = codes[self._code_rows]
-        self._code_rows.flags.writeable = self._codes.flags.writeable = False
+        self._steps, parent, nodes = (), np.zeros(len(windows), dtype=np.int64), 1
+        tokens = np.fromiter(itertools.chain.from_iterable(windows), np.int64).reshape(len(windows), order)
+        for j in range(order):
+            keys = parent * self.vocab_size + tokens[:, j]
+            if j < order - 1:  # the distinct prefixes in key order, and each window's
+                keys, parent = np.unique(keys, return_inverse=True)
+            step = np.full((nodes + 1) * self.vocab_size, len(keys), dtype=np.int64)
+            step[keys] = np.arange(len(keys))
+            step.flags.writeable = False
+            self._steps += (step,)
+            nodes = len(keys)
 
     # The state is the window of the last `order` tokens. A shorter one, from
     # a context shorter than the order, is no table key, so it selects the
@@ -434,16 +439,13 @@ class TableModel(SequenceModel):
     def rows_after(self, tokens: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`rows`, and the index into it of `dist` after each position k of int64
         `tokens`, having read the offsets[k] + 1 tokens tokens[k - offsets[k]] ..
-        tokens[k]: one searchsorted over the window codes, with a window shorter
-        than the order, like one absent from the table, selecting the fallback
-        (the last row). Every token must lie inside the vocabulary."""
-        codes = np.zeros(len(tokens), dtype=np.int64)
-        for shift in range(self.order - 1, -1, -1):  # Horner, oldest token of the window first
-            codes *= self.vocab_size
-            codes[shift:] += tokens[:len(tokens) - shift]
-        at = np.searchsorted(self._codes, codes)
-        index = self._code_rows[at]
-        index[(self._codes[at] != codes) | (offsets < self.order - 1)] = len(self.rows) - 1
+        tokens[k]: one gather per window token through its position's transition
+        array, with a window shorter than the order, like one absent from the table,
+        selecting the fallback (the last row). Every token must lie in the vocabulary."""
+        index = np.zeros(len(tokens), dtype=np.int64)  # order 0: the () row, else the fallback
+        for shift, step in zip(range(self.order - 1, -1, -1), self._steps):  # oldest token first
+            index[shift:] = step[index[shift:] * self.vocab_size + tokens[:len(tokens) - shift]]
+        index[offsets < self.order - 1] = len(self.rows) - 1
         return self.rows, index
 
 

@@ -54,28 +54,38 @@ def _item_means(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return sums / lengths
 
 
+def _once_per_key(keys, size, values_of) -> np.ndarray:
+    """values_of(the distinct keys, ascending) gathered back to each key in [0, size):
+    keys are marked in a boolean array over size when it is no longer than keys, and
+    sorted by np.unique otherwise, so memory stays linear in len(keys) either way."""
+    if size > len(keys):
+        distinct, at = np.unique(keys, return_inverse=True)
+        return np.array(values_of(distinct), dtype=np.float64)[at]
+    marked = np.zeros(size, dtype=bool)
+    marked[keys] = True
+    values = np.zeros(size)
+    values[marked] = values_of(np.flatnonzero(marked))
+    return values[keys]
+
+
 def difficulty(rows, index, in_prompt, prompt_lens) -> np.ndarray:
     """Each prompt's difficulty from the probe's `rows_after`: the mean entropy
     of the probe's next-token distribution after each prompt prefix (lengths
     1..len(prompt)), in [0, ln V]. One `entropy` per distinct row the prompts
     read."""
-    read = index[in_prompt]
-    seen = np.flatnonzero(np.bincount(read))
-    entropies = np.zeros(len(rows))
-    entropies[seen] = [entropy(rows[row]) for row in seen.tolist()]
-    return _item_means(entropies[read], prompt_lens)
+    entropies = _once_per_key(index[in_prompt], len(rows), lambda seen: [entropy(rows[r]) for r in seen.tolist()])
+    return _item_means(entropies, prompt_lens)
 
 
 def _qualities(rows, index, tokens, in_prompt, continuation_lens) -> np.ndarray:
     """Each item's mean log-probability of its continuation after its prompt, from
     the model's `rows_after`: one log per distinct (row, token) the continuations read."""
     at = np.flatnonzero(~in_prompt)
-    # a continuation token is drawn from the row after the position before it
-    cells, cell_at = np.unique(index[at - 1] * rows.shape[1] + tokens[at], return_inverse=True)
-    # the floor keeps zero-probability rows from yielding -inf; math.log, not np.log,
-    # which is another implementation and may differ in the last bit
-    log_probs = np.array([math.log(max(p, LOGPROB_FLOOR)) for p in rows.ravel()[cells].tolist()])
-    return _item_means(log_probs[cell_at], continuation_lens)
+    # a continuation token is drawn from the row after the position before it. The floor
+    # keeps zero-probability rows from yielding -inf; math.log, not np.log, which is
+    # another implementation and may differ in the last bit
+    return _item_means(_once_per_key(index[at - 1] * rows.shape[1] + tokens[at], rows.size, lambda seen: [
+        math.log(max(p, LOGPROB_FLOOR)) for p in rows.ravel()[seen].tolist()]), continuation_lens)
 
 
 def frontier(thetas, workload: RouteWorkload, small: SequenceModel, large: SequenceModel) -> list[RouteReport]:
@@ -89,8 +99,8 @@ def frontier(thetas, workload: RouteWorkload, small: SequenceModel, large: Seque
     continuation token, summed in item order, so every report is the one a
     per-threshold pass gives. Each model is read once through its
     `rows_after`, a row matrix and the row after every position: a table
-    model's stored rows and a window lookup per position, a feature model's
-    lockstep walk over the items.
+    model's stored rows and a window lookup of one gather per window token,
+    a feature model's lockstep walk over the items.
     """
     tokens, prompt_lens, continuation_lens = workload
     if not len(prompt_lens):

@@ -48,6 +48,9 @@ CONFIGS = {
     "route-feature": {"technique": "route", "report": "route-feature.csv", "params": {
         "small": "inputs/feature.json", "large": "inputs/large.json", "workload": "inputs/items.json",
         "thetas": [-1.0, 0.5, 1.0, 1.5, 100.0]}},
+    "route-sparse": {"technique": "route", "report": "route-sparse.csv", "params": {
+        "small": "inputs/sparse-small.json", "large": "inputs/sparse-large.json",
+        "workload": "inputs/sparse-items.json", "thetas": [-1.0, 1.0, 1.1, 1.25, 100.0]}},
 }
 
 
@@ -79,6 +82,20 @@ def _feature(vocab, dim, rng, recur_scale, head_scale, cost_units):
     return FeatureModel(vocab, take(1.0, vocab, dim), take(recur_scale, dim, 2 * dim),
                         take(recur_scale, dim), take(head_scale, vocab, dim), take(head_scale, vocab),
                         cost_units=cost_units)
+
+
+def _sparse(vocab, order, paths, rng, cost_units):
+    """Order-`order` table over the windows the token paths hold, each row peaked at
+    the token that follows its window there and spread over a few others; every
+    other window (nearly all of the vocab**order) is left to the fallback."""
+    table = {}
+    for path in paths:
+        for k in range(order, len(path)):
+            weights = np.zeros(vocab)
+            weights[(rng.uniforms(1 + int(rng.uniform() * 8)) * vocab).astype(int)] = 1.0
+            weights[path[k]] += 30.0
+            table[tuple(path[k - order:k])] = normalize(weights * (0.5 + rng.uniforms(vocab)))
+    return TableModel(vocab, order, table, cost_units=cost_units)
 
 
 def _write_json(path, doc):
@@ -113,6 +130,27 @@ def write_inputs(directory):
     specs.insert(1, {"id": "hard-0", "components": [[0.5, -2.0, 0.2], [0.5, 2.0, 0.2]]})
     specs.append({"id": "hard-1", "components": [[0.3, -2.5, 0.2], [0.4, 0.0, 0.2], [0.3, 2.5, 0.2]]})
     _write_json(os.path.join(directory, "specs.json"), {"specs": specs})
+    # high-order sparse tables over 24 tokens (24**4 > 2**16): an order-3 probe and an
+    # order-4 large model, both over the windows of four token paths, and items cut from
+    # those paths whose continuations the large model mostly keeps on them
+    path_rng = rng.child(8)
+    paths = [(path_rng.uniforms(64) * 24).astype(int).tolist() for _ in range(4)]
+    small = _sparse(24, 3, paths, rng.child(9), 1.0)
+    large = _sparse(24, 4, paths, rng.child(10), 8.0)
+    save_model(small, os.path.join(directory, "sparse-small.json"))
+    save_model(large, os.path.join(directory, "sparse-large.json"))
+    item_rng = rng.child(11)
+    items = []
+    for _ in range(60):
+        path = paths[int(item_rng.uniform() * len(paths))]
+        length = 6 + int(item_rng.uniform() * 6)
+        start = int(item_rng.uniform() * (len(path) - length))
+        prompt = path[start:start + length]
+        cont = []
+        for _ in range(4 + int(item_rng.uniform() * 4)):
+            cont.append(sample(large.next_dist(tuple(prompt + cont)), item_rng))
+        items.append({"prompt": prompt, "continuation": cont})
+    _write_json(os.path.join(directory, "sparse-items.json"), {"items": items})
 
 
 def main_generate():

@@ -1,10 +1,13 @@
+import itertools
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dynexec import FeatureModel, Rng, RouteWorkload, TableModel, difficulty, evaluate, frontier
-from dynexec.core import entropy
+from dynexec import FeatureModel, Rng, RouteWorkload, TableModel, difficulty, evaluate, frontier, router
+from dynexec.core import entropy, normalize
 from dynexec.router import LOGPROB_FLOOR
 from dynexec.errors import DynexecError
 
@@ -181,17 +184,143 @@ def test_evaluate_requires_items():
 _RAGGED = ((2, 0, 7), (5,), (1, 1, 3, 9, 0, 4, 2), (8,), (6, 3), (0, 2, 4, 6, 8), (9,))
 
 
-@pytest.mark.parametrize("vocab, dim", [(10, 4), (10, 16), (12, 32)])
-def test_feature_rows_after_equal_next_dist_of_each_prefix(vocab, dim):
-    """The lockstep walk's row after each position is the one-sequence `next_dist`
-    of its prefix, bit for bit, whatever the order of the sequences' lengths."""
-    model = random_feature_model(vocab, dim, Rng(vocab * dim))
-    tokens = np.array([t for item in _RAGGED for t in item], dtype=np.int64)
-    offsets = np.array([k for item in _RAGGED for k in range(len(item))], dtype=np.int64)
+def _ragged_in(vocab):
+    """_RAGGED's items, each token taken modulo the vocabulary (so unchanged from 10 up)."""
+    return [tuple(t % vocab for t in item) for item in _RAGGED]
+
+
+def _table(vocab, order, seed, windows="dense", extra=0):
+    """A table over every window ("dense"), or ("sparse") about half the windows
+    `_ragged_in` holds and `extra` random ones; the fallback is a random row."""
+    rng = Rng(seed)
+    if windows == "dense":
+        chosen = list(itertools.product(range(vocab), repeat=order))
+    else:
+        held = {item[k - order:k] for item in _ragged_in(vocab) for k in range(order, len(item) + 1)}
+        chosen = [w for w in sorted(held) if rng.uniform() < 0.5]
+        chosen += [tuple((rng.uniforms(order) * vocab).astype(int).tolist()) for _ in range(extra)]
+    table = {w: normalize(rng.uniforms(vocab) + 0.01) for w in chosen}
+    return TableModel(vocab, order, table, fallback=normalize(rng.uniforms(vocab) + 0.01))
+
+
+_ROWS_AFTER_MODELS = [
+    *(pytest.param(lambda v=vocab, d=dim: random_feature_model(v, d, Rng(v * d)), id=f"{vocab}-{dim}")
+      for vocab, dim in [(10, 4), (10, 16), (12, 32)]),
+    pytest.param(lambda: _table(2, 0, 1), id="table-order0-dense"),
+    pytest.param(lambda: TableModel(3, 0, {}, fallback=[0.2, 0.3, 0.5]), id="table-order0-no-row"),
+    pytest.param(lambda: _table(5, 1, 2), id="table-order1-dense"),
+    pytest.param(lambda: _table(7, 1, 3, "sparse", extra=2), id="table-order1-sparse"),
+    pytest.param(lambda: _table(4, 2, 4), id="table-order2-dense"),
+    pytest.param(lambda: _table(10, 2, 5, "sparse", extra=8), id="table-order2-sparse"),
+    pytest.param(lambda: TableModel(6, 2, {}), id="table-order2-no-row"),
+    pytest.param(lambda: _table(3, 3, 6), id="table-order3-dense"),
+    pytest.param(lambda: _table(16, 3, 7, "sparse", extra=20), id="table-order3-sparse"),
+    pytest.param(lambda: _table(2, 4, 8), id="table-order4-dense-vocab2"),
+    pytest.param(lambda: _table(5, 4, 9), id="table-order4-dense"),
+    pytest.param(lambda: _table(256, 4, 10, "sparse", extra=40), id="table-order4-sparse-vocab256"),
+]
+
+
+@pytest.mark.parametrize("make_model", _ROWS_AFTER_MODELS)
+def test_feature_rows_after_equal_next_dist_of_each_prefix(make_model):
+    """The row after each position is the one-sequence `next_dist` of its
+    prefix, bit for bit, whatever the order of the sequences' lengths: a
+    feature model's lockstep walk gives each position its own row, and a
+    table model's window lookup indexes the row of the prefix's window, or
+    the fallback, last, for a window absent from the table or shorter than
+    the order."""
+    model = make_model()
+    items = _ragged_in(model.vocab_size)
+    tokens = np.array([t for item in items for t in item], dtype=np.int64)
+    offsets = np.array([k for item in items for k in range(len(item))], dtype=np.int64)
     rows, index = model.rows_after(tokens, offsets)
-    assert index.tolist() == list(range(len(tokens)))
-    prefixes = [item[:k + 1] for item in _RAGGED for k in range(len(item))]
+    prefixes = [item[:k + 1] for item in items for k in range(len(item))]
+    if isinstance(model, FeatureModel):
+        assert index.tolist() == list(range(len(tokens)))
+    else:
+        row_of = {window: i for i, window in enumerate(model.table)}
+        assert rows[-1].tobytes() == model.fallback.tobytes()
+        assert index.tolist() == [row_of.get(model.start(p), len(rows) - 1) for p in prefixes]
     assert [rows[i].tobytes() for i in index] == [model.next_dist(p).tobytes() for p in prefixes]
+
+
+def test_table_rows_after_memory_is_linear_in_windows_and_positions():
+    """A sparse order-4 table over 256 tokens is built and reads 10 000
+    positions in memory bounded by order x windows x V plus the positions:
+    a dense array over the 256**4 windows would need 32 GB."""
+    vocab, order, positions = 256, 4, 10_000
+    rng = Rng(51)
+    windows = [tuple((rng.uniforms(order) * vocab).astype(int).tolist()) for _ in range(6)]
+    rows = [normalize(rng.uniforms(vocab)).tolist() for _ in windows]
+    # each stored window read in turn, among runs of random tokens
+    tokens = (rng.uniforms(positions) * vocab).astype(np.int64)
+    tokens[:len(windows) * 2 * order] = [t for w in windows for t in w + w]
+    offsets = np.arange(positions, dtype=np.int64) % 50
+    tracemalloc.start()
+    try:
+        model = TableModel(vocab, order, dict(zip(windows, rows)))
+        index = model.rows_after(tokens, offsets)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(index[:len(windows) * 2 * order].tolist()) == set(range(len(windows) + 1))
+    assert peak < 2**16 + 8 * (order * (len(windows) + 1) * vocab + 8 * positions)
+
+
+def _distinct_reads(items, model):
+    """The distinct probe rows the prompts read and (row, token) cells the
+    continuations read: a table model's row is its window's or the fallback,
+    a feature model's that of each position."""
+    def row(i, prefix):
+        if isinstance(model, FeatureModel):
+            return i, len(prefix)
+        window = model.start(prefix)
+        return window if window in model.table else "fallback"
+
+    prompt_rows, cells = set(), set()
+    for i, item in enumerate(items):
+        tokens = item.prompt + item.reference_continuation
+        prompt_rows |= {row(i, tokens[:k]) for k in range(1, len(item.prompt) + 1)}
+        cells |= {(row(i, tokens[:k]), tokens[k]) for k in range(len(item.prompt), len(tokens))}
+    return prompt_rows, cells
+
+
+@pytest.mark.parametrize("kind", ["table", "feature"])
+def test_frontier_takes_one_log_per_cell_and_one_entropy_per_row(monkeypatch, kind):
+    """`_qualities` calls `math.log` once per distinct (row, token) cell the
+    continuations read and `difficulty` calls `entropy` once per distinct row
+    the prompts read, on both sides of the size rule: tables whose row matrices
+    have fewer cells than the workload has reads mark the cells they read, and
+    feature models, one row per position, sort them."""
+    rng = Rng(52)
+    if kind == "table":
+        small = varied_entropy_table_model(4, 1, rng.child(0))
+        large = random_table_model(4, 2, rng.child(1), cost_units=4.0)
+    else:
+        small = random_feature_model(5, 4, rng.child(0))
+        large = random_feature_model(5, 6, rng.child(1), cost_units=4.0)
+    items = route_workload(40, small, large, rng.child(2))
+    reads = sum(len(item.reference_continuation) for item in items)
+    positions = reads + sum(len(item.prompt) for item in items)
+    for model in (small, large):
+        rows = len(model.table) + 1 if kind == "table" else positions
+        assert (rows * model.vocab_size <= reads) == (kind == "table")
+    calls = {"log": 0, "entropy": 0}
+
+    def counting_log(x):
+        calls["log"] += 1
+        return math.log(x)
+
+    def counting_entropy(d):
+        calls["entropy"] += 1
+        return entropy(d)
+
+    monkeypatch.setattr(router, "math", SimpleNamespace(log=counting_log))
+    monkeypatch.setattr(router, "entropy", counting_entropy)
+    frontier([-1.0, 1.0, math.inf], route_arrays(items), small, large)
+    probe_rows, small_cells = _distinct_reads(items, small)
+    large_cells = _distinct_reads(items, large)[1]
+    assert calls == {"log": len(small_cells) + len(large_cells), "entropy": len(probe_rows)}
 
 
 def test_frontier_walks_a_feature_probe_once_in_lockstep(monkeypatch):
